@@ -297,7 +297,7 @@ def _cmd_toric_scan(args: List[str]) -> Tuple[int, dict]:
         else:
             entry["abbv_sum"] = format_rational(localization.abbv_sum_6d(data))
         if data.relative_fano:
-            constant, _ = localization.weight_sum_normalize(data)
+            constant = localization.weight_sum_constant(data)
             entry["weight_sum_constant"] = format_rational(constant)
         any_violation = any_violation or not item.report.ok
         items.append(entry)

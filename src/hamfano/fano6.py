@@ -322,7 +322,9 @@ def maximal_downward_chains(data: FixedPointData) -> List[Chain]:
     From the current lowest point, while some weight v < -1 remains, follow
     the edge of weight |v| downward (most negative weight first, then the
     lexicographically least continuation).  A missing continuation edge
-    raises :class:`IncompleteDataError`.
+    raises :class:`IncompleteDataError`.  Every edge followed must descend
+    strictly in H, so a chain ends after at most one step per level; an
+    edge that does not raises :class:`InconsistencyError`.
     """
     chains: List[Chain] = []
     seeds = sorted(
@@ -330,7 +332,7 @@ def maximal_downward_chains(data: FixedPointData) -> List[Chain]:
         key=lambda e: (e.bottom, e.top, e.weight),
     )
     for seed in seeds:
-        points = [seed.top, seed.bottom]
+        points = [seed.top, _descend(data, seed)]
         weights = [seed.weight]
         while True:
             cur = data.component(points[-1])
@@ -347,10 +349,22 @@ def maximal_downward_chains(data: FixedPointData) -> List[Chain]:
                     f"{cur.id} has weight {v} but no downward edge of weight {-v}"
                 )
             nxt = candidates[0]
-            points.append(nxt.bottom)
+            points.append(_descend(data, nxt))
             weights.append(nxt.weight)
         chains.append(Chain(points=tuple(points), edge_weights=tuple(weights)))
     return chains
+
+
+def _descend(data: FixedPointData, e: GradientEdge) -> str:
+    """The bottom of e, once it is checked to lie strictly below the top."""
+    bottom, top = data.component(e.bottom), data.component(e.top)
+    if not bottom.H < top.H:
+        raise InconsistencyError(
+            f"edge {e.key} must increase the Hamiltonian: "
+            f"H({e.bottom}) = {format_rational(bottom.H)} !< "
+            f"H({e.top}) = {format_rational(top.H)}; no downward chain follows it"
+        )
+    return e.bottom
 
 
 def chainres_check(data: FixedPointData) -> Report:
@@ -788,7 +802,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
                 continue
             ext_id = min_id if leftover_w < 0 else max_id
             deg_c, _ = ledger.take(c.id, leftover_w)
-            deg_e, found = ledger.take(ext_id, -leftover_w if leftover_w < 0 else -1)
+            deg_e, found = ledger.take(ext_id, -leftover_w)
             if not found:
                 # extremal surface has no matching +-1 weight slot left
                 report.undecided(

@@ -172,7 +172,11 @@ class GradientEdge:
 
 @dataclass(frozen=True)
 class FixedPointData:
-    """Full fixed-point dataset of a Hamiltonian S^1-action on a 2n-manifold."""
+    """Full fixed-point dataset of a Hamiltonian S^1-action on a 2n-manifold.
+
+    The canonical order and the id lookup are computed once, at
+    construction, since the dataset is immutable.
+    """
 
     half_dim: int
     components: Tuple[FixedComponent, ...]
@@ -188,11 +192,11 @@ class FixedPointData:
             raise StructuralError("dataset has no fixed components")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "edges", tuple(self.edges))
-        seen = set()
+        by_id = {}
         for c in comps:
-            if c.id in seen:
+            if c.id in by_id:
                 raise StructuralError(f"duplicate component id {c.id!r}")
-            seen.add(c.id)
+            by_id[c.id] = c
         n = self.half_dim
         for c in comps:
             if c.kind == FOURFOLD and n != 3:
@@ -205,18 +209,22 @@ class FixedPointData:
                 )
         for e in self.edges:
             for end in (e.bottom, e.top):
-                if end not in seen:
+                if end not in by_id:
                     raise StructuralError(f"edge endpoint {end!r} does not resolve")
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(
+            self, "_ordered", tuple(sorted(comps, key=lambda c: (c.H, c.id)))
+        )
 
     def component(self, cid: str) -> FixedComponent:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise StructuralError(f"no component with id {cid!r}")
+        try:
+            return self._by_id[cid]
+        except KeyError:
+            raise StructuralError(f"no component with id {cid!r}") from None
 
     def ordered(self) -> Tuple[FixedComponent, ...]:
         """Components in the canonical order: by Hamiltonian value, then id."""
-        return tuple(sorted(self.components, key=lambda c: (c.H, c.id)))
+        return self._ordered
 
     def points(self) -> Tuple[FixedComponent, ...]:
         return tuple(c for c in self.components if c.kind == POINT)
@@ -225,10 +233,10 @@ class FixedPointData:
         return tuple(c for c in self.components if c.kind == SURFACE)
 
     def h_min(self) -> Fraction:
-        return min(c.H for c in self.components)
+        return self._ordered[0].H
 
     def h_max(self) -> Fraction:
-        return max(c.H for c in self.components)
+        return self._ordered[-1].H
 
     def replace_components(self, comps: Iterable[FixedComponent]) -> "FixedPointData":
         return FixedPointData(

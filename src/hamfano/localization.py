@@ -79,10 +79,6 @@ class Polynomial:
                 out[i + j] += a * b
         return Polynomial(tuple(out))
 
-    def scale(self, r: Union[int, Fraction]) -> "Polynomial":
-        r = Fraction(r)
-        return Polynomial(tuple(r * c for c in self.coefficients))
-
     def __call__(self, x: Union[int, Fraction]) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -211,15 +207,15 @@ class WeightSumInconsistency(InconsistencyError):
         super().__init__(f"weight sum formula has no solution; residuals {{{rendered}}}")
 
 
-def weight_sum_normalize(data: FixedPointData) -> Tuple[Fraction, FixedPointData]:
-    """Find the constant c with H(F) + c = -sum of weights at every component.
+def weight_sum_constant(data: FixedPointData) -> Fraction:
+    """The constant c with H(F) + c = -sum of weights at every component.
 
-    Returns the constant and the shifted dataset.  When no single constant
-    works, raises :class:`WeightSumInconsistency` carrying the residual of
-    every component relative to the constant fixed at the minimum.
+    When no single constant works, raises :class:`WeightSumInconsistency`
+    carrying the residual of every component relative to the constant fixed
+    at the minimum.
     """
     if not data.relative_fano:
-        raise PreconditionError("weight_sum_normalize applies to relative Fano data")
+        raise PreconditionError("weight_sum_constant applies to relative Fano data")
     comps = data.ordered()
     base = comps[0]
     c = Fraction(-base.weight_sum()) - base.H
@@ -228,6 +224,17 @@ def weight_sum_normalize(data: FixedPointData) -> Tuple[Fraction, FixedPointData
     }
     if any(r != 0 for r in residuals.values()):
         raise WeightSumInconsistency(c, residuals)
+    return c
+
+
+def weight_sum_normalize(data: FixedPointData) -> Tuple[Fraction, FixedPointData]:
+    """The weight-sum constant c and the dataset shifted by it.
+
+    Raises :class:`WeightSumInconsistency` as :func:`weight_sum_constant` does.
+    """
+    if not data.relative_fano:
+        raise PreconditionError("weight_sum_normalize applies to relative Fano data")
+    c = weight_sum_constant(data)
     shifted = data.replace_components(
         FixedComponent(
             id=comp.id,

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -125,7 +125,10 @@ class LatticePolytope:
 
     Vertices are stored lexicographically sorted; every supplied point must
     be a genuine vertex of the hull.  Edges and facets are derived once at
-    construction with exact integer arithmetic.
+    construction with exact integer arithmetic, together with the invariants
+    every generated direction reuses: the edges at each vertex and the
+    Delzant and reflexive flags.  Boundary self-intersections, which raise
+    on a non-smooth fan, are computed on first request and then kept.
     """
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
@@ -147,6 +150,16 @@ class LatticePolytope:
                 raise StructuralError(
                     f"point {self.vertices[idx]} is not a vertex of the hull"
                 )
+        incident: List[List[Tuple[Edge, IntVec]]] = [[] for _ in self.vertices]
+        for e in self.edges:
+            incident[e.i].append((e, e.direction))
+            incident[e.j].append((e, tuple(-x for x in e.direction)))
+        self._incident = tuple(tuple(edges) for edges in incident)
+        self._delzant = all(
+            _is_lattice_basis([d for _e, d in edges], self.dim) for edges in self._incident
+        )
+        self._reflexive = self.origin_interior() and all(f.c == 1 for f in self.facets)
+        self._selfint: Dict[Edge, int] = {}  # filled by boundary_selfint_2d
 
     # -- construction ---------------------------------------------------
 
@@ -208,52 +221,37 @@ class LatticePolytope:
                 break
         if not full:
             raise StructuralError("polytope is not full-dimensional")
-        facet_map = {}
+        facets: List[Facet] = []
+        on_facets: List[set] = [set() for _ in pts]  # found facets through each point
         for a, b, c in itertools.combinations(range(len(pts)), 3):
+            if on_facets[a] & on_facets[b] & on_facets[c]:
+                continue  # their plane is a facet already found
             n = _cross3(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
             if n == (0, 0, 0):
                 continue
-            sides = [_dot(n, _sub(p, pts[a])) for p in pts]
-            if all(s >= 0 for s in sides):
-                u = n
-            elif all(s <= 0 for s in sides):
-                u = tuple(-x for x in n)
-            else:
+            side = _supporting_side(n, _dot(n, pts[a]), pts)
+            if side == 0:
                 continue
-            u, _ = _primitive(u)
+            u, _ = _primitive(n if side > 0 else tuple(-x for x in n))
             cval = -_dot(u, pts[a])
-            key = (u, cval)
-            if key not in facet_map:
-                on = tuple(i for i, p in enumerate(pts) if _dot(u, p) == -cval)
-                facet_map[key] = Facet(normal=u, c=cval, vertex_ids=on)
-        self.facets = tuple(sorted(facet_map.values(), key=lambda f: (f.normal, f.c)))
+            on = tuple(i for i, p in enumerate(pts) if _dot(u, p) == -cval)
+            for i in on:
+                on_facets[i].add(len(facets))
+            facets.append(Facet(normal=u, c=cval, vertex_ids=on))
+        self.facets = tuple(sorted(facets, key=lambda f: (f.normal, f.c)))
         edges: List[Edge] = []
         for i, j in itertools.combinations(range(len(pts)), 2):
-            shared = [f for f in self.facets if i in f.vertex_ids and j in f.vertex_ids]
-            if len(shared) >= 2:
+            if len(on_facets[i] & on_facets[j]) >= 2:
                 d, length = _primitive(_sub(pts[j], pts[i]))
                 edges.append(Edge(i=i, j=j, direction=d, length=length))
-        self.edges = tuple(sorted(edges, key=lambda e: (e.i, e.j)))
+        self.edges = tuple(edges)
         self.cycle = ()
 
     # -- queries ----------------------------------------------------------
 
     def vertex_edges(self, i: int) -> List[Tuple[Edge, IntVec]]:
         """Incident edges with their primitive direction pointing away from i."""
-        out = []
-        for e in self.edges:
-            if e.i == i:
-                out.append((e, e.direction))
-            elif e.j == i:
-                out.append((e, tuple(-x for x in e.direction)))
-        return out
-
-    def edge_between(self, i: int, j: int) -> Edge:
-        a, b = min(i, j), max(i, j)
-        for e in self.edges:
-            if (e.i, e.j) == (a, b):
-                return e
-        raise StructuralError(f"no edge between vertices {i} and {j}")
+        return list(self._incident[i])
 
     def cyclic_neighbours(self, e: Edge) -> Tuple[Edge, Edge]:
         """Previous and next boundary edge of a polygon, in cyclic order."""
@@ -269,28 +267,46 @@ class LatticePolytope:
         return all(f.c >= 1 for f in self.facets)
 
     def is_reflexive(self) -> bool:
-        return self.origin_interior() and all(f.c == 1 for f in self.facets)
+        return self._reflexive
 
     def as_dict(self) -> dict:
         return {"dim": self.dim, "vertices": [list(v) for v in self.vertices]}
+
+
+def _supporting_side(n: IntVec, level: int, pts: Sequence[IntVec]) -> int:
+    """A value s with s * (<n, q> - level) >= 0 for every point q, or 0 when
+    the plane <n, x> = level separates two points.  Stops at the first
+    sign change."""
+    side = 0
+    for q in pts:
+        s = _dot(n, q) - level
+        if s * side < 0:
+            return 0
+        if s:
+            side = s
+    return side
+
+
+def _is_lattice_basis(dirs: Sequence[IntVec], dim: int) -> bool:
+    """True iff the primitive edge directions at one vertex form a basis of Z^dim."""
+    if len(dirs) != dim:
+        return False
+    if dim == 2:
+        det = _cross2(dirs[0], dirs[1])
+    else:
+        det = _dot(_cross3(dirs[0], dirs[1]), dirs[2])
+    return det in (1, -1)
 
 
 # -- checks ----------------------------------------------------------------
 
 
 def delzant_check(p: LatticePolytope) -> bool:
-    """True iff the primitive edge directions at every vertex form a lattice basis."""
-    for i in range(len(p.vertices)):
-        dirs = [d for _e, d in p.vertex_edges(i)]
-        if len(dirs) != p.dim:
-            return False
-        if p.dim == 2:
-            det = _cross2(dirs[0], dirs[1])
-        else:
-            det = _dot(_cross3(dirs[0], dirs[1]), dirs[2])
-        if det not in (1, -1):
-            return False
-    return True
+    """True iff the primitive edge directions at every vertex form a lattice basis.
+
+    The polytope decides this once, at construction.
+    """
+    return p._delzant
 
 
 def reflexive_check(p: LatticePolytope) -> bool:
@@ -308,6 +324,12 @@ def boundary_selfint_2d(p: LatticePolytope, edge: Edge) -> int:
     """
     if p.dim != 2:
         raise PreconditionError("boundary_selfint_2d applies to polygons")
+    if edge not in p._selfint:
+        p._selfint[edge] = _selfint_from_fan(p, edge)
+    return p._selfint[edge]
+
+
+def _selfint_from_fan(p: LatticePolytope, edge: Edge) -> int:
     prev_e, next_e = p.cyclic_neighbours(edge)
     normal = {(_e.i, _e.j): f.normal for _e, f in zip(p.edges, p.facets)}
     u = normal[(edge.i, edge.j)]
@@ -358,9 +380,10 @@ def fixed_data_from_polytope(
         raise PreconditionError(f"direction has length {len(x)}, polytope dim {p.dim}")
     if not delzant_check(p):
         raise PreconditionError("fixed_data_from_polytope needs a Delzant polytope")
+    pairings = [_dot(x, e.direction) for e in p.edges]
     if p.dim == 3:
-        for e in p.edges:
-            if _dot(x, e.direction) == 0:
+        for e, pairing in zip(p.edges, pairings):
+            if pairing == 0:
                 raise UnsupportedDirectionError(
                     f"direction {x} fixes the edge through vertices "
                     f"{p.vertices[e.i]}, {p.vertices[e.j]}; positive-dimensional "
@@ -370,8 +393,8 @@ def fixed_data_from_polytope(
     absorbed = {}
     components: List[FixedComponent] = []
     if p.dim == 2:
-        for e in p.edges:
-            if _dot(x, e.direction) != 0:
+        for e, pairing in zip(p.edges, pairings):
+            if pairing != 0:
                 continue
             va, vb = p.vertices[e.i], p.vertices[e.j]
             h = _dot(x, va)
@@ -414,8 +437,7 @@ def fixed_data_from_polytope(
         i: absorbed.get(i, _vertex_id(p.vertices[i])) for i in range(len(p.vertices))
     }
     edges: List[GradientEdge] = []
-    for e in p.edges:
-        pairing = _dot(x, e.direction)
+    for e, pairing in zip(p.edges, pairings):
         if pairing == 0:
             continue
         lo, hi = (e.i, e.j) if pairing > 0 else (e.j, e.i)
@@ -531,8 +553,8 @@ def graph_of_points(data: FixedPointData) -> LabelledGraph:
 # -- the del Pezzo lemma suite -----------------------------------------------
 
 
-def _is_generic(p: LatticePolytope, xi: CircleDirection) -> bool:
-    return all(_dot(xi.xi, e.direction) != 0 for e in p.edges)
+def _is_delpezzo(p: LatticePolytope) -> bool:
+    return p.dim == 2 and delzant_check(p) and p.is_reflexive()
 
 
 def delpezzo_lemma_suite(
@@ -546,16 +568,21 @@ def delpezzo_lemma_suite(
     twin {-1,n} points (neededcor); weight-1 spheres touch an extremum
     (fourbound); boundary areas at most 3 (4small); the {-1,n} point
     restrictions (us); and the consequences of a {+-1,+-1} fixed point
-    (calc).  Violations carry the lemma name as code.
+    (calc).  Violations carry the lemma name as code.  A direction that
+    fixes a boundary sphere is not generic, and the suite is skipped.
     """
     direction = as_direction(xi)
-    if not (delzant_check(p) and p.dim == 2 and p.is_reflexive()):
+    if not _is_delpezzo(p):
         raise PreconditionError("the lemma suite runs on toric del Pezzo polygons")
+    return _lemma_checks(fixed_data_from_polytope(p, direction))
+
+
+def _lemma_checks(data: FixedPointData) -> Report:
+    """The lemma suite on data generated from a toric del Pezzo polygon."""
     report = Report()
-    if not _is_generic(p, direction):
+    if data.surfaces():
         report.note("skipped: direction is not generic (fixed boundary spheres)")
         return report
-    data = fixed_data_from_polytope(p, direction)
     points = data.ordered()
     min_id, max_id = points[0].id, points[-1].id
     h_min, h_max = points[0].H, points[-1].H
@@ -753,10 +780,10 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
     """Generate data for every primitive direction of max-norm <= bound.
 
     Directions are taken up to sign and enumerated lexicographically; for
-    polygons in the del Pezzo class the lemma suite runs on each generic
-    direction, otherwise only structural validation is reported.
+    polygons in the del Pezzo class the lemma suite runs on the data of each
+    generic direction, otherwise only structural validation is reported.
     """
-    is_delpezzo = p.dim == 2 and delzant_check(p) and p.is_reflexive()
+    is_delpezzo = _is_delpezzo(p)
     for xi in primitive_directions(p.dim, bound):
         try:
             data = fixed_data_from_polytope(p, xi)
@@ -765,5 +792,5 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
             continue
         report = validate(data)
         if is_delpezzo:
-            report.extend(delpezzo_lemma_suite(p, xi))
+            report.extend(_lemma_checks(data))
         yield ScanItem(xi=xi, data=data, report=report)

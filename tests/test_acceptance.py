@@ -1,8 +1,8 @@
 """Acceptance gate: every headline identity and bound, at tolerance zero.
 
-Each criterion prints one PASS/FAIL line (visible with ``pytest -s`` or in
-the standalone ``scripts/run_acceptance.py``).  All arithmetic is exact;
-there are no tolerances anywhere.
+Each criterion prints one PASS/FAIL line, visible with
+``pytest tests/test_acceptance.py -s``.  All arithmetic is exact; there
+are no tolerances anywhere.
 """
 
 import random

@@ -1,9 +1,13 @@
 """CLI subcommands, document round-trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hamfano
 from hamfano.cli import (
     load_document,
     parse_fixed_point_data,
@@ -209,6 +213,33 @@ def test_fano6_chains_cli(tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert (obj["n_A"], obj["n_B"], obj["n_C"], obj["b2_min"]) == (2, 2, 1, 6)
+
+
+def test_fano6_chains_two_cycle_exits_1(tmp_path):
+    # edges x->y and y->x of weight 2: following the second one would climb
+    # back up, so the walk must stop with an error instead of looping
+    payload = {
+        "half_dim": 3,
+        "components": [
+            {"id": "x", "kind": "point", "H": 0, "weights": [-2, 1, 1]},
+            {"id": "y", "kind": "point", "H": 1, "weights": [-2, 1, 1]},
+        ],
+        "edges": [
+            {"bottom": "x", "top": "y", "weight": 2},
+            {"bottom": "y", "top": "x", "weight": 2},
+        ],
+    }
+    path = write(tmp_path, "loop.json", doc_data(payload))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hamfano.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hamfano.cli", "fano6", "chains", path],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert "y->x" in json.loads(proc.stdout)["error"]
 
 
 def test_fano6_suite_cli(tmp_path):
