@@ -303,8 +303,9 @@ class Chain:
 
 def is_maximal_downward_chain(data: FixedPointData, chain: Chain) -> bool:
     """Independent re-check of the three defining conditions of a chain."""
-    by_id = {c.id: c for c in data.components}
-    if any(p not in by_id for p in chain.points):
+    try:
+        points = [data.component(p) for p in chain.points]
+    except StructuralError:
         return False
     for (top, bottom), w in zip(itertools.pairwise(chain.points), chain.edge_weights):
         if w <= 1:
@@ -313,7 +314,7 @@ def is_maximal_downward_chain(data: FixedPointData, chain: Chain) -> bool:
             e.top == top and e.bottom == bottom and e.weight == w for e in data.edges
         ):
             return False
-    return all(w >= -1 for w in by_id[chain.points[-1]].weights)
+    return all(w >= -1 for w in points[-1].weights)
 
 
 def maximal_downward_chains(data: FixedPointData) -> List[Chain]:

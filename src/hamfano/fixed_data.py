@@ -347,9 +347,8 @@ def validate(data: FixedPointData) -> Report:
             f"gcd of all weight moduli is {g}; an effective action needs gcd 1",
         )
 
-    by_id = {c.id: c for c in data.components}
     for e in data.edges:
-        b, t = by_id[e.bottom], by_id[e.top]
+        b, t = data.component(e.bottom), data.component(e.top)
         if not b.H < t.H:
             report.flag(
                 "edge-order",
@@ -373,6 +372,6 @@ def validate(data: FixedPointData) -> Report:
     if data.relative_fano:
         _check_missinglemma(data, report)
         if len(mins) == 1:
-            _check_resweight(data, by_id[mins[0]], report)
+            _check_resweight(data, data.component(mins[0]), report)
 
     return report

@@ -230,10 +230,8 @@ def weight_sum_constant(data: FixedPointData) -> Fraction:
 def weight_sum_normalize(data: FixedPointData) -> Tuple[Fraction, FixedPointData]:
     """The weight-sum constant c and the dataset shifted by it.
 
-    Raises :class:`WeightSumInconsistency` as :func:`weight_sum_constant` does.
+    Raises as :func:`weight_sum_constant` does.
     """
-    if not data.relative_fano:
-        raise PreconditionError("weight_sum_normalize applies to relative Fano data")
     c = weight_sum_constant(data)
     shifted = data.replace_components(
         FixedComponent(

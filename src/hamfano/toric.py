@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -159,7 +159,6 @@ class LatticePolytope:
             _is_lattice_basis([d for _e, d in edges], self.dim) for edges in self._incident
         )
         self._reflexive = self.origin_interior() and all(f.c == 1 for f in self.facets)
-        self._selfint: Dict[Edge, int] = {}  # filled by boundary_selfint_2d
 
     # -- construction ---------------------------------------------------
 
@@ -324,12 +323,6 @@ def boundary_selfint_2d(p: LatticePolytope, edge: Edge) -> int:
     """
     if p.dim != 2:
         raise PreconditionError("boundary_selfint_2d applies to polygons")
-    if edge not in p._selfint:
-        p._selfint[edge] = _selfint_from_fan(p, edge)
-    return p._selfint[edge]
-
-
-def _selfint_from_fan(p: LatticePolytope, edge: Edge) -> int:
     prev_e, next_e = p.cyclic_neighbours(edge)
     normal = {(_e.i, _e.j): f.normal for _e, f in zip(p.edges, p.facets)}
     u = normal[(edge.i, edge.j)]
@@ -586,7 +579,6 @@ def _lemma_checks(data: FixedPointData) -> Report:
     points = data.ordered()
     min_id, max_id = points[0].id, points[-1].id
     h_min, h_max = points[0].H, points[-1].H
-    by_id = {c.id: c for c in points}
 
     # dum: every weight at a non-extremal point is realised by a boundary edge
     ok = True
@@ -606,13 +598,13 @@ def _lemma_checks(data: FixedPointData) -> Report:
     report.note(f"dum: {'pass' if ok else 'fail'}")
 
     # equallemma: weight-1 multiplicities at the extrema
-    mult_min = sum(1 for w in by_id[min_id].weights if w == 1)
+    mult_min = sum(1 for w in data.component(min_id).weights if w == 1)
     count_min = sum(
         1
         for c in points
         if c.id not in (min_id, max_id) and -1 in c.weights
     )
-    mult_max = sum(1 for w in by_id[max_id].weights if w == -1)
+    mult_max = sum(1 for w in data.component(max_id).weights if w == -1)
     count_max = sum(
         1 for c in points if c.id not in (min_id, max_id) and 1 in c.weights
     )
@@ -682,7 +674,7 @@ def _lemma_checks(data: FixedPointData) -> Report:
 
     # us: restrictions at points with weights {-1, n}, n >= 2
     ok = True
-    min_ws = by_id[min_id].sorted_weights()
+    min_ws = data.component(min_id).sorted_weights()
     for c in points:
         ws = c.sorted_weights()
         if ws[0] == -1 and ws[1] >= 2:

@@ -10,7 +10,6 @@ from hamfano.cli import run
 from hamfano.localization import weight_sum_constant, weight_sum_normalize
 from hamfano.toric import (
     LatticePolytope,
-    boundary_selfint_2d,
     catalog_entry,
     delzant_check,
     fixed_data_from_polytope,
@@ -58,14 +57,6 @@ def test_vertex_basis_test_runs_once_per_vertex(monkeypatch):
         assert delzant_check(p)
         fixed_data_from_polytope(p, xi)
     assert len(calls) == len(p.vertices)
-
-
-def test_self_intersection_computed_once_per_edge(monkeypatch):
-    p = LatticePolytope(catalog_entry("Bl2CP2").polytope.vertices)
-    calls = _counting(monkeypatch, hamfano.toric, "_selfint_from_fan")
-    first = [boundary_selfint_2d(p, e) for e in p.edges]
-    assert [boundary_selfint_2d(p, e) for e in p.edges] == first
-    assert len(calls) == len(p.edges)
 
 
 def test_non_delzant_polygon_constructs():
