@@ -1,7 +1,11 @@
 """Golden corpus: exact CLI output (exit code and stdout) on fixed inputs.
 
 Each case stores ``exit N`` on its first line followed by the bytes the
-CLI prints.  The corpus pins behaviour across refactors: a change that
+CLI prints.  The inputs are the catalog polygons and a few 3-polytopes,
+X x Sigma_g products from ``tests/lifts.py`` (a genuine one, one with a
+perturbed normal degree, one with degrees missing and one with fixed
+spheres, whose suites carry inconclusive records) and ``build_04_data``
+rows.  The corpus pins behaviour across refactors: a change that
 alters any of these outputs on purpose regenerates the affected files and
 says why.  Regenerate with
 
@@ -40,6 +44,7 @@ POLYTOPES = {
     "truncated_cube": _truncated_cube(),
     "rectangle": [[-1, -1], [2, -1], [2, 1], [-1, 1]],  # Delzant, not reflexive
     "triangle_nondelzant": [[0, 0], [2, 0], [0, 1]],
+    "cp2": [[-1, -1], [2, -1], [-1, 2]],
 }
 
 DATASETS = {
@@ -83,6 +88,107 @@ DATASETS = {
             {"id": "hi", "kind": "point", "H": 1, "weights": [-1, -1]},
         ],
     },
+    # edges x->y and y->x: the second one climbs back up the Hamiltonian
+    "two_cycle": {
+        "half_dim": 3,
+        "components": [
+            {"id": "x", "kind": "point", "H": 0, "weights": [-2, 1, 1]},
+            {"id": "y", "kind": "point", "H": 1, "weights": [-2, 1, 1]},
+        ],
+        "edges": [
+            {"bottom": "x", "top": "y", "weight": 2},
+            {"bottom": "y", "top": "x", "weight": 2},
+        ],
+    },
+}
+
+
+
+def _generated_datasets():
+    """Product and A/B/C-row documents, rendered by the package itself.
+
+    Only ``write_corpus`` calls this: the tests read the stored documents.
+    """
+    from dataclasses import replace
+
+    from hamfano.cli import render_fixed_point_data
+    from hamfano.fano6 import build_04_data
+    from hamfano.fixed_data import FixedComponent
+    from hamfano.toric import catalog_entry
+
+    from .lifts import lift_product
+
+    cp2 = catalog_entry("CP2").polytope
+    prod = lift_product(cp2, (1, 2), genus=1)
+
+    def with_components(comps):
+        return prod.replace_components(comps)
+
+    def sphere(cid, h, weights, nd):
+        return FixedComponent(
+            id=cid, kind="surface", H=h, weights=weights, genus=0, normal_degrees=nd, area=1
+        )
+
+    datasets = {
+        "prod_cp2_g1": prod,
+        "prod_bl1cp2_g2": lift_product(catalog_entry("Bl1CP2").polytope, (1, 3), genus=2),
+        # one normal degree changed: the localisation sum becomes -n/w^2
+        "prod_cp2_g1_perturbed": with_components(
+            replace(c, normal_degrees=(-1, 0)) if c.id == "v2_-1" else c
+            for c in prod.components
+        ),
+        # degrees dropped on the middle surface: the cycle estimate is inconclusive
+        "prod_cp2_g1_nodeg": with_components(
+            replace(c, normal_degrees=None) if c.id == "v2_-1" else c
+            for c in prod.components
+        ),
+        # fixed spheres below, on and above level 0
+        "prod_cp2_g1_spheres": with_components(
+            prod.components
+            + (
+                sphere("sa", -2, (-1, 2), (0, 0)),
+                sphere("sb", -1, (-1, 2), (-1, 0)),
+                sphere("sc", 0, (-1, 1), None),
+                sphere("sd", 1, (-1, 1), (0, 0)),
+            )
+        ),
+        "abc_3_1_1_2": build_04_data((-1, -1, -1), 1, 1, 2),
+        "abc_4_1_2_1": build_04_data((-2, -1, -1), 1, 2, 1),
+    }
+    out = {name: render_fixed_point_data(d) for name, d in datasets.items()}
+    out["suite_cp2_g2"] = {
+        "suite_request": {
+            "data": render_fixed_point_data(lift_product(cp2, (1, 2), genus=2)),
+            "fibre": {"dim": 2, "vertices": POLYTOPES["cp2"]},
+            "fibre_xi": [1, 2],
+            "levels": [0, "5/2"],
+        }
+    }
+    return out
+
+
+PRODUCTS = (
+    "prod_cp2_g1",
+    "prod_bl1cp2_g2",
+    "prod_cp2_g1_perturbed",
+    "prod_cp2_g1_nodeg",
+    "prod_cp2_g1_spheres",
+)
+PRODUCT_COMMANDS = {
+    "validate": ["validate"],
+    "normalize": ["normalize"],
+    "localize6d": ["localize", "6d"],
+    "chiy": ["chi-y"],
+    "graph": ["fano6", "graph"],
+    "chains": ["fano6", "chains"],
+    "suite": ["fano6", "suite"],
+}
+ROWS = ("abc_3_1_1_2", "abc_4_1_2_1")
+ROW_COMMANDS = {
+    "abc": ["fano6", "abc"],
+    "validate": ["validate"],
+    "chiy": ["chi-y"],
+    "normalize": ["normalize"],
 }
 
 CASES = {
@@ -94,6 +200,18 @@ CASES = {
     "scan_triangle_nondelzant": ["toric", "scan", "triangle_nondelzant.json", "--bound", "2"],
     "normalize_bl2cp2_10": ["normalize", "bl2cp2_10.json"],
     "normalize_inconsistent": ["normalize", "inconsistent.json"],
+    **{
+        f"{cmd}_{doc}": argv + [f"{doc}.json"]
+        for doc in PRODUCTS
+        for cmd, argv in PRODUCT_COMMANDS.items()
+    },
+    **{f"{cmd}_{doc}": argv + [f"{doc}.json"] for doc in ROWS for cmd, argv in ROW_COMMANDS.items()},
+    "validate_two_cycle": ["validate", "two_cycle.json"],
+    "chains_two_cycle": ["fano6", "chains", "two_cycle.json"],
+    "suite_suite_cp2_g2": ["fano6", "suite", "suite_cp2_g2.json"],
+    "dh_cp2_generic": ["dh", "toric", "cp2.json", "--xi", "1,2"],
+    "dh_cp2_nongeneric": ["dh", "toric", "cp2.json", "--xi", "0,1"],
+    "enumerate_04": ["enumerate-04"],
 }
 
 
@@ -108,6 +226,11 @@ def write_corpus() -> None:
         (GOLDEN / f"{name}.json").write_text(json.dumps(doc) + "\n")
     for name, payload in DATASETS.items():
         doc = {"schema_version": "1", "fixed_point_data": payload}
+        (GOLDEN / f"{name}.json").write_text(json.dumps(doc) + "\n")
+    for name, payload in _generated_datasets().items():
+        if "suite_request" not in payload:
+            payload = {"fixed_point_data": payload}
+        doc = {"schema_version": "1", **payload}
         (GOLDEN / f"{name}.json").write_text(json.dumps(doc) + "\n")
     for case, argv in CASES.items():
         (GOLDEN / f"{case}.golden").write_text(_render(argv))
