@@ -11,8 +11,10 @@ Exit codes: 0 every check passed, 1 semantic violations found,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
+from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import dh as dh_mod
@@ -21,6 +23,7 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
+    _as_tuple,
     as_rational,
     format_rational,
     validate,
@@ -44,99 +47,66 @@ commands:
   enumerate-04                        admissible type-A/B/C tables
 """
 
-CATALOG_NAMES = ("CP2", "CP1xCP1", "Bl1CP2", "Bl2CP2", "Bl3CP2")
-
-
 # -- document parsing ---------------------------------------------------------
 
 
+def _schema(cls) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, Any], ...]]:
+    """The required field names of a dataclass and its (name, default) pairs."""
+    fields = dataclasses.fields(cls)
+    required = tuple(f.name for f in fields if f.default is dataclasses.MISSING)
+    return required, tuple((f.name, f.default) for f in fields)
+
+
+_COMPONENT = _schema(FixedComponent)
+_EDGE = _schema(GradientEdge)
+_DATA = _schema(FixedPointData)
+
+
+def _fields(schema, obj: Any, what: str) -> Dict[str, Any]:
+    """The fields of one document object, checked for the required keys."""
+    if not isinstance(obj, dict):
+        raise StructuralError(f"{what} must be an object")
+    required, fields = schema
+    for key in required:
+        if key not in obj:
+            raise StructuralError(f"{what} needs the key {key!r}")
+    return {name: obj[name] for name, _default in fields if name in obj}
+
+
 def parse_fixed_point_data(doc: dict) -> FixedPointData:
-    if not isinstance(doc, dict):
-        raise StructuralError("fixed_point_data payload must be an object")
-    for key in ("half_dim", "components"):
-        if key not in doc:
-            raise StructuralError(f"fixed_point_data needs the key {key!r}")
-    comps = []
-    for c in doc["components"]:
-        if not isinstance(c, dict):
-            raise StructuralError("each component must be an object")
-        for key in ("id", "kind", "H", "weights"):
-            if key not in c:
-                raise StructuralError(f"component needs the key {key!r}")
-        comps.append(
-            FixedComponent(
-                id=c["id"],
-                kind=c["kind"],
-                H=as_rational(c["H"]),
-                weights=tuple(c["weights"]),
-                genus=c.get("genus"),
-                normal_degrees=(
-                    tuple(c["normal_degrees"]) if "normal_degrees" in c else None
-                ),
-                area=as_rational(c["area"]) if "area" in c else None,
-                b2=c.get("b2"),
-                fibre_intersection=c.get("fibre_intersection"),
-                fibre_class=bool(c.get("fibre_class", False)),
-            )
-        )
-    edges = []
-    for e in doc.get("edges", ()):
-        for key in ("bottom", "top", "weight"):
-            if key not in e:
-                raise StructuralError(f"edge needs the key {key!r}")
-        edges.append(
-            GradientEdge(
-                bottom=e["bottom"],
-                top=e["top"],
-                weight=e["weight"],
-                interior_points=tuple(
-                    tuple(p) for p in e.get("interior_points", ())
-                ),
-            )
-        )
-    return FixedPointData(
-        half_dim=doc["half_dim"],
-        components=tuple(comps),
-        edges=tuple(edges),
-        relative_fano=bool(doc.get("relative_fano", False)),
-        fano=bool(doc.get("fano", False)),
+    fields = _fields(_DATA, doc, "fixed_point_data")
+    fields["components"] = tuple(
+        FixedComponent(**_fields(_COMPONENT, c, "component"))
+        for c in _as_tuple(fields["components"], "components")
     )
+    fields["edges"] = tuple(
+        GradientEdge(**_fields(_EDGE, e, "edge"))
+        for e in _as_tuple(fields.get("edges", ()), "edges")
+    )
+    return FixedPointData(**fields)
+
+
+def _render(obj: Any, schema) -> Dict[str, Any]:
+    """Every field that differs from its default, as JSON values."""
+    out: Dict[str, Any] = {}
+    for name, default in schema[1]:
+        value = getattr(obj, name)
+        if default is dataclasses.MISSING or value != default:
+            if type(value) is Fraction:
+                value = format_rational(value)
+            elif type(value) is tuple:
+                value = [list(v) if type(v) is tuple else v for v in value]
+            out[name] = value
+    return out
 
 
 def render_fixed_point_data(data: FixedPointData) -> dict:
-    comps = []
-    for c in data.components:
-        entry: Dict[str, Any] = {
-            "id": c.id,
-            "kind": c.kind,
-            "H": format_rational(c.H),
-            "weights": list(c.weights),
-        }
-        if c.genus is not None:
-            entry["genus"] = c.genus
-        if c.normal_degrees is not None:
-            entry["normal_degrees"] = list(c.normal_degrees)
-        if c.area is not None:
-            entry["area"] = format_rational(c.area)
-        if c.b2 is not None:
-            entry["b2"] = c.b2
-        if c.fibre_intersection is not None:
-            entry["fibre_intersection"] = c.fibre_intersection
-        if c.fibre_class:
-            entry["fibre_class"] = True
-        comps.append(entry)
-    edges = []
-    for e in data.edges:
-        entry = {"bottom": e.bottom, "top": e.top, "weight": e.weight}
-        if e.interior_points:
-            entry["interior_points"] = [list(p) for p in e.interior_points]
-        edges.append(entry)
     return {
         "half_dim": data.half_dim,
         "relative_fano": data.relative_fano,
         "fano": data.fano,
-        "components": comps,
-        "edges": edges,
+        "components": [_render(c, _COMPONENT) for c in data.components],
+        "edges": [_render(e, _EDGE) for e in data.edges],
     }
 
 
@@ -144,7 +114,7 @@ def parse_polytope(doc: dict) -> toric.LatticePolytope:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise StructuralError("polytope payload needs a 'vertices' array")
     p = toric.LatticePolytope(doc["vertices"])
-    if "dim" in doc and doc["dim"] != p.dim:
+    if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != p.dim):
         raise StructuralError(f"declared dim {doc['dim']} != actual dim {p.dim}")
     return p
 
@@ -276,7 +246,7 @@ def _cmd_toric_scan(args: List[str]) -> Tuple[int, dict]:
         bound = int(bound_text)
     except ValueError:
         raise StructuralError(f"--bound expects an integer, got {bound_text!r}")
-    if target in CATALOG_NAMES:
+    if target in toric.CATALOG:
         p = toric.catalog_entry(target).polytope
     else:
         p = load_polytope(target)
@@ -341,16 +311,16 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
     kind, payload = load_document(path)
     fibre = fibre_xi = levels = None
     if kind == "suite_request":
-        if "data" not in payload:
-            raise StructuralError("suite_request needs a 'data' payload")
+        if not isinstance(payload, dict) or "data" not in payload:
+            raise StructuralError("suite_request must be an object with a 'data' payload")
         data = parse_fixed_point_data(payload["data"])
         if "fibre" in payload:
             fibre = parse_polytope(payload["fibre"])
             if "fibre_xi" not in payload:
                 raise StructuralError("suite_request with a fibre needs fibre_xi")
-            fibre_xi = tuple(payload["fibre_xi"])
+            fibre_xi = _as_tuple(payload["fibre_xi"], "fibre_xi")
         if "levels" in payload:
-            levels = [as_rational(x) for x in payload["levels"]]
+            levels = [as_rational(x) for x in _as_tuple(payload["levels"], "levels")]
     elif kind == "fixed_point_data":
         data = parse_fixed_point_data(payload)
     else:

@@ -26,6 +26,8 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
+    _edge_order_message,
+    _extreme_ids,
     extremal,
     format_rational,
 )
@@ -173,10 +175,7 @@ def isotropy_part(q: LabelledGraph) -> LabelledGraph:
 def _graph_extremes(q: LabelledGraph) -> Tuple[str, str]:
     if q.v_min is not None and q.v_max is not None:
         return q.v_min, q.v_max
-    lo = min(v.H for v in q.vertices)
-    hi = max(v.H for v in q.vertices)
-    lows = [v.id for v in q.vertices if v.H == lo]
-    highs = [v.id for v in q.vertices if v.H == hi]
+    lows, highs = _extreme_ids(q.vertices)
     if len(lows) != 1 or len(highs) != 1:
         raise PreconditionError("graph extremes are not unique")
     return lows[0], highs[0]
@@ -361,9 +360,7 @@ def _descend(data: FixedPointData, e: GradientEdge) -> str:
     bottom, top = data.component(e.bottom), data.component(e.top)
     if not bottom.H < top.H:
         raise InconsistencyError(
-            f"edge {e.key} must increase the Hamiltonian: "
-            f"H({e.bottom}) = {format_rational(bottom.H)} !< "
-            f"H({e.top}) = {format_rational(top.H)}; no downward chain follows it"
+            f"{_edge_order_message(e, bottom, top)}; no downward chain follows it"
         )
     return e.bottom
 
@@ -1024,15 +1021,10 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
         )
 
     # sphere pre-check (nosphere) and sphere-level classification
+    report.extend(nosphere_check(data))
     for c in data.ordered():
-        if c.kind == SURFACE and c.genus == 0:
-            if c.H < 0:
-                report.flag(
-                    "nosphere",
-                    f"{c.id}: fixed sphere on level {format_rational(c.H)} < 0",
-                    subject=c.id,
-                )
-            elif c.H != 0 or c.sorted_weights() != (-1, 1):
+        if c.kind == SURFACE and c.genus == 0 and c.H >= 0:
+            if c.H != 0 or c.sorted_weights() != (-1, 1):
                 report.flag(
                     "sphere-level",
                     f"{c.id}: genus-0 surface must sit on level 0 with weights "

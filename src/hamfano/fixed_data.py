@@ -18,9 +18,10 @@ weights, a surface n-1, a fourfold n-2.  All Hamiltonian values are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .reports import (
     NonUniqueExtremumError,
@@ -39,18 +40,28 @@ KINDS = (POINT, SURFACE, FOURFOLD)
 _KIND_DIM = {POINT: 0, SURFACE: 2, FOURFOLD: 4}
 
 
+_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+
+
 def as_rational(x: Union[int, str, Fraction]) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact rational."""
-    if isinstance(x, bool):
-        raise StructuralError(f"not a rational value: {x!r}")
-    if isinstance(x, (int, Fraction)):
+    """Coerce an int, Fraction or 'p/q' string in lowest terms to a rational."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is int:
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise StructuralError(f"not a rational value: {x!r}") from exc
-    raise StructuralError(f"not a rational value: {x!r}")
+    m = _RATIONAL.fullmatch(x) if type(x) is str else None
+    if m is None or (m[2] is not None and (int(m[2]) == 0 or math.gcd(int(m[1]), int(m[2])) != 1)):
+        raise StructuralError(f"not a rational value in lowest terms: {x!r}")
+    return Fraction(x)
+
+
+def _as_tuple(x, what: str, owner: str = "") -> tuple:
+    """A JSON array (list or tuple) as a tuple; anything else is structural."""
+    if type(x) is tuple:
+        return x
+    if type(x) is not list:
+        raise StructuralError(f"{owner}{': ' if owner else ''}{what} must be an array, got {x!r}")
+    return tuple(x)
 
 
 def format_rational(x: Fraction) -> Union[int, str]:
@@ -81,21 +92,21 @@ class FixedComponent:
         if self.kind not in KINDS:
             raise StructuralError(f"{self.id}: unknown kind {self.kind!r}")
         object.__setattr__(self, "H", as_rational(self.H))
-        ws = tuple(self.weights)
+        ws = _as_tuple(self.weights, "weights", self.id)
         for w in ws:
-            if not isinstance(w, int) or isinstance(w, bool) or w == 0:
+            if type(w) is not int or w == 0:
                 raise StructuralError(f"{self.id}: weights must be nonzero integers, got {w!r}")
         object.__setattr__(self, "weights", ws)
         if (self.genus is not None) != (self.kind == SURFACE):
             raise StructuralError(f"{self.id}: genus present iff kind is surface")
-        if self.genus is not None and (not isinstance(self.genus, int) or self.genus < 0):
+        if self.genus is not None and (type(self.genus) is not int or self.genus < 0):
             raise StructuralError(f"{self.id}: genus must be a nonnegative integer")
         if self.normal_degrees is not None:
             if self.kind == POINT:
                 raise StructuralError(f"{self.id}: points carry no normal degrees")
-            nd = tuple(self.normal_degrees)
+            nd = _as_tuple(self.normal_degrees, "normal_degrees", self.id)
             for n in nd:
-                if not isinstance(n, int) or isinstance(n, bool):
+                if type(n) is not int:
                     raise StructuralError(f"{self.id}: normal degrees must be integers")
             if len(nd) != len(ws):
                 raise StructuralError(
@@ -109,13 +120,15 @@ class FixedComponent:
         if self.b2 is not None:
             if self.kind != FOURFOLD:
                 raise StructuralError(f"{self.id}: b2 is stored for the fourfold extremum only")
-            if not isinstance(self.b2, int) or self.b2 < 0:
+            if type(self.b2) is not int or self.b2 < 0:
                 raise StructuralError(f"{self.id}: b2 must be a nonnegative integer")
         if self.fibre_intersection is not None:
             if self.kind != SURFACE:
                 raise StructuralError(f"{self.id}: fibre_intersection applies to surfaces only")
-            if self.fibre_intersection not in (0, 1, 2):
+            if type(self.fibre_intersection) is not int or self.fibre_intersection not in (0, 1, 2):
                 raise StructuralError(f"{self.id}: fibre_intersection must be 0, 1 or 2")
+        if type(self.fibre_class) is not bool:
+            raise StructuralError(f"{self.id}: fibre_class must be true or false")
 
     @property
     def dim(self) -> int:
@@ -152,18 +165,20 @@ class GradientEdge:
         for end in (self.bottom, self.top):
             if not isinstance(end, str) or not end:
                 raise StructuralError("edge endpoints must be component ids")
-        if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 1:
+        if type(self.weight) is not int or self.weight < 1:
             raise StructuralError(
                 f"edge {self.bottom}->{self.top}: weight must be a positive integer"
             )
-        pts = tuple(tuple(p) for p in self.interior_points)
-        for p in pts:
-            if len(p) != 2 or any(not isinstance(a, int) or a == 0 for a in p):
-                raise StructuralError(
-                    f"edge {self.bottom}->{self.top}: interior point weights must be "
-                    f"pairs of nonzero integers"
-                )
-        object.__setattr__(self, "interior_points", pts)
+        if self.interior_points != ():
+            what, owner = "interior_points", f"edge {self.key}"
+            pts = _as_tuple(self.interior_points, what, owner)
+            pts = tuple(_as_tuple(p, what, owner) for p in pts)
+            for p in pts:
+                if len(p) != 2 or any(type(a) is not int or a == 0 for a in p):
+                    raise StructuralError(
+                        f"{owner}: interior point weights must be pairs of nonzero integers"
+                    )
+            object.__setattr__(self, "interior_points", pts)
 
     @property
     def key(self) -> str:
@@ -185,13 +200,16 @@ class FixedPointData:
     fano: bool = False
 
     def __post_init__(self):
-        if self.half_dim not in (2, 3):
+        if type(self.half_dim) is not int or self.half_dim not in (2, 3):
             raise StructuralError(f"half_dim must be 2 or 3, got {self.half_dim!r}")
-        comps = tuple(self.components)
+        for flag in ("relative_fano", "fano"):
+            if type(getattr(self, flag)) is not bool:
+                raise StructuralError(f"{flag} must be true or false")
+        comps = _as_tuple(self.components, "components")
         if not comps:
             raise StructuralError("dataset has no fixed components")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "edges", _as_tuple(self.edges, "edges"))
         by_id = {}
         for c in comps:
             if c.id in by_id:
@@ -239,13 +257,27 @@ class FixedPointData:
         return self._ordered[-1].H
 
     def replace_components(self, comps: Iterable[FixedComponent]) -> "FixedPointData":
-        return FixedPointData(
-            half_dim=self.half_dim,
-            components=tuple(comps),
-            edges=self.edges,
-            relative_fano=self.relative_fano,
-            fano=self.fano,
-        )
+        return replace(self, components=tuple(comps))
+
+
+def _extreme_ids(ordered: Sequence) -> Tuple[List[str], List[str]]:
+    """Ids on the lowest and on the highest level of items sorted by (H, id)."""
+    if not ordered:
+        return [], []
+    lo, hi = ordered[0].H, ordered[-1].H
+    i, j = 1, len(ordered) - 1
+    while i < len(ordered) and ordered[i].H == lo:
+        i += 1
+    while j > 0 and ordered[j - 1].H == hi:
+        j -= 1
+    return [c.id for c in ordered[:i]], [c.id for c in ordered[j:]]
+
+
+def _edge_order_message(e: GradientEdge, bottom: FixedComponent, top: FixedComponent) -> str:
+    return (
+        f"edge {e.key} must increase the Hamiltonian: H({e.bottom}) = "
+        f"{format_rational(bottom.H)} !< H({e.top}) = {format_rational(top.H)}"
+    )
 
 
 def extremal(data: FixedPointData) -> Tuple[str, str]:
@@ -254,9 +286,7 @@ def extremal(data: FixedPointData) -> Tuple[str, str]:
     Raises :class:`NonUniqueExtremumError` on a tie (including the trivial
     one-component dataset, where the same component attains both).
     """
-    lo, hi = data.h_min(), data.h_max()
-    mins = sorted(c.id for c in data.components if c.H == lo)
-    maxs = sorted(c.id for c in data.components if c.H == hi)
+    mins, maxs = _extreme_ids(data.ordered())
     if len(mins) != 1:
         raise NonUniqueExtremumError(f"minimum attained by {mins}")
     if len(maxs) != 1:
@@ -327,9 +357,7 @@ def validate(data: FixedPointData) -> Report:
     report = Report()
     comps = data.ordered()
 
-    lo, hi = data.h_min(), data.h_max()
-    mins = [c.id for c in comps if c.H == lo]
-    maxs = [c.id for c in comps if c.H == hi]
+    mins, maxs = _extreme_ids(comps)
     if len(mins) > 1:
         report.flag("extremum", f"minimum level attained by {mins}; M_min is connected")
     if len(maxs) > 1:
@@ -350,12 +378,7 @@ def validate(data: FixedPointData) -> Report:
     for e in data.edges:
         b, t = data.component(e.bottom), data.component(e.top)
         if not b.H < t.H:
-            report.flag(
-                "edge-order",
-                f"edge {e.key} must increase the Hamiltonian: "
-                f"H({e.bottom}) = {format_rational(b.H)} !< H({e.top}) = {format_rational(t.H)}",
-                subject=e.key,
-            )
+            report.flag("edge-order", _edge_order_message(e, b, t), subject=e.key)
         if (
             data.half_dim == 3
             and b.kind == SURFACE

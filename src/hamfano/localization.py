@@ -10,7 +10,7 @@ vanish certifies that no genuine action has the given fixed-point data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -233,22 +233,7 @@ def weight_sum_normalize(data: FixedPointData) -> Tuple[Fraction, FixedPointData
     Raises as :func:`weight_sum_constant` does.
     """
     c = weight_sum_constant(data)
-    shifted = data.replace_components(
-        FixedComponent(
-            id=comp.id,
-            kind=comp.kind,
-            H=comp.H + c,
-            weights=comp.weights,
-            genus=comp.genus,
-            normal_degrees=comp.normal_degrees,
-            area=comp.area,
-            b2=comp.b2,
-            fibre_intersection=comp.fibre_intersection,
-            fibre_class=comp.fibre_class,
-        )
-        for comp in data.components
-    )
-    return c, shifted
+    return c, data.replace_components(replace(comp, H=comp.H + c) for comp in data.components)
 
 
 def check_converse_fano(data: FixedPointData) -> Report:

@@ -30,29 +30,19 @@ class InconsistencyError(ValueError):
 
 @dataclass(frozen=True)
 class Violation:
-    """One violated invariant, tied to the object that violates it."""
+    """One check record tied to its subject: a violated invariant, or with
+    status "inconclusive" a check whose hypotheses cannot be certified from
+    the data alone."""
 
     code: str
     message: str
     subject: Optional[str] = None
+    status: Optional[str] = None
 
     def as_dict(self) -> dict:
         d: dict = {"code": self.code, "message": self.message}
-        if self.subject is not None:
-            d["subject"] = self.subject
-        return d
-
-
-@dataclass(frozen=True)
-class Inconclusive:
-    """A check whose hypotheses cannot be certified from the data alone."""
-
-    code: str
-    message: str
-    subject: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        d: dict = {"code": self.code, "message": self.message, "status": "inconclusive"}
+        if self.status is not None:
+            d["status"] = self.status
         if self.subject is not None:
             d["subject"] = self.subject
         return d
@@ -67,7 +57,7 @@ class Report:
     """
 
     violations: list[Violation] = field(default_factory=list)
-    inconclusive: list[Inconclusive] = field(default_factory=list)
+    inconclusive: list[Violation] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -78,7 +68,7 @@ class Report:
         self.violations.append(Violation(code, message, subject))
 
     def undecided(self, code: str, message: str, subject: Optional[str] = None) -> None:
-        self.inconclusive.append(Inconclusive(code, message, subject))
+        self.inconclusive.append(Violation(code, message, subject, "inconclusive"))
 
     def note(self, message: str) -> None:
         self.notes.append(message)

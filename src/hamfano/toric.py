@@ -26,6 +26,8 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
+    _as_tuple,
+    _extreme_ids,
     format_rational,
     validate,
 )
@@ -41,10 +43,9 @@ class UnsupportedDirectionError(PreconditionError):
 
 
 def _ivec(v: Sequence[int]) -> IntVec:
-    out = tuple(int(x) for x in v)
-    if any(not isinstance(x, int) or isinstance(x, bool) for x in v):
+    if not isinstance(v, (list, tuple)) or any(type(x) is not int for x in v):
         raise StructuralError(f"integer vector expected, got {v!r}")
-    return out
+    return tuple(v)
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -132,7 +133,7 @@ class LatticePolytope:
     """
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
-        verts = sorted({_ivec(v) for v in vertices})
+        verts = sorted({_ivec(v) for v in _as_tuple(vertices, "vertices")})
         if not verts:
             raise StructuralError("no vertices given")
         dims = {len(v) for v in verts}
@@ -308,13 +309,6 @@ def delzant_check(p: LatticePolytope) -> bool:
     return p._delzant
 
 
-def reflexive_check(p: LatticePolytope) -> bool:
-    """True iff every facet has lattice distance one from the interior origin."""
-    if not p.origin_interior():
-        raise PreconditionError("reflexive_check needs the origin in the interior")
-    return all(f.c == 1 for f in p.facets)
-
-
 def boundary_selfint_2d(p: LatticePolytope, edge: Edge) -> int:
     """Self-intersection of a boundary divisor from the normal-fan relation.
 
@@ -462,44 +456,31 @@ class DelPezzoEntry:
     degree: int
 
 
-def delpezzo_catalog() -> Tuple[DelPezzoEntry, ...]:
-    """The five anticanonical reflexive Delzant polygons with metadata.
+# The five anticanonical reflexive Delzant polygons: name -> (vertices, b2,
+# degree).  Coordinates are fixed here once and guarded by oracle checks in
+# the test suite (Delzant, reflexive, degree = 12 - V, edge lengths) rather
+# than trusted.  The hexagon is stored in a sheared lattice basis; all
+# invariants are GL(2,Z)-independent.
+CATALOG = {
+    "CP2": ([(-1, -1), (2, -1), (-1, 2)], 1, 9),
+    "CP1xCP1": ([(-1, -1), (1, -1), (1, 1), (-1, 1)], 2, 8),
+    "Bl1CP2": ([(-1, 0), (0, -1), (2, -1), (-1, 2)], 2, 8),
+    "Bl2CP2": ([(-1, 0), (0, -1), (1, -1), (1, 0), (-1, 2)], 3, 7),
+    "Bl3CP2": ([(-1, -4), (0, -1), (1, 3), (1, 4), (0, 1), (-1, -3)], 4, 6),
+}
 
-    Coordinates are fixed here once and guarded by oracle checks in the
-    test suite (Delzant, reflexive, degree = 12 - V, edge lengths) rather
-    than trusted.  The hexagon is stored in a sheared lattice basis; all
-    invariants are GL(2,Z)-independent.
-    """
-    return (
-        DelPezzoEntry("CP2", LatticePolytope([(-1, -1), (2, -1), (-1, 2)]), 1, 9),
-        DelPezzoEntry(
-            "CP1xCP1", LatticePolytope([(-1, -1), (1, -1), (1, 1), (-1, 1)]), 2, 8
-        ),
-        DelPezzoEntry(
-            "Bl1CP2", LatticePolytope([(-1, 0), (0, -1), (2, -1), (-1, 2)]), 2, 8
-        ),
-        DelPezzoEntry(
-            "Bl2CP2",
-            LatticePolytope([(-1, 0), (0, -1), (1, -1), (1, 0), (-1, 2)]),
-            3,
-            7,
-        ),
-        DelPezzoEntry(
-            "Bl3CP2",
-            LatticePolytope(
-                [(-1, -4), (0, -1), (1, 3), (1, 4), (0, 1), (-1, -3)]
-            ),
-            4,
-            6,
-        ),
-    )
+
+def delpezzo_catalog() -> Tuple[DelPezzoEntry, ...]:
+    """The five anticanonical reflexive Delzant polygons with metadata."""
+    return tuple(catalog_entry(name) for name in CATALOG)
 
 
 def catalog_entry(name: str) -> DelPezzoEntry:
-    for entry in delpezzo_catalog():
-        if entry.name == name:
-            return entry
-    raise StructuralError(f"no del Pezzo catalog entry named {name!r}")
+    """The named catalog polygon; only that one is built."""
+    if name not in CATALOG:
+        raise StructuralError(f"no del Pezzo catalog entry named {name!r}")
+    vertices, b2, degree = CATALOG[name]
+    return DelPezzoEntry(name, LatticePolytope(vertices), b2, degree)
 
 
 # -- Karshon graphs -----------------------------------------------------------
@@ -522,7 +503,7 @@ def karshon_graph(
 
 def graph_of_points(data: FixedPointData) -> LabelledGraph:
     """Karshon graph of a dataset whose relevant fixed components are points."""
-    points = data.points()
+    points = [c for c in data.ordered() if c.kind == POINT]
     ids = {c.id for c in points}
     vertices = tuple(GraphVertex(id=c.id, H=c.H, weights=c.weights) for c in points)
     edges = tuple(
@@ -530,16 +511,9 @@ def graph_of_points(data: FixedPointData) -> LabelledGraph:
         for e in data.edges
         if e.bottom in ids and e.top in ids
     )
-    v_min = v_max = None
-    if points:
-        lo = min(c.H for c in points)
-        hi = max(c.H for c in points)
-        lows = sorted(c.id for c in points if c.H == lo)
-        highs = sorted(c.id for c in points if c.H == hi)
-        if len(lows) == 1 and lo == data.h_min():
-            v_min = lows[0]
-        if len(highs) == 1 and hi == data.h_max():
-            v_max = highs[0]
+    lows, highs = _extreme_ids(points)
+    v_min = lows[0] if len(lows) == 1 and points[0].H == data.h_min() else None
+    v_max = highs[0] if len(highs) == 1 and points[-1].H == data.h_max() else None
     return LabelledGraph(vertices=vertices, edges=edges, v_min=v_min, v_max=v_max)
 
 
@@ -581,21 +555,18 @@ def _lemma_checks(data: FixedPointData) -> Report:
     h_min, h_max = points[0].H, points[-1].H
 
     # dum: every weight at a non-extremal point is realised by a boundary edge
-    ok = True
     for c in points:
         if c.id in (min_id, max_id):
             continue
         up = sorted(e.weight for e in data.edges if e.bottom == c.id)
         down = sorted(-e.weight for e in data.edges if e.top == c.id)
         if sorted(c.weights) != sorted(up + down):
-            ok = False
             report.flag(
                 "dum",
                 f"{c.id}: weights {sorted(c.weights)} are not matched by incident "
                 f"boundary edges (up {up}, down {down})",
                 subject=c.id,
             )
-    report.note(f"dum: {'pass' if ok else 'fail'}")
 
     # equallemma: weight-1 multiplicities at the extrema
     mult_min = sum(1 for w in data.component(min_id).weights if w == 1)
@@ -608,7 +579,6 @@ def _lemma_checks(data: FixedPointData) -> Report:
     count_max = sum(
         1 for c in points if c.id not in (min_id, max_id) and 1 in c.weights
     )
-    ok = mult_min == count_min and mult_max == count_max
     if mult_min != count_min:
         report.flag(
             "equallemma",
@@ -621,10 +591,8 @@ def _lemma_checks(data: FixedPointData) -> Report:
             f"multiplicity of weight -1 at {max_id} is {mult_max}, but "
             f"{count_max} index-2 points carry a weight 1",
         )
-    report.note(f"equallemma: {'pass' if ok else 'fail'}")
 
     # neededcor: twin {-1,n} points on one level force an empty gap below
-    ok = True
     twins = [
         c
         for c in points
@@ -636,56 +604,45 @@ def _lemma_checks(data: FixedPointData) -> Report:
                 c.id for c in points if c.id != min_id and h_min <= c.H < a.H
             ]
             if offenders:
-                ok = False
                 report.flag(
                     "neededcor",
                     f"twin {{-1,n}} points {a.id}, {b.id} at level "
                     f"{format_rational(a.H)} admit other points {offenders} below",
                 )
-    report.note(f"neededcor: {'pass' if ok else 'fail'}")
 
     # fourbound: weight-1 gradient spheres contain an extremal point
-    ok = True
     for e in data.edges:
         if e.weight == 1 and min_id not in (e.bottom, e.top) and max_id not in (
             e.bottom,
             e.top,
         ):
-            ok = False
             report.flag(
                 "fourbound",
                 f"weight-1 edge {e.key} avoids both extremal points",
                 subject=e.key,
             )
-    report.note(f"fourbound: {'pass' if ok else 'fail'}")
 
     # 4small: boundary divisor areas are at most 3
-    ok = True
     for e in data.edges:
         area = gradient_sphere_area(e, data)
         if area > 3:
-            ok = False
             report.flag(
                 "4small",
                 f"boundary divisor {e.key} has area {format_rational(area)} > 3",
                 subject=e.key,
             )
-    report.note(f"4small: {'pass' if ok else 'fail'}")
 
     # us: restrictions at points with weights {-1, n}, n >= 2
-    ok = True
     min_ws = data.component(min_id).sorted_weights()
     for c in points:
         ws = c.sorted_weights()
         if ws[0] == -1 and ws[1] >= 2:
             gap = c.H - h_min
             if gap > 3:
-                ok = False
                 report.flag(
                     "us", f"{c.id}: H - H_min = {format_rational(gap)} > 3", subject=c.id
                 )
             if 1 not in min_ws:
-                ok = False
                 report.flag(
                     "us",
                     f"minimum weights {list(min_ws)} are not of the form {{1,m}}",
@@ -694,7 +651,6 @@ def _lemma_checks(data: FixedPointData) -> Report:
             else:
                 m = min_ws[1] if min_ws[0] == 1 else min_ws[0]
                 if m < gap:
-                    ok = False
                     report.flag(
                         "us",
                         f"minimum weight m = {m} is below H({c.id}) - H_min = "
@@ -705,40 +661,38 @@ def _lemma_checks(data: FixedPointData) -> Report:
                 o.id for o in points if h_min < o.H < c.H
             ]
             if strictly_between:
-                ok = False
                 report.flag(
                     "us",
                     f"points {strictly_between} lie strictly between the minimum "
                     f"and {c.id}",
                     subject=c.id,
                 )
-    report.note(f"us: {'pass' if ok else 'fail'}")
 
     # calc: consequences of a fixed point with weights {1,1}, {-1,-1} or {1,-1}
-    ok = True
     special = any(
         c.sorted_weights() in ((1, 1), (-1, -1), (-1, 1)) for c in points
     )
     if special:
         for e in data.edges:
             if e.weight > 2:
-                ok = False
                 report.flag(
                     "calc",
                     f"boundary divisor {e.key} has weight {e.weight} > 2",
                     subject=e.key,
                 )
         if h_min < -3 or h_max > 3:
-            ok = False
             report.flag(
                 "calc",
                 f"H range [{format_rational(h_min)}, {format_rational(h_max)}] "
                 f"is not contained in [-3, 3]",
             )
-        report.note(f"calc: {'pass' if ok else 'fail'}")
-    else:
-        report.note("calc: vacuous (no fixed point with weights {1,1}, {-1,-1} or {1,-1})")
 
+    flagged = {v.code for v in report.violations}
+    checks = ("dum", "equallemma", "neededcor", "fourbound", "4small", "us")
+    for check in checks + (("calc",) if special else ()):
+        report.note(f"{check}: {'fail' if check in flagged else 'pass'}")
+    if not special:
+        report.note("calc: vacuous (no fixed point with weights {1,1}, {-1,-1} or {1,-1})")
     return report
 
 

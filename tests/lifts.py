@@ -11,7 +11,9 @@ with the fibre's Karshon graph vertices.
 
 from __future__ import annotations
 
-from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge
+from dataclasses import replace
+
+from hamfano.fixed_data import FixedPointData, GradientEdge
 from hamfano.toric import LatticePolytope, fixed_data_from_polytope
 
 
@@ -19,19 +21,10 @@ def lift_product(p: LatticePolytope, xi, genus: int) -> FixedPointData:
     base = fixed_data_from_polytope(p, xi)
     if any(c.kind != "point" for c in base.components):
         raise ValueError("lift_product needs a generic direction")
-    comps = []
-    for c in base.components:
-        comps.append(
-            FixedComponent(
-                id=c.id,
-                kind="surface",
-                H=c.H,
-                weights=c.weights,
-                genus=genus,
-                normal_degrees=(0, 0),
-                fibre_intersection=1,
-            )
-        )
+    comps = [
+        replace(c, kind="surface", genus=genus, normal_degrees=(0, 0), fibre_intersection=1)
+        for c in base.components
+    ]
     edges = tuple(
         GradientEdge(bottom=e.bottom, top=e.top, weight=e.weight)
         for e in base.edges

@@ -202,10 +202,10 @@ CASES = {
     "normalize_inconsistent": ["normalize", "inconsistent.json"],
     **{
         f"{cmd}_{doc}": argv + [f"{doc}.json"]
-        for doc in PRODUCTS
-        for cmd, argv in PRODUCT_COMMANDS.items()
+        for docs, commands in ((PRODUCTS, PRODUCT_COMMANDS), (ROWS, ROW_COMMANDS))
+        for doc in docs
+        for cmd, argv in commands.items()
     },
-    **{f"{cmd}_{doc}": argv + [f"{doc}.json"] for doc in ROWS for cmd, argv in ROW_COMMANDS.items()},
     "validate_two_cycle": ["validate", "two_cycle.json"],
     "chains_two_cycle": ["fano6", "chains", "two_cycle.json"],
     "suite_suite_cp2_g2": ["fano6", "suite", "suite_cp2_g2.json"],

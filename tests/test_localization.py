@@ -134,9 +134,9 @@ def test_cp2xcp1_threefold_pipeline():
     # the product of the anticanonical triangle with a segment is another
     # reflexive Delzant 3-polytope; all exact identities must close on it
     from hamfano.fixed_data import validate
-    from hamfano.toric import delzant_check, reflexive_check
+    from hamfano.toric import delzant_check
 
-    assert delzant_check(CP2xCP1) and reflexive_check(CP2xCP1)
+    assert delzant_check(CP2xCP1) and CP2xCP1.is_reflexive()
     data = fixed_data_from_polytope(CP2xCP1, (1, 2, 5))
     assert validate(data).ok
     assert abbv_sum_6d(data) == 0

@@ -18,7 +18,6 @@ from hamfano.toric import (
     fixed_data_from_polytope,
     karshon_graph,
     primitive_directions,
-    reflexive_check,
     scan_directions,
 )
 
@@ -67,17 +66,17 @@ def test_delzant_examples():
 
 
 def test_reflexive_examples():
-    assert reflexive_check(CP2)
-    assert reflexive_check(SQUARE)
-    assert not reflexive_check(
-        LatticePolytope([(-2, -2), (2, -2), (2, 2), (-2, 2)])
-    )
+    assert CP2.is_reflexive()
+    assert SQUARE.is_reflexive()
+    assert not LatticePolytope([(-2, -2), (2, -2), (2, 2), (-2, 2)]).is_reflexive()
 
 
 def test_reflexive_needs_interior_origin():
+    # every facet of this triangle has lattice distance 1 from (1, 1), but
+    # the origin lies on its boundary
     shifted = LatticePolytope([(0, 0), (3, 0), (0, 3)])
-    with pytest.raises(PreconditionError):
-        reflexive_check(shifted)
+    assert not shifted.origin_interior()
+    assert not shifted.is_reflexive()
 
 
 # -- generated data ----------------------------------------------------------------
@@ -168,7 +167,7 @@ def test_catalog_oracle_checks():
     for entry in delpezzo_catalog():
         p = entry.polytope
         assert delzant_check(p), entry.name
-        assert reflexive_check(p), entry.name
+        assert p.is_reflexive(), entry.name
         assert entry.degree == 12 - len(p.vertices)
         assert all(e.length <= 3 for e in p.edges)
     assert all(e.length == 3 for e in catalog_entry("CP2").polytope.edges)

@@ -49,6 +49,13 @@ def test_weight_sum_constant_builds_no_component(monkeypatch):
     assert calls == []
 
 
+def test_catalog_entry_builds_only_the_named_polygon(monkeypatch):
+    calls = _counting(monkeypatch, LatticePolytope, "__init__")
+    entry = catalog_entry("Bl3CP2")
+    assert len(calls) == 1
+    assert entry.polytope.vertices == tuple(sorted(hamfano.toric.CATALOG["Bl3CP2"][0]))
+
+
 def test_vertex_basis_test_runs_once_per_vertex(monkeypatch):
     vertices = catalog_entry("Bl3CP2").polytope.vertices
     calls = _counting(monkeypatch, hamfano.toric, "_is_lattice_basis")
