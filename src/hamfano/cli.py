@@ -50,11 +50,9 @@ commands:
 # -- document parsing ---------------------------------------------------------
 
 
-def _schema(cls) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, Any], ...]]:
-    """The required field names of a dataclass and its (name, default) pairs."""
-    fields = dataclasses.fields(cls)
-    required = tuple(f.name for f in fields if f.default is dataclasses.MISSING)
-    return required, tuple((f.name, f.default) for f in fields)
+def _schema(cls) -> Tuple[Tuple[str, Any], ...]:
+    """The (name, default) pairs of a dataclass; MISSING marks a required field."""
+    return tuple((f.name, f.default) for f in dataclasses.fields(cls))
 
 
 _COMPONENT = _schema(FixedComponent)
@@ -66,11 +64,10 @@ def _fields(schema, obj: Any, what: str) -> Dict[str, Any]:
     """The fields of one document object, checked for the required keys."""
     if not isinstance(obj, dict):
         raise StructuralError(f"{what} must be an object")
-    required, fields = schema
-    for key in required:
-        if key not in obj:
-            raise StructuralError(f"{what} needs the key {key!r}")
-    return {name: obj[name] for name, _default in fields if name in obj}
+    for name, default in schema:
+        if default is dataclasses.MISSING and name not in obj:
+            raise StructuralError(f"{what} needs the key {name!r}")
+    return {name: obj[name] for name, _default in schema if name in obj}
 
 
 def parse_fixed_point_data(doc: dict) -> FixedPointData:
@@ -89,7 +86,7 @@ def parse_fixed_point_data(doc: dict) -> FixedPointData:
 def _render(obj: Any, schema) -> Dict[str, Any]:
     """Every field that differs from its default, as JSON values."""
     out: Dict[str, Any] = {}
-    for name, default in schema[1]:
+    for name, default in schema:
         value = getattr(obj, name)
         if default is dataclasses.MISSING or value != default:
             if type(value) is Fraction:

@@ -199,6 +199,9 @@ CASES = {
     "scan_rectangle": ["toric", "scan", "rectangle.json", "--bound", "3"],
     "scan_triangle_nondelzant": ["toric", "scan", "triangle_nondelzant.json", "--bound", "2"],
     "normalize_bl2cp2_10": ["normalize", "bl2cp2_10.json"],
+    "validate_bl2cp2_10": ["validate", "bl2cp2_10.json"],
+    "localize4d_bl2cp2_10": ["localize", "4d", "bl2cp2_10.json"],
+    "chiy_bl2cp2_10": ["chi-y", "bl2cp2_10.json"],
     "normalize_inconsistent": ["normalize", "inconsistent.json"],
     **{
         f"{cmd}_{doc}": argv + [f"{doc}.json"]
