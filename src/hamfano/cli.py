@@ -14,8 +14,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import typing
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import dh as dh_mod
 from . import fano6, localization, toric
@@ -23,6 +23,7 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
+    Rational,
     _as_tuple,
     as_rational,
     format_rational,
@@ -50,9 +51,29 @@ commands:
 # -- document parsing ---------------------------------------------------------
 
 
-def _schema(cls) -> Tuple[Tuple[str, Any], ...]:
-    """The (name, default) pairs of a dataclass; MISSING marks a required field."""
-    return tuple((f.name, f.default) for f in dataclasses.fields(cls))
+def _rational_json(x: Rational) -> Any:
+    return x if type(x) is int else format_rational(x)
+
+
+def _to_json(hint) -> Optional[Callable[[Any], Any]]:
+    """The converter of a field of this declared type to JSON; None when its
+    values are JSON already."""
+    if hint == Rational or hint == Optional[Rational]:
+        return _rational_json
+    if typing.get_origin(hint) is Union:  # Optional[X]
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is not tuple:
+        return None
+    if typing.get_origin(typing.get_args(hint)[0]) is tuple:
+        return lambda v: [list(x) for x in v]
+    return list
+
+
+def _schema(cls) -> Tuple[Tuple[str, Any, Optional[Callable[[Any], Any]]], ...]:
+    """The (name, default, JSON converter) of each field of a dataclass;
+    MISSING marks a required field."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.default, _to_json(hints[f.name])) for f in dataclasses.fields(cls))
 
 
 _COMPONENT = _schema(FixedComponent)
@@ -64,10 +85,10 @@ def _fields(schema, obj: Any, what: str) -> Dict[str, Any]:
     """The fields of one document object, checked for the required keys."""
     if not isinstance(obj, dict):
         raise StructuralError(f"{what} must be an object")
-    for name, default in schema:
+    for name, default, _convert in schema:
         if default is dataclasses.MISSING and name not in obj:
             raise StructuralError(f"{what} needs the key {name!r}")
-    return {name: obj[name] for name, _default in schema if name in obj}
+    return {name: obj[name] for name, _default, _convert in schema if name in obj}
 
 
 def parse_fixed_point_data(doc: dict) -> FixedPointData:
@@ -86,14 +107,10 @@ def parse_fixed_point_data(doc: dict) -> FixedPointData:
 def _render(obj: Any, schema) -> Dict[str, Any]:
     """Every field that differs from its default, as JSON values."""
     out: Dict[str, Any] = {}
-    for name, default in schema:
+    for name, default, convert in schema:
         value = getattr(obj, name)
         if default is dataclasses.MISSING or value != default:
-            if type(value) is Fraction:
-                value = format_rational(value)
-            elif type(value) is tuple:
-                value = [list(v) if type(v) is tuple else v for v in value]
-            out[name] = value
+            out[name] = value if convert is None else convert(value)
     return out
 
 

@@ -21,6 +21,8 @@ from .fixed_data import (
     SURFACE,
     FixedComponent,
     FixedPointData,
+    Rational,
+    as_rational,
     format_rational,
 )
 from .localization import Polynomial
@@ -90,13 +92,13 @@ class PiecewisePolynomial:
         }
 
 
-def reduced_volume(data: FixedPointData, s: Union[int, Fraction]) -> Fraction:
+def reduced_volume(data: FixedPointData, s: Rational) -> Fraction:
     """Integral of omega^(n-1) over the reduced space at level s.
 
     Requires every fixed component strictly above s to be an isolated
     point; then the volume is -sum (s-H(p))^(n-1)/prod weights(p).
     """
-    s = Fraction(s)
+    s = as_rational(s)
     n = data.half_dim
     total = Fraction(0)
     for c in data.ordered():
@@ -132,7 +134,7 @@ def dh_jump_leading(
     for c in components_at_level:
         d = n - c.dim // 2
         if c.kind == POINT:
-            vol = Fraction(1)
+            vol = 1
         elif c.kind == SURFACE:
             if c.area is None:
                 raise PreconditionError(f"{c.id}: surface must carry its area")
@@ -144,7 +146,7 @@ def dh_jump_leading(
         prod = 1
         for w in c.weights:
             prod *= w
-        out.append((vol / (math.factorial(d - 1) * prod), d - 1))
+        out.append((Fraction(vol, math.factorial(d - 1) * prod), d - 1))
     return out
 
 
@@ -159,11 +161,21 @@ def dh_function_toric(
     slope by -n/w^2, n its self-intersection and w its normal weight.  The
     result is the lattice-normalised slice length of P, exactly.
     """
+    return _dh_pieces(_polygon_data(p, xi))
+
+
+def _polygon_data(
+    p: LatticePolytope, xi: Union[CircleDirection, Sequence[int]]
+) -> FixedPointData:
     if p.dim != 2:
         raise PreconditionError("dh_function_toric applies to Delzant polygons")
     if not delzant_check(p):
         raise PreconditionError("polygon is not Delzant")
-    data = fixed_data_from_polytope(p, xi)
+    return fixed_data_from_polytope(p, xi)
+
+
+def _dh_pieces(data: FixedPointData) -> PiecewisePolynomial:
+    """The DH function of data generated from a Delzant polygon."""
     levels = sorted({c.H for c in data.components})
     if len(levels) < 2:
         raise PreconditionError("direction collapses the polygon to one level")
@@ -203,7 +215,7 @@ def fibre_area_bound_check(
 ) -> Report:
     """Check DH(H_min + c) <= c/(a*b) with equality exactly up to the first
     non-extremal critical level; a, b are the weights at the minimum."""
-    data = fixed_data_from_polytope(p, xi)
+    data = _polygon_data(p, xi)
     report = Report()
     comps = data.ordered()
     bottom = comps[0]
@@ -214,13 +226,13 @@ def fibre_area_bound_check(
     a, b = bottom.weights
     if a < 1 or b < 1:
         raise InconsistencyError(f"minimum {bottom.id} has non-positive weights")
-    dh = dh_function_toric(p, xi)
+    dh = _dh_pieces(data)
     h_min = dh.breakpoints[0]
     bound = Polynomial.of(Fraction(-h_min, a * b), Fraction(1, a * b))
 
     for i, piece in enumerate(dh.pieces):
         x0, x1 = dh.breakpoints[i], dh.breakpoints[i + 1]
-        for t in (x0, x1, (x0 + x1) / 2):
+        for t in (x0, x1, Fraction(x0 + x1, 2)):
             if piece(t) > bound(t):
                 report.flag(
                     "fibre-area-bound",
@@ -235,7 +247,7 @@ def fibre_area_bound_check(
                     f"[{format_rational(x0)}, {format_rational(x1)}]",
                 )
         else:
-            mid = (x0 + x1) / 2
+            mid = Fraction(x0 + x1, 2)
             if piece(mid) == bound(mid) and piece(x1) == bound(x1):
                 report.flag(
                     "fibre-area-bound",
@@ -246,16 +258,16 @@ def fibre_area_bound_check(
 
 
 def positivity_check(
-    data: FixedPointData, levels: Optional[Sequence[Union[int, Fraction]]] = None
+    data: FixedPointData, levels: Optional[Sequence[Rational]] = None
 ) -> Report:
-    """Assert reduced_volume > 0 at the given levels (default: midpoints
+    """Assert reduced_volume > 0 at the given exact levels (default: midpoints
     between consecutive critical values).  Violations flag impossible data."""
     report = Report()
     crits = sorted({c.H for c in data.components})
     if levels is None:
-        levels = [(a + b) / 2 for a, b in zip(crits, crits[1:])]
+        levels = [Fraction(a + b, 2) for a, b in zip(crits, crits[1:])]
     for s in levels:
-        s = Fraction(s)
+        s = as_rational(s)
         if not (crits[0] < s < crits[-1]):
             report.undecided(
                 "positivity",

@@ -521,22 +521,22 @@ def build_04_data(
         FixedComponent(
             id="min",
             kind=FOURFOLD,
-            H=Fraction(-1),
+            H=-1,
             weights=(1,),
             b2=n_a + n_b + n_c + 1,
         ),
-        FixedComponent(id="max", kind=POINT, H=Fraction(-sum(mt)), weights=mt),
+        FixedComponent(id="max", kind=POINT, H=-sum(mt), weights=mt),
     ]
     comps += [
-        FixedComponent(id=f"a{i}", kind=POINT, H=Fraction(2), weights=TYPE_A)
+        FixedComponent(id=f"a{i}", kind=POINT, H=2, weights=TYPE_A)
         for i in range(n_a)
     ]
     comps += [
-        FixedComponent(id=f"b{i}", kind=POINT, H=Fraction(0), weights=TYPE_B)
+        FixedComponent(id=f"b{i}", kind=POINT, H=0, weights=TYPE_B)
         for i in range(n_b)
     ]
     comps += [
-        FixedComponent(id=f"c{i}", kind=POINT, H=Fraction(1), weights=TYPE_C)
+        FixedComponent(id=f"c{i}", kind=POINT, H=1, weights=TYPE_C)
         for i in range(n_c)
     ]
     edges = [
@@ -721,7 +721,7 @@ def isotropy_edge_sum(data: FixedPointData, e: GradientEdge) -> Fraction:
         ),
     ]
     for k, (a, b) in enumerate(e.interior_points):
-        h = (bot.H + top.H) / 2
+        h = Fraction(bot.H + top.H, 2)
         comps.append(
             FixedComponent(id=f"p{k}", kind=POINT, H=h, weights=(a, b))
         )

@@ -11,8 +11,10 @@ with the combinatorics that the rest of the package consumes:
   components, labelled by the order of the generic stabiliser.
 
 Zero weights of tangential directions are never stored: a point carries n
-weights, a surface n-1, a fourfold n-2.  All Hamiltonian values are
-:class:`fractions.Fraction`; every identity checked downstream is exact.
+weights, a surface n-1, a fourfold n-2.  Hamiltonian values and areas are
+exact rationals in one canonical form: an ``int`` when the value is
+integral, otherwise a :class:`fractions.Fraction` with denominator > 1, and
+never a float.  Every identity checked downstream is exact.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .reports import (
     StructuralError,
 )
 
-Rational = Fraction
+# A canonical exact rational: an int, or a Fraction with denominator > 1.
+Rational = Union[int, Fraction]
 
 POINT = "point"
 SURFACE = "surface"
@@ -43,16 +46,17 @@ _KIND_DIM = {POINT: 0, SURFACE: 2, FOURFOLD: 4}
 _RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
 
-def as_rational(x: Union[int, str, Fraction]) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string in lowest terms to a rational."""
-    if type(x) is Fraction:
-        return x
+def as_rational(x: Union[int, str, Fraction]) -> Rational:
+    """Coerce an int, Fraction or 'p/q' string in lowest terms to a canonical
+    rational: the int itself when the value is integral, else the Fraction."""
     if type(x) is int:
-        return Fraction(x)
-    m = _RATIONAL.fullmatch(x) if type(x) is str else None
-    if m is None or (m[2] is not None and (int(m[2]) == 0 or math.gcd(int(m[1]), int(m[2])) != 1)):
-        raise StructuralError(f"not a rational value in lowest terms: {x!r}")
-    return Fraction(x)
+        return x
+    if type(x) is not Fraction:
+        m = _RATIONAL.fullmatch(x) if type(x) is str else None
+        if m is None or (m[2] is not None and (int(m[2]) == 0 or math.gcd(int(m[1]), int(m[2])) != 1)):
+            raise StructuralError(f"not a rational value in lowest terms: {x!r}")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _as_tuple(x, what: str, owner: str = "") -> tuple:
@@ -64,7 +68,7 @@ def _as_tuple(x, what: str, owner: str = "") -> tuple:
     return tuple(x)
 
 
-def format_rational(x: Fraction) -> Union[int, str]:
+def format_rational(x: Rational) -> Union[int, str]:
     """Canonical rendering: bare int when integral, else 'p/q' with q > 0."""
     if x.denominator == 1:
         return int(x)
@@ -77,11 +81,11 @@ class FixedComponent:
 
     id: str
     kind: str
-    H: Fraction
+    H: Rational
     weights: Tuple[int, ...]
     genus: Optional[int] = None
     normal_degrees: Optional[Tuple[int, ...]] = None
-    area: Optional[Fraction] = None
+    area: Optional[Rational] = None
     b2: Optional[int] = None
     fibre_intersection: Optional[int] = None
     fibre_class: bool = False
@@ -250,10 +254,10 @@ class FixedPointData:
     def surfaces(self) -> Tuple[FixedComponent, ...]:
         return tuple(c for c in self.components if c.kind == SURFACE)
 
-    def h_min(self) -> Fraction:
+    def h_min(self) -> Rational:
         return self._ordered[0].H
 
-    def h_max(self) -> Fraction:
+    def h_max(self) -> Rational:
         return self._ordered[-1].H
 
     def replace_components(self, comps: Iterable[FixedComponent]) -> "FixedPointData":

@@ -11,9 +11,9 @@ a dozen vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from .fixed_data import Rational, as_rational, format_rational
 from .reports import StructuralError
 
 
@@ -22,13 +22,13 @@ class GraphVertex:
     """A fixed component as a graph vertex; weights are kept as a sorted tuple."""
 
     id: str
-    H: Fraction
+    H: Rational
     weights: Tuple[int, ...]
     genus: Optional[int] = None
     fibre_intersection: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "H", Fraction(self.H))
+        object.__setattr__(self, "H", as_rational(self.H))
         object.__setattr__(self, "weights", tuple(sorted(self.weights)))
 
     def key(self) -> Tuple:
@@ -137,8 +137,6 @@ class LabelledGraph:
         return comps
 
     def as_dict(self) -> dict:
-        from .fixed_data import format_rational
-
         return {
             "vertices": [
                 {

@@ -20,6 +20,7 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
+    Rational,
     format_rational,
     index,
 )
@@ -198,7 +199,7 @@ def abbv_sum_4d(data: FixedPointData) -> Fraction:
 class WeightSumInconsistency(InconsistencyError):
     """No additive constant makes the weight sum formula hold everywhere."""
 
-    def __init__(self, constant: Fraction, residuals: Dict[str, Fraction]):
+    def __init__(self, constant: Rational, residuals: Dict[str, Rational]):
         self.constant = constant
         self.residuals = residuals
         rendered = ", ".join(
@@ -207,7 +208,7 @@ class WeightSumInconsistency(InconsistencyError):
         super().__init__(f"weight sum formula has no solution; residuals {{{rendered}}}")
 
 
-def weight_sum_constant(data: FixedPointData) -> Fraction:
+def weight_sum_constant(data: FixedPointData) -> Rational:
     """The constant c with H(F) + c = -sum of weights at every component.
 
     When no single constant works, raises :class:`WeightSumInconsistency`
@@ -218,16 +219,14 @@ def weight_sum_constant(data: FixedPointData) -> Fraction:
         raise PreconditionError("weight_sum_constant applies to relative Fano data")
     comps = data.ordered()
     base = comps[0]
-    c = Fraction(-base.weight_sum()) - base.H
-    residuals = {
-        comp.id: (Fraction(-comp.weight_sum()) - (comp.H + c)) for comp in comps
-    }
+    c = -base.weight_sum() - base.H
+    residuals = {comp.id: -comp.weight_sum() - (comp.H + c) for comp in comps}
     if any(r != 0 for r in residuals.values()):
         raise WeightSumInconsistency(c, residuals)
     return c
 
 
-def weight_sum_normalize(data: FixedPointData) -> Tuple[Fraction, FixedPointData]:
+def weight_sum_normalize(data: FixedPointData) -> Tuple[Rational, FixedPointData]:
     """The weight-sum constant c and the dataset shifted by it.
 
     Raises as :func:`weight_sum_constant` does.
@@ -246,7 +245,7 @@ def check_converse_fano(data: FixedPointData) -> Report:
     report = Report()
     for c in data.ordered():
         if index(c) <= 1:
-            expected = Fraction(-c.weight_sum())
+            expected = -c.weight_sum()
             if c.H != expected:
                 report.flag(
                     "weight-sum",

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fixed_data import (
@@ -127,9 +126,8 @@ class LatticePolytope:
     Vertices are stored lexicographically sorted; every supplied point must
     be a genuine vertex of the hull.  Edges and facets are derived once at
     construction with exact integer arithmetic, together with the invariants
-    every generated direction reuses: the edges at each vertex and the
-    Delzant and reflexive flags.  Boundary self-intersections, which raise
-    on a non-smooth fan, are computed on first request and then kept.
+    every generated direction reuses: the vertex ids, the signed edge slots
+    of each vertex and the Delzant and reflexive flags.
     """
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
@@ -151,13 +149,17 @@ class LatticePolytope:
                 raise StructuralError(
                     f"point {self.vertices[idx]} is not a vertex of the hull"
                 )
-        incident: List[List[Tuple[Edge, IntVec]]] = [[] for _ in self.vertices]
-        for e in self.edges:
-            incident[e.i].append((e, e.direction))
-            incident[e.j].append((e, tuple(-x for x in e.direction)))
-        self._incident = tuple(tuple(edges) for edges in incident)
+        # (edge index, sign) at each vertex: the sign turns the edge direction,
+        # and its pairing with any direction, to point away from the vertex
+        slots: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
+        for k, e in enumerate(self.edges):
+            slots[e.i].append((k, 1))
+            slots[e.j].append((k, -1))
+        self._slots = tuple(tuple(s) for s in slots)
+        self._vertex_ids = tuple(_vertex_id(v) for v in self.vertices)
         self._delzant = all(
-            _is_lattice_basis([d for _e, d in edges], self.dim) for edges in self._incident
+            _is_lattice_basis([self._away(k, sign) for k, sign in s], self.dim)
+            for s in self._slots
         )
         self._reflexive = self.origin_interior() and all(f.c == 1 for f in self.facets)
 
@@ -249,9 +251,12 @@ class LatticePolytope:
 
     # -- queries ----------------------------------------------------------
 
+    def _away(self, k: int, sign: int) -> IntVec:
+        return tuple(sign * x for x in self.edges[k].direction)
+
     def vertex_edges(self, i: int) -> List[Tuple[Edge, IntVec]]:
         """Incident edges with their primitive direction pointing away from i."""
-        return list(self._incident[i])
+        return [(self.edges[k], self._away(k, sign)) for k, sign in self._slots[i]]
 
     def cyclic_neighbours(self, e: Edge) -> Tuple[Edge, Edge]:
         """Previous and next boundary edge of a polygon, in cyclic order."""
@@ -380,16 +385,13 @@ def fixed_data_from_polytope(
     absorbed = {}
     components: List[FixedComponent] = []
     if p.dim == 2:
-        for e, pairing in zip(p.edges, pairings):
+        for k, (e, pairing) in enumerate(zip(p.edges, pairings)):
             if pairing != 0:
                 continue
             va, vb = p.vertices[e.i], p.vertices[e.j]
-            h = _dot(x, va)
-            normal_weights = set()
-            for idx in (e.i, e.j):
-                for other, d in p.vertex_edges(idx):
-                    if other is not e:
-                        normal_weights.add(_dot(x, d))
+            normal_weights = {
+                sign * pairings[m] for idx in (e.i, e.j) for m, sign in p._slots[idx] if m != k
+            }
             if len(normal_weights) != 1:
                 raise StructuralError(
                     f"fixed edge {va}-{vb} has ambiguous normal weight {normal_weights}"
@@ -400,11 +402,11 @@ def fixed_data_from_polytope(
                 FixedComponent(
                     id=sid,
                     kind=SURFACE,
-                    H=Fraction(h),
+                    H=_dot(x, va),
                     weights=(w,),
                     genus=0,
                     normal_degrees=(boundary_selfint_2d(p, e),),
-                    area=Fraction(e.length),
+                    area=e.length,
                 )
             )
             absorbed[e.i] = sid
@@ -413,16 +415,12 @@ def fixed_data_from_polytope(
     for i, v in enumerate(p.vertices):
         if i in absorbed:
             continue
-        weights = tuple(sorted(_dot(x, d) for _e, d in p.vertex_edges(i)))
+        weights = tuple(sorted(sign * pairings[k] for k, sign in p._slots[i]))
         components.append(
-            FixedComponent(
-                id=_vertex_id(v), kind=POINT, H=Fraction(_dot(x, v)), weights=weights
-            )
+            FixedComponent(id=p._vertex_ids[i], kind=POINT, H=_dot(x, v), weights=weights)
         )
 
-    comp_of_vertex = {
-        i: absorbed.get(i, _vertex_id(p.vertices[i])) for i in range(len(p.vertices))
-    }
+    comp_of_vertex = [absorbed.get(i, vid) for i, vid in enumerate(p._vertex_ids)]
     edges: List[GradientEdge] = []
     for e, pairing in zip(p.edges, pairings):
         if pairing == 0:

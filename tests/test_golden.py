@@ -5,9 +5,10 @@ CLI prints.  The inputs are the catalog polygons and a few 3-polytopes,
 X x Sigma_g products from ``tests/lifts.py`` (a genuine one, one with a
 perturbed normal degree, one with degrees missing and one with fixed
 spheres, whose suites carry inconclusive records) and ``build_04_data``
-rows.  The corpus pins behaviour across refactors: a change that
-alters any of these outputs on purpose regenerates the affected files and
-says why.  Regenerate with
+rows.  The stdout of the README's experiment scripts, run as
+subprocesses, is stored the same way without the exit line.  The corpus
+pins behaviour across refactors: a change that alters any of these outputs
+on purpose regenerates the affected files and says why.  Regenerate with
 
     PYTHONPATH=src python -m tests.test_golden --write
 """
@@ -15,6 +16,7 @@ says why.  Regenerate with
 import itertools
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,7 +24,8 @@ import pytest
 
 from hamfano.cli import run
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 CATALOG = ("CP2", "CP1xCP1", "Bl1CP2", "Bl2CP2", "Bl3CP2")
 
@@ -218,9 +221,24 @@ CASES = {
 }
 
 
+SCRIPTS = {
+    "script_sweep_catalog_bound5": ["scripts/sweep_catalog.py", "--bound", "5", "--verbose"],
+    "script_delpezzo_bound": ["scripts/delpezzo_bound.py"],
+}
+
+
 def _render(argv):
     code, out = run(argv)
     return f"exit {code}\n{out}\n"
+
+
+def _script_stdout(argv) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
 
 
 def write_corpus() -> None:
@@ -237,6 +255,8 @@ def write_corpus() -> None:
         (GOLDEN / f"{name}.json").write_text(json.dumps(doc) + "\n")
     for case, argv in CASES.items():
         (GOLDEN / f"{case}.golden").write_text(_render(argv))
+    for case, argv in SCRIPTS.items():
+        (GOLDEN / f"{case}.golden").write_bytes(_script_stdout(argv))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -244,6 +264,11 @@ def test_golden_output(case, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     expected = (GOLDEN / f"{case}.golden").read_text()
     assert _render(CASES[case]) == expected
+
+
+@pytest.mark.parametrize("case", sorted(SCRIPTS))
+def test_script_output(case):
+    assert _script_stdout(SCRIPTS[case]) == (GOLDEN / f"{case}.golden").read_bytes()
 
 
 if __name__ == "__main__":

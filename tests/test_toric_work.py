@@ -4,9 +4,11 @@ a brute-force facet enumeration that shares no code with the package."""
 import itertools
 import math
 
+import hamfano.dh
 import hamfano.fixed_data
 import hamfano.toric
 from hamfano.cli import run
+from hamfano.dh import fibre_area_bound_check
 from hamfano.localization import weight_sum_constant, weight_sum_normalize
 from hamfano.toric import (
     LatticePolytope,
@@ -39,6 +41,20 @@ def test_scan_generates_each_direction_once(monkeypatch):
     code, _out = run(["toric", "scan", "Bl3CP2", "--bound", "4"])
     assert code == 0
     assert len(calls) == len(primitive_directions(2, 4))
+
+
+def test_fibre_area_bound_check_generates_once(monkeypatch):
+    calls = _counting(monkeypatch, hamfano.dh, "fixed_data_from_polytope")
+    assert fibre_area_bound_check(catalog_entry("Bl3CP2").polytope, (1, 2)).ok
+    assert len(calls) == 1
+
+
+def test_generation_reads_weights_from_the_edge_pairings(monkeypatch):
+    p = catalog_entry("Bl3CP2").polytope
+    calls = _counting(monkeypatch, LatticePolytope, "vertex_edges")
+    for xi in primitive_directions(2, 3):
+        fixed_data_from_polytope(p, xi)
+    assert calls == []
 
 
 def test_weight_sum_constant_builds_no_component(monkeypatch):
