@@ -25,7 +25,7 @@ from .fixed_data import (
     as_rational,
     format_rational,
 )
-from .localization import Polynomial
+from .localization import Polynomial, _fraction
 from .reports import InconsistencyError, PreconditionError, Report
 from .toric import CircleDirection, LatticePolytope, delzant_check, fixed_data_from_polytope
 
@@ -45,7 +45,7 @@ class PiecewisePolynomial:
     pieces: Tuple[Polynomial, ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
+        bps = tuple(_fraction(b) for b in self.breakpoints)
         if len(bps) < 2 or len(self.pieces) != len(bps) - 1:
             raise PreconditionError("need k+1 breakpoints for k pieces, k >= 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
@@ -58,7 +58,7 @@ class PiecewisePolynomial:
         return (self.breakpoints[0], self.breakpoints[-1])
 
     def __call__(self, t: Union[int, Fraction]) -> Fraction:
-        t = Fraction(t)
+        t = _fraction(t)
         lo, hi = self.domain
         if t < lo or t > hi:
             raise PreconditionError(f"{format_rational(t)} outside domain")
@@ -71,7 +71,7 @@ class PiecewisePolynomial:
 
     def one_sided(self, t: Fraction, side: int) -> Fraction:
         """Limit from below (side < 0) or above (side > 0) at t."""
-        t = Fraction(t)
+        t = _fraction(t)
         for i, piece in enumerate(self.pieces):
             if side < 0 and self.breakpoints[i] < t <= self.breakpoints[i + 1]:
                 return piece(t)
@@ -109,10 +109,7 @@ def reduced_volume(data: FixedPointData, s: Rational) -> Fraction:
                 f"{c.id}: component above level {format_rational(s)} is a {c.kind}; "
                 f"the isolated localisation formula does not apply"
             )
-        prod = 1
-        for w in c.weights:
-            prod *= w
-        total += Fraction((s - c.H) ** (n - 1), prod)
+        total += Fraction((s - c.H) ** (n - 1), math.prod(c.weights))
     return -total
 
 
@@ -143,10 +140,7 @@ def dh_jump_leading(
             raise PreconditionError(
                 f"{c.id}: no stored volume for a fourfold component"
             )
-        prod = 1
-        for w in c.weights:
-            prod *= w
-        out.append((Fraction(vol, math.factorial(d - 1) * prod), d - 1))
+        out.append((Fraction(vol, math.factorial(d - 1) * math.prod(c.weights)), d - 1))
     return out
 
 

@@ -26,6 +26,7 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
+    Rational,
     _edge_order_message,
     _extreme_ids,
     extremal,
@@ -46,7 +47,7 @@ from .reports import (
     Report,
     StructuralError,
 )
-from .toric import CircleDirection, LatticePolytope, delzant_check
+from .toric import CircleDirection, LatticePolytope, _is_delpezzo
 
 
 class IncompleteDataError(StructuralError):
@@ -112,7 +113,7 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
                 f"at most two can",
                 subject=c.id,
             )
-        if (c.genus or 0) > 0:
+        if c.genus > 0:
             big = sum(1 for w in c.weights if abs(w) > 1)
             if deg != big:
                 report.flag(
@@ -630,7 +631,7 @@ def c1_of_surface(s: FixedComponent) -> int:
         raise PreconditionError(f"{s.id}: needs a fixed surface with two weights")
     if s.normal_degrees is None:
         raise PreconditionError(f"{s.id}: needs both normal degrees")
-    return (2 - 2 * (s.genus or 0)) + s.normal_degrees[0] + s.normal_degrees[1]
+    return (2 - 2 * s.genus) + s.normal_degrees[0] + s.normal_degrees[1]
 
 
 # -- chain structure helpers ---------------------------------------------------
@@ -744,17 +745,17 @@ def cycle_inequality(data: FixedPointData) -> Report:
         raise PreconditionError("cycle_inequality applies to 6-dimensional data")
     min_id, max_id = extremal(data)
     min_c, max_c = data.component(min_id), data.component(max_id)
-    if min_c.kind != SURFACE or (min_c.genus or 0) < 1:
+    if min_c.kind != SURFACE or min_c.genus < 1:
         raise PreconditionError("cycle_inequality needs positive-genus extrema")
-    if max_c.kind != SURFACE or (max_c.genus or 0) < 1:
+    if max_c.kind != SURFACE or max_c.genus < 1:
         raise PreconditionError("cycle_inequality needs positive-genus extrema")
     report = Report()
-    g = min_c.genus or 0
-    plus = [c for c in data.ordered() if c.kind == SURFACE and (c.genus or 0) > 0]
+    g = min_c.genus
+    plus = _positive_genus_surfaces(data)
     ids = {c.id for c in plus}
     ledger = _DegreeLedger(data)
 
-    connections: List[Tuple[str, str, Optional[Fraction]]] = []
+    connections: List[Tuple[str, str, Optional[Rational]]] = []
     for e in data.edges:
         if e.bottom in ids and e.top in ids and e.weight >= 2:
             recovered = isotropy_edge_sum(data, e)
@@ -785,8 +786,8 @@ def cycle_inequality(data: FixedPointData) -> Report:
             connections.append((e.bottom, e.top, recovered))
 
     # weight-1 spheres: they must reach an extremal surface, where the
-    # isotropy inequality constrains the stored degree pair
-    open_chain = False
+    # isotropy inequality constrains the stored degree pair; an unknown link
+    # is a connection without a value, which leaves the cycle open
     for c in plus:
         if c.id in (min_id, max_id):
             continue
@@ -808,23 +809,9 @@ def cycle_inequality(data: FixedPointData) -> Report:
                     f"{c.id}: no weight-{-leftover_w} slot remains at {ext_id}",
                     subject=c.id,
                 )
-                open_chain = True
+                connections.append((ext_id, c.id, None))
                 continue
-            if deg_c is None or deg_e is None:
-                report.undecided(
-                    "weight-one-link",
-                    f"link {ext_id} ~ {c.id}: normal degrees missing",
-                    subject=c.id,
-                )
-                open_chain = True
-                continue
-            s = Fraction(deg_c + deg_e)
-            if s > 0:
-                report.flag(
-                    "isotropy-inequality",
-                    f"link {ext_id} ~ {c.id}: c1(L1) + c1(L2) = {deg_c + deg_e} > 0",
-                    subject=c.id,
-                )
+            s = _weight_one_link(report, ext_id, c.id, deg_e, deg_c, subject=c.id)
             connections.append((ext_id, c.id, s))
 
     # a weight-1 sphere may join the two extrema directly
@@ -834,25 +821,12 @@ def cycle_inequality(data: FixedPointData) -> Report:
     ] == [-1]:
         deg_min, _ = ledger.take(min_id, 1)
         deg_max, _ = ledger.take(max_id, -1)
-        if deg_min is None or deg_max is None:
-            report.undecided(
-                "weight-one-link",
-                f"link {min_id} ~ {max_id}: normal degrees missing",
-            )
-            open_chain = True
-        else:
-            s = Fraction(deg_min + deg_max)
-            if s > 0:
-                report.flag(
-                    "isotropy-inequality",
-                    f"link {min_id} ~ {max_id}: c1(L1) + c1(L2) = "
-                    f"{deg_min + deg_max} > 0",
-                )
-            connections.append((min_id, max_id, s))
+        s = _weight_one_link(report, min_id, max_id, deg_min, deg_max)
+        connections.append((min_id, max_id, s))
 
     counts = {c.id: 0 for c in plus}
     total = Fraction(0)
-    closed = not open_chain
+    closed = True
     for a, b, s in connections:
         counts[a] += 1
         counts[b] += 1
@@ -900,6 +874,30 @@ def cycle_inequality(data: FixedPointData) -> Report:
     return report
 
 
+def _weight_one_link(
+    report: Report, a: str, b: str, deg_a: Optional[int], deg_b: Optional[int], subject=None
+) -> Optional[int]:
+    """The isotropy inequality c1(L1) + c1(L2) <= 0 on a weight-1 link a ~ b: the
+    degree sum, or None (inconclusive; the cycle stays open) when one is missing."""
+    if deg_a is None or deg_b is None:
+        report.undecided("weight-one-link", f"link {a} ~ {b}: normal degrees missing", subject)
+        return None
+    if deg_a + deg_b > 0:
+        report.flag(
+            "isotropy-inequality", f"link {a} ~ {b}: c1(L1) + c1(L2) = {deg_a + deg_b} > 0", subject
+        )
+    return deg_a + deg_b
+
+
+def _positive_genus_surfaces(data: FixedPointData) -> List[FixedComponent]:
+    return [c for c in data.surfaces() if c.genus > 0]
+
+
+def _chain_term(c: FixedComponent, w_in: int, w_out: int) -> Fraction:
+    """A positive-genus surface's term (1 + 1/(w_in w_out)) chi(c) of the chain estimate."""
+    return (1 + Fraction(1, w_in * w_out)) * (2 - 2 * c.genus)
+
+
 # -- small Hamiltonian suite -----------------------------------------------------
 
 
@@ -909,7 +907,7 @@ def nosphere_check(data: FixedPointData) -> Report:
         raise PreconditionError("nosphere_check applies to relative Fano data")
     min_id, _ = extremal(data)
     min_c = data.component(min_id)
-    if min_c.kind != SURFACE or (min_c.genus or 0) < 1:
+    if min_c.kind != SURFACE or min_c.genus < 1:
         raise PreconditionError("nosphere_check needs a positive-genus minimum")
     report = Report()
     for c in data.ordered():
@@ -981,7 +979,7 @@ def _chain_longeq(
                     f"modulus 1 expected",
                     subject=cid,
                 )
-        rhs += (1 + Fraction(1, wi * wo)) * (2 - 2 * (c.genus or 0))
+        rhs += _chain_term(c, wi, wo)
     for a, b in pairs:
         na, nb = n_out[a], n_in[b]
         if na is None or nb is None:
@@ -1007,12 +1005,12 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
     min_id, max_id = extremal(data)
     min_c, max_c = data.component(min_id), data.component(max_id)
     for c in (min_c, max_c):
-        if c.kind != SURFACE or (c.genus or 0) < 1:
+        if c.kind != SURFACE or c.genus < 1:
             raise PreconditionError(
                 "small_hamiltonian_suite needs positive-genus extremal surfaces"
             )
     report = Report()
-    g = min_c.genus or 0
+    g = min_c.genus
     lo, hi = data.h_min(), data.h_max()
     if lo < -3 or hi > 3:
         report.flag(
@@ -1071,7 +1069,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 
     # (d) sum of beta over positive-genus surfaces, and the global identity;
     # only meaningful once every isolated weight is admissible
-    plus = [c for c in data.surfaces() if (c.genus or 0) > 0]
+    plus = _positive_genus_surfaces(data)
     degrees_known = all(c.normal_degrees is not None for c in data.surfaces())
     weights_admissible = not any(v.code == "isosimp" for v in report.violations)
     if not weights_admissible:
@@ -1113,10 +1111,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 
     # (f) reflective branch
     if min_c.sorted_weights() == (1, 1) and max_c.sorted_weights() == (-1, -1):
-        t = Fraction(0)
-        for c in plus:
-            w1, w2 = c.weights
-            t += (1 + Fraction(1, w1 * w2)) * (2 - 2 * (c.genus or 0))
+        t = sum((_chain_term(c, *c.weights) for c in plus), Fraction(0))
         if t > 4 * (2 - 2 * g):
             report.flag(
                 "inclaim",
@@ -1132,7 +1127,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
             f"witness: {witness} (genus {wit_c.genus}) with c1 = {c1s[witness]} "
             f"<= {2 - 2 * g}"
         )
-        if (wit_c.genus or 0) < g or c1s[witness] > 2 - 2 * g:
+        if wit_c.genus < g or c1s[witness] > 2 - 2 * g:
             report.flag(
                 "conclusion",
                 f"hypotheses and localisation hold, yet no surface of genus >= {g} "
@@ -1151,7 +1146,7 @@ def sphere_area_vs_fibre(
 
     Equality is admissible only for spheres flagged as representing the
     fibre class."""
-    if fibre.dim != 2 or not delzant_check(fibre) or not fibre.is_reflexive():
+    if not _is_delpezzo(fibre):
         raise PreconditionError("the fibre must be a toric del Pezzo polygon")
     dh = dh_function_toric(fibre, fibre_xi)
     lo, hi = dh.domain

@@ -369,10 +369,7 @@ def validate(data: FixedPointData) -> Report:
     if len(comps) == 1:
         report.flag("extremum", "one component attains both extrema: the action is trivial")
 
-    g = 0
-    for c in comps:
-        for w in c.weights:
-            g = math.gcd(g, abs(w))
+    g = math.gcd(*[w for c in comps for w in c.weights])
     if g != 1:
         report.flag(
             "effectiveness",

@@ -24,7 +24,17 @@ from .fixed_data import (
     format_rational,
     index,
 )
-from .reports import InconsistencyError, PreconditionError, Report
+from .reports import InconsistencyError, PreconditionError, Report, StructuralError
+
+
+def _fraction(x: Union[int, Fraction]) -> Fraction:
+    """x as a Fraction; any other type (a float or a bool too) is refused,
+    so that an inexact value cannot enter the exact pipelines silently."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is not int:
+        raise StructuralError(f"exact int or Fraction expected, got {x!r}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -38,14 +48,14 @@ class Polynomial:
     coefficients: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        cs = [Fraction(c) for c in self.coefficients]
+        cs = [_fraction(c) for c in self.coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coefficients", tuple(cs))
 
     @classmethod
     def of(cls, *coeffs: Union[int, Fraction]) -> "Polynomial":
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(coeffs)
 
     @property
     def degree(self) -> int:

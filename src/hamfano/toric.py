@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -55,15 +55,8 @@ def _sub(a: IntVec, b: IntVec) -> IntVec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _gcd_vec(v: Sequence[int]) -> int:
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
-    return g
-
-
 def _primitive(v: IntVec) -> Tuple[IntVec, int]:
-    g = _gcd_vec(v)
+    g = math.gcd(*v)
     if g == 0:
         raise StructuralError("zero vector has no primitive form")
     return tuple(x // g for x in v), g
@@ -89,7 +82,7 @@ class CircleDirection:
 
     def __post_init__(self):
         v = _ivec(self.xi)
-        if _gcd_vec(v) != 1:
+        if math.gcd(*v) != 1:
             raise StructuralError(f"direction {v} is not primitive")
         object.__setattr__(self, "xi", v)
 
@@ -124,10 +117,13 @@ class LatticePolytope:
     """Full-dimensional lattice polytope in dimension 2 or 3.
 
     Vertices are stored lexicographically sorted; every supplied point must
-    be a genuine vertex of the hull.  Edges and facets are derived once at
-    construction with exact integer arithmetic, together with the invariants
-    every generated direction reuses: the vertex ids, the signed edge slots
-    of each vertex and the Delzant and reflexive flags.
+    be a genuine vertex of the hull.  Only the search for the facets depends
+    on the dimension.  Everything else is derived once at construction, with
+    exact integer arithmetic, from the facets through each vertex: the hull
+    vertex and full-dimensionality checks, the edges (the vertex pairs that
+    share dim - 1 facets), and the invariants every generated direction
+    reuses: the vertex ids, the signed edge slots of each vertex and the
+    Delzant and reflexive flags.
     """
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
@@ -139,16 +135,23 @@ class LatticePolytope:
             raise StructuralError("vertices must all lie in dimension 2 or 3")
         self.dim: int = len(verts[0])
         self.vertices: Tuple[IntVec, ...] = tuple(verts)
-        if self.dim == 2:
-            self._build_2d()
-        else:
-            self._build_3d()
-        for idx in range(len(self.vertices)):
-            on = sum(1 for f in self.facets if idx in f.vertex_ids)
-            if on < self.dim:
-                raise StructuralError(
-                    f"point {self.vertices[idx]} is not a vertex of the hull"
-                )
+        found = _polygon_facets(verts) if self.dim == 2 else _polytope_facets(verts)
+        if not found:
+            raise StructuralError("polytope is not full-dimensional")
+        self.facets: Tuple[Facet, ...] = tuple(sorted(found, key=lambda f: (f.normal, f.c)))
+        # the facets through each vertex, as indices into self.facets
+        self._incidence = tuple(
+            frozenset(k for k, f in enumerate(self.facets) if i in f.vertex_ids)
+            for i in range(len(verts))
+        )
+        for v, on in zip(verts, self._incidence):
+            if len(on) < self.dim:
+                raise StructuralError(f"point {v} is not a vertex of the hull")
+        self.edges: Tuple[Edge, ...] = tuple(
+            Edge(i, j, *_primitive(_sub(verts[j], verts[i])))
+            for i, j in itertools.combinations(range(len(verts)), 2)
+            if len(self._incidence[i] & self._incidence[j]) >= self.dim - 1
+        )
         # (edge index, sign) at each vertex: the sign turns the edge direction,
         # and its pairing with any direction, to point away from the vertex
         slots: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
@@ -163,92 +166,6 @@ class LatticePolytope:
         )
         self._reflexive = self.origin_interior() and all(f.c == 1 for f in self.facets)
 
-    # -- construction ---------------------------------------------------
-
-    def _build_2d(self) -> None:
-        pts = list(self.vertices)
-        if len(pts) < 3:
-            raise StructuralError("a polygon needs at least 3 vertices")
-        lower: List[IntVec] = []
-        for p in pts:
-            while len(lower) >= 2 and _cross2(_sub(lower[-1], lower[-2]), _sub(p, lower[-2])) <= 0:
-                lower.pop()
-            lower.append(p)
-        upper: List[IntVec] = []
-        for p in reversed(pts):
-            while len(upper) >= 2 and _cross2(_sub(upper[-1], upper[-2]), _sub(p, upper[-2])) <= 0:
-                upper.pop()
-            upper.append(p)
-        hull = lower[:-1] + upper[:-1]  # counterclockwise, starting at lex-min
-        if len(hull) < 3:
-            raise StructuralError("polygon is not full-dimensional")
-        index = {v: i for i, v in enumerate(self.vertices)}
-        try:
-            self.cycle: Tuple[int, ...] = tuple(index[v] for v in hull)
-        except KeyError:
-            raise StructuralError("hull does not use all supplied vertices")
-        edges: List[Edge] = []
-        facets: List[Facet] = []
-        k = len(hull)
-        for pos in range(k):
-            a, b = hull[pos], hull[(pos + 1) % k]
-            d, length = _primitive(_sub(b, a))
-            i, j = index[a], index[b]
-            if i > j:
-                i, j = j, i
-                d = tuple(-x for x in d)
-            edges.append(Edge(i=i, j=j, direction=d, length=length))
-            # counterclockwise boundary: inward normal is the left rotation
-            dd = _sub(b, a)
-            u = (-dd[1], dd[0])
-            u, _ = _primitive(u)
-            c = -_dot(u, a)
-            facets.append(Facet(normal=u, c=c, vertex_ids=tuple(sorted((index[a], index[b])))))
-        order = sorted(range(k), key=lambda p: (edges[p].i, edges[p].j))
-        self.edges: Tuple[Edge, ...] = tuple(edges[p] for p in order)
-        self.facets: Tuple[Facet, ...] = tuple(facets[p] for p in order)
-        # cyclic boundary position of each stored edge, and its inverse
-        self._cycle_pos = {s: order[s] for s in range(k)}
-        self._stored_at_cycle = {order[s]: s for s in range(k)}
-
-    def _build_3d(self) -> None:
-        pts = list(self.vertices)
-        if len(pts) < 4:
-            raise StructuralError("a 3-polytope needs at least 4 vertices")
-        full = False
-        base = pts[0]
-        for q, r, s in itertools.combinations(pts[1:], 3):
-            if _dot(_cross3(_sub(q, base), _sub(r, base)), _sub(s, base)) != 0:
-                full = True
-                break
-        if not full:
-            raise StructuralError("polytope is not full-dimensional")
-        facets: List[Facet] = []
-        on_facets: List[set] = [set() for _ in pts]  # found facets through each point
-        for a, b, c in itertools.combinations(range(len(pts)), 3):
-            if on_facets[a] & on_facets[b] & on_facets[c]:
-                continue  # their plane is a facet already found
-            n = _cross3(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
-            if n == (0, 0, 0):
-                continue
-            side = _supporting_side(n, _dot(n, pts[a]), pts)
-            if side == 0:
-                continue
-            u, _ = _primitive(n if side > 0 else tuple(-x for x in n))
-            cval = -_dot(u, pts[a])
-            on = tuple(i for i, p in enumerate(pts) if _dot(u, p) == -cval)
-            for i in on:
-                on_facets[i].add(len(facets))
-            facets.append(Facet(normal=u, c=cval, vertex_ids=on))
-        self.facets = tuple(sorted(facets, key=lambda f: (f.normal, f.c)))
-        edges: List[Edge] = []
-        for i, j in itertools.combinations(range(len(pts)), 2):
-            if len(on_facets[i] & on_facets[j]) >= 2:
-                d, length = _primitive(_sub(pts[j], pts[i]))
-                edges.append(Edge(i=i, j=j, direction=d, length=length))
-        self.edges = tuple(edges)
-        self.cycle = ()
-
     # -- queries ----------------------------------------------------------
 
     def _away(self, k: int, sign: int) -> IntVec:
@@ -258,16 +175,6 @@ class LatticePolytope:
         """Incident edges with their primitive direction pointing away from i."""
         return [(self.edges[k], self._away(k, sign)) for k, sign in self._slots[i]]
 
-    def cyclic_neighbours(self, e: Edge) -> Tuple[Edge, Edge]:
-        """Previous and next boundary edge of a polygon, in cyclic order."""
-        if self.dim != 2:
-            raise PreconditionError("cyclic edge order exists for polygons only")
-        pos = self._cycle_pos[self.edges.index(e)]
-        k = len(self.edges)
-        prev = self.edges[self._stored_at_cycle[(pos - 1) % k]]
-        nxt = self.edges[self._stored_at_cycle[(pos + 1) % k]]
-        return prev, nxt
-
     def origin_interior(self) -> bool:
         return all(f.c >= 1 for f in self.facets)
 
@@ -276,6 +183,59 @@ class LatticePolytope:
 
     def as_dict(self) -> dict:
         return {"dim": self.dim, "vertices": [list(v) for v in self.vertices]}
+
+
+# -- finding facets ----------------------------------------------------------------
+
+
+def _polygon_facets(pts: Sequence[IntVec]) -> List[Facet]:
+    """Facets of the hull of lex-sorted points, from the monotone-chain hull:
+    each counterclockwise hull pair (a, b) bounds the facet through a and b
+    whose inward normal is the left rotation of b - a.  A point off the hull
+    lies on no facet.  Empty when the hull is flat."""
+
+    def chain(seq: Iterable[IntVec]) -> List[IntVec]:
+        out: List[IntVec] = []
+        for p in seq:
+            while len(out) >= 2 and _cross2(_sub(out[-1], out[-2]), _sub(p, out[-2])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    if len(hull) < 3:
+        return []
+    index = {p: i for i, p in enumerate(pts)}
+    facets = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        u, _ = _primitive((a[1] - b[1], b[0] - a[0]))
+        ids = tuple(sorted((index[a], index[b])))
+        facets.append(Facet(normal=u, c=-_dot(u, a), vertex_ids=ids))
+    return facets
+
+
+def _polytope_facets(pts: Sequence[IntVec]) -> List[Facet]:
+    """Facets of the hull of 3-dimensional points: the planes through three
+    of them that leave every point on one side.  Triples on a facet already
+    found are skipped.  Empty when the points are coplanar."""
+    facets: List[Facet] = []
+    on_facets: List[set] = [set() for _ in pts]  # found facets through each point
+    for a, b, c in itertools.combinations(range(len(pts)), 3):
+        if on_facets[a] & on_facets[b] & on_facets[c]:
+            continue  # their plane is a facet already found
+        n = _cross3(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
+        if n == (0, 0, 0):
+            continue
+        side = _supporting_side(n, _dot(n, pts[a]), pts)
+        if side == 0:
+            continue
+        u, _ = _primitive(n if side > 0 else tuple(-x for x in n))
+        cval = -_dot(u, pts[a])
+        on = tuple(i for i, p in enumerate(pts) if _dot(u, p) == -cval)
+        for i in on:
+            on_facets[i].add(len(facets))
+        facets.append(Facet(normal=u, c=cval, vertex_ids=on))
+    return facets
 
 
 def _supporting_side(n: IntVec, level: int, pts: Sequence[IntVec]) -> int:
@@ -317,18 +277,16 @@ def delzant_check(p: LatticePolytope) -> bool:
 def boundary_selfint_2d(p: LatticePolytope, edge: Edge) -> int:
     """Self-intersection of a boundary divisor from the normal-fan relation.
 
-    With u_{i-1}, u_i, u_{i+1} the primitive inward normals of consecutive
-    boundary edges, smoothness forces u_{i-1} + u_{i+1} = -D^2 u_i.
+    With u the primitive inward normal of the edge's facet and u', u'' those
+    of the other facet at each of its two ends, smoothness forces
+    u' + u'' = -D^2 u.
     """
     if p.dim != 2:
         raise PreconditionError("boundary_selfint_2d applies to polygons")
-    prev_e, next_e = p.cyclic_neighbours(edge)
-    normal = {(_e.i, _e.j): f.normal for _e, f in zip(p.edges, p.facets)}
-    u = normal[(edge.i, edge.j)]
-    s = tuple(
-        a + b
-        for a, b in zip(normal[(prev_e.i, prev_e.j)], normal[(next_e.i, next_e.j)])
-    )
+    (k,) = p._incidence[edge.i] & p._incidence[edge.j]
+    u = p.facets[k].normal
+    ends = (p._incidence[edge.i] | p._incidence[edge.j]) - {k}
+    s = [a + b for a, b in zip(*[p.facets[m].normal for m in ends])]
     ks = set()
     for si, ui in zip(s, u):
         if ui != 0:
@@ -703,7 +661,7 @@ def primitive_directions(dim: int, bound: int) -> List[IntVec]:
         raise PreconditionError("bound must be at least 1")
     out = []
     for v in itertools.product(range(-bound, bound + 1), repeat=dim):
-        if _gcd_vec(v) != 1:
+        if math.gcd(*v) != 1:
             continue
         first = next(x for x in v if x != 0)
         if first < 0:

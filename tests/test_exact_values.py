@@ -15,11 +15,18 @@ from fractions import Fraction
 import pytest
 
 from hamfano.cli import load_fixed_point_data
-from hamfano.dh import dh_function_toric, dh_jump_leading, positivity_check, reduced_volume
+from hamfano.dh import (
+    PiecewisePolynomial,
+    dh_function_toric,
+    dh_jump_leading,
+    positivity_check,
+    reduced_volume,
+)
 from hamfano.fano6 import build_04_data, cycle_inequality, enumerate_04, isotropy_edge_sum
 from hamfano.fixed_data import SURFACE, as_rational
 from hamfano.graphs import GraphVertex
 from hamfano.localization import (
+    Polynomial,
     WeightSumInconsistency,
     chi_y,
     todd_and_c1c2,
@@ -190,6 +197,24 @@ def test_library_levels_refuse_floats():
     ):
         with pytest.raises(StructuralError):
             call()
+
+
+def test_polynomials_refuse_inexact_values():
+    half = Fraction(1, 2)
+    assert Polynomial.of(1, half, 0).coefficients == (1, half)
+    assert all(type(c) is Fraction for c in Polynomial((3, half)).coefficients)
+    pw = PiecewisePolynomial((0, half, 1), (Polynomial.of(0, 1), Polynomial.of(1, -1)))
+    assert pw(half) == half and pw.one_sided(half, -1) == half
+    for bad in (0.1, 0.5, 1.0, True, "1/2", None):
+        for call in (
+            lambda: Polynomial.of(1, bad),
+            lambda: Polynomial((bad,)),
+            lambda: PiecewisePolynomial((0, bad), (Polynomial.of(1),)),
+            lambda: pw(bad),
+            lambda: pw.one_sided(bad, 1),
+        ):
+            with pytest.raises(StructuralError):
+                call()
 
 
 # -- chi_y against the h-polynomial ------------------------------------------------
