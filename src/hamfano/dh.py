@@ -22,10 +22,11 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     Rational,
+    as_fraction,
     as_rational,
     format_rational,
 )
-from .localization import Polynomial, _fraction
+from .localization import Polynomial
 from .reports import InconsistencyError, PreconditionError, Report
 from .toric import CircleDirection, LatticePolytope, delzant_check, fixed_data_from_polytope
 
@@ -45,7 +46,7 @@ class PiecewisePolynomial:
     pieces: Tuple[Polynomial, ...]
 
     def __post_init__(self):
-        bps = tuple(_fraction(b) for b in self.breakpoints)
+        bps = tuple(as_fraction(b) for b in self.breakpoints)
         if len(bps) < 2 or len(self.pieces) != len(bps) - 1:
             raise PreconditionError("need k+1 breakpoints for k pieces, k >= 1")
         if any(a >= b for a, b in zip(bps, bps[1:])):
@@ -58,7 +59,7 @@ class PiecewisePolynomial:
         return (self.breakpoints[0], self.breakpoints[-1])
 
     def __call__(self, t: Union[int, Fraction]) -> Fraction:
-        t = _fraction(t)
+        t = as_fraction(t)
         lo, hi = self.domain
         if t < lo or t > hi:
             raise PreconditionError(f"{format_rational(t)} outside domain")
@@ -71,7 +72,7 @@ class PiecewisePolynomial:
 
     def one_sided(self, t: Fraction, side: int) -> Fraction:
         """Limit from below (side < 0) or above (side > 0) at t."""
-        t = _fraction(t)
+        t = as_fraction(t)
         for i, piece in enumerate(self.pieces):
             if side < 0 and self.breakpoints[i] < t <= self.breakpoints[i + 1]:
                 return piece(t)

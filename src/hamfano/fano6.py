@@ -890,7 +890,8 @@ def _weight_one_link(
 
 
 def _positive_genus_surfaces(data: FixedPointData) -> List[FixedComponent]:
-    return [c for c in data.surfaces() if c.genus > 0]
+    """In the canonical order, so the weight-1 slots go out the same for any file order."""
+    return [c for c in data.ordered() if c.kind == SURFACE and c.genus > 0]
 
 
 def _chain_term(c: FixedComponent, w_in: int, w_out: int) -> Fraction:

@@ -59,6 +59,16 @@ def as_rational(x: Union[int, str, Fraction]) -> Rational:
     return x.numerator if x.denominator == 1 else x
 
 
+def as_fraction(x: Union[int, Fraction]) -> Fraction:
+    """x as a Fraction for the DH and chi_y polynomials; any other type (a float
+    or a bool too) is refused, so no inexact value enters them silently."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is not int:
+        raise StructuralError(f"exact int or Fraction expected, got {x!r}")
+    return Fraction(x)
+
+
 def _as_tuple(x, what: str, owner: str = "") -> tuple:
     """A JSON array (list or tuple) as a tuple; anything else is structural."""
     if type(x) is tuple:

@@ -21,20 +21,11 @@ from .fixed_data import (
     FixedPointData,
     GradientEdge,
     Rational,
+    as_fraction,
     format_rational,
     index,
 )
-from .reports import InconsistencyError, PreconditionError, Report, StructuralError
-
-
-def _fraction(x: Union[int, Fraction]) -> Fraction:
-    """x as a Fraction; any other type (a float or a bool too) is refused,
-    so that an inexact value cannot enter the exact pipelines silently."""
-    if type(x) is Fraction:
-        return x
-    if type(x) is not int:
-        raise StructuralError(f"exact int or Fraction expected, got {x!r}")
-    return Fraction(x)
+from .reports import InconsistencyError, PreconditionError, Report
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,7 @@ class Polynomial:
     coefficients: Tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        cs = [_fraction(c) for c in self.coefficients]
+        cs = [as_fraction(c) for c in self.coefficients]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coefficients", tuple(cs))

@@ -135,17 +135,14 @@ class LatticePolytope:
             raise StructuralError("vertices must all lie in dimension 2 or 3")
         self.dim: int = len(verts[0])
         self.vertices: Tuple[IntVec, ...] = tuple(verts)
-        found = _polygon_facets(verts) if self.dim == 2 else _polytope_facets(verts)
+        # the search also gives the facets through each vertex, by their normals
+        found, on = _polygon_facets(verts) if self.dim == 2 else _polytope_facets(verts)
         if not found:
             raise StructuralError("polytope is not full-dimensional")
         self.facets: Tuple[Facet, ...] = tuple(sorted(found, key=lambda f: (f.normal, f.c)))
-        # the facets through each vertex, as indices into self.facets
-        self._incidence = tuple(
-            frozenset(k for k, f in enumerate(self.facets) if i in f.vertex_ids)
-            for i in range(len(verts))
-        )
-        for v, on in zip(verts, self._incidence):
-            if len(on) < self.dim:
+        self._incidence = tuple(frozenset(s) for s in on)
+        for v, through in zip(verts, self._incidence):
+            if len(through) < self.dim:
                 raise StructuralError(f"point {v} is not a vertex of the hull")
         self.edges: Tuple[Edge, ...] = tuple(
             Edge(i, j, *_primitive(_sub(verts[j], verts[i])))
@@ -188,11 +185,11 @@ class LatticePolytope:
 # -- finding facets ----------------------------------------------------------------
 
 
-def _polygon_facets(pts: Sequence[IntVec]) -> List[Facet]:
-    """Facets of the hull of lex-sorted points, from the monotone-chain hull:
-    each counterclockwise hull pair (a, b) bounds the facet through a and b
-    whose inward normal is the left rotation of b - a.  A point off the hull
-    lies on no facet.  Empty when the hull is flat."""
+def _polygon_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
+    """Facets of the hull of lex-sorted points, and the normals of those through
+    each point.  Each counterclockwise pair (a, b) of the monotone-chain hull
+    bounds the facet through a and b with inward normal the left rotation of
+    b - a; a point off the hull lies on none.  No facets when the hull is flat."""
 
     def chain(seq: Iterable[IntVec]) -> List[IntVec]:
         out: List[IntVec] = []
@@ -204,22 +201,25 @@ def _polygon_facets(pts: Sequence[IntVec]) -> List[Facet]:
 
     hull = chain(pts) + chain(reversed(pts))
     if len(hull) < 3:
-        return []
+        return [], []
     index = {p: i for i, p in enumerate(pts)}
-    facets = []
+    facets: List[Facet] = []
+    on: List[set] = [set() for _ in pts]
     for a, b in zip(hull, hull[1:] + hull[:1]):
         u, _ = _primitive((a[1] - b[1], b[0] - a[0]))
+        on[index[a]].add(u)
+        on[index[b]].add(u)
         ids = tuple(sorted((index[a], index[b])))
         facets.append(Facet(normal=u, c=-_dot(u, a), vertex_ids=ids))
-    return facets
+    return facets, on
 
 
-def _polytope_facets(pts: Sequence[IntVec]) -> List[Facet]:
-    """Facets of the hull of 3-dimensional points: the planes through three
-    of them that leave every point on one side.  Triples on a facet already
-    found are skipped.  Empty when the points are coplanar."""
+def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
+    """Facets of the hull of 3-dimensional points, and the normals of those through
+    each point: the planes through three points with every point on one side.
+    Triples on a facet already found are skipped.  No facets when coplanar."""
     facets: List[Facet] = []
-    on_facets: List[set] = [set() for _ in pts]  # found facets through each point
+    on_facets: List[set] = [set() for _ in pts]
     for a, b, c in itertools.combinations(range(len(pts)), 3):
         if on_facets[a] & on_facets[b] & on_facets[c]:
             continue  # their plane is a facet already found
@@ -233,9 +233,9 @@ def _polytope_facets(pts: Sequence[IntVec]) -> List[Facet]:
         cval = -_dot(u, pts[a])
         on = tuple(i for i, p in enumerate(pts) if _dot(u, p) == -cval)
         for i in on:
-            on_facets[i].add(len(facets))
+            on_facets[i].add(u)
         facets.append(Facet(normal=u, c=cval, vertex_ids=on))
-    return facets
+    return facets, on_facets
 
 
 def _supporting_side(n: IntVec, level: int, pts: Sequence[IntVec]) -> int:
@@ -283,10 +283,9 @@ def boundary_selfint_2d(p: LatticePolytope, edge: Edge) -> int:
     """
     if p.dim != 2:
         raise PreconditionError("boundary_selfint_2d applies to polygons")
-    (k,) = p._incidence[edge.i] & p._incidence[edge.j]
-    u = p.facets[k].normal
-    ends = (p._incidence[edge.i] | p._incidence[edge.j]) - {k}
-    s = [a + b for a, b in zip(*[p.facets[m].normal for m in ends])]
+    (u,) = p._incidence[edge.i] & p._incidence[edge.j]
+    ends = (p._incidence[edge.i] | p._incidence[edge.j]) - {u}
+    s = [a + b for a, b in zip(*ends)]
     ks = set()
     for si, ui in zip(s, u):
         if ui != 0:

@@ -617,6 +617,23 @@ def test_cycle_inequality_open_chain_inconclusive():
     assert any(i.code in ("weight-one-link", "open-chain") for i in report.inconclusive)
 
 
+def test_cycle_inequality_ignores_component_order():
+    # the two interior surfaces compete for the weight-1 slots of the
+    # minimum, whose degrees differ: the canonical (H, id) order decides
+    # which link is checked against which, whatever the file order
+    comps = (
+        surf("lo", -2, (1, 1), 1, (0, -5)),
+        surf("a", 0, (-1, 1), 1, (3, -5)),
+        surf("b", 0, (-1, 1), 1, (-5, -5)),
+        surf("hi", 2, (-1, -1), 1, (0, 0)),
+    )
+    data = FixedPointData(half_dim=3, components=comps, relative_fano=True)
+    report = cycle_inequality(data)
+    assert [v.code for v in report.violations] == ["isotropy-inequality"]
+    shuffled = data.replace_components((comps[2], comps[3], comps[1], comps[0]))
+    assert cycle_inequality(shuffled).as_dict() == report.as_dict()
+
+
 # -- nosphere and sphere areas ----------------------------------------------------------------
 
 
