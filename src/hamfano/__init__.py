@@ -9,7 +9,7 @@ from .fixed_data import (
     index,
     validate,
 )
-from .graphs import GraphEdge, GraphVertex, LabelledGraph
+from .graphs import LabelledGraph
 from .localization import Polynomial, abbv_sum_4d, abbv_sum_6d, alpha, beta, chi_y
 from .reports import Report, StructuralError, Violation
 from .toric import CircleDirection, LatticePolytope, delpezzo_catalog
@@ -21,8 +21,6 @@ __all__ = [
     "FixedComponent",
     "FixedPointData",
     "GradientEdge",
-    "GraphEdge",
-    "GraphVertex",
     "LabelledGraph",
     "LatticePolytope",
     "Polynomial",

@@ -391,10 +391,6 @@ def run(argv: Sequence[str]) -> Tuple[int, str]:
     if "--pretty" in args:
         pretty = True
         args.remove("--pretty")
-    if not args:
-        return 2, USAGE
-
-    command, rest = args[0], args[1:]
     handlers = {
         "validate": _cmd_validate,
         "normalize": _cmd_normalize,
@@ -405,11 +401,13 @@ def run(argv: Sequence[str]) -> Tuple[int, str]:
         "fano6": _cmd_fano6,
         "enumerate-04": _cmd_enumerate_04,
     }
-    handler = handlers.get(command)
-    if handler is None:
-        return 2, USAGE
     try:
-        code, payload = handler(rest)
+        if not args:
+            raise StructuralError("no command given")
+        handler = handlers.get(args[0])
+        if handler is None:
+            raise StructuralError(f"unknown command {args[0]!r}")
+        code, payload = handler(args[1:])
     except InconsistencyError as exc:
         return 1, _dump({"error": str(exc)}, pretty)
     except ValueError as exc:

@@ -70,22 +70,6 @@ class PiecewisePolynomial:
         ]
         return max(values)
 
-    def one_sided(self, t: Fraction, side: int) -> Fraction:
-        """Limit from below (side < 0) or above (side > 0) at t."""
-        t = as_fraction(t)
-        for i, piece in enumerate(self.pieces):
-            if side < 0 and self.breakpoints[i] < t <= self.breakpoints[i + 1]:
-                return piece(t)
-            if side > 0 and self.breakpoints[i] <= t < self.breakpoints[i + 1]:
-                return piece(t)
-        raise PreconditionError("one-sided limit outside domain")
-
-    def is_continuous(self) -> bool:
-        return all(
-            self.pieces[i](self.breakpoints[i + 1]) == self.pieces[i + 1](self.breakpoints[i + 1])
-            for i in range(len(self.pieces) - 1)
-        )
-
     def as_dict(self) -> dict:
         return {
             "breakpoints": [format_rational(b) for b in self.breakpoints],

@@ -33,8 +33,6 @@ from .fixed_data import (
     format_rational,
 )
 from .graphs import (
-    GraphEdge,
-    GraphVertex,
     LabelledGraph,
     first_isomorphism,
     is_mapping_isomorphism,
@@ -73,36 +71,24 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
     report = Report()
     surfaces = data.surfaces()
     ids = {c.id for c in surfaces}
-    vertices = tuple(
-        GraphVertex(
-            id=c.id,
-            H=c.H,
-            weights=c.weights,
-            genus=c.genus,
-            fibre_intersection=c.fibre_intersection,
-        )
-        for c in surfaces
+    edges = tuple(
+        e for e in data.edges if e.bottom in ids and e.top in ids and e.weight >= 2
     )
-    edges = []
-    for e in data.edges:
-        if e.bottom in ids and e.top in ids and e.weight >= 2:
-            edges.append(GraphEdge(tail=e.bottom, head=e.top, weight=e.weight))
-            bot, top = data.component(e.bottom), data.component(e.top)
-            if e.weight not in bot.weights:
-                report.flag(
-                    "edge-weight",
-                    f"edge {e.key}: bottom surface lacks the weight {e.weight}",
-                    subject=e.key,
-                )
-            if -e.weight not in top.weights:
-                report.flag(
-                    "edge-weight",
-                    f"edge {e.key}: top surface lacks the weight {-e.weight}",
-                    subject=e.key,
-                )
-    graph = LabelledGraph(
-        vertices=vertices, edges=tuple(edges), v_min=min_id, v_max=max_id
-    )
+    for e in edges:
+        bot, top = data.component(e.bottom), data.component(e.top)
+        if e.weight not in bot.weights:
+            report.flag(
+                "edge-weight",
+                f"edge {e.key}: bottom surface lacks the weight {e.weight}",
+                subject=e.key,
+            )
+        if -e.weight not in top.weights:
+            report.flag(
+                "edge-weight",
+                f"edge {e.key}: top surface lacks the weight {-e.weight}",
+                subject=e.key,
+            )
+    graph = LabelledGraph(vertices=surfaces, edges=edges, v_min=min_id, v_max=max_id)
 
     for c in surfaces:
         deg = graph.degree(c.id)
@@ -142,15 +128,15 @@ def reflective_check(q: LabelledGraph) -> bool:
         reflective = True
         break
     if reflective:
-        if q.v_min is not None and q.vertex(q.v_min).weights != (1, 1):
+        if q.v_min is not None and q.vertex(q.v_min).sorted_weights() != (1, 1):
             raise InconsistencyError(
                 f"reflective graph has minimum weights "
-                f"{list(q.vertex(q.v_min).weights)} instead of {{1,1}}"
+                f"{list(q.vertex(q.v_min).sorted_weights())} instead of {{1,1}}"
             )
-        if q.v_max is not None and q.vertex(q.v_max).weights != (-1, -1):
+        if q.v_max is not None and q.vertex(q.v_max).sorted_weights() != (-1, -1):
             raise InconsistencyError(
                 f"reflective graph has maximum weights "
-                f"{list(q.vertex(q.v_max).weights)} instead of {{-1,-1}}"
+                f"{list(q.vertex(q.v_max).sorted_weights())} instead of {{-1,-1}}"
             )
     return reflective
 
@@ -273,8 +259,8 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
 
 def _level_mismatch(a: LabelledGraph, b: LabelledGraph) -> str:
     """Human-readable witness for a failed graph match."""
-    akeys = sorted((v.H, v.weights) for v in a.vertices)
-    bkeys = sorted((v.H, v.weights) for v in b.vertices)
+    akeys = sorted((v.H, v.sorted_weights()) for v in a.vertices)
+    bkeys = sorted((v.H, v.sorted_weights()) for v in b.vertices)
     if akeys != bkeys:
         for ka, kb in itertools.zip_longest(akeys, bkeys):
             if ka != kb:
@@ -299,22 +285,6 @@ class Chain:
             raise StructuralError("a chain of k points carries k-1 sphere weights")
         if any(w <= 1 for w in self.edge_weights):
             raise StructuralError("every sphere in a maximal downward chain has weight > 1")
-
-
-def is_maximal_downward_chain(data: FixedPointData, chain: Chain) -> bool:
-    """Independent re-check of the three defining conditions of a chain."""
-    try:
-        points = [data.component(p) for p in chain.points]
-    except StructuralError:
-        return False
-    for (top, bottom), w in zip(itertools.pairwise(chain.points), chain.edge_weights):
-        if w <= 1:
-            return False
-        if not any(
-            e.top == top and e.bottom == bottom and e.weight == w for e in data.edges
-        ):
-            return False
-    return all(w >= -1 for w in points[-1].weights)
 
 
 def maximal_downward_chains(data: FixedPointData) -> List[Chain]:

@@ -3,9 +3,11 @@
 The same value type serves as the Karshon graph of a 4-manifold with
 isolated fixed points (vertices = points, edges = gradient spheres) and as
 the graph of fixed surfaces of a 6-manifold (vertices = surfaces, edges =
-isotropy 4-manifolds).  Isomorphism and involution searches are exhaustive
-backtracking with level pre-partitioning; the graphs at hand never exceed
-a dozen vertices.
+isotropy 4-manifolds).  Vertices and edges are the dataset's own
+:class:`FixedComponent` and :class:`GradientEdge` objects, not copies; a
+graph only selects and orders them.  Isomorphism and involution searches
+are exhaustive backtracking with level pre-partitioning; the graphs at
+hand never exceed a dozen vertices.
 """
 
 from __future__ import annotations
@@ -13,42 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .fixed_data import Rational, as_rational, format_rational
+from .fixed_data import FixedComponent, GradientEdge, format_rational
 from .reports import StructuralError
 
 
-@dataclass(frozen=True)
-class GraphVertex:
-    """A fixed component as a graph vertex; weights are kept as a sorted tuple."""
-
-    id: str
-    H: Rational
-    weights: Tuple[int, ...]
-    genus: Optional[int] = None
-    fibre_intersection: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "H", as_rational(self.H))
-        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
-
-    def key(self) -> Tuple:
-        """Invariant matched by isomorphisms: level and weight multiset."""
-        return (self.H, self.weights)
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    tail: str
-    head: str
-    weight: int
+def _key(c: FixedComponent) -> Tuple:
+    """Invariant matched by isomorphisms: level and weight multiset."""
+    return (c.H, c.sorted_weights())
 
 
 @dataclass(frozen=True)
 class LabelledGraph:
     """Directed graph with edges oriented by increasing Hamiltonian."""
 
-    vertices: Tuple[GraphVertex, ...]
-    edges: Tuple[GraphEdge, ...]
+    vertices: Tuple[FixedComponent, ...]
+    edges: Tuple[GradientEdge, ...]
     v_min: Optional[str] = None
     v_max: Optional[str] = None
 
@@ -60,51 +41,49 @@ class LabelledGraph:
         if len(ids) != len(self.vertices):
             raise StructuralError("duplicate vertex ids in graph")
         for e in self.edges:
-            if e.tail not in ids or e.head not in ids:
-                raise StructuralError(f"edge {e.tail}->{e.head} does not resolve")
+            if e.bottom not in ids or e.top not in ids:
+                raise StructuralError(f"edge {e.key} does not resolve")
         by_id = {v.id: v for v in self.vertices}
         for e in self.edges:
-            if not by_id[e.tail].H < by_id[e.head].H:
-                raise StructuralError(
-                    f"edge {e.tail}->{e.head} must be oriented by increasing H"
-                )
+            if not by_id[e.bottom].H < by_id[e.top].H:
+                raise StructuralError(f"edge {e.key} must be oriented by increasing H")
         object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: (e.tail, e.head, e.weight)))
+            self, "edges", tuple(sorted(self.edges, key=lambda e: (e.bottom, e.top, e.weight)))
         )
         for end in (self.v_min, self.v_max):
             if end is not None and end not in ids:
                 raise StructuralError(f"extremal vertex {end!r} does not resolve")
 
-    def vertex(self, vid: str) -> GraphVertex:
+    def vertex(self, vid: str) -> FixedComponent:
         for v in self.vertices:
             if v.id == vid:
                 return v
         raise StructuralError(f"no vertex {vid!r}")
 
     def degree(self, vid: str) -> int:
-        return sum(1 for e in self.edges if vid in (e.tail, e.head))
+        return sum(1 for e in self.edges if vid in (e.bottom, e.top))
 
     def neighbours(self, vid: str) -> List[Tuple[str, int]]:
         out = []
         for e in self.edges:
-            if e.tail == vid:
-                out.append((e.head, e.weight))
-            elif e.head == vid:
-                out.append((e.tail, e.weight))
+            if e.bottom == vid:
+                out.append((e.top, e.weight))
+            elif e.top == vid:
+                out.append((e.bottom, e.weight))
         return sorted(out)
 
     def edge_weight(self, a: str, b: str) -> Optional[int]:
         for e in self.edges:
-            if (e.tail, e.head) in ((a, b), (b, a)):
+            if (e.bottom, e.top) in ((a, b), (b, a)):
                 return e.weight
         return None
 
-    def subgraph(self, keep: Callable[[GraphVertex], bool]) -> "LabelledGraph":
+    def subgraph(self, keep: Callable[[FixedComponent], bool]) -> "LabelledGraph":
         kept = tuple(v for v in self.vertices if keep(v))
         ids = {v.id for v in kept}
         return LabelledGraph(
             vertices=kept,
-            edges=tuple(e for e in self.edges if e.tail in ids and e.head in ids),
+            edges=tuple(e for e in self.edges if e.bottom in ids and e.top in ids),
             v_min=self.v_min if self.v_min in ids else None,
             v_max=self.v_max if self.v_max in ids else None,
         )
@@ -114,9 +93,6 @@ class LabelledGraph:
 
     def genus_part(self, g: int) -> "LabelledGraph":
         return self.subgraph(lambda v: v.genus == g)
-
-    def spheres(self) -> "LabelledGraph":
-        return self.subgraph(lambda v: v.genus == 0)
 
     def connected_components(self) -> List[List[str]]:
         seen: set = set()
@@ -142,13 +118,13 @@ class LabelledGraph:
                 {
                     "id": v.id,
                     "H": format_rational(v.H),
-                    "weights": list(v.weights),
+                    "weights": list(v.sorted_weights()),
                     **({"genus": v.genus} if v.genus is not None else {}),
                 }
                 for v in self.vertices
             ],
             "edges": [
-                {"bottom": e.tail, "top": e.head, "weight": e.weight} for e in self.edges
+                {"bottom": e.bottom, "top": e.top, "weight": e.weight} for e in self.edges
             ],
             "min": self.v_min,
             "max": self.v_max,
@@ -161,10 +137,10 @@ def _match_candidates(a: LabelledGraph, b: LabelledGraph) -> Optional[Dict[str, 
         return None
     pools: Dict[Tuple, List[str]] = {}
     for v in b.vertices:
-        pools.setdefault(v.key(), []).append(v.id)
+        pools.setdefault(_key(v), []).append(v.id)
     cands: Dict[str, List[str]] = {}
     for v in a.vertices:
-        pool = pools.get(v.key(), [])
+        pool = pools.get(_key(v), [])
         pool = [w for w in pool if b.degree(w) == a.degree(v.id)]
         if not pool:
             return None
@@ -215,7 +191,7 @@ def is_mapping_isomorphism(a: LabelledGraph, b: LabelledGraph, mapping: Dict[str
     if sorted(mapping.values()) != sorted(v.id for v in b.vertices):
         return False
     for v in a.vertices:
-        if v.key() != b.vertex(mapping[v.id]).key():
+        if _key(v) != _key(b.vertex(mapping[v.id])):
             return False
     for u in a.vertices:
         for v in a.vertices:

@@ -1,18 +1,18 @@
 """Exact evaluation of the localisation identities attached to a dataset.
 
 Everything here is an exact rational identity: the alpha/beta sum in
-dimension six, its four-dimensional analogue, degrees of equivariant
-bundles on spheres, the weight-sum normalisation of the Hamiltonian and
-its converse, gradient-sphere areas, and the Hirzebruch chi_y pipeline
-ending in the Todd genus and c1*c2.  A nonzero value of a sum that must
-vanish certifies that no genuine action has the given fixed-point data.
+dimension six, its four-dimensional analogue, the weight-sum
+normalisation of the Hamiltonian and its converse, gradient-sphere areas,
+and the Hirzebruch chi_y pipeline ending in the Todd genus and c1*c2.  A
+nonzero value of a sum that must vanish certifies that no genuine action
+has the given fixed-point data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -82,6 +82,7 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def __call__(self, x: Union[int, Fraction]) -> Fraction:
+        x = as_fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * x + c
@@ -111,33 +112,6 @@ class Polynomial:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-
-def c1_equivariant_sphere(
-    k: int, weights_at_zero: Sequence[int], weights_at_infinity: Sequence[int]
-) -> int:
-    """Degree of an equivariant bundle on the sphere z.[z0:z1] = [z^k z0:z1].
-
-    ``weights_at_zero`` are the fibre weights over [1:0] and
-    ``weights_at_infinity`` those over [0:1]; the degree is
-    (-sum(a) + sum(b))/k.  A non-integral quotient certifies that no
-    genuine equivariant bundle carries these weights.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise PreconditionError(f"k must be a positive integer, got {k!r}")
-    a = list(weights_at_zero)
-    b = list(weights_at_infinity)
-    if len(a) != len(b):
-        raise PreconditionError(
-            f"weight lists must have equal length, got {len(a)} and {len(b)}"
-        )
-    num = -sum(a) + sum(b)
-    if num % k != 0:
-        raise InconsistencyError(
-            f"(-sum{tuple(a)} + sum{tuple(b)}) = {num} is not divisible by k = {k}: "
-            f"no equivariant bundle has these weights"
-        )
-    return num // k
 
 
 def alpha(p: FixedComponent) -> Fraction:
@@ -298,10 +272,3 @@ def todd_and_c1c2(data: FixedPointData) -> Tuple[Fraction, Fraction]:
         raise PreconditionError("todd_and_c1c2 applies to 6-dimensional data")
     todd = chi_y(data).constant_term()
     return todd, 24 * todd
-
-
-def euler_pairing_at_min(a: int, b: int) -> Fraction:
-    """Pairing of the level-set Euler class just above a 4-dim isolated minimum."""
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 1 or b < 1:
-        raise PreconditionError("weights at the minimum must be positive integers")
-    return Fraction(-1, a * b)

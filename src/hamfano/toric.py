@@ -30,7 +30,7 @@ from .fixed_data import (
     format_rational,
     validate,
 )
-from .graphs import GraphEdge, GraphVertex, LabelledGraph
+from .graphs import LabelledGraph
 from .localization import gradient_sphere_area
 from .reports import PreconditionError, Report, StructuralError
 
@@ -458,18 +458,13 @@ def karshon_graph(
 
 def graph_of_points(data: FixedPointData) -> LabelledGraph:
     """Karshon graph of a dataset whose relevant fixed components are points."""
-    points = [c for c in data.ordered() if c.kind == POINT]
+    points = tuple(c for c in data.ordered() if c.kind == POINT)
     ids = {c.id for c in points}
-    vertices = tuple(GraphVertex(id=c.id, H=c.H, weights=c.weights) for c in points)
-    edges = tuple(
-        GraphEdge(tail=e.bottom, head=e.top, weight=e.weight)
-        for e in data.edges
-        if e.bottom in ids and e.top in ids
-    )
+    edges = tuple(e for e in data.edges if e.bottom in ids and e.top in ids)
     lows, highs = _extreme_ids(points)
     v_min = lows[0] if len(lows) == 1 and points[0].H == data.h_min() else None
     v_max = highs[0] if len(highs) == 1 and points[-1].H == data.h_max() else None
-    return LabelledGraph(vertices=vertices, edges=edges, v_min=v_min, v_max=v_max)
+    return LabelledGraph(vertices=points, edges=edges, v_min=v_min, v_max=v_max)
 
 
 # -- the del Pezzo lemma suite -----------------------------------------------
@@ -653,11 +648,21 @@ def _lemma_checks(data: FixedPointData) -> Report:
 
 # -- direction scans -----------------------------------------------------------
 
+# Most candidate vectors, (2*bound+1)^dim, that a direction scan may enumerate:
+# it allows bound <= 90 for polygons and bound <= 15 for 3-polytopes.
+MAX_DIRECTION_CANDIDATES = 32768
+
 
 def primitive_directions(dim: int, bound: int) -> List[IntVec]:
     """Primitive vectors of max-norm <= bound, one per +-pair, in lex order."""
     if bound < 1:
         raise PreconditionError("bound must be at least 1")
+    candidates = (2 * bound + 1) ** dim
+    if candidates > MAX_DIRECTION_CANDIDATES:
+        raise PreconditionError(
+            f"bound {bound} gives {candidates} candidate directions in dimension "
+            f"{dim}; at most {MAX_DIRECTION_CANDIDATES} are scanned"
+        )
     out = []
     for v in itertools.product(range(-bound, bound + 1), repeat=dim):
         if math.gcd(*v) != 1:

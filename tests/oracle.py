@@ -1,15 +1,19 @@
-"""Independent slice oracles for moment polytopes.
+"""Independent oracles: slices of moment polytopes and downward chains.
 
-Everything here works on raw integer vertex lists with Fractions and never
-touches the package's DH reconstruction: slices are computed by
+The slice oracles work on raw integer vertex lists with Fractions and never
+touch the package's DH reconstruction: slices are computed by
 intersecting the level line/plane with all chords of the polytope and
 taking the hull.  Lengths and areas are lattice-normalised (a primitive
 lattice step has length 1; a fundamental cell of the induced hyperplane
 lattice has area 1).
+
+The chain oracle re-checks a claimed maximal downward chain against the
+raw components and edges of a dataset, without the package's chain search.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import List, Sequence, Tuple
@@ -135,3 +139,20 @@ def slice_area_3d(vertices: Sequence[Sequence[int]], xi: Sequence[int], t) -> Fr
         x1, y1 = hull[(k + 1) % len(hull)]
         area2 += x0 * y1 - x1 * y0
     return abs(area2) / 2
+
+
+def is_maximal_downward_chain(data, chain) -> bool:
+    """Independent re-check of the three defining conditions of a chain:
+    its points exist, consecutive points are joined downward by an edge of
+    the stated weight > 1, and the last point has no weight below -1."""
+    by_id = {c.id: c for c in data.components}
+    if any(p not in by_id for p in chain.points):
+        return False
+    for (top, bottom), w in zip(itertools.pairwise(chain.points), chain.edge_weights):
+        if w <= 1:
+            return False
+        if not any(
+            e.top == top and e.bottom == bottom and e.weight == w for e in data.edges
+        ):
+            return False
+    return all(w >= -1 for w in by_id[chain.points[-1]].weights)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -316,10 +317,33 @@ def test_fano6_graph_cli(tmp_path):
     assert obj["graph"]["min"] == "v-1_-1"
 
 
+def test_public_names_resolve():
+    assert all(hasattr(hamfano, name) for name in hamfano.__all__)
+
+
 def test_unknown_command_usage_exit_2():
     code, out = run(["frobnicate"])
     assert code == 2
-    assert "usage" in out
+    obj = json.loads(out)
+    assert obj["error"] == "unknown command 'frobnicate'"
+    assert obj["usage"].startswith("usage: hamfano")
+
+
+def test_no_command_usage_exit_2():
+    code, out = run(["--pretty"])
+    assert code == 2
+    obj = json.loads(out)
+    assert obj["error"] == "no command given"
+    assert obj["usage"].startswith("usage: hamfano")
+    assert run([]) == (2, json.dumps(obj, separators=(",", ":")))
+
+
+def test_scan_bound_over_cap_exit_2_quickly():
+    start = time.perf_counter()
+    code, out = run(["toric", "scan", "CP2", "--bound", "100000"])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert "32768" in json.loads(out)["error"]
 
 
 def test_missing_flag_exit_2(tmp_path):

@@ -23,8 +23,7 @@ from hamfano.dh import (
     reduced_volume,
 )
 from hamfano.fano6 import build_04_data, cycle_inequality, enumerate_04, isotropy_edge_sum
-from hamfano.fixed_data import SURFACE, as_rational
-from hamfano.graphs import GraphVertex
+from hamfano.fixed_data import SURFACE, FixedComponent, as_rational
 from hamfano.localization import (
     Polynomial,
     WeightSumInconsistency,
@@ -193,7 +192,7 @@ def test_library_levels_refuse_floats():
     for call in (
         lambda: reduced_volume(data, 0.5),
         lambda: positivity_check(data, [0.5]),
-        lambda: GraphVertex(id="p", H=0.5, weights=(1, 1)),
+        lambda: FixedComponent(id="p", kind="point", H=0.5, weights=(1, 1)),
     ):
         with pytest.raises(StructuralError):
             call()
@@ -204,14 +203,15 @@ def test_polynomials_refuse_inexact_values():
     assert Polynomial.of(1, half, 0).coefficients == (1, half)
     assert all(type(c) is Fraction for c in Polynomial((3, half)).coefficients)
     pw = PiecewisePolynomial((0, half, 1), (Polynomial.of(0, 1), Polynomial.of(1, -1)))
-    assert pw(half) == half and pw.one_sided(half, -1) == half
+    assert pw(half) == half
+    assert Polynomial.of(1, 1)(half) == Fraction(3, 2)
     for bad in (0.1, 0.5, 1.0, True, "1/2", None):
         for call in (
             lambda: Polynomial.of(1, bad),
             lambda: Polynomial((bad,)),
             lambda: PiecewisePolynomial((0, bad), (Polynomial.of(1),)),
             lambda: pw(bad),
-            lambda: pw.one_sided(bad, 1),
+            lambda: Polynomial.of(1, 1)(bad),
         ):
             with pytest.raises(StructuralError):
                 call()

@@ -15,7 +15,6 @@ from hamfano.fano6 import (
     cycle_inequality,
     enumerate_04,
     fibre_correspondence,
-    is_maximal_downward_chain,
     maximal_downward_chains,
     nosphere_check,
     reflective_check,
@@ -26,11 +25,12 @@ from hamfano.fano6 import (
     type_abc_classify,
 )
 from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge
-from hamfano.graphs import GraphEdge, GraphVertex, LabelledGraph
+from hamfano.graphs import LabelledGraph
 from hamfano.reports import InconsistencyError, PreconditionError, StructuralError
 from hamfano.toric import LatticePolytope, catalog_entry, karshon_graph
 
 from .lifts import lift_product
+from .oracle import is_maximal_downward_chain
 
 SQUARE = catalog_entry("CP1xCP1").polytope
 CP2 = catalog_entry("CP2").polytope
@@ -68,6 +68,15 @@ def test_surface_graph_degree_matches_weight_count():
     graph, report = surface_graph(data)
     assert report.ok
     assert graph.degree("lo") == 1 == graph.degree("hi")
+
+
+def test_surface_graph_holds_the_datasets_own_objects():
+    data = lift_product(CP2, (1, 2), genus=1)
+    graph, _ = surface_graph(data)
+    by_id = {c.id: c for c in data.components}
+    assert {v.id for v in graph.vertices} == set(by_id)
+    assert all(v is by_id[v.id] for v in graph.vertices)
+    assert graph.edges and all(any(e is d for d in data.edges) for e in graph.edges)
 
 
 def test_surface_graph_flags_missing_edge():
@@ -111,13 +120,13 @@ def test_reflective_cp2_false():
 def test_reflective_path_with_distinct_weights_false():
     g = LabelledGraph(
         vertices=(
-            GraphVertex(id="a", H=Fraction(-2), weights=(1, 2)),
-            GraphVertex(id="b", H=Fraction(0), weights=(-1, 1)),
-            GraphVertex(id="c", H=Fraction(2), weights=(-2, -1)),
+            point("a", -2, (1, 2)),
+            point("b", 0, (-1, 1)),
+            point("c", 2, (-2, -1)),
         ),
         edges=(
-            GraphEdge(tail="a", head="b", weight=1),
-            GraphEdge(tail="b", head="c", weight=1),
+            GradientEdge(bottom="a", top="b", weight=1),
+            GradientEdge(bottom="b", top="c", weight=1),
         ),
         v_min="a",
         v_max="c",
@@ -138,16 +147,16 @@ def test_reflective_invariant_under_relabelling(names):
     ids = dict(zip(["a", "b", "c", "d"], names))
     g = LabelledGraph(
         vertices=(
-            GraphVertex(id=ids["a"], H=Fraction(-2), weights=(1, 1)),
-            GraphVertex(id=ids["b"], H=Fraction(0), weights=(-1, 1)),
-            GraphVertex(id=ids["c"], H=Fraction(0), weights=(-1, 1)),
-            GraphVertex(id=ids["d"], H=Fraction(2), weights=(-1, -1)),
+            point(ids["a"], -2, (1, 1)),
+            point(ids["b"], 0, (-1, 1)),
+            point(ids["c"], 0, (-1, 1)),
+            point(ids["d"], 2, (-1, -1)),
         ),
         edges=(
-            GraphEdge(tail=ids["a"], head=ids["b"], weight=1),
-            GraphEdge(tail=ids["a"], head=ids["c"], weight=1),
-            GraphEdge(tail=ids["b"], head=ids["d"], weight=1),
-            GraphEdge(tail=ids["c"], head=ids["d"], weight=1),
+            GradientEdge(bottom=ids["a"], top=ids["b"], weight=1),
+            GradientEdge(bottom=ids["a"], top=ids["c"], weight=1),
+            GradientEdge(bottom=ids["b"], top=ids["d"], weight=1),
+            GradientEdge(bottom=ids["c"], top=ids["d"], weight=1),
         ),
         v_min=ids["a"],
         v_max=ids["d"],
@@ -155,16 +164,33 @@ def test_reflective_invariant_under_relabelling(names):
     assert reflective_check(g) is True
 
 
+def test_reflective_message_lists_sorted_weights():
+    g = LabelledGraph(
+        vertices=(
+            point("a", -4, (3, 2)),
+            point("b", 0, (-2, 1)),
+            point("c", 0, (-2, 1)),
+        ),
+        edges=(
+            GradientEdge(bottom="a", top="b", weight=2),
+            GradientEdge(bottom="a", top="c", weight=2),
+        ),
+        v_min="a",
+    )
+    with pytest.raises(InconsistencyError, match=r"minimum weights \[2, 3\] instead"):
+        reflective_check(g)
+
+
 def test_reflective_asserts_minimum_weights():
     g = LabelledGraph(
         vertices=(
-            GraphVertex(id="a", H=Fraction(-4), weights=(2, 2)),
-            GraphVertex(id="b", H=Fraction(0), weights=(-2, 1)),
-            GraphVertex(id="c", H=Fraction(0), weights=(-2, 1)),
+            point("a", -4, (2, 2)),
+            point("b", 0, (-2, 1)),
+            point("c", 0, (-2, 1)),
         ),
         edges=(
-            GraphEdge(tail="a", head="b", weight=2),
-            GraphEdge(tail="a", head="c", weight=2),
+            GradientEdge(bottom="a", top="b", weight=2),
+            GradientEdge(bottom="a", top="c", weight=2),
         ),
         v_min="a",
     )
@@ -240,7 +266,7 @@ def _case1_data_and_graph(polytope, xi, genus):
     for e in q.edges:
         if e.weight < 2:
             continue
-        key = (orbit_rep[e.tail], orbit_rep[e.head], e.weight)
+        key = (orbit_rep[e.bottom], orbit_rep[e.top], e.weight)
         if key in seen_e:
             continue
         seen_e.add(key)

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hamfano.fixed_data import FixedComponent, GradientEdge
 from hamfano.graphs import (
-    GraphEdge,
-    GraphVertex,
     LabelledGraph,
     first_isomorphism,
     is_mapping_isomorphism,
@@ -69,10 +68,11 @@ def _labelled(spec, prefix):
     vertices, edges = spec
     return LabelledGraph(
         vertices=tuple(
-            GraphVertex(id=f"{prefix}{i}", H=h, weights=ws) for i, (h, ws) in vertices.items()
+            FixedComponent(id=f"{prefix}{i}", kind="point", H=h, weights=ws)
+            for i, (h, ws) in vertices.items()
         ),
         edges=tuple(
-            GraphEdge(tail=f"{prefix}{i}", head=f"{prefix}{j}", weight=w)
+            GradientEdge(bottom=f"{prefix}{i}", top=f"{prefix}{j}", weight=w)
             for (i, j), w in edges.items()
         ),
     )

@@ -14,15 +14,13 @@ from hamfano.localization import (
     abbv_sum_6d,
     alpha,
     beta,
-    c1_equivariant_sphere,
     check_converse_fano,
     chi_y,
-    euler_pairing_at_min,
     gradient_sphere_area,
     todd_and_c1c2,
     weight_sum_normalize,
 )
-from hamfano.reports import InconsistencyError, PreconditionError
+from hamfano.reports import PreconditionError
 from hamfano.toric import LatticePolytope, delpezzo_catalog, fixed_data_from_polytope
 
 CP2 = LatticePolytope([(-1, -1), (2, -1), (-1, 2)])
@@ -45,39 +43,6 @@ def surf(cid, h, ws, genus, nd):
         genus=genus,
         normal_degrees=tuple(nd),
     )
-
-
-# -- equivariant degree on a sphere --------------------------------------------
-
-
-def test_c1_sphere_tangent_bundle():
-    # weights of TS^2 at the poles under the standard rotation; the degree
-    # equals the Euler characteristic 2
-    assert c1_equivariant_sphere(1, [-1], [1]) == 2
-
-
-def test_c1_sphere_trivial():
-    assert c1_equivariant_sphere(1, [0], [0]) == 0
-
-
-def test_c1_sphere_integrality_enforced():
-    with pytest.raises(InconsistencyError):
-        c1_equivariant_sphere(2, [0], [1])
-
-
-@given(
-    st.integers(1, 5),
-    st.lists(st.integers(-6, 6), min_size=1, max_size=4),
-    st.lists(st.integers(-6, 6), min_size=1, max_size=4),
-)
-def test_c1_sphere_orientation_reversal(k, a, b):
-    b = (b * 4)[: len(a)]
-    try:
-        lhs = c1_equivariant_sphere(k, a, b)
-    except InconsistencyError:
-        return
-    rhs = c1_equivariant_sphere(k, [-x for x in b], [-x for x in a])
-    assert lhs == rhs
 
 
 # -- alpha / beta ----------------------------------------------------------------
@@ -345,12 +310,3 @@ def test_chi_y_delpezzo_minimum():
     # (1 - 5y + y^2) + (-y)^3
     assert chi_y(data) == Polynomial.of(1, -5, 1, -1)
     assert todd_and_c1c2(data) == (1, 24)
-
-
-# -- Euler pairing ---------------------------------------------------------------------
-
-
-def test_euler_pairing_examples():
-    assert euler_pairing_at_min(1, 1) == -1
-    assert euler_pairing_at_min(1, 2) == Fraction(-1, 2)
-    assert euler_pairing_at_min(3, 5) == Fraction(-1, 15)

@@ -9,6 +9,7 @@ from hamfano.reports import PreconditionError, StructuralError
 from hamfano.toric import (
     CircleDirection,
     LatticePolytope,
+    MAX_DIRECTION_CANDIDATES,
     UnsupportedDirectionError,
     boundary_selfint_2d,
     catalog_entry,
@@ -16,6 +17,7 @@ from hamfano.toric import (
     delpezzo_lemma_suite,
     delzant_check,
     fixed_data_from_polytope,
+    graph_of_points,
     karshon_graph,
     primitive_directions,
     scan_directions,
@@ -191,6 +193,15 @@ def test_karshon_graph_cp2():
     assert g.v_min == "v-1_-1" and g.v_max == "v-1_2"
 
 
+def test_karshon_graph_holds_the_generated_points():
+    data = fixed_data_from_polytope(CP2, (1, 2))
+    g = graph_of_points(data)
+    assert g.vertices == data.ordered()
+    assert all(v is c for v, c in zip(g.vertices, data.ordered()))
+    assert all(any(e is d for d in data.edges) for e in g.edges)
+    assert karshon_graph(CP2, (1, 2)) == g
+
+
 def test_karshon_graph_square_diagonal():
     g = karshon_graph(SQUARE, (1, 1))
     assert len(g.vertices) == 4
@@ -237,6 +248,16 @@ def test_scan_cp2_bound_one():
 
 def test_primitive_directions_square_bound_two():
     assert len(primitive_directions(2, 2)) == 8
+
+
+def test_primitive_directions_bound_cap():
+    # (2b+1)^dim candidates: 181^2 and 31^3 fit under the cap, 183^2 and 33^3 do not
+    assert (2 * 90 + 1) ** 2 <= MAX_DIRECTION_CANDIDATES < (2 * 91 + 1) ** 2
+    assert (2 * 15 + 1) ** 3 <= MAX_DIRECTION_CANDIDATES < (2 * 16 + 1) ** 3
+    assert primitive_directions(3, 15)
+    for dim, bound in ((2, 91), (3, 16)):
+        with pytest.raises(PreconditionError, match=str(MAX_DIRECTION_CANDIDATES)):
+            primitive_directions(dim, bound)
 
 
 def test_scan_dim3_reports_unsupported():
