@@ -1,7 +1,8 @@
 """Command-line entry point and JSON document formats.
 
 Documents are JSON with a schema_version and exactly one payload:
-``fixed_point_data``, ``polytope`` or ``suite_request``.  Rationals travel
+``fixed_point_data``, ``polytope`` or ``suite_request``; a key that the
+format does not define is refused, never dropped.  Rationals travel
 as integers or "p/q" strings in lowest terms with positive denominator;
 output is byte-deterministic for identical input.
 
@@ -69,11 +70,11 @@ def _to_json(hint) -> Optional[Callable[[Any], Any]]:
     return list
 
 
-def _schema(cls) -> Tuple[Tuple[str, Any, Optional[Callable[[Any], Any]]], ...]:
-    """The (name, default, JSON converter) of each field of a dataclass;
+def _schema(cls) -> Dict[str, Tuple[Any, Optional[Callable[[Any], Any]]]]:
+    """The (default, JSON converter) of each field of a dataclass, by name;
     MISSING marks a required field."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, f.default, _to_json(hints[f.name])) for f in dataclasses.fields(cls))
+    return {f.name: (f.default, _to_json(hints[f.name])) for f in dataclasses.fields(cls)}
 
 
 _COMPONENT = _schema(FixedComponent)
@@ -81,14 +82,23 @@ _EDGE = _schema(GradientEdge)
 _DATA = _schema(FixedPointData)
 
 
+def _known_keys(obj: dict, keys, what: str) -> None:
+    """Refuse a key that the format does not define, so that a misspelt key
+    is not silently dropped."""
+    if not obj.keys() <= keys:
+        raise StructuralError(f"{what} has the unknown key {min(obj.keys() - keys)!r}")
+
+
 def _fields(schema, obj: Any, what: str) -> Dict[str, Any]:
-    """The fields of one document object, checked for the required keys."""
+    """The fields of one document object, checked for the required keys and
+    for keys that are no field of the schema."""
     if not isinstance(obj, dict):
         raise StructuralError(f"{what} must be an object")
-    for name, default, _convert in schema:
+    _known_keys(obj, schema.keys(), what)
+    for name, (default, _convert) in schema.items():
         if default is dataclasses.MISSING and name not in obj:
             raise StructuralError(f"{what} needs the key {name!r}")
-    return {name: obj[name] for name, _default, _convert in schema if name in obj}
+    return dict(obj)
 
 
 def parse_fixed_point_data(doc: dict) -> FixedPointData:
@@ -107,7 +117,7 @@ def parse_fixed_point_data(doc: dict) -> FixedPointData:
 def _render(obj: Any, schema) -> Dict[str, Any]:
     """Every field that differs from its default, as JSON values."""
     out: Dict[str, Any] = {}
-    for name, default, convert in schema:
+    for name, (default, convert) in schema.items():
         value = getattr(obj, name)
         if default is dataclasses.MISSING or value != default:
             out[name] = value if convert is None else convert(value)
@@ -127,10 +137,14 @@ def render_fixed_point_data(data: FixedPointData) -> dict:
 def parse_polytope(doc: dict) -> toric.LatticePolytope:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise StructuralError("polytope payload needs a 'vertices' array")
+    _known_keys(doc, {"dim", "vertices"}, "polytope")
     p = toric.LatticePolytope(doc["vertices"])
     if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != p.dim):
         raise StructuralError(f"declared dim {doc['dim']} != actual dim {p.dim}")
     return p
+
+
+_PAYLOADS = ("fixed_point_data", "polytope", "suite_request")
 
 
 def load_document(path: str) -> Tuple[str, Any]:
@@ -148,7 +162,8 @@ def load_document(path: str) -> Tuple[str, Any]:
         raise StructuralError(
             f"unrecognised schema_version {version!r}; expected {SCHEMA_VERSION!r}"
         )
-    payloads = [k for k in ("fixed_point_data", "polytope", "suite_request") if k in doc]
+    _known_keys(doc, {"schema_version", *_PAYLOADS}, "document")
+    payloads = [k for k in _PAYLOADS if k in doc]
     if len(payloads) != 1:
         raise StructuralError(
             "document must carry exactly one of fixed_point_data, polytope, "
@@ -315,7 +330,7 @@ def _cmd_fano6(args: List[str]) -> Tuple[int, dict]:
             "n_A": n_a,
             "n_B": n_b,
             "n_C": n_c,
-            "b2_min": sum(1 for c in data.components if c.kind == "point"),
+            "b2_min": len(data.points()),
             "report": report.as_dict(),
         }
     raise StructuralError(f"unknown fano6 subcommand {sub!r}")
@@ -327,6 +342,7 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
     if kind == "suite_request":
         if not isinstance(payload, dict) or "data" not in payload:
             raise StructuralError("suite_request must be an object with a 'data' payload")
+        _known_keys(payload, {"data", "fibre", "fibre_xi", "levels"}, "suite_request")
         data = parse_fixed_point_data(payload["data"])
         if "fibre" in payload:
             fibre = parse_polytope(payload["fibre"])

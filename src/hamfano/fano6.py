@@ -29,6 +29,7 @@ from .fixed_data import (
     Rational,
     _edge_order_message,
     _extreme_ids,
+    edge_order,
     extremal,
     format_rational,
 )
@@ -74,7 +75,8 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
     edges = tuple(
         e for e in data.edges if e.bottom in ids and e.top in ids and e.weight >= 2
     )
-    for e in edges:
+    graph = LabelledGraph(vertices=surfaces, edges=edges, v_min=min_id, v_max=max_id)
+    for e in graph.edges:  # the canonical order, not the file's
         bot, top = data.component(e.bottom), data.component(e.top)
         if e.weight not in bot.weights:
             report.flag(
@@ -88,7 +90,6 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
                 f"edge {e.key}: top surface lacks the weight {-e.weight}",
                 subject=e.key,
             )
-    graph = LabelledGraph(vertices=surfaces, edges=edges, v_min=min_id, v_max=max_id)
 
     for c in surfaces:
         deg = graph.degree(c.id)
@@ -298,10 +299,7 @@ def maximal_downward_chains(data: FixedPointData) -> List[Chain]:
     edge that does not raises :class:`InconsistencyError`.
     """
     chains: List[Chain] = []
-    seeds = sorted(
-        (e for e in data.edges if e.weight > 1),
-        key=lambda e: (e.bottom, e.top, e.weight),
-    )
+    seeds = sorted((e for e in data.edges if e.weight > 1), key=edge_order)
     for seed in seeds:
         points = [seed.top, _descend(data, seed)]
         weights = [seed.weight]
@@ -604,69 +602,42 @@ def c1_of_surface(s: FixedComponent) -> int:
     return (2 - 2 * s.genus) + s.normal_degrees[0] + s.normal_degrees[1]
 
 
-# -- chain structure helpers ---------------------------------------------------
-
-
-class _DegreeLedger:
-    """Allocate normal-degree entries parallel to weights, each at most once."""
-
-    def __init__(self, data: FixedPointData):
-        self._data = data
-        self._used: Dict[str, set] = {}
-
-    def take(self, cid: str, w: int) -> Tuple[Optional[int], bool]:
-        """Return (degree or None, weight-found); consumes one slot."""
-        c = self._data.component(cid)
-        used = self._used.setdefault(cid, set())
-        for j, wj in enumerate(c.weights):
-            if wj == w and j not in used:
-                used.add(j)
-                deg = None if c.normal_degrees is None else c.normal_degrees[j]
-                return deg, True
-        return None, False
-
-    def leftovers(self, cid: str) -> List[Tuple[int, Optional[int]]]:
-        c = self._data.component(cid)
-        used = self._used.setdefault(cid, set())
-        out = []
-        for j, wj in enumerate(c.weights):
-            if j not in used:
-                out.append((wj, None if c.normal_degrees is None else c.normal_degrees[j]))
-        return out
-
-
-def _ordered_component(graph: LabelledGraph, comp: List[str]) -> Tuple[List[str], bool]:
-    """Order a path or cycle component deterministically; returns (ids, is_cycle)."""
-    if len(comp) == 1:
-        return comp, False
-    sub = graph.subgraph(lambda v: v.id in set(comp))
-    ends = sorted(
-        (v for v in sub.vertices if sub.degree(v.id) <= 1),
-        key=lambda v: (v.H, v.id),
-    )
-    is_cycle = not ends
-    if is_cycle:
-        start = min(sub.vertices, key=lambda v: (v.H, v.id)).id
-    else:
-        start = ends[0].id
-    order = [start]
-    prev = None
-    while True:
-        nbs = [nb for nb, _w in sub.neighbours(order[-1]) if nb != prev]
-        nbs = [nb for nb in nbs if is_cycle or nb not in order]
-        if not nbs:
-            break
-        nxt = sorted(nbs)[0]
-        if is_cycle and nxt == start:
-            break
-        prev = order[-1]
-        order.append(nxt)
-        if len(order) == len(comp):
-            break
-    return order, is_cycle
-
-
 # -- cycle and isotropy inequalities -------------------------------------------
+
+# a surface's (weight, normal degree) pair; the degree is None when unknown
+_Slot = Tuple[int, Optional[int]]
+_FreeSlots = Dict[str, List[_Slot]]
+_Matching = List[Tuple[GradientEdge, Optional[Tuple[_Slot, _Slot]]]]
+
+
+def _match_slots(data: FixedPointData) -> Tuple[_FreeSlots, _Matching]:
+    """Match the isotropy 4-manifolds between positive-genus surfaces to weight slots.
+
+    Each surface offers one (weight, normal degree) slot per weight.  The
+    edges of weight >= 2 are taken in the canonical (bottom, top, weight)
+    order, and an edge of weight w takes the first free slot of weight w at
+    its bottom and of -w at its top, so the result does not depend on the
+    order of the document.  Returns the slots left free at each surface and
+    each edge with its two slots, or None when either weight is missing.
+    """
+    free = {
+        c.id: list(zip(c.weights, c.normal_degrees or (None,) * len(c.weights)))
+        for c in _positive_genus_surfaces(data)
+    }
+    matched = []
+    for e in sorted(data.edges, key=edge_order):
+        if e.bottom in free and e.top in free and e.weight >= 2:
+            bot, top = _take(free[e.bottom], e.weight), _take(free[e.top], -e.weight)
+            matched.append((e, None if bot is None or top is None else (bot, top)))
+    return free, matched
+
+
+def _take(slots: List[_Slot], w: int) -> Optional[_Slot]:
+    """Remove and return the first slot of weight w, or None when there is none."""
+    for j, slot in enumerate(slots):
+        if slot[0] == w:
+            return slots.pop(j)
+    return None
 
 
 def isotropy_edge_sum(data: FixedPointData, e: GradientEdge) -> Fraction:
@@ -722,38 +693,35 @@ def cycle_inequality(data: FixedPointData) -> Report:
     report = Report()
     g = min_c.genus
     plus = _positive_genus_surfaces(data)
-    ids = {c.id for c in plus}
-    ledger = _DegreeLedger(data)
+    free, matched = _match_slots(data)
 
     connections: List[Tuple[str, str, Optional[Rational]]] = []
-    for e in data.edges:
-        if e.bottom in ids and e.top in ids and e.weight >= 2:
-            recovered = isotropy_edge_sum(data, e)
-            if recovered > 0:
+    for e, slots in matched:
+        recovered = isotropy_edge_sum(data, e)
+        if recovered > 0:
+            report.flag(
+                "isotropy-sum",
+                f"edge {e.key}: interior points give n_bot + n_top = "
+                f"{format_rational(recovered)} > 0",
+                subject=e.key,
+            )
+        if slots is None:
+            report.flag(
+                "edge-weight",
+                f"edge {e.key}: surfaces lack the weights +-{e.weight}",
+                subject=e.key,
+            )
+        else:
+            (_, n_bot), (_, n_top) = slots
+            if n_bot is not None and n_top is not None and n_bot + n_top != recovered:
                 report.flag(
-                    "isotropy-sum",
-                    f"edge {e.key}: interior points give n_bot + n_top = "
-                    f"{format_rational(recovered)} > 0",
+                    "fourcor-mismatch",
+                    f"edge {e.key}: stored degrees give n_bot + n_top = "
+                    f"{n_bot + n_top}, interior points give "
+                    f"{format_rational(recovered)}",
                     subject=e.key,
                 )
-            n_bot, found_b = ledger.take(e.bottom, e.weight)
-            n_top, found_t = ledger.take(e.top, -e.weight)
-            if not (found_b and found_t):
-                report.flag(
-                    "edge-weight",
-                    f"edge {e.key}: surfaces lack the weights +-{e.weight}",
-                    subject=e.key,
-                )
-            elif n_bot is not None and n_top is not None:
-                if Fraction(n_bot + n_top) != recovered:
-                    report.flag(
-                        "fourcor-mismatch",
-                        f"edge {e.key}: stored degrees give n_bot + n_top = "
-                        f"{n_bot + n_top}, interior points give "
-                        f"{format_rational(recovered)}",
-                        subject=e.key,
-                    )
-            connections.append((e.bottom, e.top, recovered))
+        connections.append((e.bottom, e.top, recovered))
 
     # weight-1 spheres: they must reach an extremal surface, where the
     # isotropy inequality constrains the stored degree pair; an unknown link
@@ -761,52 +729,36 @@ def cycle_inequality(data: FixedPointData) -> Report:
     for c in plus:
         if c.id in (min_id, max_id):
             continue
-        for leftover_w, _deg in ledger.leftovers(c.id):
-            if abs(leftover_w) != 1:
+        for w, deg_c in free[c.id]:
+            if abs(w) != 1:
                 report.flag(
                     "unmatched-weight",
-                    f"{c.id}: weight {leftover_w} has no isotropy edge",
+                    f"{c.id}: weight {w} has no isotropy edge",
                     subject=c.id,
                 )
                 continue
-            ext_id = min_id if leftover_w < 0 else max_id
-            deg_c, _ = ledger.take(c.id, leftover_w)
-            deg_e, found = ledger.take(ext_id, -leftover_w)
-            if not found:
+            ext_id = min_id if w < 0 else max_id
+            ext_slot = _take(free[ext_id], -w)
+            if ext_slot is None:
                 # extremal surface has no matching +-1 weight slot left
                 report.undecided(
                     "weight-one-link",
-                    f"{c.id}: no weight-{-leftover_w} slot remains at {ext_id}",
+                    f"{c.id}: no weight-{-w} slot remains at {ext_id}",
                     subject=c.id,
                 )
                 connections.append((ext_id, c.id, None))
                 continue
-            s = _weight_one_link(report, ext_id, c.id, deg_e, deg_c, subject=c.id)
+            s = _weight_one_link(report, ext_id, c.id, ext_slot[1], deg_c, subject=c.id)
             connections.append((ext_id, c.id, s))
 
     # a weight-1 sphere may join the two extrema directly
-    ext_left = {cid: ledger.leftovers(cid) for cid in (min_id, max_id)}
-    if [w for w, _d in ext_left[min_id]] == [1] and [
-        w for w, _d in ext_left[max_id]
-    ] == [-1]:
-        deg_min, _ = ledger.take(min_id, 1)
-        deg_max, _ = ledger.take(max_id, -1)
-        s = _weight_one_link(report, min_id, max_id, deg_min, deg_max)
+    if [w for w, _d in free[min_id]] == [1] and [w for w, _d in free[max_id]] == [-1]:
+        s = _weight_one_link(report, min_id, max_id, free[min_id][0][1], free[max_id][0][1])
         connections.append((min_id, max_id, s))
 
-    counts = {c.id: 0 for c in plus}
-    total = Fraction(0)
-    closed = True
-    for a, b, s in connections:
-        counts[a] += 1
-        counts[b] += 1
-        if s is None:
-            closed = False
-        else:
-            total += s
-    if any(k != 2 for k in counts.values()):
-        closed = False
-    if not closed:
+    ends = [v for a, b, _s in connections for v in (a, b)]
+    values = [s for _a, _b, s in connections]
+    if None in values or any(ends.count(c.id) != 2 for c in plus):
         report.undecided(
             "open-chain",
             "the isotropy connections do not close into a cycle; "
@@ -814,6 +766,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
         )
         return report
 
+    total = sum(values, Fraction(0))
     if total > 0:
         report.flag(
             "cycle-sum",
@@ -861,12 +814,13 @@ def _weight_one_link(
 
 def _positive_genus_surfaces(data: FixedPointData) -> List[FixedComponent]:
     """In the canonical order, so the weight-1 slots go out the same for any file order."""
-    return [c for c in data.ordered() if c.kind == SURFACE and c.genus > 0]
+    return [c for c in data.surfaces() if c.genus > 0]
 
 
-def _chain_term(c: FixedComponent, w_in: int, w_out: int) -> Fraction:
-    """A positive-genus surface's term (1 + 1/(w_in w_out)) chi(c) of the chain estimate."""
-    return (1 + Fraction(1, w_in * w_out)) * (2 - 2 * c.genus)
+def _chain_term(c: FixedComponent) -> Fraction:
+    """A positive-genus surface's term (1 + 1/(w1 w2)) chi(c) of the chain estimate."""
+    w1, w2 = c.weights
+    return (1 + Fraction(1, w1 * w2)) * (2 - 2 * c.genus)
 
 
 # -- small Hamiltonian suite -----------------------------------------------------
@@ -892,74 +846,43 @@ def nosphere_check(data: FixedPointData) -> Report:
 
 
 def _chain_longeq(
-    data: FixedPointData, graph: LabelledGraph, comp: List[str], report: Report
+    data: FixedPointData, comp: List[str], free: _FreeSlots, matched: _Matching, report: Report
 ) -> Optional[Fraction]:
     """Evaluate the chain form of the localisation estimate on one component.
 
-    Returns the right-hand side, or None when degrees or weight matches are
-    missing (reported as inconclusive/violations on the way).
+    The right-hand side sums the term of each surface and (n_bot + n_top)
+    (1 - 1/w^2) over each isotropy edge; both are symmetric, so no walk
+    order is needed.  Returns None when a weight match or a degree is missing
+    (reported as a violation or as inconclusive on the way).
     """
-    order, is_cycle = _ordered_component(graph, comp)
-    n = len(order)
-    ledger = _DegreeLedger(data)
-    w_in: Dict[str, Optional[int]] = {cid: None for cid in order}
-    w_out: Dict[str, Optional[int]] = {cid: None for cid in order}
-    n_out: Dict[str, Optional[int]] = {}
-    n_in: Dict[str, Optional[int]] = {}
-    pairs = list(zip(order, order[1:] + ([order[0]] if is_cycle else [])))
-    for a, b in pairs:
-        w = graph.edge_weight(a, b)
-        if w is None:
-            report.flag("chain", f"no isotropy edge between {a} and {b}")
-            return None
-        a_c, b_c = data.component(a), data.component(b)
-        signed_a = w if a_c.H < b_c.H else -w
-        deg_a, found_a = ledger.take(a, signed_a)
-        deg_b, found_b = ledger.take(b, -signed_a)
-        if not (found_a and found_b):
+    edges = [(e, slots) for e, slots in matched if e.bottom in comp]
+    for e, slots in edges:
+        if slots is None:
             report.flag(
                 "edge-weight",
-                f"edge between {a} and {b} does not match the surface weights",
+                f"edge between {e.bottom} and {e.top} does not match the surface weights",
             )
             return None
-        w_out[a] = signed_a
-        w_in[b] = -signed_a
-        n_out[a] = deg_a
-        n_in[b] = deg_b
-    for cid in order:
-        for leftover_w, leftover_d in ledger.leftovers(cid):
-            if w_in[cid] is None:
-                w_in[cid] = leftover_w
-                n_in[cid] = leftover_d
-            elif w_out[cid] is None:
-                w_out[cid] = leftover_w
-                n_out[cid] = leftover_d
-    rhs = Fraction(0)
-    for cid in order:
-        c = data.component(cid)
-        wi, wo = w_in[cid], w_out[cid]
-        if wi is None or wo is None:
-            report.flag("chain", f"{cid}: could not match both weights")
-            return None
-        if not is_cycle and cid in (order[0], order[-1]) and n > 1:
-            boundary_w = wi if cid == order[0] else wo
-            if abs(boundary_w) != 1:
-                report.flag(
-                    "liapp",
-                    f"{cid}: chain endpoint has boundary weight {boundary_w}, "
-                    f"modulus 1 expected",
-                    subject=cid,
-                )
-        rhs += _chain_term(c, wi, wo)
-    for a, b in pairs:
-        na, nb = n_out[a], n_in[b]
-        if na is None or nb is None:
+    surfaces = [c for c in data.surfaces() if c.id in comp]
+    if len(comp) > 1 and len(edges) == len(comp) - 1:
+        # a path: each end keeps the one slot that no isotropy edge took
+        for c in surfaces:
+            for w, _deg in free[c.id]:
+                if abs(w) != 1:
+                    report.flag(
+                        "liapp",
+                        f"{c.id}: chain endpoint has boundary weight {w}, "
+                        f"modulus 1 expected",
+                        subject=c.id,
+                    )
+    rhs = sum((_chain_term(c) for c in surfaces), Fraction(0))
+    for e, ((_, n_bot), (_, n_top)) in edges:
+        if n_bot is None or n_top is None:
             report.undecided(
-                "chain", f"degrees missing along the edge between {a} and {b}"
+                "chain", f"degrees missing along the edge between {e.bottom} and {e.top}"
             )
             return None
-        w = w_out[a]
-        rhs += (na + nb) * (1 - Fraction(1, w * w))
+        rhs += (n_bot + n_top) * (1 - Fraction(1, e.weight * e.weight))
     return rhs
 
 
@@ -1070,9 +993,9 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
     # (e) chain form of the estimate, per component of the isotropy graph
     graph, graph_report = surface_graph(data)
     report.extend(graph_report)
-    gplus = graph.positive_genus()
-    for comp in gplus.connected_components():
-        rhs = _chain_longeq(data, gplus, comp, report)
+    free, matched = _match_slots(data)
+    for comp in graph.positive_genus().connected_components():
+        rhs = _chain_longeq(data, comp, free, matched, report)
         if rhs is not None and rhs > 0:
             report.flag(
                 "longeq",
@@ -1082,7 +1005,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 
     # (f) reflective branch
     if min_c.sorted_weights() == (1, 1) and max_c.sorted_weights() == (-1, -1):
-        t = sum((_chain_term(c, *c.weights) for c in plus), Fraction(0))
+        t = sum((_chain_term(c) for c in plus), Fraction(0))
         if t > 4 * (2 - 2 * g):
             report.flag(
                 "inclaim",

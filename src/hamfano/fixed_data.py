@@ -23,6 +23,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .reports import (
@@ -199,12 +200,18 @@ class GradientEdge:
         return f"{self.bottom}->{self.top}"
 
 
+# The canonical order of edges, in which graphs keep them and the isotropy
+# checks match them to weight slots.
+edge_order = attrgetter("bottom", "top", "weight", "interior_points")
+
+
 @dataclass(frozen=True)
 class FixedPointData:
     """Full fixed-point dataset of a Hamiltonian S^1-action on a 2n-manifold.
 
     The canonical order and the id lookup are computed once, at
-    construction, since the dataset is immutable.
+    construction, since the dataset is immutable; ``points()`` and
+    ``surfaces()`` keep the canonical order.
     """
 
     half_dim: int
@@ -259,10 +266,10 @@ class FixedPointData:
         return self._ordered
 
     def points(self) -> Tuple[FixedComponent, ...]:
-        return tuple(c for c in self.components if c.kind == POINT)
+        return tuple(c for c in self._ordered if c.kind == POINT)
 
     def surfaces(self) -> Tuple[FixedComponent, ...]:
-        return tuple(c for c in self.components if c.kind == SURFACE)
+        return tuple(c for c in self._ordered if c.kind == SURFACE)
 
     def h_min(self) -> Rational:
         return self._ordered[0].H

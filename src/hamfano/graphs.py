@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .fixed_data import FixedComponent, GradientEdge, format_rational
+from .fixed_data import FixedComponent, GradientEdge, edge_order, format_rational
 from .reports import StructuralError
 
 
@@ -48,7 +48,7 @@ class LabelledGraph:
             if not by_id[e.bottom].H < by_id[e.top].H:
                 raise StructuralError(f"edge {e.key} must be oriented by increasing H")
         object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: (e.bottom, e.top, e.weight)))
+            self, "edges", tuple(sorted(self.edges, key=edge_order))
         )
         for end in (self.v_min, self.v_max):
             if end is not None and end not in ids:

@@ -48,10 +48,6 @@ class Polynomial:
     def of(cls, *coeffs: Union[int, Fraction]) -> "Polynomial":
         return cls(coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def coefficient(self, d: int) -> Fraction:
         if 0 <= d < len(self.coefficients):
             return self.coefficients[d]
@@ -65,12 +61,6 @@ class Polynomial:
         return Polynomial(
             tuple(self.coefficient(d) + other.coefficient(d) for d in range(n))
         )
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not self.coefficients or not other.coefficients:

@@ -27,6 +27,7 @@ from .fixed_data import (
     GradientEdge,
     _as_tuple,
     _extreme_ids,
+    edge_order,
     format_rational,
     validate,
 )
@@ -388,7 +389,7 @@ def fixed_data_from_polytope(
                 bottom=comp_of_vertex[lo], top=comp_of_vertex[hi], weight=abs(pairing)
             )
         )
-    edges.sort(key=lambda e: (e.bottom, e.top, e.weight))
+    edges.sort(key=edge_order)
 
     reflexive = p.is_reflexive()
     return FixedPointData(

@@ -8,7 +8,9 @@ lattice step has length 1; a fundamental cell of the induced hyperplane
 lattice has area 1).
 
 The chain oracle re-checks a claimed maximal downward chain against the
-raw components and edges of a dataset, without the package's chain search.
+raw components and edges of a dataset, without the package's chain search,
+and the estimate oracle evaluates the chain form of the localisation
+estimate from the raw fields, without the package's weight-slot matching.
 """
 
 from __future__ import annotations
@@ -156,3 +158,33 @@ def is_maximal_downward_chain(data, chain) -> bool:
         ):
             return False
     return all(w >= -1 for w in by_id[chain.points[-1]].weights)
+
+
+def chain_estimate_sums(data) -> List[Fraction]:
+    """The chain estimate, one sum per connected component of the positive-genus
+    surfaces joined by isotropy edges (weight >= 2): (1 + 1/(w1 w2))(2 - 2g) per
+    surface plus (n_b + n_t)(1 - 1/w^2) per edge, where n_b and n_t are the
+    normal degrees stored with the weights w at the bottom and -w at the top.
+    Every surface needs its normal degrees, and no surface may repeat a weight
+    of modulus >= 2 (lifts of toric surfaces never do)."""
+    plus = {c.id: c for c in data.components if c.kind == "surface" and c.genus > 0}
+    edges = [e for e in data.edges if e.bottom in plus and e.top in plus and e.weight >= 2]
+    root = {cid: cid for cid in plus}
+
+    def find(cid):
+        while root[cid] != cid:
+            cid = root[cid]
+        return cid
+
+    for e in edges:
+        root[find(e.bottom)] = find(e.top)
+    sums = {cid: Fraction(0) for cid in plus if find(cid) == cid}
+    for c in plus.values():
+        w1, w2 = c.weights
+        sums[find(c.id)] += (1 + Fraction(1, w1 * w2)) * (2 - 2 * c.genus)
+    for e in edges:
+        bottom, top = plus[e.bottom], plus[e.top]
+        n_b = bottom.normal_degrees[bottom.weights.index(e.weight)]
+        n_t = top.normal_degrees[top.weights.index(-e.weight)]
+        sums[find(e.bottom)] += (n_b + n_t) * (1 - Fraction(1, e.weight * e.weight))
+    return list(sums.values())

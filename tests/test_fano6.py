@@ -1,5 +1,7 @@
 """Six-dimensional analyses: graphs, chains, type counting, inequality suites."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,10 +29,16 @@ from hamfano.fano6 import (
 from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge
 from hamfano.graphs import LabelledGraph
 from hamfano.reports import InconsistencyError, PreconditionError, StructuralError
-from hamfano.toric import LatticePolytope, catalog_entry, karshon_graph
+from hamfano.toric import (
+    LatticePolytope,
+    catalog_entry,
+    delpezzo_catalog,
+    karshon_graph,
+    primitive_directions,
+)
 
 from .lifts import lift_product
-from .oracle import is_maximal_downward_chain
+from .oracle import chain_estimate_sums, is_maximal_downward_chain
 
 SQUARE = catalog_entry("CP1xCP1").polytope
 CP2 = catalog_entry("CP2").polytope
@@ -643,6 +651,62 @@ def test_cycle_inequality_open_chain_inconclusive():
     assert any(i.code in ("weight-one-link", "open-chain") for i in report.inconclusive)
 
 
+def _shuffles(data, count=6, seed=0):
+    """Copies of data with its components and edges in random file orders."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        comps, edges = list(data.components), list(data.edges)
+        rng.shuffle(comps)
+        rng.shuffle(edges)
+        yield replace(data, components=tuple(comps), edges=tuple(edges))
+
+
+def _two_weight_two_edges(edges):
+    # the minimum has the weights (2, 2) with the degrees (0, -3); the
+    # interior points of lo->a recover n_lo + n_a = -3, those of lo->b none
+    comps = (
+        surf("lo", -2, (2, 2), 1, (0, -3)),
+        surf("a", 0, (-2, 1), 1, (0, 0)),
+        surf("b", 0, (-2, 1), 1, (0, 0)),
+        surf("hi", 2, (-1, -1), 1, (0, 0)),
+    )
+    return FixedPointData(half_dim=3, components=comps, edges=edges, relative_fano=True)
+
+
+def _degree_three_data():
+    # m carries the weights (-2, 2) but lies on three isotropy 4-manifolds
+    return FixedPointData(
+        half_dim=3,
+        components=(
+            surf("lo", -2, (1, 2), 1, (0, 0)),
+            surf("m", 0, (-2, 2), 1, (0, 0)),
+            surf("x", 1, (-2, 1), 1, (0, 0)),
+            surf("y", 1, (-2, 1), 1, (0, 0)),
+            surf("hi", 2, (-1, -1), 1, (0, 0)),
+        ),
+        edges=(
+            GradientEdge(bottom="lo", top="m", weight=2),
+            GradientEdge(bottom="m", top="x", weight=2),
+            GradientEdge(bottom="m", top="y", weight=2),
+        ),
+        relative_fano=True,
+    )
+
+
+def _order_cases():
+    to_a = GradientEdge(bottom="lo", top="a", weight=2, interior_points=((1, -1),) * 3)
+    to_b = GradientEdge(bottom="lo", top="b", weight=2)
+    triangle = lift_product(CP2, (5, 3), genus=2)
+    return [
+        _two_weight_two_edges((to_a, to_b)),
+        _four_cycle_data(),
+        triangle,
+        replace(triangle, edges=triangle.edges[1:]),  # two surfaces short of an edge
+        lift_product(STD_HEXAGON, (1, 2), genus=2),
+        _degree_three_data(),
+    ]
+
+
 def test_cycle_inequality_ignores_component_order():
     # the two interior surfaces compete for the weight-1 slots of the
     # minimum, whose degrees differ: the canonical (H, id) order decides
@@ -658,6 +722,67 @@ def test_cycle_inequality_ignores_component_order():
     assert [v.code for v in report.violations] == ["isotropy-inequality"]
     shuffled = data.replace_components((comps[2], comps[3], comps[1], comps[0]))
     assert cycle_inequality(shuffled).as_dict() == report.as_dict()
+    # with isotropy edges too, neither order moves a record
+    for data in _order_cases():
+        report = cycle_inequality(data).as_dict()
+        for shuffled in _shuffles(data):
+            assert cycle_inequality(shuffled).as_dict() == report
+
+
+def test_cycle_inequality_matches_slots_in_canonical_edge_order():
+    to_a = GradientEdge(bottom="lo", top="a", weight=2, interior_points=((1, -1),) * 3)
+    to_b = GradientEdge(bottom="lo", top="b", weight=2)
+    report = cycle_inequality(_two_weight_two_edges((to_a, to_b)))
+    # lo->a comes first and takes the first weight-2 slot, of degree 0
+    assert [v.code for v in report.violations] == ["fourcor-mismatch"] * 2
+    swapped = cycle_inequality(_two_weight_two_edges((to_b, to_a)))
+    assert swapped.as_dict() == report.as_dict()
+
+
+def test_small_suite_ignores_component_and_edge_order():
+    for data in _order_cases():
+        report = small_hamiltonian_suite(data).as_dict()
+        for shuffled in _shuffles(data):
+            assert small_hamiltonian_suite(shuffled).as_dict() == report
+
+
+def test_small_suite_degree_three_surface_is_not_left_out():
+    # no path or cycle runs through all four surfaces; the estimate is not
+    # evaluated on part of the component, the unmatched edge is reported
+    report = small_hamiltonian_suite(_degree_three_data())
+    assert not report.ok
+    assert ("degree", "m") in [(v.code, v.subject) for v in report.violations]
+    assert [v.message for v in report.violations if v.code == "edge-weight"] == [
+        "edge between m and y does not match the surface weights"
+    ]
+    assert not any(v.code in ("liapp", "longeq") for v in report.violations)
+
+
+def test_chain_estimate_agrees_with_oracle_on_catalog_lifts():
+    # random degrees on lifts of the catalog polygons: longeq is reported
+    # exactly for the components whose oracle sum is positive
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for entry in delpezzo_catalog():
+        for xi in primitive_directions(2, 3):
+            try:
+                base = lift_product(entry.polytope, xi, genus=rng.randint(1, 3))
+            except ValueError:
+                continue  # a fixed sphere: not a generic direction
+            for _ in range(3):
+                data = base.replace_components(
+                    replace(c, normal_degrees=(rng.randint(-3, 2), rng.randint(-3, 2)))
+                    for c in base.components
+                )
+                report = small_hamiltonian_suite(data)
+                reported = sorted(
+                    Fraction(v.message.split("right-hand side ")[1].split(" ")[0])
+                    for v in report.violations
+                    if v.code == "longeq"
+                )
+                assert reported == sorted(s for s in chain_estimate_sums(data) if s > 0)
+                seen[bool(reported)] += 1
+    assert seen[True] and seen[False], seen
 
 
 # -- nosphere and sphere areas ----------------------------------------------------------------

@@ -159,6 +159,32 @@ def test_malformed_value_exits_2_with_json(tmp_path, doc, command, path, value):
     assert "error" in json.loads(out)
 
 
+# (document, command, path to an added key, its value): every key the format
+# does not define is refused by name, so a misspelt one is not dropped
+UNKNOWN_KEYS = [
+    ("product", "validate", COMPONENT + ("normal_degree",), [5, 5]),
+    ("product", "validate", EDGE + ("wieght",), 7),
+    ("product", "validate", ("fixed_point_data", "bogus"), 1),
+    ("polygon", "dh", ("polytope", "bogus"), 1),
+    ("suite", "suite", ("suite_request", "fibre_x"), [1, 2]),
+    ("suite", "suite", ("suite_request", "data", "bogus"), 1),
+    ("suite", "suite", ("suite_request", "fibre", "bogus"), 1),
+    ("product", "validate", ("bogus",), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, command, path, value",
+    UNKNOWN_KEYS,
+    ids=[".".join(map(str, p)) for _d, _c, p, _v in UNKNOWN_KEYS],
+)
+def test_unknown_key_exits_2_and_names_it(tmp_path, doc, command, path, value):
+    bad = _write(tmp_path, _set(DOCUMENTS[doc], path, value))
+    code, out = run(_argv(_COMMAND[command], bad))
+    assert code == 2
+    assert f"unknown key {path[-1]!r}" in json.loads(out)["error"]
+
+
 def test_canonical_rational_strings_are_accepted(tmp_path):
     for h in ("-3/1", "-3", -3):
         path = _write(tmp_path, _set(DOCUMENTS["product"], COMPONENT + ("H",), h))
