@@ -858,10 +858,13 @@ def _chain_longeq(
     edges = [(e, slots) for e, slots in matched if e.bottom in comp]
     for e, slots in edges:
         if slots is None:
-            report.flag(
-                "edge-weight",
-                f"edge between {e.bottom} and {e.top} does not match the surface weights",
-            )
+            bot, top = data.component(e.bottom), data.component(e.top)
+            if e.weight in bot.weights and -e.weight in top.weights:  # else surface_graph flags it
+                report.flag(
+                    "edge-weight",
+                    f"edge between {e.bottom} and {e.top} does not match the surface weights",
+                    subject=e.key,
+                )
             return None
     surfaces = [c for c in data.surfaces() if c.id in comp]
     if len(comp) > 1 and len(edges) == len(comp) - 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -49,11 +50,11 @@ def _ivec(v: Sequence[int]) -> IntVec:
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def _sub(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def _primitive(v: IntVec) -> Tuple[IntVec, int]:
@@ -119,12 +120,13 @@ class LatticePolytope:
 
     Vertices are stored lexicographically sorted; every supplied point must
     be a genuine vertex of the hull.  Only the search for the facets depends
-    on the dimension.  Everything else is derived once at construction, with
-    exact integer arithmetic, from the facets through each vertex: the hull
-    vertex and full-dimensionality checks, the edges (the vertex pairs that
-    share dim - 1 facets), and the invariants every generated direction
-    reuses: the vertex ids, the signed edge slots of each vertex and the
-    Delzant and reflexive flags.
+    on the dimension: a monotone chain for polygons, gift wrapping in exact
+    integers for 3-polytopes (O(F * V) plane tests, F facets and V points).
+    Everything else is derived once at construction, with exact integer
+    arithmetic, from the facets through each vertex: the hull vertex and
+    full-dimensionality checks, the edges (the vertex pairs that share dim - 1
+    facets), and the invariants every generated direction reuses: the vertex
+    ids, the signed edge slots of each vertex and the Delzant and reflexive flags.
     """
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
@@ -186,11 +188,9 @@ class LatticePolytope:
 # -- finding facets ----------------------------------------------------------------
 
 
-def _polygon_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
-    """Facets of the hull of lex-sorted points, and the normals of those through
-    each point.  Each counterclockwise pair (a, b) of the monotone-chain hull
-    bounds the facet through a and b with inward normal the left rotation of
-    b - a; a point off the hull lies on none.  No facets when the hull is flat."""
+def _hull_cycle(pts: Sequence[IntVec]) -> List[IntVec]:
+    """Vertices of the hull of lex-sorted plane points, counterclockwise, by the monotone
+    chain; points on its edges are left out.  Fewer than three when they are collinear."""
 
     def chain(seq: Iterable[IntVec]) -> List[IntVec]:
         out: List[IntVec] = []
@@ -200,7 +200,15 @@ def _polygon_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
             out.append(p)
         return out[:-1]
 
-    hull = chain(pts) + chain(reversed(pts))
+    return chain(pts) + chain(reversed(pts))
+
+
+def _polygon_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
+    """Facets of the hull of lex-sorted points, and the normals of those through
+    each point.  Each counterclockwise pair (a, b) of the hull cycle bounds the
+    facet through a and b with inward normal the left rotation of b - a; a point
+    off the hull lies on none.  No facets when the hull is flat."""
+    hull = _hull_cycle(pts)
     if len(hull) < 3:
         return [], []
     index = {p: i for i, p in enumerate(pts)}
@@ -216,27 +224,60 @@ def _polygon_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
 
 
 def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
-    """Facets of the hull of 3-dimensional points, and the normals of those through
-    each point: the planes through three points with every point on one side.
-    Triples on a facet already found are skipped.  No facets when coplanar."""
+    """Facets of the hull of lex-sorted 3-dimensional points, and the normals of those
+    through each point, by gift wrapping in exact integers.  The first facet is a
+    supporting plane through pts[0], which is lex-least and so a vertex.  A facet holds
+    every point on its plane; its ridges are the pairs of its hull cycle, with a
+    coordinate on which the normal is nonzero dropped.  Each ridge is turned once into
+    the facet beyond it: O(F * V) plane tests.  No facets when the points are coplanar."""
+    a = pts[0]
+    for b, c in itertools.combinations(pts[1:], 2):
+        n = _cross3(_sub(b, a), _sub(c, a))
+        side = _supporting_side(n, _dot(n, a), pts) if any(n) else 0
+        if side:
+            break
+    else:
+        return [], []
     facets: List[Facet] = []
     on_facets: List[set] = [set() for _ in pts]
-    for a, b, c in itertools.combinations(range(len(pts)), 3):
-        if on_facets[a] & on_facets[b] & on_facets[c]:
-            continue  # their plane is a facet already found
-        n = _cross3(_sub(pts[b], pts[a]), _sub(pts[c], pts[a]))
-        if n == (0, 0, 0):
-            continue
-        side = _supporting_side(n, _dot(n, pts[a]), pts)
-        if side == 0:
-            continue
-        u, _ = _primitive(n if side > 0 else tuple(-x for x in n))
-        cval = -_dot(u, pts[a])
-        on = tuple(i for i, p in enumerate(pts) if _dot(u, p) == -cval)
-        for i in on:
-            on_facets[i].add(u)
-        facets.append(Facet(normal=u, c=cval, vertex_ids=on))
+    turned = set()
+    todo = [(n if side > 0 else tuple(-x for x in n), 0)]  # a normal, a point on its plane
+    while todo:
+        n, i = todo.pop()
+        u, _ = _primitive(n)
+        if u in on_facets[i]:
+            continue  # reached again through another of its ridges
+        heights = [_dot(u, p) for p in pts]
+        on = tuple(v for v, h in enumerate(heights) if h == heights[i])
+        for v in on:
+            on_facets[v].add(u)
+        facets.append(Facet(normal=u, c=-heights[i], vertex_ids=on))
+        off = [p for p, h in zip(pts, heights) if h != heights[i]]
+        k = next(j for j, x in enumerate(u) if x)
+        flat = {pts[v][:k] + pts[v][k + 1 :]: v for v in on}
+        cycle = [flat[p] for p in _hull_cycle(sorted(flat))]
+        for j, (ia, ib) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
+            ridge = (min(ia, ib), max(ia, ib))
+            if ridge not in turned:
+                turned.add(ridge)
+                q = pts[cycle[(j + 2) % len(cycle)]]
+                todo.append((_wrap_ridge(pts[ia], pts[ib], q, off), ia))
     return facets, on_facets
+
+
+def _wrap_ridge(a: IntVec, b: IntVec, q: IntVec, off: Sequence[IntVec]) -> IntVec:
+    """Inward normal of the other facet through the ridge ab of a facet that holds q, off
+    the line ab: the plane through a and b turned away from q until no point of off, the
+    points not on the first facet, lies beyond it.  One pass keeps the last point beyond."""
+    d, toward_q = _sub(b, a), _sub(q, a)
+    n, level = None, 0
+    for r in off:
+        if n is None or _dot(n, r) < level:
+            n = _cross3(d, _sub(r, a))
+            if _dot(n, toward_q) < 0:
+                n = tuple(-x for x in n)
+            level = _dot(n, a)
+    return n
 
 
 def _supporting_side(n: IntVec, level: int, pts: Sequence[IntVec]) -> int:

@@ -756,6 +756,21 @@ def test_small_suite_degree_three_surface_is_not_left_out():
         "edge between m and y does not match the surface weights"
     ]
     assert not any(v.code in ("liapp", "longeq") for v in report.violations)
+    assert [v.subject for v in report.violations if v.code == "edge-weight"] == ["m->y"]
+
+
+def test_small_suite_reports_a_missing_weight_once():
+    # the weight-2 edge's bottom surface carries the weight 3 instead: the
+    # surface graph flags the edge, and the chain estimate adds no second record
+    data = lift_product(CP2, (1, 2), genus=1)
+    data = data.replace_components(
+        replace(c, weights=(1, 3)) if c.id == "v-1_-1" else c for c in data.components
+    )
+    (edge,) = data.edges
+    records = [v for v in small_hamiltonian_suite(data).violations if v.code == "edge-weight"]
+    assert [(v.message, v.subject) for v in records] == [
+        (f"edge {edge.key}: bottom surface lacks the weight 2", edge.key)
+    ]
 
 
 def test_chain_estimate_agrees_with_oracle_on_catalog_lifts():

@@ -41,10 +41,16 @@ def _truncated_cube():
     return verts
 
 
+def _prism(base):
+    return [[x, y, z] for x, y in base for z in (-1, 1)]
+
+
 POLYTOPES = {
     "cp3": [[-1, -1, -1], [3, -1, -1], [-1, 3, -1], [-1, -1, 3]],
     "cube": [list(v) for v in itertools.product((-1, 1), repeat=3)],
     "truncated_cube": _truncated_cube(),
+    "cp2xcp1": _prism([(-1, -1), (2, -1), (-1, 2)]),
+    "bl3cp2xcp1": _prism([(-1, -4), (0, -1), (1, 3), (1, 4), (0, 1), (-1, -3)]),
     "rectangle": [[-1, -1], [2, -1], [2, 1], [-1, 1]],  # Delzant, not reflexive
     "triangle_nondelzant": [[0, 0], [2, 0], [0, 1]],
     "cp2": [[-1, -1], [2, -1], [-1, 2]],
@@ -199,6 +205,9 @@ CASES = {
     "scan_cp3": ["toric", "scan", "cp3.json", "--bound", "2"],
     "scan_cube": ["toric", "scan", "cube.json", "--bound", "2"],
     "scan_truncated_cube": ["toric", "scan", "truncated_cube.json", "--bound", "1"],
+    "scan_truncated_cube_b2": ["toric", "scan", "truncated_cube.json", "--bound", "2"],
+    "scan_cp2xcp1": ["toric", "scan", "cp2xcp1.json", "--bound", "2"],
+    "scan_bl3cp2xcp1": ["toric", "scan", "bl3cp2xcp1.json", "--bound", "2"],
     "scan_rectangle": ["toric", "scan", "rectangle.json", "--bound", "3"],
     "scan_triangle_nondelzant": ["toric", "scan", "triangle_nondelzant.json", "--bound", "2"],
     "normalize_bl2cp2_10": ["normalize", "bl2cp2_10.json"],

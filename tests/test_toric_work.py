@@ -4,6 +4,7 @@ brute-force facet enumeration that shares no code with the package."""
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -88,6 +89,18 @@ def test_vertex_basis_test_runs_once_per_vertex(monkeypatch):
     assert len(calls) == len(p.vertices)
 
 
+def test_3d_build_turns_each_ridge_once(monkeypatch):
+    # gift wrapping: whole-set plane tests only for the first facet, all
+    # through the lex-least vertex, then one turn about each ridge
+    sides = _counting(monkeypatch, hamfano.toric, "_supporting_side")
+    turns = _counting(monkeypatch, hamfano.toric, "_wrap_ridge")
+    p = LatticePolytope(POLYTOPES_3D["truncated_cube"])
+    first = p.vertices[0]
+    assert sides and all(level == sum(x * y for x, y in zip(n, first)) for n, level, _ in sides)
+    assert len(sides) <= math.comb(len(p.vertices) - 1, 2)
+    assert len(turns) == len(p.edges) == 36
+
+
 def test_non_delzant_polygon_constructs():
     p = LatticePolytope([(0, 0), (2, 0), (0, 1)])
     assert not delzant_check(p)
@@ -148,16 +161,15 @@ def _oracle_faces(points):
     return facets, edges
 
 
-def _prism(base):
-    return [(x, y, z) for x, y in base for z in (-1, 1)]
-
-
 POLYTOPES_3D = {
-    "CP3": [tuple(v) for v in POLYTOPES["cp3"]],
-    "cube": [tuple(v) for v in POLYTOPES["cube"]],
-    "CP2xCP1": _prism([(-1, -1), (2, -1), (-1, 2)]),
-    "Bl3CP2xCP1": _prism([(-1, -4), (0, -1), (1, 3), (1, 4), (0, 1), (-1, -3)]),
-    "truncated_cube": [tuple(v) for v in POLYTOPES["truncated_cube"]],
+    name: [tuple(v) for v in POLYTOPES[key]]
+    for name, key in (
+        ("CP3", "cp3"),
+        ("cube", "cube"),
+        ("CP2xCP1", "cp2xcp1"),
+        ("Bl3CP2xCP1", "bl3cp2xcp1"),
+        ("truncated_cube", "truncated_cube"),
+    )
 }
 
 
@@ -186,9 +198,47 @@ def _assert_build_matches_brute_force(name, verts):
     return p
 
 
+SOLIDS_3D = {
+    "octahedron": [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    "square pyramid": [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)],
+    "hexagonal bipyramid": [
+        (2, 0, 0), (1, 2, 0), (-1, 2, 0), (-2, 0, 0), (-1, -2, 0), (1, -2, 0), (0, 0, 3), (0, 0, -3)
+    ],
+    "box": [(x, y, z) for x in (0, 2) for y in (0, 3) for z in (0, 5)],
+}
+
+
+def _oracle_vertices(points):
+    """The points that lie on three or more of the brute-force facets: none
+    when the points are coplanar."""
+    facets, _edges = _oracle_faces(points)
+    return sorted(p for p in set(points) if sum(1 for f in facets if p in f[2]) >= 3)
+
+
 def test_build_3d_matches_brute_force():
-    for name, verts in POLYTOPES_3D.items():
-        assert delzant_check(_assert_build_matches_brute_force(name, verts)), name
+    # the solids add vertices on four or more facets; the truncated cube has octagons
+    for name, verts in {**POLYTOPES_3D, **SOLIDS_3D}.items():
+        p = _assert_build_matches_brute_force(name, verts)
+        assert delzant_check(p) == (name in POLYTOPES_3D or name == "box"), name
+
+
+def test_build_3d_matches_brute_force_on_seeded_point_sets():
+    # a set with a point that is no vertex is refused; its vertices alone build
+    valid = refused = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        r = rng.choice((1, 2, 3, 5))
+        size = rng.randint(4, 13)
+        points = sorted({tuple(rng.randint(-r, r) for _ in range(3)) for _ in range(size)})
+        vertices = _oracle_vertices(points)
+        if vertices != points:
+            with pytest.raises(StructuralError):
+                LatticePolytope(points)
+            refused += 1
+        if vertices:
+            _assert_build_matches_brute_force(f"seed {seed}", vertices)
+            valid += 1
+    assert valid >= 300 and refused >= 100, (valid, refused)
 
 
 def test_build_2d_matches_brute_force():
@@ -205,6 +255,10 @@ DEGENERATE = {
     "3D interior point": [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)],
     "3D mid-edge point": [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 0, 0)],
     "3D mid-facet point": [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 0)],
+    "octahedron mid-edge point": [
+        (2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2), (1, 1, 0)
+    ],
+    "cube square-facet point": [*itertools.product((-1, 1), repeat=3), (0, 0, 1)],
     "one 2D point": [(1, 2)],
     "two 2D points": [(0, 0), (1, 0)],
     "one 3D point": [(0, 0, 0)],
