@@ -4,13 +4,15 @@
 For each seed, run ``python3 perfbench/run.py --workload W --seed N
 --seconds S --trace 0`` once in each tree, each from its own root, one after
 the other; the side that runs first alternates from pair to pair, so a
-drift of the host does not favour one side.  The metric names and their
-better direction come from the change tree's BENCHMARK.json.  The JSON
-written to --out holds, for each end-to-end metric, every run, the median
-and quartiles of each side, and the number of pairs each side won.
+drift of the host does not favour one side.  The run length S, the metric
+names, their better direction and their bounds come from the parent tree's
+BENCHMARK.json; the script refuses to run when the change tree's file gives
+other metrics or another run length.  The JSON written to --out holds, for
+each end-to-end metric, every run, the median and quartiles of each side,
+and the number of pairs each side won.
 
 usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
-           --seeds A-B --out BENCH.json [--seconds 35]
+           --seeds A-B --out BENCH.json
 """
 
 import argparse
@@ -21,6 +23,11 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+
+
+def load_benchmark(tree: str) -> dict:
+    with open(os.path.join(tree, "BENCHMARK.json")) as f:
+        return json.load(f)
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -64,29 +71,34 @@ def main() -> None:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="an inclusive range A-B")
-    ap.add_argument("--seconds", type=float, default=35)
+    ap.add_argument("--seeds", required=True, help="an inclusive range A-B, B > A")
     ap.add_argument("--out", required=True, help="JSON file; a workload already in it is replaced")
     args = ap.parse_args()
 
+    bench = load_benchmark(args.parent)
+    other = load_benchmark(args.change)
+    for key in ("end_to_end", "run_seconds"):
+        if bench[key] != other[key]:
+            sys.exit(f"the two trees' BENCHMARK.json differ in {key!r}; refusing to compare")
+    seconds, metrics = bench["run_seconds"], bench["end_to_end"]
     first, last = (int(x) for x in args.seeds.split("-"))
+    if last <= first:
+        sys.exit("--seeds needs at least two seeds, for quartiles")
     trees = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in SIDES}
     for k, seed in enumerate(range(first, last + 1)):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(trees[side], args.workload, seed, args.seconds))
+            runs[side].append(run_once(trees[side], args.workload, seed, seconds))
             print(f"{args.workload} seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
 
-    with open(os.path.join(args.change, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as f:
             doc = json.load(f)
     doc[args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed N "
-        f"--seconds {args.seconds:g} --trace 0",
+        f"--seconds {seconds:g} --trace 0",
         "seeds": [first, last],
         "first_in_pair": [SIDES[k % 2] for k in range(last - first + 1)],
         "all_correct": all(r["correct"] and r["failed"] == 0 for s in SIDES for r in runs[s]),

@@ -121,7 +121,7 @@ class LatticePolytope:
     Vertices are stored lexicographically sorted; every supplied point must
     be a genuine vertex of the hull.  Only the search for the facets depends
     on the dimension: a monotone chain for polygons, gift wrapping in exact
-    integers for 3-polytopes (O(F * V) plane tests, F facets and V points).
+    integers for 3-polytopes (up to O(V^2) plane tests for the first facet, then O(F * V)).
     Everything else is derived once at construction, with exact integer
     arithmetic, from the facets through each vertex: the hull vertex and
     full-dimensionality checks, the edges (the vertex pairs that share dim - 1
@@ -228,8 +228,9 @@ def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
     through each point, by gift wrapping in exact integers.  The first facet is a
     supporting plane through pts[0], which is lex-least and so a vertex.  A facet holds
     every point on its plane; its ridges are the pairs of its hull cycle, with a
-    coordinate on which the normal is nonzero dropped.  Each ridge is turned once into
-    the facet beyond it: O(F * V) plane tests.  No facets when the points are coplanar."""
+    coordinate on which the normal is nonzero dropped.  The first facet takes up to
+    O(V^2) planes through pts[0], each tested on all V points; each ridge is then turned
+    once into the facet beyond it: O(F * V) plane tests.  None when coplanar."""
     a = pts[0]
     for b, c in itertools.combinations(pts[1:], 2):
         n = _cross3(_sub(b, a), _sub(c, a))
