@@ -26,6 +26,7 @@ from .fixed_data import (
     GradientEdge,
     Rational,
     _as_tuple,
+    _edge_order_message,
     as_rational,
     format_rational,
     validate,
@@ -303,13 +304,25 @@ def _cmd_toric_scan(args: List[str]) -> Tuple[int, dict]:
     return (1 if any_violation else 0), {"polytope": p.as_dict(), "items": items}
 
 
+def _require_uphill_edges(data: FixedPointData) -> None:
+    """Exit 1 on the first edge that does not increase H, with the message
+    validate flags it by, before a fano6 analysis reads the edges."""
+    for e in data.edges:
+        bottom, top = data.component(e.bottom), data.component(e.top)
+        if not bottom.H < top.H:
+            raise InconsistencyError(_edge_order_message(e, bottom, top))
+
+
 def _cmd_fano6(args: List[str]) -> Tuple[int, dict]:
     if len(args) != 2:
         raise StructuralError("usage: fano6 {graph|chains|abc|suite} <file>")
     sub, path = args
     if sub == "suite":
         return _cmd_fano6_suite(path)
+    if sub not in ("graph", "chains", "abc"):
+        raise StructuralError(f"unknown fano6 subcommand {sub!r}")
     data = load_fixed_point_data(path)
+    _require_uphill_edges(data)
     if sub == "graph":
         graph, report = fano6.surface_graph(data)
         return (0 if report.ok else 1), {
@@ -324,16 +337,14 @@ def _cmd_fano6(args: List[str]) -> Tuple[int, dict]:
                 for c in chains
             ]
         }
-    if sub == "abc":
-        n_a, n_b, n_c, report = fano6.type_abc_classify(data)
-        return (0 if report.ok else 1), {
-            "n_A": n_a,
-            "n_B": n_b,
-            "n_C": n_c,
-            "b2_min": len(data.points()),
-            "report": report.as_dict(),
-        }
-    raise StructuralError(f"unknown fano6 subcommand {sub!r}")
+    n_a, n_b, n_c, report = fano6.type_abc_classify(data)
+    return (0 if report.ok else 1), {
+        "n_A": n_a,
+        "n_B": n_b,
+        "n_C": n_c,
+        "b2_min": len(data.points()),
+        "report": report.as_dict(),
+    }
 
 
 def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
@@ -355,6 +366,7 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
         data = parse_fixed_point_data(payload)
     else:
         raise StructuralError(f"{path} does not carry data for the suite")
+    _require_uphill_edges(data)
     out: Dict[str, Any] = {}
     code = 0
     small = fano6.small_hamiltonian_suite(data)

@@ -39,7 +39,7 @@ from .graphs import (
     is_mapping_isomorphism,
     nontrivial_involutions,
 )
-from .localization import abbv_sum_4d, abbv_sum_6d, alpha, beta
+from .localization import _beta_term, _sum_quotients, abbv_sum_4d, abbv_sum_6d, alpha, beta
 from .reports import (
     InconsistencyError,
     PreconditionError,
@@ -981,7 +981,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
                 f"localisation sum is {format_rational(total)}, not 0; "
                 f"the data cannot come from a genuine action",
             )
-        beta_plus = sum((beta(c) for c in plus), Fraction(0))
+        beta_plus = _sum_quotients(map(_beta_term, plus))
         if beta_plus < 0:
             report.flag(
                 "betapos",

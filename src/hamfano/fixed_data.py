@@ -44,18 +44,20 @@ KINDS = (POINT, SURFACE, FOURFOLD)
 _KIND_DIM = {POINT: 0, SURFACE: 2, FOURFOLD: 4}
 
 
-_RATIONAL = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+# Canonical digits only: no leading zero in either part, and no sign on zero.
+_RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 def as_rational(x: Union[int, str, Fraction]) -> Rational:
-    """Coerce an int, Fraction or 'p/q' string in lowest terms to a canonical
-    rational: the int itself when the value is integral, else the Fraction."""
+    """Coerce an int, Fraction or canonical 'p/q' string (lowest terms, no
+    leading zero, no sign on zero) to a canonical rational: the int itself
+    when the value is integral, else the Fraction."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
         m = _RATIONAL.fullmatch(x) if type(x) is str else None
-        if m is None or (m[2] is not None and (int(m[2]) == 0 or math.gcd(int(m[1]), int(m[2])) != 1)):
-            raise StructuralError(f"not a rational value in lowest terms: {x!r}")
+        if m is None or (m[2] is not None and math.gcd(int(m[1]), int(m[2])) != 1):
+            raise StructuralError(f"not a canonical rational value (p/q in lowest terms): {x!r}")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

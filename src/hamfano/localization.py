@@ -10,9 +10,10 @@ has the given fixed-point data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -104,12 +105,28 @@ class Polynomial:
         return out
 
 
-def alpha(p: FixedComponent) -> Fraction:
-    """Localisation contribution (w1+w2+w3)/(w1*w2*w3) of an isolated point."""
+def _alpha_term(p: FixedComponent) -> Tuple[int, int]:
+    """alpha of an isolated point as the integer quotient (w1+w2+w3, w1*w2*w3)."""
     if p.kind != POINT or len(p.weights) != 3:
         raise PreconditionError(f"{p.id}: alpha needs an isolated point with 3 weights")
     w1, w2, w3 = p.weights
-    return Fraction(w1 + w2 + w3, w1 * w2 * w3)
+    return w1 + w2 + w3, w1 * w2 * w3
+
+
+def _beta_term(s: FixedComponent) -> Tuple[int, int]:
+    """beta of a fixed surface as one integer quotient over w1^2 * w2^2."""
+    if s.kind != SURFACE or len(s.weights) != 2:
+        raise PreconditionError(f"{s.id}: beta needs a fixed surface with 2 weights")
+    if s.normal_degrees is None:
+        raise PreconditionError(f"{s.id}: beta needs the normal degrees")
+    w1, w2 = s.weights
+    n1, n2 = s.normal_degrees
+    return (2 - 2 * s.genus) * w1 * w2 - n1 * w2 * w2 - n2 * w1 * w1, w1 * w1 * w2 * w2
+
+
+def alpha(p: FixedComponent) -> Fraction:
+    """Localisation contribution (w1+w2+w3)/(w1*w2*w3) of an isolated point."""
+    return Fraction(*_alpha_term(p))
 
 
 def beta(s: FixedComponent) -> Fraction:
@@ -118,47 +135,51 @@ def beta(s: FixedComponent) -> Fraction:
     (2-2g)/(w1*w2) - n1/w1^2 - n2/w2^2, with n_i the degree of the
     weight-w_i summand of the normal bundle.
     """
-    if s.kind != SURFACE or len(s.weights) != 2:
-        raise PreconditionError(f"{s.id}: beta needs a fixed surface with 2 weights")
-    if s.normal_degrees is None:
-        raise PreconditionError(f"{s.id}: beta needs the normal degrees")
-    w1, w2 = s.weights
-    n1, n2 = s.normal_degrees
-    g = s.genus
-    return Fraction(2 - 2 * g, w1 * w2) - Fraction(n1, w1 * w1) - Fraction(n2, w2 * w2)
+    return Fraction(*_beta_term(s))
+
+
+def _sum_quotients(terms: Iterable[Tuple[int, int]]) -> Fraction:
+    """Exact sum of the integer quotients n/d, added over the least common
+    denominator of the terms so far, so that only the result is normalised."""
+    num, den = 0, 1
+    for n, d in terms:
+        common = math.lcm(den, d)
+        num = num * (common // den) + n * (common // d)
+        den = common
+    return Fraction(num, den)
+
+
+def _term_6d(c: FixedComponent) -> Tuple[int, int]:
+    if c.kind == POINT:
+        return _alpha_term(c)
+    if c.kind == SURFACE:
+        return _beta_term(c)
+    raise PreconditionError(
+        f"{c.id}: localisation of c1 over a fourfold component is not supported"
+    )
+
+
+def _term_4d(c: FixedComponent) -> Tuple[int, int]:
+    if c.kind == POINT:
+        a, b = c.weights
+        return 1, a * b
+    if c.normal_degrees is None:
+        raise PreconditionError(f"{c.id}: fixed surface needs its normal degree")
+    return -c.normal_degrees[0], 1
 
 
 def abbv_sum_6d(data: FixedPointData) -> Fraction:
     """Sum of alpha over points plus beta over surfaces; zero certifies consistency."""
     if data.half_dim != 3:
         raise PreconditionError("abbv_sum_6d needs half_dim 3")
-    total = Fraction(0)
-    for c in data.ordered():
-        if c.kind == POINT:
-            total += alpha(c)
-        elif c.kind == SURFACE:
-            total += beta(c)
-        else:
-            raise PreconditionError(
-                f"{c.id}: localisation of c1 over a fourfold component is not supported"
-            )
-    return total
+    return _sum_quotients(map(_term_6d, data.ordered()))
 
 
 def abbv_sum_4d(data: FixedPointData) -> Fraction:
     """Sum 1/(a*b) over points minus the normal degrees of fixed surfaces."""
     if data.half_dim != 2:
         raise PreconditionError("abbv_sum_4d needs half_dim 2")
-    total = Fraction(0)
-    for c in data.ordered():
-        if c.kind == POINT:
-            a, b = c.weights
-            total += Fraction(1, a * b)
-        else:
-            if c.normal_degrees is None:
-                raise PreconditionError(f"{c.id}: fixed surface needs its normal degree")
-            total -= c.normal_degrees[0]
-    return total
+    return _sum_quotients(map(_term_4d, data.ordered()))
 
 
 class WeightSumInconsistency(InconsistencyError):

@@ -546,6 +546,8 @@ def _lemma_checks(data: FixedPointData) -> Report:
     points = data.ordered()
     min_id, max_id = points[0].id, points[-1].id
     h_min, h_max = points[0].H, points[-1].H
+    level = {c.id: c.H for c in points}
+    sorted_ws = {c.id: c.sorted_weights() for c in points}
 
     # dum: every weight at a non-extremal point is realised by a boundary edge
     for c in points:
@@ -553,10 +555,10 @@ def _lemma_checks(data: FixedPointData) -> Report:
             continue
         up = sorted(e.weight for e in data.edges if e.bottom == c.id)
         down = sorted(-e.weight for e in data.edges if e.top == c.id)
-        if sorted(c.weights) != sorted(up + down):
+        if list(sorted_ws[c.id]) != sorted(up + down):
             report.flag(
                 "dum",
-                f"{c.id}: weights {sorted(c.weights)} are not matched by incident "
+                f"{c.id}: weights {list(sorted_ws[c.id])} are not matched by incident "
                 f"boundary edges (up {up}, down {down})",
                 subject=c.id,
             )
@@ -589,7 +591,7 @@ def _lemma_checks(data: FixedPointData) -> Report:
     twins = [
         c
         for c in points
-        if c.sorted_weights()[0] == -1 and c.sorted_weights()[1] > 1
+        if sorted_ws[c.id][0] == -1 and sorted_ws[c.id][1] > 1
     ]
     for a, b in itertools.combinations(twins, 2):
         if a.H == b.H:
@@ -615,10 +617,12 @@ def _lemma_checks(data: FixedPointData) -> Report:
                 subject=e.key,
             )
 
-    # 4small: boundary divisor areas are at most 3
+    # 4small: boundary divisor areas (rise / weight) are at most 3; a
+    # non-positive rise makes gradient_sphere_area raise
     for e in data.edges:
-        area = gradient_sphere_area(e, data)
-        if area > 3:
+        rise = level[e.top] - level[e.bottom]
+        if rise <= 0 or rise > 3 * e.weight:
+            area = gradient_sphere_area(e, data)
             report.flag(
                 "4small",
                 f"boundary divisor {e.key} has area {format_rational(area)} > 3",
@@ -626,9 +630,9 @@ def _lemma_checks(data: FixedPointData) -> Report:
             )
 
     # us: restrictions at points with weights {-1, n}, n >= 2
-    min_ws = data.component(min_id).sorted_weights()
+    min_ws = sorted_ws[min_id]
     for c in points:
-        ws = c.sorted_weights()
+        ws = sorted_ws[c.id]
         if ws[0] == -1 and ws[1] >= 2:
             gap = c.H - h_min
             if gap > 3:
@@ -663,7 +667,7 @@ def _lemma_checks(data: FixedPointData) -> Report:
 
     # calc: consequences of a fixed point with weights {1,1}, {-1,-1} or {1,-1}
     special = any(
-        c.sorted_weights() in ((1, 1), (-1, -1), (-1, 1)) for c in points
+        sorted_ws[c.id] in ((1, 1), (-1, -1), (-1, 1)) for c in points
     )
     if special:
         for e in data.edges:

@@ -11,6 +11,10 @@ The chain oracle re-checks a claimed maximal downward chain against the
 raw components and edges of a dataset, without the package's chain search,
 and the estimate oracle evaluates the chain form of the localisation
 estimate from the raw fields, without the package's weight-slot matching.
+
+The localisation oracles add alpha, beta and the 4D and 6D fixed-point sums
+term by term, one Fraction per term, from the raw fields: alpha as the sum
+of 1/(w_i w_j) over pairs of weights rather than as one quotient.
 """
 
 from __future__ import annotations
@@ -188,3 +192,37 @@ def chain_estimate_sums(data) -> List[Fraction]:
         n_t = top.normal_degrees[top.weights.index(-e.weight)]
         sums[find(e.bottom)] += (n_b + n_t) * (1 - Fraction(1, e.weight * e.weight))
     return list(sums.values())
+
+
+def alpha_by_terms(weights: Sequence[int]) -> Fraction:
+    """(w1+w2+w3)/(w1 w2 w3), written as 1/(w2 w3) + 1/(w1 w3) + 1/(w1 w2)."""
+    return sum((Fraction(1, a * b) for a, b in itertools.combinations(weights, 2)), Fraction(0))
+
+
+def beta_by_terms(weights: Sequence[int], genus: int, degrees: Sequence[int]) -> Fraction:
+    """(2 - 2g)/(w1 w2) - n1/w1^2 - n2/w2^2, one Fraction per term."""
+    (w1, w2), (n1, n2) = weights, degrees
+    return Fraction(2 - 2 * genus, w1 * w2) - Fraction(n1, w1 * w1) - Fraction(n2, w2 * w2)
+
+
+def abbv_sum_6d_by_terms(components) -> Fraction:
+    """alpha over the points plus beta over the surfaces of a 6D dataset."""
+    total = Fraction(0)
+    for c in components:
+        if c.kind == "point":
+            total += alpha_by_terms(c.weights)
+        else:
+            total += beta_by_terms(c.weights, c.genus, c.normal_degrees)
+    return total
+
+
+def abbv_sum_4d_by_terms(components) -> Fraction:
+    """1/(ab) over the points minus the normal degree of each surface, 4D."""
+    total = Fraction(0)
+    for c in components:
+        if c.kind == "point":
+            a, b = c.weights
+            total += Fraction(1, a * b)
+        else:
+            total -= c.normal_degrees[0]
+    return total

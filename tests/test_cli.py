@@ -217,8 +217,8 @@ def test_fano6_chains_cli(tmp_path):
 
 
 def test_fano6_chains_two_cycle_exits_1(tmp_path):
-    # edges x->y and y->x of weight 2: following the second one would climb
-    # back up, so the walk must stop with an error instead of looping
+    # edges x->y and y->x of weight 2: the second one runs downhill, so the
+    # command exits 1 naming it instead of looping
     payload = {
         "half_dim": 3,
         "components": [
@@ -241,6 +241,35 @@ def test_fano6_chains_two_cycle_exits_1(tmp_path):
     )
     assert proc.returncode == 1
     assert "y->x" in json.loads(proc.stdout)["error"]
+
+
+DOWNHILL = "edge y->x must increase the Hamiltonian: H(y) = 1 !< H(x) = 0"
+
+
+@pytest.mark.parametrize("sub", ["graph", "chains", "abc", "suite"])
+def test_fano6_downhill_edge_exits_1_with_the_validate_message(tmp_path, sub):
+    # one report for a downhill edge: every fano6 subcommand refuses it up
+    # front, with the message validate flags it by
+    payload = {
+        "half_dim": 3,
+        "components": [
+            {"id": "x", "kind": "point", "H": 0, "weights": [-2, 1, 1]},
+            {"id": "y", "kind": "point", "H": 1, "weights": [-2, 1, 1]},
+        ],
+        "edges": [{"bottom": "y", "top": "x", "weight": 2}],
+    }
+    path = write(tmp_path, "downhill.json", doc_data(payload))
+    code, out = run(["validate", path])
+    assert code == 1
+    assert [v["message"] for v in json.loads(out)["violations"]
+            if v["code"] == "edge-order"] == [DOWNHILL]
+    docs = [path]
+    if sub == "suite":
+        request = {"schema_version": "1", "suite_request": {"data": payload}}
+        docs.append(write(tmp_path, "request.json", request))
+    for doc in docs:
+        code, out = run(["fano6", sub, doc])
+        assert (code, json.loads(out)) == (1, {"error": DOWNHILL})
 
 
 def test_fano6_suite_cli(tmp_path):

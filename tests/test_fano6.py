@@ -353,6 +353,20 @@ def test_chain_missing_continuation_is_incomplete_data():
         maximal_downward_chains(data)
 
 
+def test_chain_walk_stops_at_a_downhill_edge():
+    # the CLI refuses such data up front; the library walk keeps its own guard
+    data = FixedPointData(
+        half_dim=3,
+        components=(point("x", 0, (-2, 1, 1)), point("y", 1, (-2, 1, 1))),
+        edges=(
+            GradientEdge(bottom="x", top="y", weight=2),
+            GradientEdge(bottom="y", top="x", weight=2),
+        ),
+    )
+    with pytest.raises(InconsistencyError, match="y->x must increase .*no downward chain"):
+        maximal_downward_chains(data)
+
+
 def test_chain_value_constraints():
     with pytest.raises(StructuralError):
         Chain(points=("a",), edge_weights=())

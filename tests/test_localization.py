@@ -20,8 +20,15 @@ from hamfano.localization import (
     todd_and_c1c2,
     weight_sum_normalize,
 )
-from hamfano.reports import PreconditionError
-from hamfano.toric import LatticePolytope, delpezzo_catalog, fixed_data_from_polytope
+from hamfano.reports import InconsistencyError, PreconditionError
+from hamfano.toric import (
+    LatticePolytope,
+    _lemma_checks,
+    delpezzo_catalog,
+    fixed_data_from_polytope,
+)
+
+from . import oracle
 
 CP2 = LatticePolytope([(-1, -1), (2, -1), (-1, 2)])
 CP3 = LatticePolytope([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)])
@@ -110,6 +117,64 @@ def test_cp2xcp1_threefold_pipeline():
     # chi_y is multiplicative: (1 - y + y^2)(1 - y)
     assert chi_y(data) == Polynomial.of(1, -1, 1) * Polynomial.of(1, -1)
     assert todd_and_c1c2(data) == (1, 24)
+
+
+_WEIGHTS = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def _datasets(draw, half_dim):
+    """Points and surfaces on Fraction levels, with negative and repeated
+    weights and surfaces of any genus; the sums are almost never zero."""
+    comps = []
+    for i in range(draw(st.integers(1, 6))):
+        h = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 4)))
+        if draw(st.booleans()):
+            ws = draw(st.lists(_WEIGHTS, min_size=half_dim, max_size=half_dim))
+            comps.append(point(f"p{i}", h, ws))
+        else:
+            k = half_dim - 1
+            ws = draw(st.lists(_WEIGHTS, min_size=k, max_size=k))
+            nd = draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k))
+            comps.append(surf(f"s{i}", h, ws, draw(st.integers(0, 3)), nd))
+    return FixedPointData(half_dim=half_dim, components=tuple(comps))
+
+
+@given(st.sampled_from((2, 3)).flatmap(_datasets))
+def test_localisation_sums_match_the_term_by_term_oracle(data):
+    if data.half_dim == 2:
+        total, expected = abbv_sum_4d(data), oracle.abbv_sum_4d_by_terms(data.components)
+    else:
+        total, expected = abbv_sum_6d(data), oracle.abbv_sum_6d_by_terms(data.components)
+        for c in data.components:
+            if c.kind == "point":
+                value, want = alpha(c), oracle.alpha_by_terms(c.weights)
+            else:
+                value = beta(c)
+                want = oracle.beta_by_terms(c.weights, c.genus, c.normal_degrees)
+            assert type(value) is Fraction and value == want
+    assert type(total) is Fraction and total == expected
+
+
+def test_localisation_oracle_cases_are_nonzero():
+    # repeated and negative weights, a genus-2 surface and Fraction levels:
+    # the integer sums agree with the oracle and with a sum by hand:
+    # -3/4 + (1/3 - 4/9 + 1/4) = -11/18 and 1/4 - 2 = -7/4
+    data6 = FixedPointData(
+        half_dim=3,
+        components=(
+            point("p", Fraction(-1, 2), (2, 2, -1)),
+            surf("s", Fraction(5, 3), (-3, 2), 2, (4, -1)),
+        ),
+    )
+    expected6 = oracle.abbv_sum_6d_by_terms(data6.components)
+    assert expected6 != 0 and abbv_sum_6d(data6) == expected6 == Fraction(-11, 18)
+    data4 = FixedPointData(
+        half_dim=2,
+        components=(point("p", Fraction(1, 3), (-2, -2)), surf("s", 2, (3,), 1, (2,))),
+    )
+    expected4 = oracle.abbv_sum_4d_by_terms(data4.components)
+    assert expected4 != 0 and abbv_sum_4d(data4) == expected4 == Fraction(-7, 4)
 
 
 def test_abbv_4d_cp2_terms():
@@ -236,6 +301,31 @@ def test_toric_edge_area_equals_lattice_length():
             by_pair[frozenset((a, b))] = e.length
         for ge in data.edges:
             assert gradient_sphere_area(ge, data) == by_pair[frozenset((ge.bottom, ge.top))]
+
+
+def _two_point_edge(rise, weight):
+    data = FixedPointData(
+        half_dim=2,
+        components=(point("a", 0, (1, weight)), point("b", rise, (-1, -weight))),
+        edges=(GradientEdge(bottom="a", top="b", weight=weight),),
+    )
+    return _lemma_checks(data)
+
+
+@pytest.mark.parametrize("weight", [1, 2, 3])
+def test_4small_boundary_is_area_three(weight):
+    assert not [v for v in _two_point_edge(3 * weight, weight).violations if v.code == "4small"]
+    flagged = [v.message for v in _two_point_edge(3 * weight + 1, weight).violations
+               if v.code == "4small"]
+    area = Fraction(3 * weight + 1, weight)
+    rendered = area.numerator if area.denominator == 1 else f"{area.numerator}/{area.denominator}"
+    assert flagged == [f"boundary divisor a->b has area {rendered} > 3"]
+
+
+@pytest.mark.parametrize("rise", [0, -2])
+def test_lemma_suite_raises_on_a_non_positive_rise(rise):
+    with pytest.raises(InconsistencyError, match="a->b: area .* is not positive"):
+        _two_point_edge(rise, 2)
 
 
 # -- chi_y pipeline ------------------------------------------------------------------

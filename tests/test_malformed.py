@@ -131,6 +131,10 @@ MALFORMED = [
     ("row", "validate", ("fixed_point_data", "components", 0, "b2"), True),
     ("product", "validate", ("fixed_point_data", "half_dim"), 3.0),
     ("product", "validate", COMPONENT + ("H",), "-4/2"),
+    ("product", "validate", COMPONENT + ("H",), "007"),
+    ("product", "validate", COMPONENT + ("H",), "1/02"),
+    ("product", "validate", COMPONENT + ("H",), "-0"),
+    ("product", "validate", COMPONENT + ("H",), "-0/1"),
     ("product", "validate", COMPONENT + ("H",), " -2 "),
     ("product", "validate", COMPONENT + ("H",), "3.5"),
     ("product", "validate", COMPONENT + ("H",), "1e400"),
