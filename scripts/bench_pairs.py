@@ -9,13 +9,15 @@ names, their better direction and their bounds come from the parent tree's
 BENCHMARK.json; the script refuses to run when the change tree's file gives
 other metrics or another run length.  The JSON written to --out holds, for
 each end-to-end metric, every run, the median and quartiles of each side,
-and the number of pairs each side won.
+and the number of pairs each side won, and each tree's ``src/`` line count
+(the lines of ``src/**/*.py``).
 
 usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
            --seeds A-B --out BENCH.json
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -28,6 +30,14 @@ SIDES = ("parent", "change")
 def load_benchmark(tree: str) -> dict:
     with open(os.path.join(tree, "BENCHMARK.json")) as f:
         return json.load(f)
+
+
+def src_lines(tree: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as f:
+            total += sum(1 for _line in f)
+    return total
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -101,6 +111,7 @@ def main() -> None:
         f"--seconds {seconds:g} --trace 0",
         "seeds": [first, last],
         "first_in_pair": [SIDES[k % 2] for k in range(last - first + 1)],
+        "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         "all_correct": all(r["correct"] and r["failed"] == 0 for s in SIDES for r in runs[s]),
         "runs": runs,
         "metrics": {m["name"]: compare(runs, m) for m in metrics},

@@ -15,8 +15,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-import typing
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from fractions import Fraction
+from typing import Any, Dict, List, Sequence, Tuple
 
 from . import dh as dh_mod
 from . import fano6, localization, toric
@@ -24,10 +24,10 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
-    Rational,
     _as_tuple,
-    _edge_order_message,
+    _INTEGER,
     as_rational,
+    edge_order_violation,
     format_rational,
     validate,
 )
@@ -53,29 +53,10 @@ commands:
 # -- document parsing ---------------------------------------------------------
 
 
-def _rational_json(x: Rational) -> Any:
-    return x if type(x) is int else format_rational(x)
-
-
-def _to_json(hint) -> Optional[Callable[[Any], Any]]:
-    """The converter of a field of this declared type to JSON; None when its
-    values are JSON already."""
-    if hint == Rational or hint == Optional[Rational]:
-        return _rational_json
-    if typing.get_origin(hint) is Union:  # Optional[X]
-        hint = typing.get_args(hint)[0]
-    if typing.get_origin(hint) is not tuple:
-        return None
-    if typing.get_origin(typing.get_args(hint)[0]) is tuple:
-        return lambda v: [list(x) for x in v]
-    return list
-
-
-def _schema(cls) -> Dict[str, Tuple[Any, Optional[Callable[[Any], Any]]]]:
-    """The (default, JSON converter) of each field of a dataclass, by name;
-    MISSING marks a required field."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (f.default, _to_json(hints[f.name])) for f in dataclasses.fields(cls)}
+def _schema(cls) -> Dict[str, Any]:
+    """The default of each field of a dataclass, by name; MISSING marks a
+    required field."""
+    return {f.name: f.default for f in dataclasses.fields(cls)}
 
 
 _COMPONENT = _schema(FixedComponent)
@@ -96,7 +77,7 @@ def _fields(schema, obj: Any, what: str) -> Dict[str, Any]:
     if not isinstance(obj, dict):
         raise StructuralError(f"{what} must be an object")
     _known_keys(obj, schema.keys(), what)
-    for name, (default, _convert) in schema.items():
+    for name, default in schema.items():
         if default is dataclasses.MISSING and name not in obj:
             raise StructuralError(f"{what} needs the key {name!r}")
     return dict(obj)
@@ -116,12 +97,13 @@ def parse_fixed_point_data(doc: dict) -> FixedPointData:
 
 
 def _render(obj: Any, schema) -> Dict[str, Any]:
-    """Every field that differs from its default, as JSON values."""
+    """Every field that differs from its default, by value: a Fraction as its
+    'p/q' string, anything else as it is (json writes a tuple as an array)."""
     out: Dict[str, Any] = {}
-    for name, (default, convert) in schema.items():
+    for name, default in schema.items():
         value = getattr(obj, name)
         if default is dataclasses.MISSING or value != default:
-            out[name] = value if convert is None else convert(value)
+            out[name] = format_rational(value) if type(value) is Fraction else value
     return out
 
 
@@ -188,13 +170,12 @@ def load_polytope(path: str) -> toric.LatticePolytope:
 
 
 def _parse_xi(text: str) -> Tuple[int, ...]:
-    try:
-        xi = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
+    parts = text.split(",")
+    if not all(_INTEGER.fullmatch(part) for part in parts):
         raise StructuralError(f"--xi expects integers like 1,2 or 1,2,4; got {text!r}")
-    if len(xi) not in (2, 3):
+    if len(parts) not in (2, 3):
         raise StructuralError("--xi expects 2 or 3 comma-separated integers")
-    return xi
+    return tuple(map(int, parts))
 
 
 # -- command handlers ----------------------------------------------------------
@@ -256,11 +237,8 @@ def _cmd_chi_y(args: List[str]) -> Tuple[int, dict]:
 def _cmd_dh(args: List[str]) -> Tuple[int, dict]:
     if len(args) < 2 or args[0] != "toric":
         raise StructuralError("usage: dh toric <polytope> --xi a,b")
-    path = args[1]
-    xi = _take_flag(args[2:], "--xi")
-    if xi is None:
-        raise StructuralError("dh toric needs --xi a,b")
-    p = load_polytope(path)
+    xi = _take_flag(args[2:], "--xi", "dh toric")
+    p = load_polytope(args[1])
     fn = dh_mod.dh_function_toric(p, _parse_xi(xi))
     return 0, fn.as_dict()
 
@@ -269,13 +247,10 @@ def _cmd_toric_scan(args: List[str]) -> Tuple[int, dict]:
     if len(args) < 2 or args[0] != "scan":
         raise StructuralError("usage: toric scan <polytope|catalog-name> --bound N")
     target = args[1]
-    bound_text = _take_flag(args[2:], "--bound")
-    if bound_text is None:
-        raise StructuralError("toric scan needs --bound N")
-    try:
-        bound = int(bound_text)
-    except ValueError:
+    bound_text = _take_flag(args[2:], "--bound", "toric scan")
+    if not _INTEGER.fullmatch(bound_text):
         raise StructuralError(f"--bound expects an integer, got {bound_text!r}")
+    bound = int(bound_text)
     if target in toric.CATALOG:
         p = toric.catalog_entry(target).polytope
     else:
@@ -308,9 +283,8 @@ def _require_uphill_edges(data: FixedPointData) -> None:
     """Exit 1 on the first edge that does not increase H, with the message
     validate flags it by, before a fano6 analysis reads the edges."""
     for e in data.edges:
-        bottom, top = data.component(e.bottom), data.component(e.top)
-        if not bottom.H < top.H:
-            raise InconsistencyError(_edge_order_message(e, bottom, top))
+        if message := edge_order_violation(e, data.component(e.bottom), data.component(e.top)):
+            raise InconsistencyError(message)
 
 
 def _cmd_fano6(args: List[str]) -> Tuple[int, dict]:
@@ -397,16 +371,16 @@ def _cmd_enumerate_04(args: List[str]) -> Tuple[int, dict]:
     return 0, {"rows": rendered, "max_total": max(r["total"] for r in rows)}
 
 
-def _take_flag(args: Sequence[str], flag: str) -> Optional[str]:
-    args = list(args)
-    for i, a in enumerate(args):
-        if a == flag:
-            if i + 1 >= len(args):
-                raise StructuralError(f"{flag} needs a value")
-            return args[i + 1]
-        if a.startswith(flag + "="):
-            return a[len(flag) + 1 :]
-    return None
+def _take_flag(args: Sequence[str], flag: str, command: str) -> str:
+    """The value of the one `flag value` or `flag=value` that follows the
+    target; anything else is a usage error that names what was found."""
+    if len(args) == 2 and args[0] == flag:
+        return args[1]
+    if len(args) == 1 and args[0].startswith(flag + "="):
+        return args[0][len(flag) + 1 :]
+    raise StructuralError(
+        f"{command} takes exactly one {flag} after the target, got {list(args)!r}"
+    )
 
 
 # -- dispatch -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from .fixed_data import (
 )
 from .localization import Polynomial
 from .reports import InconsistencyError, PreconditionError, Report
-from .toric import CircleDirection, LatticePolytope, delzant_check, fixed_data_from_polytope
+from .toric import CircleDirection, LatticePolytope, fixed_data_from_polytope
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,6 @@ def _polygon_data(
 ) -> FixedPointData:
     if p.dim != 2:
         raise PreconditionError("dh_function_toric applies to Delzant polygons")
-    if not delzant_check(p):
-        raise PreconditionError("polygon is not Delzant")
     return fixed_data_from_polytope(p, xi)
 
 

@@ -27,9 +27,9 @@ from .fixed_data import (
     FixedPointData,
     GradientEdge,
     Rational,
-    _edge_order_message,
     _extreme_ids,
     edge_order,
+    edge_order_violation,
     extremal,
     format_rational,
 )
@@ -39,7 +39,7 @@ from .graphs import (
     is_mapping_isomorphism,
     nontrivial_involutions,
 )
-from .localization import _beta_term, _sum_quotients, abbv_sum_4d, abbv_sum_6d, alpha, beta
+from .localization import _beta_term, _sum_quotients, abbv_sum_6d, alpha, beta
 from .reports import (
     InconsistencyError,
     PreconditionError,
@@ -124,10 +124,7 @@ def reflective_check(q: LabelledGraph) -> bool:
     """True iff the graph admits a non-identity involution preserving H and
     all weight labels.  When it does, the extremal weights must be {1,1}
     and {-1,-1}; data violating that is rejected as impossible."""
-    reflective = False
-    for _m in nontrivial_involutions(q):
-        reflective = True
-        break
+    reflective = next(nontrivial_involutions(q), None) is not None
     if reflective:
         if q.v_min is not None and q.vertex(q.v_min).sorted_weights() != (1, 1):
             raise InconsistencyError(
@@ -326,11 +323,8 @@ def maximal_downward_chains(data: FixedPointData) -> List[Chain]:
 
 def _descend(data: FixedPointData, e: GradientEdge) -> str:
     """The bottom of e, once it is checked to lie strictly below the top."""
-    bottom, top = data.component(e.bottom), data.component(e.top)
-    if not bottom.H < top.H:
-        raise InconsistencyError(
-            f"{_edge_order_message(e, bottom, top)}; no downward chain follows it"
-        )
+    if message := edge_order_violation(e, data.component(e.bottom), data.component(e.top)):
+        raise InconsistencyError(f"{message}; no downward chain follows it")
     return e.bottom
 
 
@@ -640,35 +634,11 @@ def _take(slots: List[_Slot], w: int) -> Optional[_Slot]:
     return None
 
 
-def isotropy_edge_sum(data: FixedPointData, e: GradientEdge) -> Fraction:
+def isotropy_edge_sum(e: GradientEdge) -> Fraction:
     """Recover n_bot + n_top for an isotropy 4-manifold from its interior
-    fixed points, through the 4-dimensional localisation identity."""
-    bot, top = data.component(e.bottom), data.component(e.top)
-    comps = [
-        FixedComponent(
-            id="bot",
-            kind=SURFACE,
-            H=bot.H,
-            weights=(e.weight,),
-            genus=bot.genus or 0,
-            normal_degrees=(0,),
-        ),
-        FixedComponent(
-            id="top",
-            kind=SURFACE,
-            H=top.H,
-            weights=(-e.weight,),
-            genus=top.genus or 0,
-            normal_degrees=(0,),
-        ),
-    ]
-    for k, (a, b) in enumerate(e.interior_points):
-        h = Fraction(bot.H + top.H, 2)
-        comps.append(
-            FixedComponent(id=f"p{k}", kind=POINT, H=h, weights=(a, b))
-        )
-    induced = FixedPointData(half_dim=2, components=tuple(comps))
-    return abbv_sum_4d(induced)
+    fixed points: by the 4-dimensional localisation identity on it, the
+    normal degrees of its two end surfaces sum to the sum of 1/(ab) over them."""
+    return _sum_quotients((1, a * b) for a, b in e.interior_points)
 
 
 def cycle_inequality(data: FixedPointData) -> Report:
@@ -686,9 +656,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
         raise PreconditionError("cycle_inequality applies to 6-dimensional data")
     min_id, max_id = extremal(data)
     min_c, max_c = data.component(min_id), data.component(max_id)
-    if min_c.kind != SURFACE or min_c.genus < 1:
-        raise PreconditionError("cycle_inequality needs positive-genus extrema")
-    if max_c.kind != SURFACE or max_c.genus < 1:
+    if any(c.kind != SURFACE or c.genus < 1 for c in (min_c, max_c)):
         raise PreconditionError("cycle_inequality needs positive-genus extrema")
     report = Report()
     g = min_c.genus
@@ -697,7 +665,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
 
     connections: List[Tuple[str, str, Optional[Rational]]] = []
     for e, slots in matched:
-        recovered = isotropy_edge_sum(data, e)
+        recovered = isotropy_edge_sum(e)
         if recovered > 0:
             report.flag(
                 "isotropy-sum",
@@ -781,16 +749,15 @@ def cycle_inequality(data: FixedPointData) -> Report:
         )
         return report
     try:
-        c1s = {c.id: c1_of_surface(c) for c in plus}
+        c1, witness = min((c1_of_surface(c), c.id) for c in plus)
     except PreconditionError:
         report.undecided("witness", "normal degrees missing for the witness")
         return report
-    witness = min(c1s, key=lambda cid: (c1s[cid], cid))
-    report.note(f"witness: {witness} with c1 = {c1s[witness]} <= {2 - 2 * g}")
-    if c1s[witness] > 2 - 2 * g:
+    report.note(f"witness: {witness} with c1 = {c1} <= {2 - 2 * g}")
+    if c1 > 2 - 2 * g:
         report.flag(
             "aim-conclusion",
-            f"cyclic sum closes but the best surface has c1 = {c1s[witness]} > "
+            f"cyclic sum closes but the best surface has c1 = {c1} > "
             f"{2 - 2 * g}; impossible data",
             subject=witness,
         )
@@ -1017,14 +984,13 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 
     # witness emission
     if degrees_known and report.ok:
-        c1s = {c.id: c1_of_surface(c) for c in plus}
-        witness = min(c1s, key=lambda cid: (c1s[cid], cid))
+        c1, witness = min((c1_of_surface(c), c.id) for c in plus)
         wit_c = data.component(witness)
         report.note(
-            f"witness: {witness} (genus {wit_c.genus}) with c1 = {c1s[witness]} "
+            f"witness: {witness} (genus {wit_c.genus}) with c1 = {c1} "
             f"<= {2 - 2 * g}"
         )
-        if wit_c.genus < g or c1s[witness] > 2 - 2 * g:
+        if wit_c.genus < g or c1 > 2 - 2 * g:
             report.flag(
                 "conclusion",
                 f"hypotheses and localisation hold, yet no surface of genus >= {g} "

@@ -44,8 +44,9 @@ KINDS = (POINT, SURFACE, FOURFOLD)
 _KIND_DIM = {POINT: 0, SURFACE: 2, FOURFOLD: 4}
 
 
-# Canonical digits only: no leading zero in either part, and no sign on zero.
-_RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+# Canonical ASCII digits only: no leading zero in either part, and no sign on zero.
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+_RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([1-9][0-9]*))?")
 
 
 def as_rational(x: Union[int, str, Fraction]) -> Rational:
@@ -296,7 +297,13 @@ def _extreme_ids(ordered: Sequence) -> Tuple[List[str], List[str]]:
     return [c.id for c in ordered[:i]], [c.id for c in ordered[j:]]
 
 
-def _edge_order_message(e: GradientEdge, bottom: FixedComponent, top: FixedComponent) -> str:
+def edge_order_violation(
+    e: GradientEdge, bottom: FixedComponent, top: FixedComponent
+) -> Optional[str]:
+    """Why the edge e from bottom to top does not increase the Hamiltonian
+    strictly, or None when it does: the one owner of the edge-order rule."""
+    if bottom.H < top.H:
+        return None
     return (
         f"edge {e.key} must increase the Hamiltonian: H({e.bottom}) = "
         f"{format_rational(bottom.H)} !< H({e.top}) = {format_rational(top.H)}"
@@ -397,8 +404,8 @@ def validate(data: FixedPointData) -> Report:
 
     for e in data.edges:
         b, t = data.component(e.bottom), data.component(e.top)
-        if not b.H < t.H:
-            report.flag("edge-order", _edge_order_message(e, b, t), subject=e.key)
+        if message := edge_order_violation(e, b, t):
+            report.flag("edge-order", message, subject=e.key)
         if (
             data.half_dim == 3
             and b.kind == SURFACE

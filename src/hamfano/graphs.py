@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .fixed_data import FixedComponent, GradientEdge, edge_order, format_rational
+from .fixed_data import (
+    FixedComponent,
+    GradientEdge,
+    edge_order,
+    edge_order_violation,
+    format_rational,
+)
 from .reports import StructuralError
 
 
@@ -37,21 +43,19 @@ class LabelledGraph:
         object.__setattr__(
             self, "vertices", tuple(sorted(self.vertices, key=lambda v: (v.H, v.id)))
         )
-        ids = {v.id for v in self.vertices}
-        if len(ids) != len(self.vertices):
+        by_id = {v.id: v for v in self.vertices}
+        if len(by_id) != len(self.vertices):
             raise StructuralError("duplicate vertex ids in graph")
         for e in self.edges:
-            if e.bottom not in ids or e.top not in ids:
+            if e.bottom not in by_id or e.top not in by_id:
                 raise StructuralError(f"edge {e.key} does not resolve")
-        by_id = {v.id: v for v in self.vertices}
-        for e in self.edges:
-            if not by_id[e.bottom].H < by_id[e.top].H:
-                raise StructuralError(f"edge {e.key} must be oriented by increasing H")
+            if message := edge_order_violation(e, by_id[e.bottom], by_id[e.top]):
+                raise StructuralError(message)
         object.__setattr__(
             self, "edges", tuple(sorted(self.edges, key=edge_order))
         )
         for end in (self.v_min, self.v_max):
-            if end is not None and end not in ids:
+            if end is not None and end not in by_id:
                 raise StructuralError(f"extremal vertex {end!r} does not resolve")
 
     def vertex(self, vid: str) -> FixedComponent:
@@ -179,9 +183,7 @@ def isomorphisms(a: LabelledGraph, b: LabelledGraph) -> Iterator[Dict[str, str]]
 
 
 def first_isomorphism(a: LabelledGraph, b: LabelledGraph) -> Optional[Dict[str, str]]:
-    for m in isomorphisms(a, b):
-        return m
-    return None
+    return next(isomorphisms(a, b), None)
 
 
 def is_mapping_isomorphism(a: LabelledGraph, b: LabelledGraph, mapping: Dict[str, str]) -> bool:

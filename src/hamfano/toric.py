@@ -88,9 +88,6 @@ class CircleDirection:
             raise StructuralError(f"direction {v} is not primitive")
         object.__setattr__(self, "xi", v)
 
-    def __len__(self) -> int:
-        return len(self.xi)
-
 
 def as_direction(xi: Union[CircleDirection, Sequence[int]]) -> CircleDirection:
     if isinstance(xi, CircleDirection):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -244,32 +246,58 @@ def test_fano6_chains_two_cycle_exits_1(tmp_path):
 
 
 DOWNHILL = "edge y->x must increase the Hamiltonian: H(y) = 1 !< H(x) = 0"
+LEVEL = "edge x->y must increase the Hamiltonian: H(x) = 0 !< H(y) = 0"
 
 
-@pytest.mark.parametrize("sub", ["graph", "chains", "abc", "suite"])
-def test_fano6_downhill_edge_exits_1_with_the_validate_message(tmp_path, sub):
-    # one report for a downhill edge: every fano6 subcommand refuses it up
-    # front, with the message validate flags it by
+@pytest.mark.parametrize(
+    "sub, level",
+    [
+        pytest.param(sub, level, id=f"{sub}-level" if level else sub)
+        for level in (False, True)
+        for sub in ("graph", "chains", "abc", "suite")
+    ],
+)
+def test_fano6_downhill_edge_exits_1_with_the_validate_message(tmp_path, sub, level):
+    # one report for an edge that does not climb (downhill, or level with
+    # H(bottom) = H(top)): every fano6 subcommand refuses it up front, with
+    # the message validate flags it by
+    h_y, edge, message = (0, ("x", "y"), LEVEL) if level else (1, ("y", "x"), DOWNHILL)
     payload = {
         "half_dim": 3,
         "components": [
             {"id": "x", "kind": "point", "H": 0, "weights": [-2, 1, 1]},
-            {"id": "y", "kind": "point", "H": 1, "weights": [-2, 1, 1]},
+            {"id": "y", "kind": "point", "H": h_y, "weights": [-2, 1, 1]},
         ],
-        "edges": [{"bottom": "y", "top": "x", "weight": 2}],
+        "edges": [{"bottom": edge[0], "top": edge[1], "weight": 2}],
     }
     path = write(tmp_path, "downhill.json", doc_data(payload))
     code, out = run(["validate", path])
     assert code == 1
     assert [v["message"] for v in json.loads(out)["violations"]
-            if v["code"] == "edge-order"] == [DOWNHILL]
+            if v["code"] == "edge-order"] == [message]
     docs = [path]
     if sub == "suite":
         request = {"schema_version": "1", "suite_request": {"data": payload}}
         docs.append(write(tmp_path, "request.json", request))
     for doc in docs:
         code, out = run(["fano6", sub, doc])
-        assert (code, json.loads(out)) == (1, {"error": DOWNHILL})
+        assert (code, json.loads(out)) == (1, {"error": message})
+
+
+def test_render_writes_a_fraction_as_p_over_q():
+    data = parse_fixed_point_data(CP2_DATA)
+    data = data.replace_components(
+        replace(c, H=Fraction(-7, 2)) if c.id == "a" else c for c in data.components
+    )
+    text = json.dumps(render_fixed_point_data(data)["components"][0], separators=(",", ":"))
+    assert text == '{"id":"a","kind":"point","H":"-7/2","weights":[1,2]}'
+
+
+def test_dh_toric_refuses_a_non_delzant_polygon():
+    path = os.path.join(os.path.dirname(__file__), "golden", "triangle_nondelzant.json")
+    code, out = run(["dh", "toric", path, "--xi", "1,2"])
+    assert code == 2
+    assert "Delzant" in json.loads(out)["error"]
 
 
 def test_fano6_suite_cli(tmp_path):

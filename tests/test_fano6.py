@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hamfano.fano6 import (
@@ -354,17 +354,19 @@ def test_chain_missing_continuation_is_incomplete_data():
 
 
 def test_chain_walk_stops_at_a_downhill_edge():
-    # the CLI refuses such data up front; the library walk keeps its own guard
-    data = FixedPointData(
-        half_dim=3,
-        components=(point("x", 0, (-2, 1, 1)), point("y", 1, (-2, 1, 1))),
-        edges=(
-            GradientEdge(bottom="x", top="y", weight=2),
-            GradientEdge(bottom="y", top="x", weight=2),
-        ),
-    )
-    with pytest.raises(InconsistencyError, match="y->x must increase .*no downward chain"):
-        maximal_downward_chains(data)
+    # the CLI refuses such data up front; the library walk keeps its own
+    # guard, for a downhill edge and for a level one (H(x) = H(y))
+    for h_y, edges, key in (
+        (1, (("x", "y"), ("y", "x")), "y->x"),
+        (0, (("x", "y"),), "x->y"),
+    ):
+        data = FixedPointData(
+            half_dim=3,
+            components=(point("x", 0, (-2, 1, 1)), point("y", h_y, (-2, 1, 1))),
+            edges=tuple(GradientEdge(bottom=b, top=t, weight=2) for b, t in edges),
+        )
+        with pytest.raises(InconsistencyError, match=f"{key} must increase .*no downward chain"):
+            maximal_downward_chains(data)
 
 
 def test_chain_value_constraints():
@@ -597,8 +599,29 @@ def test_cycle_inequality_empty_interior_sum_is_zero():
 
     data = _four_cycle_data()
     e = data.edges[0]
-    assert isotropy_edge_sum(data, e) == 0
-    assert isotropy_edge_sum(data, data.edges[2]) == -1
+    assert isotropy_edge_sum(e) == 0
+    assert isotropy_edge_sum(data.edges[2]) == -1
+
+
+_WEIGHTS = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@given(st.integers(2, 5), st.lists(st.tuples(_WEIGHTS, _WEIGHTS), max_size=4))
+@example(2, [])
+@example(3, [(1, -1), (1, -1)])
+def test_isotropy_edge_sum_matches_the_induced_4d_sum(weight, interior):
+    # the isotropy 4-manifold with both end surfaces at normal degree 0 and
+    # the interior points as points: its 4D sum is the recovered n_bot + n_top
+    from types import SimpleNamespace
+
+    from hamfano.fano6 import isotropy_edge_sum
+
+    from .oracle import abbv_sum_4d_by_terms
+
+    e = GradientEdge(bottom="lo", top="hi", weight=weight, interior_points=tuple(interior))
+    ends = [SimpleNamespace(kind="surface", normal_degrees=(0,)) for _ in range(2)]
+    points = [SimpleNamespace(kind="point", weights=p) for p in interior]
+    assert isotropy_edge_sum(e) == abbv_sum_4d_by_terms(ends + points)
 
 
 def test_cycle_inequality_positive_interior_flagged():

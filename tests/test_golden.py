@@ -109,6 +109,27 @@ DATASETS = {
             {"bottom": "y", "top": "x", "weight": 2},
         ],
     },
+    # CP2 x Sigma_1 under (1, 2) with every level shifted by -1/2, so the
+    # constant is a p/q string; a p/q area, a fibre class and interior points
+    "fractional": {
+        "half_dim": 3,
+        "relative_fano": True,
+        "components": [
+            {
+                "id": "lo",
+                "kind": "surface",
+                "H": "-7/2",
+                "weights": [1, 2],
+                "genus": 1,
+                "normal_degrees": [0, -1],
+                "area": "3/2",
+                "fibre_class": True,
+            },
+            {"id": "mid", "kind": "surface", "H": "-1/2", "weights": [-1, 1], "genus": 1},
+            {"id": "hi", "kind": "surface", "H": "5/2", "weights": [-2, -1], "genus": 1},
+        ],
+        "edges": [{"bottom": "lo", "top": "hi", "weight": 2, "interior_points": [[1, -1]]}],
+    },
 }
 
 
@@ -215,6 +236,7 @@ CASES = {
     "localize4d_bl2cp2_10": ["localize", "4d", "bl2cp2_10.json"],
     "chiy_bl2cp2_10": ["chi-y", "bl2cp2_10.json"],
     "normalize_inconsistent": ["normalize", "inconsistent.json"],
+    "normalize_fractional": ["normalize", "fractional.json"],
     **{
         f"{cmd}_{doc}": argv + [f"{doc}.json"]
         for docs, commands in ((PRODUCTS, PRODUCT_COMMANDS), (ROWS, ROW_COMMANDS))

@@ -1,5 +1,6 @@
 """Labelled-graph isomorphism search and its re-verification."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,14 +86,17 @@ def test_all_isomorphisms_of_symmetric_square():
 
 
 def test_graph_rejects_misoriented_edges():
-    with pytest.raises(StructuralError):
-        LabelledGraph(
-            vertices=(
-                FixedComponent(id="a", kind="point", H=Fraction(1), weights=(1,)),
-                FixedComponent(id="b", kind="point", H=Fraction(0), weights=(-1,)),
-            ),
-            edges=(GradientEdge(bottom="a", top="b", weight=1),),
-        )
+    # a downhill edge and a level one (H(a) = H(b)), in validate's wording
+    for h_b in (0, 1):
+        message = f"edge a->b must increase the Hamiltonian: H(a) = 1 !< H(b) = {h_b}"
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            LabelledGraph(
+                vertices=(
+                    FixedComponent(id="a", kind="point", H=Fraction(1), weights=(1,)),
+                    FixedComponent(id="b", kind="point", H=Fraction(h_b), weights=(-1,)),
+                ),
+                edges=(GradientEdge(bottom="a", top="b", weight=1),),
+            )
 
 
 def test_graph_rejects_duplicate_ids_and_dangling_edges():

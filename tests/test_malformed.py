@@ -1,13 +1,17 @@
-"""Malformed documents end with exit 2 and a JSON error, never a traceback
-or a silent misreading; a Hypothesis fuzz test mutates valid documents.
+"""Malformed documents and argv end with exit 2 and a JSON error, never a
+traceback or a silent misreading; Hypothesis fuzz tests mutate valid
+documents and draw argv from CLI tokens.
 
 Booleans are JSON ``true``/``false``, integers are neither floats nor
 booleans, and rationals are integers or "p/q" strings in lowest terms.
+Integer arguments are canonical ASCII integers, and exactly one flag
+follows the target.
 """
 
 import copy
 import json
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -253,3 +257,67 @@ def test_fuzzed_documents_keep_the_contract(tmp_path, doc):
         code, out = run(_argv(command, path))
         assert code in (0, 1, 2), (command, out)
         json.loads(out)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CP2_PATH = str(GOLDEN / "cp2.json")
+
+# (argv, the part of it the error must name): each was reinterpreted or
+# dropped while a flag's value went through int() and the first flag won
+LENIENT_ARGV = [
+    (["toric", "scan", "CP2", "--bound", "1_0"], "'1_0'"),
+    (["toric", "scan", "CP2", "--bound", "+1"], "'+1'"),
+    (["toric", "scan", "CP2", "--bound", "05"], "'05'"),
+    (["toric", "scan", "CP2", "--bound", " 1"], "' 1'"),
+    (["toric", "scan", "CP2", "--bound=\uff11"], "'\uff11'"),
+    (["dh", "toric", CP2_PATH, "--xi", "1_2,3"], "'1_2,3'"),
+    (["dh", "toric", CP2_PATH, "--xi", "+1,2"], "'+1,2'"),
+    (["toric", "scan", "CP2", "--bound", "1", "junk"], "'junk'"),
+    (["toric", "scan", "CP2", "--bound", "1", "--bound", "2"], "'--bound', '2'"),
+    (["toric", "scan", "CP2", "junk", "--bound", "1"], "'junk'"),
+    (["dh", "toric", CP2_PATH, "--xi", "+1,2", "extra"], "'extra'"),
+    (["dh", "toric", CP2_PATH, "--bound", "1"], "'--bound'"),
+    (["toric", "scan", "CP2"], "[]"),
+    (["dh", "toric", CP2_PATH, "--xi"], "['--xi']"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, found",
+    LENIENT_ARGV,
+    ids=[" ".join("cp2.json" if t == CP2_PATH else t for t in a) for a, _f in LENIENT_ARGV],
+)
+def test_lenient_argv_exits_2_and_names_what_was_found(argv, found):
+    code, out = run(argv)
+    assert code == 2, out
+    assert found in json.loads(out)["error"]
+
+
+def test_flag_value_is_spaced_or_joined_by_equals():
+    code, out = run(["toric", "scan", "CP2", "--bound=2"])
+    assert (code, out) == run(["toric", "scan", "CP2", "--bound", "2"]) and code == 0
+    for xi in (["--xi", "-1,2"], ["--xi=-1,2"]):
+        code, out = run(["dh", "toric", CP2_PATH, *xi])
+        assert code == 0, out
+
+
+_TOKENS = (
+    ["validate", "normalize", "localize", "chi-y", "dh", "toric", "fano6", "enumerate-04"]
+    + ["4d", "6d", "scan", "graph", "chains", "abc", "suite", "--pretty"]
+    + ["--bound", "--xi", "--bound=2", "--bound=-1", "--bound=x", "--xi=1,2", "--xi=0,1"]
+    + ["0", "2", "-1", "05", "+1", "1_0", "x", "1,2", "1,2,1"]
+    + ["CP2", "Bl3CP2", str(GOLDEN / "missing.json")]
+    + [
+        str(GOLDEN / f"{name}.json")
+        for name in ("cp2", "cube", "bl2cp2_10", "two_cycle", "abc_3_1_1_2", "suite_cp2_g2")
+    ]
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(argv=st.lists(st.sampled_from(_TOKENS), max_size=6))
+def test_fuzzed_argv_keeps_the_contract(argv):
+    # every bound token is at most 2, so each run stays small
+    code, out = run(argv)
+    assert code in (0, 1, 2), (argv, out)
+    json.loads(out)
