@@ -181,15 +181,23 @@ def _parse_xi(text: str) -> Tuple[int, ...]:
 # -- command handlers ----------------------------------------------------------
 
 
+def _operands(args: List[str], usage: str) -> List[str]:
+    """The args of a command that takes exactly the operands its usage line
+    `command operand ...` names; another count is a usage error."""
+    if len(args) != len(usage.split()) - 1:
+        raise StructuralError(f"usage: {usage}; got {args!r}")
+    return args
+
+
 def _cmd_validate(args: List[str]) -> Tuple[int, dict]:
-    (path,) = args
+    (path,) = _operands(args, "validate <file>")
     data = load_fixed_point_data(path)
     report = validate(data)
     return (0 if report.ok else 1), report.as_dict()
 
 
 def _cmd_normalize(args: List[str]) -> Tuple[int, dict]:
-    (path,) = args
+    (path,) = _operands(args, "normalize <file>")
     data = load_fixed_point_data(path)
     try:
         constant, shifted = localization.weight_sum_normalize(data)
@@ -208,7 +216,7 @@ def _cmd_normalize(args: List[str]) -> Tuple[int, dict]:
 
 
 def _cmd_localize(args: List[str]) -> Tuple[int, dict]:
-    which, path = args
+    which, path = _operands(args, "localize {4d|6d} <file>")
     data = load_fixed_point_data(path)
     if which == "4d":
         total = localization.abbv_sum_4d(data)
@@ -220,7 +228,7 @@ def _cmd_localize(args: List[str]) -> Tuple[int, dict]:
 
 
 def _cmd_chi_y(args: List[str]) -> Tuple[int, dict]:
-    (path,) = args
+    (path,) = _operands(args, "chi-y <file>")
     data = load_fixed_point_data(path)
     poly = localization.chi_y(data)
     out: Dict[str, Any] = {
@@ -389,10 +397,10 @@ def _take_flag(args: Sequence[str], flag: str, command: str) -> str:
 def run(argv: Sequence[str]) -> Tuple[int, str]:
     """Execute one CLI invocation; returns (exit code, output text)."""
     args = list(argv)
-    pretty = False
-    if "--pretty" in args:
-        pretty = True
-        args.remove("--pretty")
+    # the global flag is read in first position only, as the usage line has it
+    pretty = args[:1] == ["--pretty"]
+    if pretty:
+        del args[0]
     handlers = {
         "validate": _cmd_validate,
         "normalize": _cmd_normalize,

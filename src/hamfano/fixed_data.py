@@ -109,12 +109,15 @@ class FixedComponent:
             raise StructuralError("component id must be a non-empty string")
         if self.kind not in KINDS:
             raise StructuralError(f"{self.id}: unknown kind {self.kind!r}")
-        object.__setattr__(self, "H", as_rational(self.H))
+        # a field is written back only when canonicalisation changed it
+        if (h := as_rational(self.H)) is not self.H:
+            object.__setattr__(self, "H", h)
         ws = _as_tuple(self.weights, "weights", self.id)
         for w in ws:
             if type(w) is not int or w == 0:
                 raise StructuralError(f"{self.id}: weights must be nonzero integers, got {w!r}")
-        object.__setattr__(self, "weights", ws)
+        if ws is not self.weights:
+            object.__setattr__(self, "weights", ws)
         if (self.genus is not None) != (self.kind == SURFACE):
             raise StructuralError(f"{self.id}: genus present iff kind is surface")
         if self.genus is not None and (type(self.genus) is not int or self.genus < 0):
@@ -130,11 +133,13 @@ class FixedComponent:
                 raise StructuralError(
                     f"{self.id}: normal_degrees length {len(nd)} != weights length {len(ws)}"
                 )
-            object.__setattr__(self, "normal_degrees", nd)
+            if nd is not self.normal_degrees:
+                object.__setattr__(self, "normal_degrees", nd)
         if self.area is not None:
             if self.kind != SURFACE:
                 raise StructuralError(f"{self.id}: area is stored for surfaces only")
-            object.__setattr__(self, "area", as_rational(self.area))
+            if (area := as_rational(self.area)) is not self.area:
+                object.__setattr__(self, "area", area)
         if self.b2 is not None:
             if self.kind != FOURFOLD:
                 raise StructuralError(f"{self.id}: b2 is stored for the fourfold extremum only")
@@ -207,6 +212,9 @@ class GradientEdge:
 # checks match them to weight slots.
 edge_order = attrgetter("bottom", "top", "weight", "interior_points")
 
+# The canonical order of components: by Hamiltonian value, then id.
+component_order = attrgetter("H", "id")
+
 
 @dataclass(frozen=True)
 class FixedPointData:
@@ -232,8 +240,10 @@ class FixedPointData:
         comps = _as_tuple(self.components, "components")
         if not comps:
             raise StructuralError("dataset has no fixed components")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "edges", _as_tuple(self.edges, "edges"))
+        if comps is not self.components:
+            object.__setattr__(self, "components", comps)
+        if (edges := _as_tuple(self.edges, "edges")) is not self.edges:
+            object.__setattr__(self, "edges", edges)
         by_id = {}
         for c in comps:
             if c.id in by_id:
@@ -254,9 +264,7 @@ class FixedPointData:
                 if end not in by_id:
                     raise StructuralError(f"edge endpoint {end!r} does not resolve")
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(
-            self, "_ordered", tuple(sorted(comps, key=lambda c: (c.H, c.id)))
-        )
+        object.__setattr__(self, "_ordered", tuple(sorted(comps, key=component_order)))
 
     def component(self, cid: str) -> FixedComponent:
         try:

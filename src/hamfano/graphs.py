@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from .fixed_data import (
     FixedComponent,
     GradientEdge,
+    component_order,
     edge_order,
     edge_order_violation,
     format_rational,
@@ -40,9 +41,7 @@ class LabelledGraph:
     v_max: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vertices", tuple(sorted(self.vertices, key=lambda v: (v.H, v.id)))
-        )
+        object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=component_order)))
         by_id = {v.id: v for v in self.vertices}
         if len(by_id) != len(self.vertices):
             raise StructuralError("duplicate vertex ids in graph")

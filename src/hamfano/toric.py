@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -28,6 +28,7 @@ from .fixed_data import (
     GradientEdge,
     _as_tuple,
     _extreme_ids,
+    component_order,
     edge_order,
     format_rational,
     validate,
@@ -124,6 +125,9 @@ class LatticePolytope:
     full-dimensionality checks, the edges (the vertex pairs that share dim - 1
     facets), and the invariants every generated direction reuses: the vertex
     ids, the signed edge slots of each vertex and the Delzant and reflexive flags.
+    It also keeps the frozen gradient edges its directions produce, by (bottom,
+    top, weight): one per (edge, orientation, weight) in dimension 3, up to four in
+    dimension 2, where a key also records which ends lie on a fixed edge.
     """
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
@@ -162,6 +166,7 @@ class LatticePolytope:
             for s in self._slots
         )
         self._reflexive = self.origin_interior() and all(f.c == 1 for f in self.facets)
+        self._gradient_edges: Dict[Tuple[str, str, int], GradientEdge] = {}
 
     # -- queries ----------------------------------------------------------
 
@@ -362,6 +367,10 @@ def fixed_data_from_polytope(
     length and normal degree its self-intersection, absorbing its endpoint
     vertices; any other edge gives a gradient edge of weight |<xi, d>|.
     The relative Fano flag is set iff the polytope is reflexive.
+
+    Only the V heights <xi, v> are dot products: an edge of lattice length l from
+    v_i to v_j has <xi, d> = (H_j - H_i) / l exactly.  A gradient edge the polytope
+    keeps is reused; every component and dataset is built and checked anew.
     """
     direction = as_direction(xi)
     x = direction.xi
@@ -369,15 +378,20 @@ def fixed_data_from_polytope(
         raise PreconditionError(f"direction has length {len(x)}, polytope dim {p.dim}")
     if not delzant_check(p):
         raise PreconditionError("fixed_data_from_polytope needs a Delzant polytope")
-    pairings = [_dot(x, e.direction) for e in p.edges]
-    if p.dim == 3:
-        for e, pairing in zip(p.edges, pairings):
-            if pairing == 0:
-                raise UnsupportedDirectionError(
-                    f"direction {x} fixes the edge through vertices "
-                    f"{p.vertices[e.i]}, {p.vertices[e.j]}; positive-dimensional "
-                    f"fixed loci of 6-manifolds are not generated"
-                )
+    if p.dim == 2:
+        a, b = x
+        heights = [a * v0 + b * v1 for v0, v1 in p.vertices]
+    else:
+        a, b, c = x
+        heights = [a * v0 + b * v1 + c * v2 for v0, v1, v2 in p.vertices]
+    pairings = [(heights[e.j] - heights[e.i]) // e.length for e in p.edges]
+    if p.dim == 3 and 0 in pairings:
+        e = p.edges[pairings.index(0)]
+        raise UnsupportedDirectionError(
+            f"direction {x} fixes the edge through vertices "
+            f"{p.vertices[e.i]}, {p.vertices[e.j]}; positive-dimensional "
+            f"fixed loci of 6-manifolds are not generated"
+        )
 
     absorbed = {}
     components: List[FixedComponent] = []
@@ -399,7 +413,7 @@ def fixed_data_from_polytope(
                 FixedComponent(
                     id=sid,
                     kind=SURFACE,
-                    H=_dot(x, va),
+                    H=heights[e.i],
                     weights=(w,),
                     genus=0,
                     normal_degrees=(boundary_selfint_2d(p, e),),
@@ -409,31 +423,31 @@ def fixed_data_from_polytope(
             absorbed[e.i] = sid
             absorbed[e.j] = sid
 
-    for i, v in enumerate(p.vertices):
+    for i, vid in enumerate(p._vertex_ids):
         if i in absorbed:
             continue
-        weights = tuple(sorted(sign * pairings[k] for k, sign in p._slots[i]))
-        components.append(
-            FixedComponent(id=p._vertex_ids[i], kind=POINT, H=_dot(x, v), weights=weights)
-        )
+        weights = tuple(sorted([sign * pairings[k] for k, sign in p._slots[i]]))
+        components.append(FixedComponent(id=vid, kind=POINT, H=heights[i], weights=weights))
+    components.sort(key=component_order)
 
     comp_of_vertex = [absorbed.get(i, vid) for i, vid in enumerate(p._vertex_ids)]
+    kept = p._gradient_edges
     edges: List[GradientEdge] = []
     for e, pairing in zip(p.edges, pairings):
         if pairing == 0:
             continue
         lo, hi = (e.i, e.j) if pairing > 0 else (e.j, e.i)
-        edges.append(
-            GradientEdge(
-                bottom=comp_of_vertex[lo], top=comp_of_vertex[hi], weight=abs(pairing)
-            )
-        )
+        key = (comp_of_vertex[lo], comp_of_vertex[hi], abs(pairing))
+        edge = kept.get(key)
+        if edge is None:
+            edge = kept[key] = GradientEdge(*key)
+        edges.append(edge)
     edges.sort(key=edge_order)
 
     reflexive = p.is_reflexive()
     return FixedPointData(
         half_dim=p.dim,
-        components=tuple(sorted(components, key=lambda c: (c.H, c.id))),
+        components=tuple(components),
         edges=tuple(edges),
         relative_fano=reflexive,
         fano=reflexive,
@@ -547,11 +561,15 @@ def _lemma_checks(data: FixedPointData) -> Report:
     sorted_ws = {c.id: c.sorted_weights() for c in points}
 
     # dum: every weight at a non-extremal point is realised by a boundary edge
+    ups = {c.id: [] for c in points}
+    downs = {c.id: [] for c in points}
+    for e in data.edges:
+        ups[e.bottom].append(e.weight)
+        downs[e.top].append(-e.weight)
     for c in points:
         if c.id in (min_id, max_id):
             continue
-        up = sorted(e.weight for e in data.edges if e.bottom == c.id)
-        down = sorted(-e.weight for e in data.edges if e.top == c.id)
+        up, down = sorted(ups[c.id]), sorted(downs[c.id])
         if list(sorted_ws[c.id]) != sorted(up + down):
             report.flag(
                 "dum",

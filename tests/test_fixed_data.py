@@ -292,3 +292,29 @@ def test_toric_data_always_validates():
         for item in scan_directions(entry.polytope, 2):
             assert item.data is not None
             assert validate(item.data).ok, (entry.name, item.xi)
+
+
+def test_constructors_canonicalise_their_fields():
+    c = FixedComponent(id="p", kind="point", H=Fraction(4, 2), weights=[1, -2])
+    assert c.H == 2 and type(c.H) is int
+    assert c.weights == (1, -2) and type(c.weights) is tuple
+    s = FixedComponent(
+        id="s", kind="surface", H="3/2", weights=[1], genus=0, normal_degrees=[-1], area="1/2"
+    )
+    assert (s.H, s.area) == (Fraction(3, 2), Fraction(1, 2))
+    assert type(s.H) is Fraction and type(s.area) is Fraction
+    assert s.weights == (1,) and s.normal_degrees == (-1,) and type(s.normal_degrees) is tuple
+    e = GradientEdge(bottom="s", top="p", weight=2, interior_points=[[1, -1]])
+    assert e.interior_points == ((1, -1),) and type(e.interior_points[0]) is tuple
+    data = FixedPointData(half_dim=2, components=[s, c], edges=[e])
+    assert type(data.components) is tuple and type(data.edges) is tuple
+    assert data.components == (s, c) and data.edges == (e,)
+    weights = (1, 1)
+    kept = FixedComponent(id="q", kind="point", H=Fraction(1, 3), weights=weights)
+    assert kept.weights is weights and type(kept.H) is Fraction
+
+
+@pytest.mark.parametrize("h", [True, False, 1.0, 0.5])
+def test_bool_or_float_hamiltonian_is_structural(h):
+    with pytest.raises(StructuralError):
+        FixedComponent(id="p", kind="point", H=h, weights=(1, 1))

@@ -321,3 +321,41 @@ def test_fuzzed_argv_keeps_the_contract(argv):
     code, out = run(argv)
     assert code in (0, 1, 2), (argv, out)
     json.loads(out)
+
+
+# (argv, its usage line): each took its operands by tuple unpacking, so a
+# wrong count exited 2 with Python's unpack text, naming neither
+ARITY_ARGV = [
+    (argv, usage)
+    for usage, operands in (
+        ("validate <file>", [CP2_PATH]),
+        ("normalize <file>", [CP2_PATH]),
+        ("chi-y <file>", [CP2_PATH]),
+        ("localize {4d|6d} <file>", ["4d", CP2_PATH]),
+    )
+    for argv in (
+        [usage.split()[0], *operands[:-1]],
+        [usage.split()[0], *operands, "extra"],
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    ARITY_ARGV,
+    ids=[" ".join("cp2.json" if t == CP2_PATH else t for t in a) for a, _u in ARITY_ARGV],
+)
+def test_wrong_operand_count_exits_2_with_the_command_usage(argv, usage):
+    code, out = run(argv)
+    assert code == 2, out
+    error = json.loads(out)["error"]
+    assert error == f"usage: {usage}; got {argv[1:]!r}"
+    assert "unpack" not in error
+
+
+def test_pretty_is_read_in_first_position_only():
+    code, out = run(["toric", "scan", CP2_PATH, "--pretty", "--bound", "1"])
+    assert code == 2, out
+    assert "['--pretty', '--bound', '1']" in json.loads(out)["error"]
+    code, out = run(["--pretty", "toric", "scan", CP2_PATH, "--bound", "1"])
+    assert code == 0 and "\n" in out

@@ -1,5 +1,6 @@
-"""Work the toric scan path must not redo, and the polytope build against a
-brute-force facet enumeration that shares no code with the package."""
+"""Work the toric scan path must not redo, and the polytope build and the
+generated data against a brute-force facet enumeration that shares no code
+with the package."""
 
 import itertools
 import json
@@ -18,11 +19,13 @@ from hamfano.reports import StructuralError
 from hamfano.toric import (
     CATALOG,
     LatticePolytope,
+    UnsupportedDirectionError,
     boundary_selfint_2d,
     catalog_entry,
     delzant_check,
     fixed_data_from_polytope,
     primitive_directions,
+    scan_directions,
 )
 
 from .test_golden import GOLDEN, POLYTOPES
@@ -99,6 +102,54 @@ def test_3d_build_turns_each_ridge_once(monkeypatch):
     assert sides and all(level == sum(x * y for x, y in zip(n, first)) for n, level, _ in sides)
     assert len(sides) <= math.comb(len(p.vertices) - 1, 2)
     assert len(turns) == len(p.edges) == 36
+
+
+def _golden_vertices(name):
+    doc = json.loads((GOLDEN / f"{name}.json").read_text())
+    return [tuple(v) for v in doc["polytope"]["vertices"]]
+
+
+def test_scan_constructs_each_gradient_edge_once(monkeypatch):
+    calls = _counting(monkeypatch, hamfano.fixed_data.GradientEdge, "__init__")
+    for p, bound in ((catalog_entry("Bl3CP2").polytope, 8), (LatticePolytope(_golden_vertices("cube")), 4)):
+        calls.clear()
+        keys = {
+            (e.bottom, e.top, e.weight)
+            for item in scan_directions(p, bound)
+            if item.data is not None
+            for e in item.data.edges
+        }
+        assert sorted(args[1:] for args in calls) == sorted(keys)
+
+
+def test_a_scanned_polytope_scans_as_a_fresh_one(monkeypatch, tmp_path):
+    for vertices in (CATALOG["Bl3CP2"][0], POLYTOPES["cube"]):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"schema_version": "1", "polytope": {"vertices": vertices}}))
+        argv = ["toric", "scan", str(path), "--bound", "3"]
+        fresh = run(argv)
+        p = LatticePolytope(vertices)
+        for bound in (2, 4, 1):
+            list(scan_directions(p, bound))
+        assert p._gradient_edges
+        with monkeypatch.context() as m:
+            m.setattr(hamfano.cli, "load_polytope", lambda _path: p)
+            assert run(argv) == fresh
+
+
+def _generated(p, xi):
+    try:
+        return fixed_data_from_polytope(p, xi)
+    except UnsupportedDirectionError as exc:
+        return str(exc)
+
+
+def test_each_dataset_equals_one_built_without_kept_edges():
+    for vertices in (CATALOG["Bl3CP2"][0], POLYTOPES["cube"]):
+        kept, cleared = LatticePolytope(vertices), LatticePolytope(vertices)
+        for xi in primitive_directions(kept.dim, 4):
+            cleared._gradient_edges.clear()
+            assert _generated(kept, xi) == _generated(cleared, xi), xi
 
 
 def test_non_delzant_polygon_constructs():
@@ -305,3 +356,67 @@ def test_boundary_selfintersections_match_the_oracle_and_sum_to_12_minus_3v():
         assert sum(got.values()) == 12 - 3 * len(verts), name
         sums.append(sum(got.values()))
     assert sums == [3, 0, 0, -3, -6]
+
+
+# -- generated data ----------------------------------------------------------------
+
+
+def _oracle_directions(dim, bound):
+    """Primitive vectors of max-norm <= bound whose first nonzero entry is positive."""
+    return [
+        xi
+        for xi in itertools.product(range(-bound, bound + 1), repeat=dim)
+        if math.gcd(*xi) == 1 and next(x for x in xi if x) > 0
+    ]
+
+
+def _oracle_id(v):
+    return "v" + "_".join(str(x) for x in v)
+
+
+def _assert_generation_matches_oracle(name, vertices, bound):
+    corners = sorted({tuple(v) for v in vertices})
+    p = LatticePolytope(corners)
+    _facets, edges = _oracle_faces(corners)
+    dim = len(corners[0])
+    for xi in _oracle_directions(dim, bound):
+        height = {v: sum(a * b for a, b in zip(xi, v)) for v in corners}
+        pairing = {(a, b): sum(x * y for x, y in zip(xi, d)) for a, b, d, _g in edges}
+        fixed = [(a, b, g) for (a, b, _d, g) in edges if pairing[a, b] == 0]
+        if dim == 3 and fixed:
+            with pytest.raises(UnsupportedDirectionError):
+                fixed_data_from_polytope(p, xi)
+            continue
+        data = fixed_data_from_polytope(p, xi)
+        owner = {v: _oracle_id(v) for v in corners}
+        surfaces = {}
+        for a, b, g in fixed:
+            sid = "s" + _oracle_id(a)[1:] + "__" + _oracle_id(b)[1:]
+            owner[a] = owner[b] = sid
+            surfaces[sid] = (height[a], g)
+        assert {c.id: (c.H, c.area) for c in data.surfaces()} == surfaces, (name, xi)
+        points = {c.id: c for c in data.points()}
+        assert set(points) == {owner[v] for v in corners} - set(surfaces), (name, xi)
+        for v in corners:
+            if owner[v] not in points:
+                continue
+            leaving = [w if v == a else -w for (a, b), w in pairing.items() if v in (a, b)]
+            assert points[owner[v]].H == height[v], (name, xi, v)
+            assert points[owner[v]].sorted_weights() == tuple(sorted(leaving)), (name, xi, v)
+        expected = sorted(
+            (owner[a], owner[b], w) if w > 0 else (owner[b], owner[a], -w)
+            for (a, b), w in pairing.items()
+            if w != 0
+        )
+        got = sorted((e.bottom, e.top, e.weight) for e in data.edges)
+        assert got == expected, (name, xi)
+
+
+def test_generation_matches_the_oracle_on_catalog_polygons():
+    for name, (vertices, _b2, _degree) in CATALOG.items():
+        _assert_generation_matches_oracle(name, vertices, 6)
+
+
+def test_generation_matches_the_oracle_on_golden_3_polytopes():
+    for name in ("cp3", "cube", "truncated_cube"):
+        _assert_generation_matches_oracle(name, _golden_vertices(name), 4)
