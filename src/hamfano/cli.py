@@ -236,7 +236,7 @@ def _cmd_chi_y(args: List[str]) -> Tuple[int, dict]:
         "coefficients": poly.as_list(),
     }
     if data.half_dim == 3:
-        todd, c1c2 = localization.todd_and_c1c2(data)
+        todd, c1c2 = localization.todd_and_c1c2(data, poly)
         out["todd"] = format_rational(todd)
         out["c1c2"] = format_rational(c1c2)
     return 0, out
@@ -342,6 +342,8 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
             if "fibre_xi" not in payload:
                 raise StructuralError("suite_request with a fibre needs fibre_xi")
             fibre_xi = _as_tuple(payload["fibre_xi"], "fibre_xi")
+        elif "fibre_xi" in payload:
+            raise StructuralError("suite_request with fibre_xi needs a fibre")
         if "levels" in payload:
             levels = [as_rational(x) for x in _as_tuple(payload["levels"], "levels")]
     elif kind == "fixed_point_data":

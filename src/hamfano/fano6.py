@@ -784,10 +784,11 @@ def _positive_genus_surfaces(data: FixedPointData) -> List[FixedComponent]:
     return [c for c in data.surfaces() if c.genus > 0]
 
 
-def _chain_term(c: FixedComponent) -> Fraction:
-    """A positive-genus surface's term (1 + 1/(w1 w2)) chi(c) of the chain estimate."""
+def _chain_term(c: FixedComponent) -> Tuple[int, int]:
+    """A positive-genus surface's term (1 + 1/(w1 w2)) chi(c) of the chain
+    estimate, as the integer quotient ((w1 w2 + 1)(2 - 2g), w1 w2)."""
     w1, w2 = c.weights
-    return (1 + Fraction(1, w1 * w2)) * (2 - 2 * c.genus)
+    return (w1 * w2 + 1) * (2 - 2 * c.genus), w1 * w2
 
 
 # -- small Hamiltonian suite -----------------------------------------------------
@@ -817,10 +818,10 @@ def _chain_longeq(
 ) -> Optional[Fraction]:
     """Evaluate the chain form of the localisation estimate on one component.
 
-    The right-hand side sums the term of each surface and (n_bot + n_top)
-    (1 - 1/w^2) over each isotropy edge; both are symmetric, so no walk
-    order is needed.  Returns None when a weight match or a degree is missing
-    (reported as a violation or as inconclusive on the way).
+    The right-hand side sums the term of each surface and the quotient
+    ((n_bot + n_top)(w^2 - 1), w^2) of each isotropy edge in integers; both are
+    symmetric, so no walk order is needed.  Returns None when a weight match or
+    a degree is missing (reported as a violation or as inconclusive on the way).
     """
     edges = [(e, slots) for e, slots in matched if e.bottom in comp]
     for e, slots in edges:
@@ -845,15 +846,16 @@ def _chain_longeq(
                         f"modulus 1 expected",
                         subject=c.id,
                     )
-    rhs = sum((_chain_term(c) for c in surfaces), Fraction(0))
+    terms = [_chain_term(c) for c in surfaces]
     for e, ((_, n_bot), (_, n_top)) in edges:
         if n_bot is None or n_top is None:
             report.undecided(
                 "chain", f"degrees missing along the edge between {e.bottom} and {e.top}"
             )
             return None
-        rhs += (n_bot + n_top) * (1 - Fraction(1, e.weight * e.weight))
-    return rhs
+        w2 = e.weight * e.weight
+        terms.append(((n_bot + n_top) * (w2 - 1), w2))
+    return _sum_quotients(terms)
 
 
 def small_hamiltonian_suite(data: FixedPointData) -> Report:
@@ -975,7 +977,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 
     # (f) reflective branch
     if min_c.sorted_weights() == (1, 1) and max_c.sorted_weights() == (-1, -1):
-        t = sum((_chain_term(c) for c in plus), Fraction(0))
+        t = _sum_quotients(map(_chain_term, plus))
         if t > 4 * (2 - 2 * g):
             report.flag(
                 "inclaim",

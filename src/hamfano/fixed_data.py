@@ -195,13 +195,15 @@ class GradientEdge:
         if self.interior_points != ():
             what, owner = "interior_points", f"edge {self.key}"
             pts = _as_tuple(self.interior_points, what, owner)
-            pts = tuple(_as_tuple(p, what, owner) for p in pts)
+            if any(type(p) is not tuple for p in pts):
+                pts = tuple(_as_tuple(p, what, owner) for p in pts)
             for p in pts:
                 if len(p) != 2 or any(type(a) is not int or a == 0 for a in p):
                     raise StructuralError(
                         f"{owner}: interior point weights must be pairs of nonzero integers"
                     )
-            object.__setattr__(self, "interior_points", pts)
+            if pts is not self.interior_points:
+                object.__setattr__(self, "interior_points", pts)
 
     @property
     def key(self) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -56,21 +56,6 @@ class Polynomial:
 
     def constant_term(self) -> Fraction:
         return self.coefficient(0)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coefficients), len(other.coefficients))
-        return Polynomial(
-            tuple(self.coefficient(d) + other.coefficient(d) for d in range(n))
-        )
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coefficients or not other.coefficients:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
 
     def __call__(self, x: Union[int, Fraction]) -> Fraction:
         x = as_fraction(x)
@@ -255,31 +240,37 @@ def gradient_sphere_area(e: GradientEdge, data: FixedPointData) -> Fraction:
     return area
 
 
-def _chi_y_block(c: FixedComponent) -> Polynomial:
+def _chi_y_block(c: FixedComponent) -> Tuple[int, ...]:
+    """chi_y(F) as integer coefficients, constant term first."""
     if c.kind == POINT:
-        return Polynomial.of(1)
+        return (1,)
     if c.kind == SURFACE:
-        return Polynomial.of(1 - c.genus, c.genus - 1)
+        return (1 - c.genus, c.genus - 1)
     if c.b2 is None:
         raise PreconditionError(
             f"{c.id}: chi_y of a fixed fourfold needs b2 (del Pezzo extremum)"
         )
-    return Polynomial.of(1, -c.b2, 1)
+    return (1, -c.b2, 1)
 
 
 def chi_y(data: FixedPointData) -> Polynomial:
-    """Hirzebruch genus as the fixed-point sum of (-y)^(d_F) * chi_y(F)."""
-    total = Polynomial()
+    """Hirzebruch genus as the fixed-point sum of (-y)^(d_F) * chi_y(F), added in
+    integer coefficients of degree <= half_dim (the dataset has d_F + dim_C F <= n)."""
+    coeffs = [0] * (data.half_dim + 1)
     for c in data.ordered():
         d = index(c)
-        sign_monomial = Polynomial(tuple([Fraction(0)] * d + [Fraction((-1) ** d)]))
-        total = total + sign_monomial * _chi_y_block(c)
-    return total
+        sign = -1 if d % 2 else 1
+        for k, b in enumerate(_chi_y_block(c), d):
+            coeffs[k] += sign * b
+    return Polynomial(tuple(coeffs))
 
 
-def todd_and_c1c2(data: FixedPointData) -> Tuple[Fraction, Fraction]:
-    """Todd genus (constant term of chi_y) and c1*c2 = 24 * Todd, dimension 6."""
+def todd_and_c1c2(
+    data: FixedPointData, chi: Optional[Polynomial] = None
+) -> Tuple[Fraction, Fraction]:
+    """Todd genus (constant term of chi_y) and c1*c2 = 24 * Todd, dimension 6;
+    a caller that already holds chi_y(data) passes it as ``chi``."""
     if data.half_dim != 3:
         raise PreconditionError("todd_and_c1c2 applies to 6-dimensional data")
-    todd = chi_y(data).constant_term()
+    todd = (chi_y(data) if chi is None else chi).constant_term()
     return todd, 24 * todd

@@ -14,7 +14,8 @@ estimate from the raw fields, without the package's weight-slot matching.
 
 The localisation oracles add alpha, beta and the 4D and 6D fixed-point sums
 term by term, one Fraction per term, from the raw fields: alpha as the sum
-of 1/(w_i w_j) over pairs of weights rather than as one quotient.
+of 1/(w_i w_j) over pairs of weights rather than as one quotient.  The chi_y
+oracle adds (-y)^index(F) chi_y(F) the same way, as plain Fraction lists.
 """
 
 from __future__ import annotations
@@ -225,4 +226,31 @@ def abbv_sum_4d_by_terms(components) -> Fraction:
             total += Fraction(1, a * b)
         else:
             total -= c.normal_degrees[0]
+    return total
+
+
+def chi_y_by_terms(components) -> List[Fraction]:
+    """Coefficients, constant first and trailing zeros dropped, of the sum of
+    (-y)^d chi_y(F), d the number of negative weights of F: chi_y is 1 at a
+    point, (1 - g)(1 - y) on a genus-g surface and 1 - b2 y + y^2 on a
+    fourfold."""
+    total: List[Fraction] = []
+    for c in components:
+        d = sum(1 for w in c.weights if w < 0)
+        if c.kind == "point":
+            block = [Fraction(1)]
+        elif c.kind == "surface":
+            block = [Fraction(1 - c.genus), Fraction(c.genus - 1)]
+        else:
+            block = [Fraction(1), Fraction(-c.b2), Fraction(1)]
+        monomial = [Fraction(0)] * d + [Fraction(-1) ** d]
+        term = [Fraction(0)] * (len(monomial) + len(block) - 1)
+        for i, a in enumerate(monomial):
+            for j, b in enumerate(block):
+                term[i + j] += a * b
+        total += [Fraction(0)] * (len(term) - len(total))
+        for k, t in enumerate(term):
+            total[k] += t
+    while total and total[-1] == 0:
+        total.pop()
     return total

@@ -944,6 +944,18 @@ def test_small_suite_reflective_branch():
     assert not any(v.code == "inclaim" for v in report.violations)
 
 
+def test_small_suite_reflective_bound_flags_inclaim():
+    # terms ((w1 w2 + 1)(2 - 2g), w1 w2): the genus-2 minimum (1, 1) gives -4,
+    # the genus-1 maximum 0, and a genus-2 surface (3, -1) gives (-2)(-2)/(-3);
+    # the bound is 4 (2 - 2g) = -8 with g = 2, the minimum's genus
+    ends = (surf("min", -2, (1, 1), 2), surf("max", 2, (-1, -1), 1))
+    for extra, total in (((), "-4"), ((surf("mid", 0, (3, -1), 2),), "-16/3")):
+        data = FixedPointData(half_dim=3, components=ends + extra, relative_fano=True)
+        report = small_hamiltonian_suite(data)
+        records = [v.message for v in report.violations if v.code == "inclaim"]
+        assert records == [f"reflective bound fails: {total} > -8"]
+
+
 def test_small_suite_betapos_violation_detected():
     base = lift_product(SQUARE, (1, 1), genus=2)
     comps = []

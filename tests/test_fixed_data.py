@@ -314,6 +314,24 @@ def test_constructors_canonicalise_their_fields():
     assert kept.weights is weights and type(kept.H) is Fraction
 
 
+def test_edge_interior_points_are_written_back_only_when_changed():
+    points = ((1, -1), (2, 3))
+    assert GradientEdge("a", "b", 2, points).interior_points is points
+    for raw in ([[1, -1], [2, 3]], [(1, -1), [2, 3]], ((1, -1), [2, 3])):
+        pts = GradientEdge("a", "b", 2, raw).interior_points
+        assert pts == points and type(pts) is tuple
+        assert all(type(p) is tuple for p in pts)
+    for raw, message in (
+        ([5], "edge a->b: interior_points must be an array, got 5"),
+        (((1, -1), 5), "edge a->b: interior_points must be an array, got 5"),
+        (((1, -1), (2,)), "edge a->b: interior point weights must be pairs of nonzero integers"),
+        ([[1, 0]], "edge a->b: interior point weights must be pairs of nonzero integers"),
+    ):
+        with pytest.raises(StructuralError) as err:
+            GradientEdge("a", "b", 2, raw)
+        assert str(err.value) == message
+
+
 @pytest.mark.parametrize("h", [True, False, 1.0, 0.5])
 def test_bool_or_float_hamiltonian_is_structural(h):
     with pytest.raises(StructuralError):

@@ -29,6 +29,7 @@ from hamfano.toric import (
 )
 
 from . import oracle
+from .lifts import lift_product
 
 CP2 = LatticePolytope([(-1, -1), (2, -1), (-1, 2)])
 CP3 = LatticePolytope([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)])
@@ -114,8 +115,8 @@ def test_cp2xcp1_threefold_pipeline():
     assert abbv_sum_6d(data) == 0
     constant, _ = weight_sum_normalize(data)
     assert constant == 0
-    # chi_y is multiplicative: (1 - y + y^2)(1 - y)
-    assert chi_y(data) == Polynomial.of(1, -1, 1) * Polynomial.of(1, -1)
+    # chi_y is multiplicative: (1 - y + y^2)(1 - y) = 1 - 2y + 2y^2 - y^3
+    assert chi_y(data) == Polynomial.of(1, -2, 2, -1)
     assert todd_and_c1c2(data) == (1, 24)
 
 
@@ -400,3 +401,69 @@ def test_chi_y_delpezzo_minimum():
     # (1 - 5y + y^2) + (-y)^3
     assert chi_y(data) == Polynomial.of(1, -5, 1, -1)
     assert todd_and_c1c2(data) == (1, 24)
+
+
+@st.composite
+def _chi_y_datasets(draw):
+    """Products X x Sigma_g of a catalog polygon (every component a genus-g
+    surface, so chi_y = 0 when g = 1), or points and surfaces of genus 0-3
+    with weights of both signs, so every index occurs, and in dimension 6
+    possibly a fourfold extremum with b2."""
+    half_dim = draw(st.sampled_from((2, 3)))
+    if half_dim == 3 and draw(st.integers(0, 3)) == 0:
+        entry = draw(st.sampled_from(delpezzo_catalog()))
+        return lift_product(entry.polytope, (1, 3), genus=draw(st.integers(0, 3)))
+    comps = []
+    if half_dim == 3 and draw(st.booleans()):
+        w = draw(st.sampled_from((1, -1)))
+        b2 = draw(st.integers(0, 9))
+        comps.append(FixedComponent(id="f", kind="fourfold", H=-9 * w, weights=(w,), b2=b2))
+    for i in range(draw(st.integers(1, 6))):
+        h = Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 3)))
+        if draw(st.booleans()):
+            ws = draw(st.lists(_WEIGHTS, min_size=half_dim, max_size=half_dim))
+            comps.append(point(f"p{i}", h, ws))
+        else:
+            ws = draw(st.lists(_WEIGHTS, min_size=half_dim - 1, max_size=half_dim - 1))
+            genus = draw(st.integers(0, 3))
+            comps.append(
+                FixedComponent(id=f"s{i}", kind="surface", H=h, weights=tuple(ws), genus=genus)
+            )
+    return FixedPointData(half_dim=half_dim, components=tuple(comps))
+
+
+@given(_chi_y_datasets())
+def test_chi_y_matches_the_term_by_term_oracle(data):
+    poly = chi_y(data)
+    expected = oracle.chi_y_by_terms(data.components)
+    assert poly.coefficients == tuple(expected)
+    assert all(type(c) is Fraction for c in poly.coefficients)
+    assert not poly.coefficients or poly.coefficients[-1] != 0
+    if data.half_dim == 3:
+        todd = expected[0] if expected else Fraction(0)
+        assert todd_and_c1c2(data) == todd_and_c1c2(data, poly) == (todd, 24 * todd)
+        assert all(type(x) is Fraction for x in todd_and_c1c2(data))
+    else:
+        with pytest.raises(PreconditionError):
+            todd_and_c1c2(data)
+
+
+def test_chi_y_oracle_cases_by_hand():
+    # CP2 x Sigma_1: every block is (1 - g)(1 - y) = 0, the zero polynomial
+    product = lift_product(CP2, (1, 3), genus=1)
+    assert oracle.chi_y_by_terms(product.components) == []
+    assert chi_y(product) == Polynomial() and chi_y(product).coefficients == ()
+    assert todd_and_c1c2(product) == (0, 0)
+    # a fourfold maximum (index 1, b2 = 4), a genus-2 surface of index 1 and
+    # a point of index 2: -y(1 - 4y + y^2) - y(-1 + y) + y^2 = 4y^2 - y^3
+    data = FixedPointData(
+        half_dim=3,
+        components=(
+            FixedComponent(id="f", kind="fourfold", H=9, weights=(-1,), b2=4),
+            FixedComponent(id="s", kind="surface", H=0, weights=(2, -1), genus=2),
+            point("p", 1, (-1, -2, 3)),
+        ),
+    )
+    assert oracle.chi_y_by_terms(data.components) == [0, 0, 4, -1]
+    assert chi_y(data) == Polynomial.of(0, 0, 4, -1)
+    assert todd_and_c1c2(data) == (0, 0)

@@ -193,6 +193,22 @@ def test_unknown_key_exits_2_and_names_it(tmp_path, doc, command, path, value):
     assert f"unknown key {path[-1]!r}" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("fibre", "suite_request with fibre_xi needs a fibre"),
+        ("fibre_xi", "suite_request with a fibre needs fibre_xi"),
+    ],
+)
+def test_suite_fibre_and_fibre_xi_come_together(tmp_path, key, message):
+    request = {k: v for k, v in SUITE.items() if k != key}
+    if key == "fibre":
+        request["fibre_xi"] = "garbage"  # never read, still refused
+    code, out = run(["fano6", "suite", _write(tmp_path, {"suite_request": request})])
+    assert code == 2
+    assert json.loads(out)["error"] == message
+
+
 def test_canonical_rational_strings_are_accepted(tmp_path):
     for h in ("-3/1", "-3", -3):
         path = _write(tmp_path, _set(DOCUMENTS["product"], COMPONENT + ("H",), h))
