@@ -106,7 +106,7 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
                 report.flag(
                     "degree",
                     f"{c.id}: degree {deg} in the surface graph, but "
-                    f"{big} weights of modulus > 1",
+                    f"{big} weight{'' if big == 1 else 's'} of modulus > 1",
                     subject=c.id,
                 )
 

@@ -246,11 +246,11 @@ class FixedPointData:
             object.__setattr__(self, "components", comps)
         if (edges := _as_tuple(self.edges, "edges")) is not self.edges:
             object.__setattr__(self, "edges", edges)
-        by_id = {}
-        for c in comps:
-            if c.id in by_id:
-                raise StructuralError(f"duplicate component id {c.id!r}")
-            by_id[c.id] = c
+        by_id = {c.id: c for c in comps}
+        if len(by_id) != len(comps):
+            seen = set()
+            dup = next(c.id for c in comps if c.id in seen or seen.add(c.id))
+            raise StructuralError(f"duplicate component id {dup!r}")
         n = self.half_dim
         for c in comps:
             if c.kind == FOURFOLD and n != 3:
@@ -261,10 +261,11 @@ class FixedPointData:
                     f"{c.id}: a {c.kind} in a {2 * n}-manifold carries {expected} "
                     f"nonzero weights, got {len(c.weights)}"
                 )
-        for e in self.edges:
-            for end in (e.bottom, e.top):
-                if end not in by_id:
-                    raise StructuralError(f"edge endpoint {end!r} does not resolve")
+        for e in edges:
+            if e.bottom not in by_id:
+                raise StructuralError(f"edge endpoint {e.bottom!r} does not resolve")
+            if e.top not in by_id:
+                raise StructuralError(f"edge endpoint {e.top!r} does not resolve")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_ordered", tuple(sorted(comps, key=component_order)))
 
@@ -412,16 +413,12 @@ def validate(data: FixedPointData) -> Report:
             f"gcd of all weight moduli is {g}; an effective action needs gcd 1",
         )
 
+    by_id, dim6 = data._by_id, data.half_dim == 3
     for e in data.edges:
-        b, t = data.component(e.bottom), data.component(e.top)
+        b, t = by_id[e.bottom], by_id[e.top]
         if message := edge_order_violation(e, b, t):
             report.flag("edge-order", message, subject=e.key)
-        if (
-            data.half_dim == 3
-            and b.kind == SURFACE
-            and t.kind == SURFACE
-            and e.weight < 2
-        ):
+        if dim6 and b.kind == SURFACE and t.kind == SURFACE and e.weight < 2:
             report.flag(
                 "edge-weight",
                 f"edge {e.key} joins two fixed surfaces in dimension 6, so it is an "

@@ -191,9 +191,10 @@ def weight_sum_constant(data: FixedPointData) -> Rational:
     comps = data.ordered()
     base = comps[0]
     c = -base.weight_sum() - base.H
-    residuals = {comp.id: -comp.weight_sum() - (comp.H + c) for comp in comps}
-    if any(r != 0 for r in residuals.values()):
-        raise WeightSumInconsistency(c, residuals)
+    for comp in comps:
+        if -comp.weight_sum() - (comp.H + c) != 0:
+            residuals = {comp.id: -comp.weight_sum() - (comp.H + c) for comp in comps}
+            raise WeightSumInconsistency(c, residuals)
     return c
 
 

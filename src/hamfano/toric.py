@@ -29,7 +29,6 @@ from .fixed_data import (
     _as_tuple,
     _extreme_ids,
     component_order,
-    edge_order,
     format_rational,
     validate,
 )
@@ -395,7 +394,7 @@ def fixed_data_from_polytope(
 
     absorbed = {}
     components: List[FixedComponent] = []
-    if p.dim == 2:
+    if 0 in pairings:  # a fixed edge of a polygon; in dimension 3 it raised above
         for k, (e, pairing) in enumerate(zip(p.edges, pairings)):
             if pairing != 0:
                 continue
@@ -430,19 +429,24 @@ def fixed_data_from_polytope(
         components.append(FixedComponent(id=vid, kind=POINT, H=heights[i], weights=weights))
     components.sort(key=component_order)
 
-    comp_of_vertex = [absorbed.get(i, vid) for i, vid in enumerate(p._vertex_ids)]
+    ids = p._vertex_ids
+    if absorbed:
+        ids = [absorbed.get(i, vid) for i, vid in enumerate(ids)]
+    keys = []
+    for e, pairing in zip(p.edges, pairings):
+        if pairing > 0:
+            keys.append((ids[e.i], ids[e.j], pairing))
+        elif pairing < 0:
+            keys.append((ids[e.j], ids[e.i], -pairing))
+    # a generated edge has no interior points, so its key sorts as edge_order does
+    keys.sort()
     kept = p._gradient_edges
     edges: List[GradientEdge] = []
-    for e, pairing in zip(p.edges, pairings):
-        if pairing == 0:
-            continue
-        lo, hi = (e.i, e.j) if pairing > 0 else (e.j, e.i)
-        key = (comp_of_vertex[lo], comp_of_vertex[hi], abs(pairing))
+    for key in keys:
         edge = kept.get(key)
         if edge is None:
             edge = kept[key] = GradientEdge(*key)
         edges.append(edge)
-    edges.sort(key=edge_order)
 
     reflexive = p.is_reflexive()
     return FixedPointData(
@@ -548,47 +552,70 @@ def delpezzo_lemma_suite(
     return _lemma_checks(fixed_data_from_polytope(p, direction))
 
 
-def _lemma_checks(data: FixedPointData) -> Report:
-    """The lemma suite on data generated from a toric del Pezzo polygon."""
-    report = Report()
-    if data.surfaces():
-        report.note("skipped: direction is not generic (fixed boundary spheres)")
-        return report
-    points = data.ordered()
-    min_id, max_id = points[0].id, points[-1].id
-    h_min, h_max = points[0].H, points[-1].H
-    level = {c.id: c.H for c in points}
-    sorted_ws = {c.id: c.sorted_weights() for c in points}
+# The lemma suite's checks in report order, and every note it writes, built once.
+_LEMMA_CHECKS = ("dum", "equallemma", "neededcor", "fourbound", "4small", "us", "calc")
+_LEMMA_NOTES = {(c, f): f"{c}: {'fail' if f else 'pass'}" for c in _LEMMA_CHECKS for f in (0, 1)}
+_CALC_VACUOUS = "calc: vacuous (no fixed point with weights {1,1}, {-1,-1} or {1,-1})"
+_SPECIAL_WEIGHTS = ((1, 1), (-1, -1), (-1, 1))
 
-    # dum: every weight at a non-extremal point is realised by a boundary edge
-    ups = {c.id: [] for c in points}
-    downs = {c.id: [] for c in points}
-    for e in data.edges:
-        ups[e.bottom].append(e.weight)
-        downs[e.top].append(-e.weight)
+
+def _lemma_checks(data: FixedPointData) -> Report:
+    """The lemma suite on data generated from a toric del Pezzo polygon.
+
+    One walk over the points and one over the edges collect what the checks
+    read; the records are then emitted check by check."""
+    points = data.ordered()
+    lo, hi = points[0], points[-1]
+    min_id, max_id = lo.id, hi.id
+    h_min, h_max = lo.H, hi.H
+    level, incident = {}, {}
+    inner = []  # (point, sorted weights) off the extrema
+    twins = []  # points with weights {-1, n}, n >= 2
+    count_min = count_max = 0
+    special = False
     for c in points:
-        if c.id in (min_id, max_id):
-            continue
-        up, down = sorted(ups[c.id]), sorted(downs[c.id])
-        if list(sorted_ws[c.id]) != sorted(up + down):
+        if c.kind == SURFACE:
+            return Report(notes=["skipped: direction is not generic (fixed boundary spheres)"])
+        ws = c.sorted_weights()
+        level[c.id] = c.H
+        incident[c.id] = []
+        if c is lo:
+            min_ws = ws
+        elif c is not hi:
+            inner.append((c, ws))
+            count_min += -1 in ws
+            count_max += 1 in ws
+        if ws[0] == -1 and ws[1] > 1:
+            twins.append(c)
+        special = special or ws in _SPECIAL_WEIGHTS
+
+    avoiding, large, heavy = [], [], []
+    for e in data.edges:
+        w, bottom, top = e.weight, e.bottom, e.top
+        incident[bottom].append(w)
+        incident[top].append(-w)
+        if w == 1 and min_id not in (bottom, top) and max_id not in (bottom, top):
+            avoiding.append(e)
+        rise = level[top] - level[bottom]
+        if rise <= 0 or rise > 3 * w:
+            large.append(e)
+        if w > 2:
+            heavy.append(e)
+
+    report = Report()
+    # dum: every weight at a non-extremal point is realised by a boundary edge
+    for c, ws in inner:
+        found = sorted(incident[c.id])
+        if found != list(ws):
             report.flag(
                 "dum",
-                f"{c.id}: weights {list(sorted_ws[c.id])} are not matched by incident "
-                f"boundary edges (up {up}, down {down})",
+                f"{c.id}: weights {list(ws)} are not matched by incident boundary edges "
+                f"(up {[w for w in found if w > 0]}, down {[w for w in found if w < 0]})",
                 subject=c.id,
             )
 
     # equallemma: weight-1 multiplicities at the extrema
-    mult_min = sum(1 for w in data.component(min_id).weights if w == 1)
-    count_min = sum(
-        1
-        for c in points
-        if c.id not in (min_id, max_id) and -1 in c.weights
-    )
-    mult_max = sum(1 for w in data.component(max_id).weights if w == -1)
-    count_max = sum(
-        1 for c in points if c.id not in (min_id, max_id) and 1 in c.weights
-    )
+    mult_min, mult_max = lo.weights.count(1), hi.weights.count(-1)
     if mult_min != count_min:
         report.flag(
             "equallemma",
@@ -603,16 +630,9 @@ def _lemma_checks(data: FixedPointData) -> Report:
         )
 
     # neededcor: twin {-1,n} points on one level force an empty gap below
-    twins = [
-        c
-        for c in points
-        if sorted_ws[c.id][0] == -1 and sorted_ws[c.id][1] > 1
-    ]
     for a, b in itertools.combinations(twins, 2):
         if a.H == b.H:
-            offenders = [
-                c.id for c in points if c.id != min_id and h_min <= c.H < a.H
-            ]
+            offenders = [c.id for c in points if c.id != min_id and h_min <= c.H < a.H]
             if offenders:
                 report.flag(
                     "neededcor",
@@ -621,77 +641,55 @@ def _lemma_checks(data: FixedPointData) -> Report:
                 )
 
     # fourbound: weight-1 gradient spheres contain an extremal point
-    for e in data.edges:
-        if e.weight == 1 and min_id not in (e.bottom, e.top) and max_id not in (
-            e.bottom,
-            e.top,
-        ):
-            report.flag(
-                "fourbound",
-                f"weight-1 edge {e.key} avoids both extremal points",
-                subject=e.key,
-            )
+    for e in avoiding:
+        report.flag(
+            "fourbound", f"weight-1 edge {e.key} avoids both extremal points", subject=e.key
+        )
 
     # 4small: boundary divisor areas (rise / weight) are at most 3; a
     # non-positive rise makes gradient_sphere_area raise
-    for e in data.edges:
-        rise = level[e.top] - level[e.bottom]
-        if rise <= 0 or rise > 3 * e.weight:
-            area = gradient_sphere_area(e, data)
-            report.flag(
-                "4small",
-                f"boundary divisor {e.key} has area {format_rational(area)} > 3",
-                subject=e.key,
-            )
+    for e in large:
+        area = gradient_sphere_area(e, data)
+        report.flag(
+            "4small",
+            f"boundary divisor {e.key} has area {format_rational(area)} > 3",
+            subject=e.key,
+        )
 
     # us: restrictions at points with weights {-1, n}, n >= 2
-    min_ws = sorted_ws[min_id]
-    for c in points:
-        ws = sorted_ws[c.id]
-        if ws[0] == -1 and ws[1] >= 2:
-            gap = c.H - h_min
-            if gap > 3:
-                report.flag(
-                    "us", f"{c.id}: H - H_min = {format_rational(gap)} > 3", subject=c.id
-                )
-            if 1 not in min_ws:
+    for c in twins:
+        gap = c.H - h_min
+        if gap > 3:
+            report.flag("us", f"{c.id}: H - H_min = {format_rational(gap)} > 3", subject=c.id)
+        if 1 not in min_ws:
+            report.flag(
+                "us",
+                f"minimum weights {list(min_ws)} are not of the form {{1,m}}",
+                subject=min_id,
+            )
+        else:
+            m = min_ws[1] if min_ws[0] == 1 else min_ws[0]
+            if m < gap:
                 report.flag(
                     "us",
-                    f"minimum weights {list(min_ws)} are not of the form {{1,m}}",
+                    f"minimum weight m = {m} is below H({c.id}) - H_min = "
+                    f"{format_rational(gap)}",
                     subject=min_id,
                 )
-            else:
-                m = min_ws[1] if min_ws[0] == 1 else min_ws[0]
-                if m < gap:
-                    report.flag(
-                        "us",
-                        f"minimum weight m = {m} is below H({c.id}) - H_min = "
-                        f"{format_rational(gap)}",
-                        subject=min_id,
-                    )
-            strictly_between = [
-                o.id for o in points if h_min < o.H < c.H
-            ]
-            if strictly_between:
-                report.flag(
-                    "us",
-                    f"points {strictly_between} lie strictly between the minimum "
-                    f"and {c.id}",
-                    subject=c.id,
-                )
+        strictly_between = [o.id for o in points if h_min < o.H < c.H]
+        if strictly_between:
+            report.flag(
+                "us",
+                f"points {strictly_between} lie strictly between the minimum and {c.id}",
+                subject=c.id,
+            )
 
     # calc: consequences of a fixed point with weights {1,1}, {-1,-1} or {1,-1}
-    special = any(
-        sorted_ws[c.id] in ((1, 1), (-1, -1), (-1, 1)) for c in points
-    )
     if special:
-        for e in data.edges:
-            if e.weight > 2:
-                report.flag(
-                    "calc",
-                    f"boundary divisor {e.key} has weight {e.weight} > 2",
-                    subject=e.key,
-                )
+        for e in heavy:
+            report.flag(
+                "calc", f"boundary divisor {e.key} has weight {e.weight} > 2", subject=e.key
+            )
         if h_min < -3 or h_max > 3:
             report.flag(
                 "calc",
@@ -700,11 +698,8 @@ def _lemma_checks(data: FixedPointData) -> Report:
             )
 
     flagged = {v.code for v in report.violations}
-    checks = ("dum", "equallemma", "neededcor", "fourbound", "4small", "us")
-    for check in checks + (("calc",) if special else ()):
-        report.note(f"{check}: {'fail' if check in flagged else 'pass'}")
-    if not special:
-        report.note("calc: vacuous (no fixed point with weights {1,1}, {-1,-1} or {1,-1})")
+    report.notes.extend([_LEMMA_NOTES[check, check in flagged] for check in _LEMMA_CHECKS[:-1]])
+    report.notes.append(_LEMMA_NOTES["calc", "calc" in flagged] if special else _CALC_VACUOUS)
     return report
 
 

@@ -16,6 +16,9 @@ The localisation oracles add alpha, beta and the 4D and 6D fixed-point sums
 term by term, one Fraction per term, from the raw fields: alpha as the sum
 of 1/(w_i w_j) over pairs of weights rather than as one quotient.  The chi_y
 oracle adds (-y)^index(F) chi_y(F) the same way, as plain Fraction lists.
+
+The lemma-suite oracle writes each of the seven del Pezzo checks out from
+its statement, check by check over the raw points and edges.
 """
 
 from __future__ import annotations
@@ -254,3 +257,129 @@ def chi_y_by_terms(components) -> List[Fraction]:
     while total and total[-1] == 0:
         total.pop()
     return total
+
+
+def _rational_text(x) -> str:
+    x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+LEMMA_CHECKS = ("dum", "equallemma", "neededcor", "fourbound", "4small", "us", "calc")
+
+
+def lemma_suite_by_checks(points, edges) -> Tuple[list, List[str]]:
+    """The seven del Pezzo lemma checks on a 4D dataset of isolated points,
+    each check written out from its statement.
+
+    ``points`` are (id, H, (w1, w2)) and ``edges`` (bottom, top, weight), in
+    the dataset's edge order.  Returns the records as (check, message,
+    subject) in check order, then by point (by H, then id) or edge, and the
+    notes: "<check>: pass" or "fail" per check, with calc "vacuous" when no
+    point has weights {1,1}, {-1,-1} or {1,-1}.  An edge whose area
+    (H(top) - H(bottom)) / weight is not positive raises ValueError when
+    4small reaches it.
+    """
+    pts = sorted(points, key=lambda p: (Fraction(p[1]), p[0]))
+    level = {pid: Fraction(h) for pid, h, _ws in pts}
+    weights = {pid: sorted(ws) for pid, _h, ws in pts}
+    lo, hi = pts[0][0], pts[-1][0]
+    h_min, h_max = level[lo], level[hi]
+    inner = [pid for pid, _h, _ws in pts if pid not in (lo, hi)]
+    records = []
+
+    def flag(check, message, subject=None):
+        records.append((check, message, subject))
+
+    # dum: the weights at a non-extremal point are those of its edges, + up, - down
+    for pid in inner:
+        up = sorted(w for b, _t, w in edges if b == pid)
+        down = sorted(-w for _b, t, w in edges if t == pid)
+        if weights[pid] != sorted(up + down):
+            flag(
+                "dum",
+                f"{pid}: weights {weights[pid]} are not matched by incident boundary "
+                f"edges (up {up}, down {down})",
+                pid,
+            )
+
+    # equallemma: weight 1 at the minimum as often as -1 off the extrema, and
+    # weight -1 at the maximum as often as 1 off the extrema
+    for ext, w, where in ((lo, 1, "weight 1"), (hi, -1, "weight -1")):
+        mult = weights[ext].count(w)
+        count = sum(1 for pid in inner if -w in weights[pid])
+        if mult != count:
+            flag(
+                "equallemma",
+                f"multiplicity of {where} at {ext} is {mult}, but {count} index-2 "
+                f"points carry a weight {-w}",
+            )
+
+    # neededcor: two {-1,n} points (n >= 2) on one level leave no other point
+    # from the minimum's level up to below theirs
+    twins = [pid for pid, _h, _ws in pts if weights[pid][0] == -1 and weights[pid][1] >= 2]
+    for a, b in itertools.combinations(twins, 2):
+        if level[a] == level[b]:
+            below = [pid for pid, _h, _ws in pts if pid != lo and h_min <= level[pid] < level[a]]
+            if below:
+                flag(
+                    "neededcor",
+                    f"twin {{-1,n}} points {a}, {b} at level {_rational_text(level[a])} "
+                    f"admit other points {below} below",
+                )
+
+    # fourbound: a weight-1 edge has an extremal end
+    for b, t, w in edges:
+        if w == 1 and not {b, t} & {lo, hi}:
+            flag("fourbound", f"weight-1 edge {b}->{t} avoids both extremal points", f"{b}->{t}")
+
+    # 4small: every edge has area at most 3
+    for b, t, w in edges:
+        area = (level[t] - level[b]) / w
+        if area <= 0:
+            raise ValueError(f"edge {b}->{t}: area {_rational_text(area)} is not positive")
+        if area > 3:
+            text = _rational_text(area)
+            flag("4small", f"boundary divisor {b}->{t} has area {text} > 3", f"{b}->{t}")
+
+    # us: a {-1,n} point lies at most 3 above the minimum, the minimum has
+    # weights {1,m} with m at least that gap, and no point lies strictly between
+    min_ws = weights[lo]
+    for pid in twins:
+        gap = level[pid] - h_min
+        if gap > 3:
+            flag("us", f"{pid}: H - H_min = {_rational_text(gap)} > 3", pid)
+        if 1 not in min_ws:
+            flag("us", f"minimum weights {min_ws} are not of the form {{1,m}}", lo)
+        else:
+            m = min_ws[1] if min_ws[0] == 1 else min_ws[0]
+            if m < gap:
+                flag(
+                    "us",
+                    f"minimum weight m = {m} is below H({pid}) - H_min = {_rational_text(gap)}",
+                    lo,
+                )
+        between = [q for q, _h, _ws in pts if h_min < level[q] < level[pid]]
+        if between:
+            flag("us", f"points {between} lie strictly between the minimum and {pid}", pid)
+
+    # calc: with a point of weights {1,1}, {-1,-1} or {1,-1}, every edge has
+    # weight at most 2 and H stays within [-3, 3]
+    special = any(weights[pid] in ([1, 1], [-1, -1], [-1, 1]) for pid in weights)
+    if special:
+        for b, t, w in edges:
+            if w > 2:
+                flag("calc", f"boundary divisor {b}->{t} has weight {w} > 2", f"{b}->{t}")
+        if h_min < -3 or h_max > 3:
+            flag(
+                "calc",
+                f"H range [{_rational_text(h_min)}, {_rational_text(h_max)}] is not "
+                f"contained in [-3, 3]",
+            )
+
+    failed = {check for check, _m, _s in records}
+    notes = [f"{check}: {'fail' if check in failed else 'pass'}" for check in LEMMA_CHECKS[:-1]]
+    if special:
+        notes.append(f"calc: {'fail' if 'calc' in failed else 'pass'}")
+    else:
+        notes.append("calc: vacuous (no fixed point with weights {1,1}, {-1,-1} or {1,-1})")
+    return records, notes

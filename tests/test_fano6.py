@@ -101,6 +101,29 @@ def test_surface_graph_flags_missing_edge():
     assert sum(1 for v in report.violations if v.code == "degree") == 2
 
 
+@pytest.mark.parametrize(
+    "lo_ws, hi_ws, edges, message",
+    [
+        ((1, 2), (-2, -1), (), "lo: degree 0 in the surface graph, but 1 weight of modulus > 1"),
+        (
+            (2, 3),
+            (-3, -2),
+            (GradientEdge(bottom="lo", top="hi", weight=2),),
+            "lo: degree 1 in the surface graph, but 2 weights of modulus > 1",
+        ),
+    ],
+    ids=["one", "two"],
+)
+def test_surface_graph_degree_record_counts_weights_in_number(lo_ws, hi_ws, edges, message):
+    data = FixedPointData(
+        half_dim=3,
+        components=(surf("lo", -5, lo_ws, 1, (0, 0)), surf("hi", 5, hi_ws, 1, (0, 0))),
+        edges=edges,
+    )
+    _graph, report = surface_graph(data)
+    assert [v.message for v in report.violations if v.subject == "lo"] == [message]
+
+
 def test_surface_graph_flags_genus_mixing():
     data = FixedPointData(
         half_dim=3,

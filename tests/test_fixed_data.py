@@ -82,6 +82,67 @@ def test_unresolved_edge_endpoint():
         )
 
 
+FOURFOLD_F = FixedComponent(id="f", kind="fourfold", H=Fraction(0), weights=(1,))
+
+
+# (components, edges, the one message): with two structural faults, the
+# constructor reports the duplicate id first, then the first component of the
+# wrong kind or arity, then the first unresolved edge end, bottom before top
+TWO_FAULTS = {
+    "duplicate-after-arity": (
+        (point("p", 0, (1,)), point("q", 1, (1, -1)), point("q", 2, (-1, -1))),
+        (),
+        "duplicate component id 'q'",
+    ),
+    "duplicate-and-endpoint": (
+        (point("p", 0, (1, 1)), point("p", 2, (-1, -1))),
+        (GradientEdge(bottom="p", top="nowhere", weight=1),),
+        "duplicate component id 'p'",
+    ),
+    "fourfold-after-arity": (
+        (point("p", 0, (1, 1, 1)), FOURFOLD_F),
+        (),
+        "p: a point in a 4-manifold carries 2 nonzero weights, got 3",
+    ),
+    "arity-after-fourfold": (
+        (FOURFOLD_F, point("p", 0, (1, 1, 1))),
+        (),
+        "f: fourfold components need half_dim 3",
+    ),
+    "fourfold-and-endpoint": (
+        (point("p", 0, (1, 1)), FOURFOLD_F),
+        (GradientEdge(bottom="nowhere", top="p", weight=1),),
+        "f: fourfold components need half_dim 3",
+    ),
+    "endpoint-and-arity": (
+        (point("p", 0, (1, 1)), surface("s", 2, (-1, -1))),
+        (GradientEdge(bottom="p", top="nowhere", weight=1),),
+        "s: a surface in a 4-manifold carries 1 nonzero weights, got 2",
+    ),
+    "both-endpoints": (
+        (point("p", 0, (1, 1)),),
+        (GradientEdge(bottom="below", top="above", weight=1),),
+        "edge endpoint 'below' does not resolve",
+    ),
+    "top-before-next-bottom": (
+        (point("p", 0, (1, 1)),),
+        (
+            GradientEdge(bottom="p", top="above", weight=1),
+            GradientEdge(bottom="below", top="p", weight=1),
+        ),
+        "edge endpoint 'above' does not resolve",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_structural_faults_are_reported_in_a_fixed_order(case):
+    components, edges, message = TWO_FAULTS[case]
+    with pytest.raises(StructuralError) as err:
+        FixedPointData(half_dim=2, components=components, edges=edges)
+    assert str(err.value) == message
+
+
 # -- index --------------------------------------------------------------------
 
 

@@ -97,13 +97,16 @@ def _write(tmp_path, doc):
     return str(path)
 
 
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _set(doc, path, value):
     """A deep copy of doc with the value at path (keys and indices) replaced."""
     out = copy.deepcopy(doc)
-    node = out
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    _get(out, path[:-1])[path[-1]] = value
     return out
 
 
@@ -230,6 +233,11 @@ def _paths(node, prefix=()):
 
 
 _PATHS = {name: sorted(_paths(doc), key=repr) for name, doc in DOCUMENTS.items()}
+# the object levels of each document, the document itself included
+_OBJECTS = {
+    name: [()] + [p for p in _PATHS[name] if isinstance(_get(doc, p), dict)]
+    for name, doc in DOCUMENTS.items()
+}
 
 _SCALARS = (
     st.none()
@@ -245,32 +253,61 @@ _JSON = st.recursive(
     ),
     max_leaves=4,
 )
+# keys of the format, at the level they belong to or elsewhere, and strangers
+_KEYS = st.sampled_from(
+    sorted({p[-1] for paths in _PATHS.values() for p in paths if isinstance(p[-1], str)})
+    + ["schema_version", "polytope", "Weights", ""]
+) | st.text(max_size=3)
+
+
+def _rekeyed(doc, path, how, pick, key, value):
+    """A deep copy of doc whose object at path has lost one of its keys
+    ("drop"), had one renamed to key ("rename") or gained key ("add")."""
+    out = copy.deepcopy(doc)
+    node = _get(out, path)
+    if not isinstance(node, dict):
+        raise TypeError("an earlier mutation replaced this object")
+    if how == "add":
+        node[key] = value
+    elif node:
+        old = sorted(node)[pick % len(node)]
+        moved = node.pop(old)
+        if how == "rename":
+            node[key] = moved
+    return out
 
 
 @st.composite
 def _mutated(draw):
+    """A valid document, schema_version included, after one or two mutations:
+    a value replaced, or a key dropped, renamed or added at any object level."""
     name = draw(st.sampled_from(sorted(DOCUMENTS)))
-    doc = DOCUMENTS[name]
+    doc = {"schema_version": "1", **DOCUMENTS[name]}
     for _ in range(draw(st.integers(1, 2))):
-        path = draw(st.sampled_from(_PATHS[name]))
+        how = draw(st.sampled_from(["value", "drop", "rename", "add"]))
         try:
-            doc = _set(doc, path, draw(_JSON))
+            if how == "value":
+                doc = _set(doc, draw(st.sampled_from(_PATHS[name])), draw(_JSON))
+            else:
+                path = draw(st.sampled_from(_OBJECTS[name]))
+                doc = _rekeyed(doc, path, how, draw(st.integers(0, 5)), draw(_KEYS), draw(_JSON))
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation removed the container of this path
     return doc
 
 
 @settings(
-    max_examples=200,
+    max_examples=300,
     derandomize=True,
     deadline=timedelta(seconds=5),
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(doc=_mutated())
 def test_fuzzed_documents_keep_the_contract(tmp_path, doc):
-    path = _write(tmp_path, doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
     for command in COMMANDS:
-        code, out = run(_argv(command, path))
+        code, out = run(_argv(command, str(path)))
         assert code in (0, 1, 2), (command, out)
         json.loads(out)
 

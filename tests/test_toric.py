@@ -1,11 +1,14 @@
 """Lattice polytopes, the del Pezzo catalog and generated fixed-point data."""
 
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamfano.fixed_data import validate
-from hamfano.reports import PreconditionError, StructuralError
+from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge, validate
+from hamfano.reports import InconsistencyError, PreconditionError, StructuralError
 from hamfano.toric import (
     CircleDirection,
     LatticePolytope,
@@ -20,8 +23,11 @@ from hamfano.toric import (
     graph_of_points,
     karshon_graph,
     primitive_directions,
+    _lemma_checks,
     scan_directions,
 )
+
+from .oracle import LEMMA_CHECKS, lemma_suite_by_checks
 
 CP2 = LatticePolytope([(-1, -1), (2, -1), (-1, 2)])
 SQUARE = LatticePolytope([(-1, -1), (1, -1), (1, 1), (-1, 1)])
@@ -236,6 +242,92 @@ def test_lemma_suite_skips_nongeneric():
 def test_lemma_suite_rejects_non_delpezzo():
     with pytest.raises(PreconditionError):
         delpezzo_lemma_suite(LatticePolytope([(0, 0), (1, 0), (0, 1)]), (1, 2))
+
+
+def _lemma_suite_matches_the_oracle(points, edges):
+    """Run the lemma suite on the point dataset and compare its records, their
+    order and its notes, or the error it raises, with the oracle's; returns the
+    oracle's records, or None when both raised."""
+    data = FixedPointData(
+        half_dim=2,
+        components=tuple(FixedComponent(i, "point", h, ws) for i, h, ws in points),
+        edges=tuple(GradientEdge(b, t, w) for b, t, w in edges),
+    )
+    try:
+        records, notes = lemma_suite_by_checks(points, edges)
+    except ValueError as exc:
+        with pytest.raises(InconsistencyError) as err:
+            _lemma_checks(data)
+        assert str(err.value) == str(exc)
+        return None
+    report = _lemma_checks(data)
+    assert not report.inconclusive
+    assert [(v.code, v.message, v.subject) for v in report.violations] == records
+    assert report.notes == notes
+    return records
+
+
+def test_lemma_suite_every_check_fires_as_the_oracle_says():
+    # a {1,1} minimum below -3, a {-1,1} point, twin {-1,2} points at level 1
+    # 5 above it, a weight-1 edge off the extrema, a long edge and a weight-3 one
+    points = [
+        ("a", -4, (1, 1)),
+        ("b", -3, (-1, 1)),
+        ("c", 1, (-1, 2)),
+        ("d", 1, (2, -1)),
+        ("e", 5, (-1, -1)),
+    ]
+    edges = [("b", "c", 1), ("a", "e", 1), ("a", "b", 3)]
+    records = _lemma_suite_matches_the_oracle(points, edges)
+    assert {check for check, _m, _s in records} == set(LEMMA_CHECKS)
+
+
+_LEVELS = [-4, -3, -2, -1, 0, 1, 2, 3, 4, Fraction(-7, 2), Fraction(1, 2), Fraction(5, 2)]
+_WEIGHTS = [-1, -1, -1, 1, 1, -2, 2, 2, -3, 3]
+
+
+@st.composite
+def _point_dataset(draw):
+    """Points of a 4-manifold with two nonzero weights each, some of them
+    copies of an earlier point's level and weights, and edges that mostly
+    climb, now and then one that does not."""
+    points = []
+    for pid in draw(st.permutations("abcdef"))[: draw(st.integers(1, 6))]:
+        if points and draw(st.integers(0, 3)) == 0:
+            _id, h, ws = draw(st.sampled_from(points))
+        else:
+            h = draw(st.sampled_from(_LEVELS))
+            ws = (draw(st.sampled_from(_WEIGHTS)), draw(st.sampled_from(_WEIGHTS)))
+        points.append((pid, h, ws))
+    pairs = [(a, b) for a, h, _ in points for b, k, _ in points if h < k]
+    edges = []
+    for _ in range(draw(st.integers(0, 6))):
+        if not pairs or draw(st.integers(0, 19)) == 0:
+            a, b = draw(st.sampled_from(points))[0], draw(st.sampled_from(points))[0]
+        else:
+            a, b = draw(st.sampled_from(pairs))
+        edges.append((a, b, draw(st.sampled_from([1, 1, 1, 2, 2, 3, 4]))))
+    return points, edges
+
+
+@settings(max_examples=400, derandomize=True, deadline=timedelta(seconds=5))
+@given(_point_dataset())
+def test_lemma_suite_matches_the_oracle_on_random_points(dataset):
+    _lemma_suite_matches_the_oracle(*dataset)
+
+
+def test_lemma_suite_matches_the_oracle_on_scanned_polygons():
+    for entry in delpezzo_catalog():
+        for item in scan_directions(entry.polytope, 6):
+            data = item.data
+            if any(c.kind == "surface" for c in data.components):
+                assert _lemma_checks(data).notes == [
+                    "skipped: direction is not generic (fixed boundary spheres)"
+                ]
+                continue
+            points = [(c.id, c.H, c.weights) for c in data.components]
+            edges = [(e.bottom, e.top, e.weight) for e in data.edges]
+            assert _lemma_suite_matches_the_oracle(points, edges) == []
 
 
 # -- direction scans --------------------------------------------------------------------
