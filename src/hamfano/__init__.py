@@ -12,12 +12,11 @@ from .fixed_data import (
 from .graphs import LabelledGraph
 from .localization import Polynomial, abbv_sum_4d, abbv_sum_6d, alpha, beta, chi_y
 from .reports import Report, StructuralError, Violation
-from .toric import CircleDirection, LatticePolytope, delpezzo_catalog
+from .toric import LatticePolytope, delpezzo_catalog
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircleDirection",
     "FixedComponent",
     "FixedPointData",
     "GradientEdge",

@@ -3,10 +3,12 @@
 For isolated fixed-point data the reduced volume at a level s is the
 finite sum -sum (s-H(p))^(n-1)/prod(weights) over the fixed points above
 s.  For a Delzant polygon the full DH function is reconstructed as a
-piecewise-linear function from the fixed-point data alone: slopes change
-by 1/(a*b) at each vertex level and the value jumps by +-area at an
-extremal fixed sphere.  The independent slice-length oracle lives in the
-test suite and never feeds this module.
+piecewise-linear function from the fixed-point data alone, as a sum of one
+line per fixed component starting at its level: (t - H)/(ab) for a point
+with weights a, b, and A/w - n(t - H)/w^2 for a fixed sphere of area A,
+weight w and self-intersection n, which sits at an extremal level.  The
+independent slice-length oracle lives in the test suite and never feeds
+this module.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .fixed_data import (
     POINT,
-    SURFACE,
-    FixedComponent,
     FixedPointData,
     Rational,
     as_fraction,
@@ -28,7 +28,7 @@ from .fixed_data import (
 )
 from .localization import Polynomial
 from .reports import InconsistencyError, PreconditionError, Report
-from .toric import CircleDirection, LatticePolytope, fixed_data_from_polytope
+from .toric import LatticePolytope, fixed_data_from_polytope
 
 
 @dataclass(frozen=True)
@@ -98,98 +98,60 @@ def reduced_volume(data: FixedPointData, s: Rational) -> Fraction:
     return -total
 
 
-def dh_jump_leading(
-    components_at_level: Sequence[FixedComponent], n: int
-) -> List[Tuple[Fraction, int]]:
-    """Leading jump terms of DH at a shared critical level.
-
-    Each component F of half-codimension d contributes
-    vol(F) / ((d-1)! * prod weights(F)) in degree d-1; vol(point) = 1 and
-    surfaces must carry their area.  Higher-order terms are not computed.
-    """
-    if not components_at_level:
-        return []
-    levels = {c.H for c in components_at_level}
-    if len(levels) != 1:
-        raise PreconditionError("components do not share one critical level")
-    out: List[Tuple[Fraction, int]] = []
-    for c in components_at_level:
-        d = n - c.dim // 2
-        if c.kind == POINT:
-            vol = 1
-        elif c.kind == SURFACE:
-            if c.area is None:
-                raise PreconditionError(f"{c.id}: surface must carry its area")
-            vol = c.area
-        else:
-            raise PreconditionError(
-                f"{c.id}: no stored volume for a fourfold component"
-            )
-        out.append((Fraction(vol, math.factorial(d - 1) * math.prod(c.weights)), d - 1))
-    return out
-
-
-def dh_function_toric(
-    p: LatticePolytope, xi: Union[CircleDirection, Sequence[int]]
-) -> PiecewisePolynomial:
+def dh_function_toric(p: LatticePolytope, xi: Sequence[int]) -> PiecewisePolynomial:
     """DH function of the circle action (P, xi) on the toric surface.
 
-    Built from the generated fixed-point data by accumulating jump terms:
-    the slope gains 1/(a*b) at each vertex level, and a fixed boundary
-    sphere (always at an extremal level) jumps the value by area/w and the
-    slope by -n/w^2, n its self-intersection and w its normal weight.  The
-    result is the lattice-normalised slice length of P, exactly.
+    Built from the generated fixed-point data alone, one linear term per fixed
+    component (see ``_dh_pieces``).  The result is the lattice-normalised slice
+    length of P, exactly.
     """
     return _dh_pieces(_polygon_data(p, xi))
 
 
-def _polygon_data(
-    p: LatticePolytope, xi: Union[CircleDirection, Sequence[int]]
-) -> FixedPointData:
+def _polygon_data(p: LatticePolytope, xi: Sequence[int]) -> FixedPointData:
     if p.dim != 2:
         raise PreconditionError("dh_function_toric applies to Delzant polygons")
     return fixed_data_from_polytope(p, xi)
 
 
 def _dh_pieces(data: FixedPointData) -> PiecewisePolynomial:
-    """The DH function of data generated from a Delzant polygon."""
-    levels = sorted({c.H for c in data.components})
+    """The DH function of data generated from a Delzant polygon.
+
+    Each fixed component adds one line from its level H upwards: a point with
+    weights a, b adds (t - H)/(ab), and a fixed sphere with weight w,
+    self-intersection n and area A adds A/w - n(t - H)/w^2.  The lines are
+    summed level by level as (constant, slope); the running sum after a level is
+    the piece up to the next one, and after the top level it must vanish.
+    """
+    terms: dict = {}
+    for c in data.components:
+        if c.kind == POINT:
+            slope = Fraction(1, math.prod(c.weights))
+            const = -c.H * slope
+        else:
+            (w,), (n,) = c.weights, c.normal_degrees
+            slope = Fraction(-n, w * w)
+            const = Fraction(c.area, w) - c.H * slope
+        c0, c1 = terms.get(c.H, (0, 0))
+        terms[c.H] = (c0 + const, c1 + slope)
+    levels = sorted(terms)
     if len(levels) < 2:
         raise PreconditionError("direction collapses the polygon to one level")
-    by_level: dict = {}
-    for c in data.components:
-        by_level.setdefault(c.H, []).append(c)
-
-    breakpoints: List[Fraction] = list(levels)
     pieces: List[Polynomial] = []
-    value = Fraction(0)
-    slope = Fraction(0)
-    for k, level in enumerate(levels):
-        comps = sorted(by_level[level], key=lambda c: c.id)
-        for coeff, degree in dh_jump_leading(comps, n=2):
-            if degree == 0:
-                value += coeff
-            elif degree == 1:
-                slope += coeff
-        for c in comps:
-            if c.kind == SURFACE:
-                w = c.weights[0]
-                slope -= Fraction(c.normal_degrees[0], w * w)
-        if k < len(levels) - 1:
-            # linear piece value + slope*(t - level) on [level, next]
-            pieces.append(Polynomial.of(value - slope * level, slope))
-            value += slope * (levels[k + 1] - level)
-    if value != 0 or slope != 0:
+    const = slope = 0
+    for level in levels:
+        c0, c1 = terms[level]
+        const, slope = const + c0, slope + c1
+        pieces.append(Polynomial.of(const, slope))
+    if pieces.pop().coefficients:
         raise InconsistencyError(
             "DH reconstruction does not close up to zero above the maximum; "
             "the fixed-point data cannot come from a convex polygon"
         )
-    return PiecewisePolynomial(tuple(breakpoints), tuple(pieces))
+    return PiecewisePolynomial(tuple(levels), tuple(pieces))
 
 
-def fibre_area_bound_check(
-    p: LatticePolytope, xi: Union[CircleDirection, Sequence[int]]
-) -> Report:
+def fibre_area_bound_check(p: LatticePolytope, xi: Sequence[int]) -> Report:
     """Check DH(H_min + c) <= c/(a*b) with equality exactly up to the first
     non-extremal critical level; a, b are the weights at the minimum."""
     data = _polygon_data(p, xi)

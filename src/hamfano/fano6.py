@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dh import dh_function_toric, reduced_volume
 from .fixed_data import (
@@ -46,7 +46,7 @@ from .reports import (
     Report,
     StructuralError,
 )
-from .toric import CircleDirection, LatticePolytope, _is_delpezzo
+from .toric import LatticePolytope, _is_delpezzo
 
 
 class IncompleteDataError(StructuralError):
@@ -462,8 +462,7 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
             f"maximum of type (-1,-1,-2) forces n_A + 1 = n_B, got "
             f"{n_a} + 1 != {n_b}",
         )
-    isolated = sum(1 for c in data.components if c.kind == POINT)
-    report.note(f"b2(M_min) = {isolated}")
+    report.note(f"b2(M_min) = {len(data.points())}")
     return n_a, n_b, n_c, report
 
 
@@ -1005,7 +1004,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 def sphere_area_vs_fibre(
     data: FixedPointData,
     fibre: LatticePolytope,
-    fibre_xi: Union[CircleDirection, Sequence[int]],
+    fibre_xi: Sequence[int],
 ) -> Report:
     """Fixed-sphere areas are bounded by the fibre slice length at their level.
 

@@ -259,7 +259,7 @@ class FixedPointData:
             if len(c.weights) != expected:
                 raise StructuralError(
                     f"{c.id}: a {c.kind} in a {2 * n}-manifold carries {expected} "
-                    f"nonzero weights, got {len(c.weights)}"
+                    f"nonzero weight{'' if expected == 1 else 's'}, got {len(c.weights)}"
                 )
         for e in edges:
             if e.bottom not in by_id:

@@ -56,12 +56,13 @@ class LabelledGraph:
         for end in (self.v_min, self.v_max):
             if end is not None and end not in by_id:
                 raise StructuralError(f"extremal vertex {end!r} does not resolve")
+        object.__setattr__(self, "_by_id", by_id)
 
     def vertex(self, vid: str) -> FixedComponent:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise StructuralError(f"no vertex {vid!r}")
+        v = self._by_id.get(vid)
+        if v is None:
+            raise StructuralError(f"no vertex {vid!r}")
+        return v
 
     def degree(self, vid: str) -> int:
         return sum(1 for e in self.edges if vid in (e.bottom, e.top))

@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fixed_data import (
     POINT,
@@ -74,25 +74,6 @@ def _cross3(a: Sequence[int], b: Sequence[int]) -> IntVec:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-@dataclass(frozen=True)
-class CircleDirection:
-    """A primitive integer vector selecting S^1 inside the torus."""
-
-    xi: IntVec
-
-    def __post_init__(self):
-        v = _ivec(self.xi)
-        if math.gcd(*v) != 1:
-            raise StructuralError(f"direction {v} is not primitive")
-        object.__setattr__(self, "xi", v)
-
-
-def as_direction(xi: Union[CircleDirection, Sequence[int]]) -> CircleDirection:
-    if isinstance(xi, CircleDirection):
-        return xi
-    return CircleDirection(tuple(xi))
 
 
 @dataclass(frozen=True)
@@ -355,24 +336,25 @@ def _surface_id(a: IntVec, b: IntVec) -> str:
     return "s" + "_".join(str(x) for x in lo) + "__" + "_".join(str(x) for x in hi)
 
 
-def fixed_data_from_polytope(
-    p: LatticePolytope, xi: Union[CircleDirection, Sequence[int]]
-) -> FixedPointData:
+def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPointData:
     """Fixed-point data of the circle action cut out by xi on the toric manifold.
 
-    Vertices give points with H = <xi, v> and weights <xi, e> over the
-    primitive edge directions leaving v.  In dimension 2 an edge with
-    <xi, d> = 0 gives a genus-0 fixed surface of area equal to its lattice
-    length and normal degree its self-intersection, absorbing its endpoint
-    vertices; any other edge gives a gradient edge of weight |<xi, d>|.
+    Every direction that this module, ``dh`` and ``fano6`` take is checked here:
+    xi is any sequence of plain ints (a bool or a float is refused) with gcd 1,
+    of the polytope's dimension.  Vertices give points with H = <xi, v> and
+    weights <xi, e> over the primitive edge directions leaving v.  In dimension
+    2 an edge with <xi, d> = 0 gives a genus-0 fixed surface of area equal to
+    its lattice length and normal degree its self-intersection, absorbing its
+    endpoint vertices; any other edge gives a gradient edge of weight |<xi, d>|.
     The relative Fano flag is set iff the polytope is reflexive.
 
     Only the V heights <xi, v> are dot products: an edge of lattice length l from
     v_i to v_j has <xi, d> = (H_j - H_i) / l exactly.  A gradient edge the polytope
     keeps is reused; every component and dataset is built and checked anew.
     """
-    direction = as_direction(xi)
-    x = direction.xi
+    x = _ivec(tuple(xi))
+    if math.gcd(*x) != 1:
+        raise StructuralError(f"direction {x} is not primitive")
     if len(x) != p.dim:
         raise PreconditionError(f"direction has length {len(x)}, polytope dim {p.dim}")
     if not delzant_check(p):
@@ -499,9 +481,7 @@ def catalog_entry(name: str) -> DelPezzoEntry:
 # -- Karshon graphs -----------------------------------------------------------
 
 
-def karshon_graph(
-    p: LatticePolytope, xi: Union[CircleDirection, Sequence[int]]
-) -> LabelledGraph:
+def karshon_graph(p: LatticePolytope, xi: Sequence[int]) -> LabelledGraph:
     """Graph of the isolated fixed points of (P, xi), edges labelled by weight.
 
     Weight-1 gradient spheres are retained with label 1.  For non-generic
@@ -516,7 +496,7 @@ def karshon_graph(
 
 def graph_of_points(data: FixedPointData) -> LabelledGraph:
     """Karshon graph of a dataset whose relevant fixed components are points."""
-    points = tuple(c for c in data.ordered() if c.kind == POINT)
+    points = data.points()
     ids = {c.id for c in points}
     edges = tuple(e for e in data.edges if e.bottom in ids and e.top in ids)
     lows, highs = _extreme_ids(points)
@@ -532,9 +512,7 @@ def _is_delpezzo(p: LatticePolytope) -> bool:
     return p.dim == 2 and delzant_check(p) and p.is_reflexive()
 
 
-def delpezzo_lemma_suite(
-    p: LatticePolytope, xi: Union[CircleDirection, Sequence[int]]
-) -> Report:
+def delpezzo_lemma_suite(p: LatticePolytope, xi: Sequence[int]) -> Report:
     """Check the toric del Pezzo facts on the data generated from (P, xi).
 
     Covered conclusions, one note per check: gradient spheres through
@@ -546,10 +524,9 @@ def delpezzo_lemma_suite(
     (calc).  Violations carry the lemma name as code.  A direction that
     fixes a boundary sphere is not generic, and the suite is skipped.
     """
-    direction = as_direction(xi)
     if not _is_delpezzo(p):
         raise PreconditionError("the lemma suite runs on toric del Pezzo polygons")
-    return _lemma_checks(fixed_data_from_polytope(p, direction))
+    return _lemma_checks(fixed_data_from_polytope(p, xi))
 
 
 # The lemma suite's checks in report order, and every note it writes, built once.
@@ -727,8 +704,8 @@ def primitive_directions(dim: int, bound: int) -> List[IntVec]:
         first = next(x for x in v if x != 0)
         if first < 0:
             continue
-        out.append(tuple(v))
-    return sorted(out)
+        out.append(v)
+    return out
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,13 @@ def test_render_writes_a_fraction_as_p_over_q():
     assert text == '{"id":"a","kind":"point","H":"-7/2","weights":[1,2]}'
 
 
+def test_dh_toric_refuses_a_non_primitive_direction():
+    path = os.path.join(os.path.dirname(__file__), "golden", "cp2.json")
+    code, out = run(["dh", "toric", path, "--xi", "2,4"])
+    assert code == 2
+    assert json.loads(out)["error"] == "direction (2, 4) is not primitive"
+
+
 def test_dh_toric_refuses_a_non_delzant_polygon():
     path = os.path.join(os.path.dirname(__file__), "golden", "triangle_nondelzant.json")
     code, out = run(["dh", "toric", path, "--xi", "1,2"])

@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from hamfano.dh import (
     PiecewisePolynomial,
     dh_function_toric,
-    dh_jump_leading,
     fibre_area_bound_check,
     positivity_check,
     reduced_volume,
 )
 from hamfano.fano6 import build_04_data
-from hamfano.fixed_data import FixedComponent
 from hamfano.localization import Polynomial
 from hamfano.reports import PreconditionError
-from hamfano.toric import LatticePolytope, delpezzo_catalog, fixed_data_from_polytope
+from hamfano.toric import (
+    LatticePolytope,
+    delpezzo_catalog,
+    fixed_data_from_polytope,
+    primitive_directions,
+)
 
 from .oracle import slice_area_3d, slice_length_2d
 
@@ -27,10 +30,6 @@ CP2 = LatticePolytope([(-1, -1), (2, -1), (-1, 2)])
 SQUARE = LatticePolytope([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 CP3 = LatticePolytope([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)])
 CUBE = LatticePolytope([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
-
-
-def point(cid, h, ws):
-    return FixedComponent(id=cid, kind="point", H=Fraction(h), weights=tuple(ws))
 
 
 # -- reduced volumes ---------------------------------------------------------------
@@ -72,42 +71,6 @@ def test_reduced_volume_matches_slice_oracle_on_cube():
         if s >= data.h_max():
             continue
         assert reduced_volume(data, s) == 2 * slice_area_3d(CUBE.vertices, (1, 2, 4), s)
-
-
-# -- jump coefficients ---------------------------------------------------------------
-
-
-def test_jump_point_dim6():
-    (coeff, deg), = dh_jump_leading([point("p", 1, (2, 3, -1))], n=3)
-    assert (coeff, deg) == (Fraction(1, 2 * (2 * 3 * -1)), 2)
-
-
-def test_jump_surface_dim6():
-    s = FixedComponent(
-        id="s",
-        kind="surface",
-        H=Fraction(1),
-        weights=(2, -3),
-        genus=1,
-        normal_degrees=(0, 0),
-        area=Fraction(5),
-    )
-    (coeff, deg), = dh_jump_leading([s], n=3)
-    assert (coeff, deg) == (Fraction(5, -6), 1)
-
-
-def test_jump_point_dim4():
-    (coeff, deg), = dh_jump_leading([point("p", 0, (3, -5))], n=2)
-    assert (coeff, deg) == (Fraction(-1, 15), 1)
-
-
-def test_jump_needs_area():
-    s = FixedComponent(
-        id="s", kind="surface", H=Fraction(0), weights=(1, -1), genus=0,
-        normal_degrees=(0, 0),
-    )
-    with pytest.raises(PreconditionError):
-        dh_jump_leading([s], n=3)
 
 
 # -- toric DH function ----------------------------------------------------------------
@@ -196,24 +159,36 @@ def test_dh_oracle_on_sheared_polygons(name, a, b, xi, s):
     assert dh(t) == slice_length_2d(moved.vertices, xi, t)
 
 
+def _component_term(c):
+    """(constant, slope) of the line a fixed component of a polygon adds to DH
+    from its level upwards, from its own fields alone."""
+    if c.kind == "point":
+        a, b = c.weights
+        return Fraction(-c.H, a * b), Fraction(1, a * b)
+    (w,), (n,), area = c.weights, c.normal_degrees, c.area
+    return Fraction(area, w) + Fraction(n * c.H, w * w), Fraction(-n, w * w)
+
+
 def test_dh_gls_jump_consistency():
-    # the change of slope across a vertex level equals the jump coefficient
+    # across each critical level the pieces change by the summed terms of the
+    # components there: from 0 below the minimum to 0 above the maximum
+    spheres = 0
     for entry in delpezzo_catalog():
         p = entry.polytope
-        data = fixed_data_from_polytope(p, (2, 1))
-        dh = dh_function_toric(p, (2, 1))
-        by_level = {}
-        for c in data.components:
-            by_level.setdefault(c.H, []).append(c)
-        for i in range(1, len(dh.pieces)):
-            level = dh.breakpoints[i]
-            jump = dh.pieces[i].coefficient(1) - dh.pieces[i - 1].coefficient(1)
-            expected = sum(
-                coeff
-                for coeff, deg in dh_jump_leading(by_level[level], n=2)
-                if deg == 1
-            )
-            assert jump == expected
+        for xi in primitive_directions(2, 3):
+            data = fixed_data_from_polytope(p, xi)
+            dh = dh_function_toric(p, xi)
+            assert set(dh.breakpoints) == {c.H for c in data.components}
+            zero = Polynomial()
+            pieces = (zero,) + dh.pieces + (zero,)
+            for i, level in enumerate(dh.breakpoints):
+                change = tuple(
+                    pieces[i + 1].coefficient(d) - pieces[i].coefficient(d) for d in (0, 1)
+                )
+                terms = [_component_term(c) for c in data.components if c.H == level]
+                assert change == tuple(map(sum, zip(*terms))), (entry.name, xi, level)
+            spheres += len(data.surfaces())
+    assert spheres > 0
 
 
 # -- bounds and positivity ---------------------------------------------------------------

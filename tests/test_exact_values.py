@@ -18,7 +18,6 @@ from hamfano.cli import load_fixed_point_data
 from hamfano.dh import (
     PiecewisePolynomial,
     dh_function_toric,
-    dh_jump_leading,
     positivity_check,
     reduced_volume,
 )
@@ -134,15 +133,6 @@ def test_no_float_in_derived_values():
             except PreconditionError:
                 pass  # a surface or fourfold above s
         positivity_check(data)  # the default levels refuse a float
-        by_level = {}
-        for c in data.components:
-            by_level.setdefault(c.H, []).append(c)
-        for comps in by_level.values():
-            try:
-                jumps = dh_jump_leading(comps, data.half_dim)
-            except PreconditionError:
-                continue  # a fourfold, or a surface without its area
-            assert all(_exact(coeff) for coeff, _degree in jumps), label
 
 
 def test_no_float_in_dh_functions():

@@ -117,7 +117,7 @@ TWO_FAULTS = {
     "endpoint-and-arity": (
         (point("p", 0, (1, 1)), surface("s", 2, (-1, -1))),
         (GradientEdge(bottom="p", top="nowhere", weight=1),),
-        "s: a surface in a 4-manifold carries 1 nonzero weights, got 2",
+        "s: a surface in a 4-manifold carries 1 nonzero weight, got 2",
     ),
     "both-endpoints": (
         (point("p", 0, (1, 1)),),

@@ -54,6 +54,11 @@ POLYTOPES = {
     "rectangle": [[-1, -1], [2, -1], [2, 1], [-1, 1]],  # Delzant, not reflexive
     "triangle_nondelzant": [[0, 0], [2, 0], [0, 1]],
     "cp2": [[-1, -1], [2, -1], [-1, 2]],
+    # the other catalog polygons, for DH functions of directions that fix spheres
+    "cp1xcp1": [[-1, -1], [1, -1], [1, 1], [-1, 1]],
+    "bl1cp2": [[-1, 0], [0, -1], [2, -1], [-1, 2]],
+    "bl2cp2": [[-1, 0], [0, -1], [1, -1], [1, 0], [-1, 2]],
+    "bl3cp2": [[-1, -4], [0, -1], [1, 3], [1, 4], [0, 1], [-1, -3]],
 }
 
 DATASETS = {
@@ -248,6 +253,12 @@ CASES = {
     "suite_suite_cp2_g2": ["fano6", "suite", "suite_cp2_g2.json"],
     "dh_cp2_generic": ["dh", "toric", "cp2.json", "--xi", "1,2"],
     "dh_cp2_nongeneric": ["dh", "toric", "cp2.json", "--xi", "0,1"],
+    # fixed spheres at both extremes, at the minimum only, at the maximum only,
+    # and on both opposite edges of the hexagon
+    "dh_cp1xcp1_nongeneric": ["dh", "toric", "cp1xcp1.json", "--xi", "1,0"],
+    "dh_bl1cp2_nongeneric": ["dh", "toric", "bl1cp2.json", "--xi", "1,0"],
+    "dh_bl2cp2_nongeneric": ["dh", "toric", "bl2cp2.json", "--xi", "0,-1"],
+    "dh_bl3cp2_nongeneric": ["dh", "toric", "bl3cp2.json", "--xi", "1,0"],
     "enumerate_04": ["enumerate-04"],
 }
 

@@ -10,6 +10,7 @@ follows the target.
 
 import copy
 import json
+from collections import Counter
 from datetime import timedelta
 from pathlib import Path
 
@@ -278,9 +279,10 @@ def _rekeyed(doc, path, how, pick, key, value):
 
 
 @st.composite
-def _mutated(draw):
+def _mutated(draw, named=False):
     """A valid document, schema_version included, after one or two mutations:
-    a value replaced, or a key dropped, renamed or added at any object level."""
+    a value replaced, or a key dropped, renamed or added at any object level.
+    With named, the name of the valid document comes first."""
     name = draw(st.sampled_from(sorted(DOCUMENTS)))
     doc = {"schema_version": "1", **DOCUMENTS[name]}
     for _ in range(draw(st.integers(1, 2))):
@@ -293,7 +295,7 @@ def _mutated(draw):
                 doc = _rekeyed(doc, path, how, draw(st.integers(0, 5)), draw(_KEYS), draw(_JSON))
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation removed the container of this path
-    return doc
+    return (name, doc) if named else doc
 
 
 @settings(
@@ -310,6 +312,47 @@ def test_fuzzed_documents_keep_the_contract(tmp_path, doc):
         code, out = run(_argv(command, str(path)))
         assert code in (0, 1, 2), (command, out)
         json.loads(out)
+
+
+# the commands that read each payload kind
+PAYLOAD_COMMANDS = {
+    "fixed_point_data": (
+        ["validate"],
+        ["normalize"],
+        ["localize", "4d"],
+        ["localize", "6d"],
+        ["chi-y"],
+        ["fano6", "graph"],
+        ["fano6", "chains"],
+        ["fano6", "abc"],
+        ["fano6", "suite"],
+    ),
+    "polytope": (["dh", "toric", None, "--xi", "1,2"], ["toric", "scan", None, "--bound", "1"]),
+    "suite_request": (["fano6", "suite"],),
+}
+
+
+def test_fuzzed_documents_reach_a_verdict(tmp_path):
+    # each mutated document goes only through the commands that read the
+    # payload it was made from, so a run is not refused for the wrong kind
+    tally = Counter()
+    path = tmp_path / "doc.json"
+
+    @settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+    @given(named=_mutated(named=True))
+    def check(named):
+        name, doc = named
+        kind = next(iter(DOCUMENTS[name]))
+        path.write_text(json.dumps(doc))
+        for command in PAYLOAD_COMMANDS[kind]:
+            code, out = run(_argv(command, str(path)))
+            assert code in (0, 1, 2), (command, out)
+            json.loads(out)
+            tally[kind, code] += 1
+
+    check()
+    for kind in PAYLOAD_COMMANDS:
+        assert tally[kind, 0] + tally[kind, 1] > 0, (kind, tally)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamfano.dh import dh_function_toric, fibre_area_bound_check
+from hamfano.fano6 import sphere_area_vs_fibre
 from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge, validate
 from hamfano.reports import InconsistencyError, PreconditionError, StructuralError
 from hamfano.toric import (
-    CircleDirection,
     LatticePolytope,
     MAX_DIRECTION_CANDIDATES,
     UnsupportedDirectionError,
@@ -128,9 +129,40 @@ def test_nongeneric_direction_in_dim3_rejected():
         fixed_data_from_polytope(CUBE, (1, 0, 0))
 
 
-def test_direction_must_be_primitive():
-    with pytest.raises(StructuralError):
-        CircleDirection((2, 4))
+# every public function that takes a direction, applied to CP2
+DIRECTION_ENTRIES = {
+    "fixed_data_from_polytope": lambda xi: fixed_data_from_polytope(CP2, xi),
+    "karshon_graph": lambda xi: karshon_graph(CP2, xi),
+    "delpezzo_lemma_suite": lambda xi: delpezzo_lemma_suite(CP2, xi),
+    "dh_function_toric": lambda xi: dh_function_toric(CP2, xi),
+    "fibre_area_bound_check": lambda xi: fibre_area_bound_check(CP2, xi),
+    "sphere_area_vs_fibre": lambda xi: sphere_area_vs_fibre(
+        fixed_data_from_polytope(CP2, (1, 2)), CP2, xi
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECTION_ENTRIES))
+@pytest.mark.parametrize(
+    "xi, message",
+    [
+        pytest.param((2, 4), "direction (2, 4) is not primitive", id="non-primitive"),
+        pytest.param((0, 0), "direction (0, 0) is not primitive", id="zero"),
+        pytest.param((1.0, 2), "integer vector expected, got (1.0, 2)", id="float"),
+        pytest.param((True, 2), "integer vector expected, got (True, 2)", id="bool"),
+    ],
+)
+def test_every_entry_refuses_a_malformed_direction(entry, xi, message):
+    with pytest.raises(StructuralError) as caught:
+        DIRECTION_ENTRIES[entry](xi)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("entry", sorted(DIRECTION_ENTRIES))
+def test_every_entry_takes_a_direction_as_any_int_sequence(entry):
+    call = DIRECTION_ENTRIES[entry]
+    results = [call(xi) for xi in ([1, 2], (1, 2), range(1, 3))]
+    assert results[0] == results[1] == results[2]
 
 
 def test_generation_needs_delzant():
@@ -242,6 +274,9 @@ def test_lemma_suite_skips_nongeneric():
 def test_lemma_suite_rejects_non_delpezzo():
     with pytest.raises(PreconditionError):
         delpezzo_lemma_suite(LatticePolytope([(0, 0), (1, 0), (0, 1)]), (1, 2))
+    # the polytope is checked before the direction
+    with pytest.raises(PreconditionError, match="del Pezzo"):
+        delpezzo_lemma_suite(LatticePolytope([(0, 0), (1, 0), (0, 1)]), (2, 4))
 
 
 def _lemma_suite_matches_the_oracle(points, edges):
