@@ -14,7 +14,6 @@ this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -27,11 +26,11 @@ from .fixed_data import (
     format_rational,
 )
 from .localization import Polynomial
-from .reports import InconsistencyError, PreconditionError, Report
+from .reports import InconsistencyError, PreconditionError, Report, value_type
 from .toric import LatticePolytope, fixed_data_from_polytope
 
 
-@dataclass(frozen=True)
+@value_type
 class PiecewisePolynomial:
     """Exact piecewise polynomial on [breakpoints[0], breakpoints[-1]].
 

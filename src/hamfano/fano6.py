@@ -45,6 +45,7 @@ from .reports import (
     PreconditionError,
     Report,
     StructuralError,
+    value_type,
 )
 from .toric import LatticePolytope, _is_delpezzo
 
@@ -269,7 +270,7 @@ def _level_mismatch(a: LabelledGraph, b: LabelledGraph) -> str:
 # -- maximal downward chains ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class Chain:
     """A maximal downward chain: points p_1..p_k and sphere weights w_1..w_{k-1}."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -30,6 +30,7 @@ from .reports import (
     NonUniqueExtremumError,
     Report,
     StructuralError,
+    value_type,
 )
 
 # A canonical exact rational: an int, or a Fraction with denominator > 1.
@@ -89,7 +90,7 @@ def format_rational(x: Rational) -> Union[int, str]:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@value_type
 class FixedComponent:
     """One connected component of the fixed set."""
 
@@ -169,7 +170,7 @@ def index(c: FixedComponent) -> int:
     return sum(1 for w in c.weights if w < 0)
 
 
-@dataclass(frozen=True)
+@value_type
 class GradientEdge:
     """A gradient sphere or isotropy submanifold joining two components.
 
@@ -218,7 +219,7 @@ edge_order = attrgetter("bottom", "top", "weight", "interior_points")
 component_order = attrgetter("H", "id")
 
 
-@dataclass(frozen=True)
+@value_type
 class FixedPointData:
     """Full fixed-point dataset of a Hamiltonian S^1-action on a 2n-manifold.
 

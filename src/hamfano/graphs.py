@@ -12,7 +12,6 @@ hand never exceed a dozen vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .fixed_data import (
@@ -23,7 +22,7 @@ from .fixed_data import (
     edge_order_violation,
     format_rational,
 )
-from .reports import StructuralError
+from .reports import StructuralError, value_type
 
 
 def _key(c: FixedComponent) -> Tuple:
@@ -31,7 +30,7 @@ def _key(c: FixedComponent) -> Tuple:
     return (c.H, c.sorted_weights())
 
 
-@dataclass(frozen=True)
+@value_type
 class LabelledGraph:
     """Directed graph with edges oriented by increasing Hamiltonian."""
 

@@ -11,7 +11,7 @@ has the given fixed-point data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -26,10 +26,10 @@ from .fixed_data import (
     format_rational,
     index,
 )
-from .reports import InconsistencyError, PreconditionError, Report
+from .reports import InconsistencyError, PreconditionError, Report, value_type
 
 
-@dataclass(frozen=True)
+@value_type
 class Polynomial:
     """Polynomial in one formal variable with exact rational coefficients.
 

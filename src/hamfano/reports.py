@@ -8,7 +8,8 @@ never appear inside a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import MISSING, dataclass, field
 from typing import Optional
 
 
@@ -28,7 +29,41 @@ class InconsistencyError(ValueError):
     """Exact arithmetic certifies the input cannot come from a genuine action."""
 
 
-@dataclass(frozen=True)
+def value_type(cls: type) -> type:
+    """Declare cls a frozen dataclass whose ``__init__`` writes every field
+    with one ``self.__dict__.update`` and then calls ``__post_init__``, if the
+    class has one.
+
+    The dataclass stays whole: fields, eq, hash, repr, the frozen
+    ``__setattr__`` and ``__delattr__``, ``dataclasses.fields`` and
+    ``dataclasses.replace``.  Only its generated ``__init__``, which sets each
+    field through ``object.__setattr__``, is replaced by one built the same
+    way from the same fields, with the same parameter order and defaults.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names, params, defaults = [], [], {}
+    for f in dataclasses.fields(cls):
+        if not f.init or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: value type fields take plain defaults")
+        names.append(f.name)
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            defaults[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    body = f"self.__dict__.update({', '.join(f'{n}={n}' for n in names)})"
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(params)}):\n    {body}\n", defaults, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+@value_type
 class Violation:
     """One check record tied to its subject: a violated invariant, or with
     status "inconclusive" a check whose hypotheses cannot be certified from

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fixed_data import (
@@ -34,7 +33,7 @@ from .fixed_data import (
 )
 from .graphs import LabelledGraph
 from .localization import gradient_sphere_area
-from .reports import PreconditionError, Report, StructuralError
+from .reports import PreconditionError, Report, StructuralError, value_type
 
 IntVec = Tuple[int, ...]
 
@@ -47,10 +46,6 @@ def _ivec(v: Sequence[int]) -> IntVec:
     if not isinstance(v, (list, tuple)) or any(type(x) is not int for x in v):
         raise StructuralError(f"integer vector expected, got {v!r}")
     return tuple(v)
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(operator.mul, a, b))
 
 
 def _sub(a: IntVec, b: IntVec) -> IntVec:
@@ -68,15 +63,7 @@ def _cross2(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _cross3(a: Sequence[int], b: Sequence[int]) -> IntVec:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-@dataclass(frozen=True)
+@value_type
 class Edge:
     """Polytope edge between canonical vertex indices i < j."""
 
@@ -86,7 +73,7 @@ class Edge:
     length: int  # lattice length
 
 
-@dataclass(frozen=True)
+@value_type
 class Facet:
     normal: IntVec  # primitive inward normal u
     c: int  # the facet is <u, x> >= -c
@@ -100,11 +87,12 @@ class LatticePolytope:
     be a genuine vertex of the hull.  Only the search for the facets depends
     on the dimension: a monotone chain for polygons, gift wrapping in exact
     integers for 3-polytopes (up to O(V^2) plane tests for the first facet, then O(F * V)).
-    Everything else is derived once at construction, with exact integer
-    arithmetic, from the facets through each vertex: the hull vertex and
-    full-dimensionality checks, the edges (the vertex pairs that share dim - 1
-    facets), and the invariants every generated direction reuses: the vertex
-    ids, the signed edge slots of each vertex and the Delzant and reflexive flags.
+    The search also gives the edges: a polygon's hull pairs, a 3-polytope's
+    ridges, each turned once by the wrap.  Everything else is derived once at
+    construction, with exact integer arithmetic, from the facets through each
+    vertex: the hull vertex and full-dimensionality checks, and the invariants
+    every generated direction reuses: the vertex ids, the signed edge slots of
+    each vertex and the Delzant and reflexive flags.
     It also keeps the frozen gradient edges its directions produce, by (bottom,
     top, weight): one per (edge, orientation, weight) in dimension 3, up to four in
     dimension 2, where a key also records which ends lie on a fixed edge.
@@ -119,8 +107,10 @@ class LatticePolytope:
             raise StructuralError("vertices must all lie in dimension 2 or 3")
         self.dim: int = len(verts[0])
         self.vertices: Tuple[IntVec, ...] = tuple(verts)
-        # the search also gives the facets through each vertex, by their normals
-        found, on = _polygon_facets(verts) if self.dim == 2 else _polytope_facets(verts)
+        # the search also gives the facets through each vertex, by their normals,
+        # and the edges, as the vertex pairs it finds bounding a facet
+        search = _polygon_facets if self.dim == 2 else _polytope_facets
+        found, on, pairs = search(verts)
         if not found:
             raise StructuralError("polytope is not full-dimensional")
         self.facets: Tuple[Facet, ...] = tuple(sorted(found, key=lambda f: (f.normal, f.c)))
@@ -130,8 +120,7 @@ class LatticePolytope:
                 raise StructuralError(f"point {v} is not a vertex of the hull")
         self.edges: Tuple[Edge, ...] = tuple(
             Edge(i, j, *_primitive(_sub(verts[j], verts[i])))
-            for i, j in itertools.combinations(range(len(verts)), 2)
-            if len(self._incidence[i] & self._incidence[j]) >= self.dim - 1
+            for i, j in sorted(pairs)
         )
         # (edge index, sign) at each vertex: the sign turns the edge direction,
         # and its pairing with any direction, to point away from the vertex
@@ -177,7 +166,11 @@ def _hull_cycle(pts: Sequence[IntVec]) -> List[IntVec]:
     def chain(seq: Iterable[IntVec]) -> List[IntVec]:
         out: List[IntVec] = []
         for p in seq:
-            while len(out) >= 2 and _cross2(_sub(out[-1], out[-2]), _sub(p, out[-2])) <= 0:
+            x, y = p
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out[:-1]
@@ -185,42 +178,47 @@ def _hull_cycle(pts: Sequence[IntVec]) -> List[IntVec]:
     return chain(pts) + chain(reversed(pts))
 
 
-def _polygon_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
-    """Facets of the hull of lex-sorted points, and the normals of those through
-    each point.  Each counterclockwise pair (a, b) of the hull cycle bounds the
-    facet through a and b with inward normal the left rotation of b - a; a point
-    off the hull lies on none.  No facets when the hull is flat."""
+def _polygon_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], List[Tuple[int, int]]]:
+    """Facets of the hull of lex-sorted points, the normals of those through
+    each point, and the hull's edges as index pairs i < j.  Each counterclockwise
+    pair (a, b) of the hull cycle bounds the facet through a and b with inward
+    normal the left rotation of b - a; a point off the hull lies on none.  No
+    facets when the hull is flat."""
     hull = _hull_cycle(pts)
     if len(hull) < 3:
-        return [], []
+        return [], [], []
     index = {p: i for i, p in enumerate(pts)}
     facets: List[Facet] = []
     on: List[set] = [set() for _ in pts]
+    pairs: List[Tuple[int, int]] = []
     for a, b in zip(hull, hull[1:] + hull[:1]):
         u, _ = _primitive((a[1] - b[1], b[0] - a[0]))
         on[index[a]].add(u)
         on[index[b]].add(u)
         ids = tuple(sorted((index[a], index[b])))
-        facets.append(Facet(normal=u, c=-_dot(u, a), vertex_ids=ids))
-    return facets, on
+        pairs.append(ids)
+        facets.append(Facet(normal=u, c=-(u[0] * a[0] + u[1] * a[1]), vertex_ids=ids))
+    return facets, on, pairs
 
 
-def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
-    """Facets of the hull of lex-sorted 3-dimensional points, and the normals of those
-    through each point, by gift wrapping in exact integers.  The first facet is a
-    supporting plane through pts[0], which is lex-least and so a vertex.  A facet holds
-    every point on its plane; its ridges are the pairs of its hull cycle, with a
-    coordinate on which the normal is nonzero dropped.  The first facet takes up to
-    O(V^2) planes through pts[0], each tested on all V points; each ridge is then turned
-    once into the facet beyond it: O(F * V) plane tests.  None when coplanar."""
-    a = pts[0]
-    for b, c in itertools.combinations(pts[1:], 2):
-        n = _cross3(_sub(b, a), _sub(c, a))
-        side = _supporting_side(n, _dot(n, a), pts) if any(n) else 0
+def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], set]:
+    """Facets of the hull of lex-sorted 3-dimensional points, the normals of those
+    through each point, and the ridges, as index pairs i < j, by gift wrapping in exact
+    integers.  The first facet is a supporting plane through pts[0], which is lex-least
+    and so a vertex.  A facet holds every point on its plane; its ridges are the pairs of
+    its hull cycle, with a coordinate on which the normal is nonzero dropped, and they are
+    the polytope's edges.  The first facet takes up to O(V^2) planes through pts[0], each
+    tested on all V points; each ridge is then turned once into the facet beyond it:
+    O(F * V) plane tests.  None when coplanar."""
+    ax, ay, az = pts[0]
+    for (bx, by, bz), (cx, cy, cz) in itertools.combinations(pts[1:], 2):
+        bx, by, bz, cx, cy, cz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
+        n = (by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx)
+        side = _supporting_side(n, n[0] * ax + n[1] * ay + n[2] * az, pts) if any(n) else 0
         if side:
             break
     else:
-        return [], []
+        return [], [], set()
     facets: List[Facet] = []
     on_facets: List[set] = [set() for _ in pts]
     turned = set()
@@ -230,36 +228,42 @@ def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set]]:
         u, _ = _primitive(n)
         if u in on_facets[i]:
             continue  # reached again through another of its ridges
-        heights = [_dot(u, p) for p in pts]
-        on = tuple(v for v, h in enumerate(heights) if h == heights[i])
+        u0, u1, u2 = u
+        heights = [u0 * x + u1 * y + u2 * z for x, y, z in pts]
+        level = heights[i]
+        on = tuple(v for v, h in enumerate(heights) if h == level)
         for v in on:
             on_facets[v].add(u)
-        facets.append(Facet(normal=u, c=-heights[i], vertex_ids=on))
-        off = [p for p, h in zip(pts, heights) if h != heights[i]]
+        facets.append(Facet(normal=u, c=-level, vertex_ids=on))
+        off = [p for p, h in zip(pts, heights) if h != level]
         k = next(j for j, x in enumerate(u) if x)
         flat = {pts[v][:k] + pts[v][k + 1 :]: v for v in on}
         cycle = [flat[p] for p in _hull_cycle(sorted(flat))]
         for j, (ia, ib) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
-            ridge = (min(ia, ib), max(ia, ib))
+            ridge = (ia, ib) if ia < ib else (ib, ia)
             if ridge not in turned:
                 turned.add(ridge)
                 q = pts[cycle[(j + 2) % len(cycle)]]
                 todo.append((_wrap_ridge(pts[ia], pts[ib], q, off), ia))
-    return facets, on_facets
+    return facets, on_facets, turned
 
 
 def _wrap_ridge(a: IntVec, b: IntVec, q: IntVec, off: Sequence[IntVec]) -> IntVec:
     """Inward normal of the other facet through the ridge ab of a facet that holds q, off
     the line ab: the plane through a and b turned away from q until no point of off, the
     points not on the first facet, lies beyond it.  One pass keeps the last point beyond."""
-    d, toward_q = _sub(b, a), _sub(q, a)
-    n, level = None, 0
-    for r in off:
-        if n is None or _dot(n, r) < level:
-            n = _cross3(d, _sub(r, a))
-            if _dot(n, toward_q) < 0:
-                n = tuple(-x for x in n)
-            level = _dot(n, a)
+    ax, ay, az = a
+    dx, dy, dz = b[0] - ax, b[1] - ay, b[2] - az
+    qx, qy, qz = q[0] - ax, q[1] - ay, q[2] - az
+    n = None
+    for x, y, z in off:
+        if n is None or n0 * x + n1 * y + n2 * z < level:
+            rx, ry, rz = x - ax, y - ay, z - az
+            n0, n1, n2 = dy * rz - dz * ry, dz * rx - dx * rz, dx * ry - dy * rx
+            if n0 * qx + n1 * qy + n2 * qz < 0:
+                n0, n1, n2 = -n0, -n1, -n2
+            level = n0 * ax + n1 * ay + n2 * az
+            n = (n0, n1, n2)
     return n
 
 
@@ -267,9 +271,10 @@ def _supporting_side(n: IntVec, level: int, pts: Sequence[IntVec]) -> int:
     """A value s with s * (<n, q> - level) >= 0 for every point q, or 0 when
     the plane <n, x> = level separates two points.  Stops at the first
     sign change."""
+    n0, n1, n2 = n
     side = 0
-    for q in pts:
-        s = _dot(n, q) - level
+    for x, y, z in pts:
+        s = n0 * x + n1 * y + n2 * z - level
         if s * side < 0:
             return 0
         if s:
@@ -284,7 +289,8 @@ def _is_lattice_basis(dirs: Sequence[IntVec], dim: int) -> bool:
     if dim == 2:
         det = _cross2(dirs[0], dirs[1])
     else:
-        det = _dot(_cross3(dirs[0], dirs[1]), dirs[2])
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = dirs
+        det = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
     return det in (1, -1)
 
 
@@ -443,7 +449,7 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
 # -- the five toric del Pezzo polygons ---------------------------------------
 
 
-@dataclass(frozen=True)
+@value_type
 class DelPezzoEntry:
     name: str
     polytope: LatticePolytope
@@ -708,7 +714,7 @@ def primitive_directions(dim: int, bound: int) -> List[IntVec]:
     return out
 
 
-@dataclass(frozen=True)
+@value_type
 class ScanItem:
     xi: IntVec
     data: Optional[FixedPointData]
@@ -719,9 +725,10 @@ class ScanItem:
 def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
     """Generate data for every primitive direction of max-norm <= bound.
 
-    Directions are taken up to sign and enumerated lexicographically; for
-    polygons in the del Pezzo class the lemma suite runs on the data of each
-    generic direction, otherwise only structural validation is reported.
+    Directions are taken up to sign and enumerated lexicographically, and
+    ``validate`` reports on the data of each.  For polygons in the del Pezzo
+    class the lemma suite also runs on every direction; on a non-generic one,
+    which fixes a boundary sphere, it skips itself with a note.
     """
     is_delpezzo = _is_delpezzo(p)
     for xi in primitive_directions(p.dim, bound):

@@ -94,7 +94,8 @@ def test_vertex_basis_test_runs_once_per_vertex(monkeypatch):
 
 def test_3d_build_turns_each_ridge_once(monkeypatch):
     # gift wrapping: whole-set plane tests only for the first facet, all
-    # through the lex-least vertex, then one turn about each ridge
+    # through the lex-least vertex, then one turn about each ridge, and the
+    # turned ridges are the edges
     sides = _counting(monkeypatch, hamfano.toric, "_supporting_side")
     turns = _counting(monkeypatch, hamfano.toric, "_wrap_ridge")
     p = LatticePolytope(POLYTOPES_3D["truncated_cube"])
@@ -102,6 +103,8 @@ def test_3d_build_turns_each_ridge_once(monkeypatch):
     assert sides and all(level == sum(x * y for x, y in zip(n, first)) for n, level, _ in sides)
     assert len(sides) <= math.comb(len(p.vertices) - 1, 2)
     assert len(turns) == len(p.edges) == 36
+    ends = {tuple(sorted((p.vertices.index(a), p.vertices.index(b)))) for a, b, _q, _off in turns}
+    assert ends == {(e.i, e.j) for e in p.edges}
 
 
 def _golden_vertices(name):
