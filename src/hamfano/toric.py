@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fixed_data import (
     POINT,
@@ -80,8 +80,10 @@ class Facet:
     vertex_ids: Tuple[int, ...]
 
 
+@value_type
 class LatticePolytope:
-    """Full-dimensional lattice polytope in dimension 2 or 3.
+    """Full-dimensional lattice polytope in dimension 2 or 3, a value: equality,
+    hash, repr and pickling go by its vertex tuple, which determines the rest.
 
     Vertices are stored lexicographically sorted; every supplied point must
     be a genuine vertex of the hull.  Only the search for the facets depends
@@ -92,65 +94,59 @@ class LatticePolytope:
     construction, with exact integer arithmetic, from the facets through each
     vertex: the hull vertex and full-dimensionality checks, and the invariants
     every generated direction reuses: the vertex ids, the signed edge slots of
-    each vertex and the Delzant and reflexive flags.
+    each vertex and the ``delzant`` and ``reflexive`` flags.
     It also keeps the frozen gradient edges its directions produce, by (bottom,
     top, weight): one per (edge, orientation, weight) in dimension 3, up to four in
     dimension 2, where a key also records which ends lie on a fixed edge.
     """
 
-    def __init__(self, vertices: Sequence[Sequence[int]]):
-        verts = sorted({_ivec(v) for v in _as_tuple(vertices, "vertices")})
+    vertices: Tuple[IntVec, ...]
+
+    def __post_init__(self) -> None:
+        verts = tuple(sorted({_ivec(v) for v in _as_tuple(self.vertices, "vertices")}))
         if not verts:
             raise StructuralError("no vertices given")
         dims = {len(v) for v in verts}
         if len(dims) != 1 or dims.pop() not in (2, 3):
             raise StructuralError("vertices must all lie in dimension 2 or 3")
-        self.dim: int = len(verts[0])
-        self.vertices: Tuple[IntVec, ...] = tuple(verts)
+        dim = len(verts[0])
         # the search also gives the facets through each vertex, by their normals,
         # and the edges, as the vertex pairs it finds bounding a facet
-        search = _polygon_facets if self.dim == 2 else _polytope_facets
-        found, on, pairs = search(verts)
+        found, on, pairs = (_polygon_facets if dim == 2 else _polytope_facets)(verts)
         if not found:
             raise StructuralError("polytope is not full-dimensional")
-        self.facets: Tuple[Facet, ...] = tuple(sorted(found, key=lambda f: (f.normal, f.c)))
-        self._incidence = tuple(frozenset(s) for s in on)
-        for v, through in zip(verts, self._incidence):
-            if len(through) < self.dim:
+        facets = tuple(sorted(found, key=lambda f: (f.normal, f.c)))
+        incidence = tuple(frozenset(s) for s in on)
+        for v, through in zip(verts, incidence):
+            if len(through) < dim:
                 raise StructuralError(f"point {v} is not a vertex of the hull")
-        self.edges: Tuple[Edge, ...] = tuple(
-            Edge(i, j, *_primitive(_sub(verts[j], verts[i])))
-            for i, j in sorted(pairs)
-        )
+        edges = tuple(Edge(i, j, *_primitive(_sub(verts[j], verts[i]))) for i, j in sorted(pairs))
         # (edge index, sign) at each vertex: the sign turns the edge direction,
         # and its pairing with any direction, to point away from the vertex
-        slots: List[List[Tuple[int, int]]] = [[] for _ in self.vertices]
-        for k, e in enumerate(self.edges):
+        slots: List[List[Tuple[int, int]]] = [[] for _ in verts]
+        for k, e in enumerate(edges):
             slots[e.i].append((k, 1))
             slots[e.j].append((k, -1))
-        self._slots = tuple(tuple(s) for s in slots)
-        self._vertex_ids = tuple(_vertex_id(v) for v in self.vertices)
-        self._delzant = all(
-            _is_lattice_basis([self._away(k, sign) for k, sign in s], self.dim)
-            for s in self._slots
+        self.__dict__.update(
+            vertices=verts,
+            dim=dim,
+            facets=facets,
+            edges=edges,
+            _incidence=incidence,
+            _slots=tuple(tuple(s) for s in slots),
+            _vertex_ids=tuple(_vertex_id(v) for v in verts),
+            # the signs only flip the determinant, so they are left out here
+            delzant=all(_is_lattice_basis([edges[k].direction for k, _ in s], dim) for s in slots),
+            reflexive=all(f.c == 1 for f in facets),
+            _gradient_edges={},
         )
-        self._reflexive = self.origin_interior() and all(f.c == 1 for f in self.facets)
-        self._gradient_edges: Dict[Tuple[str, str, int], GradientEdge] = {}
-
-    # -- queries ----------------------------------------------------------
-
-    def _away(self, k: int, sign: int) -> IntVec:
-        return tuple(sign * x for x in self.edges[k].direction)
 
     def vertex_edges(self, i: int) -> List[Tuple[Edge, IntVec]]:
         """Incident edges with their primitive direction pointing away from i."""
-        return [(self.edges[k], self._away(k, sign)) for k, sign in self._slots[i]]
-
-    def origin_interior(self) -> bool:
-        return all(f.c >= 1 for f in self.facets)
-
-    def is_reflexive(self) -> bool:
-        return self._reflexive
+        return [
+            (self.edges[k], tuple(sign * x for x in self.edges[k].direction))
+            for k, sign in self._slots[i]
+        ]
 
     def as_dict(self) -> dict:
         return {"dim": self.dim, "vertices": [list(v) for v in self.vertices]}
@@ -297,12 +293,10 @@ def _is_lattice_basis(dirs: Sequence[IntVec], dim: int) -> bool:
 # -- checks ----------------------------------------------------------------
 
 
+# kept as a function only because perfbench/run.py traces it by name
 def delzant_check(p: LatticePolytope) -> bool:
-    """True iff the primitive edge directions at every vertex form a lattice basis.
-
-    The polytope decides this once, at construction.
-    """
-    return p._delzant
+    """True iff the primitive edge directions at every vertex form a lattice basis."""
+    return p.delzant
 
 
 def boundary_selfint_2d(p: LatticePolytope, edge: Edge) -> int:
@@ -363,7 +357,7 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
         raise StructuralError(f"direction {x} is not primitive")
     if len(x) != p.dim:
         raise PreconditionError(f"direction has length {len(x)}, polytope dim {p.dim}")
-    if not delzant_check(p):
+    if not p.delzant:
         raise PreconditionError("fixed_data_from_polytope needs a Delzant polytope")
     if p.dim == 2:
         a, b = x
@@ -436,13 +430,12 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
             edge = kept[key] = GradientEdge(*key)
         edges.append(edge)
 
-    reflexive = p.is_reflexive()
     return FixedPointData(
         half_dim=p.dim,
         components=tuple(components),
         edges=tuple(edges),
-        relative_fano=reflexive,
-        fano=reflexive,
+        relative_fano=p.reflexive,
+        fano=p.reflexive,
     )
 
 
@@ -477,7 +470,8 @@ def delpezzo_catalog() -> Tuple[DelPezzoEntry, ...]:
 
 
 def catalog_entry(name: str) -> DelPezzoEntry:
-    """The named catalog polygon; only that one is built."""
+    """The named catalog polygon; only that one is built, and two built from
+    one name are equal, since a polytope compares by its vertices."""
     if name not in CATALOG:
         raise StructuralError(f"no del Pezzo catalog entry named {name!r}")
     vertices, b2, degree = CATALOG[name]
@@ -515,7 +509,7 @@ def graph_of_points(data: FixedPointData) -> LabelledGraph:
 
 
 def _is_delpezzo(p: LatticePolytope) -> bool:
-    return p.dim == 2 and delzant_check(p) and p.is_reflexive()
+    return p.dim == 2 and p.delzant and p.reflexive
 
 
 def delpezzo_lemma_suite(p: LatticePolytope, xi: Sequence[int]) -> Report:

@@ -222,6 +222,20 @@ def test_positivity_examples():
     assert positivity_check(build_04_data((-2, -1, -1), 3, 4, 1), [0]).ok
 
 
+def test_positivity_is_inconclusive_below_a_fixed_sphere():
+    # (0, 1) fixes the square's bottom and top edges: the one default level, 0,
+    # lies below the top sphere, where the isolated formula does not apply
+    report = positivity_check(fixed_data_from_polytope(SQUARE, (0, 1)))
+    assert report.ok and not report.notes
+    assert [(i.code, i.message) for i in report.inconclusive] == [
+        (
+            "positivity",
+            "level 0: s-1_1__1_1: component above level 0 is a surface; "
+            "the isolated localisation formula does not apply",
+        )
+    ]
+
+
 def test_positivity_default_levels():
     data = fixed_data_from_polytope(CP3, (1, 2, 4))
     assert positivity_check(data).ok

@@ -33,6 +33,7 @@ from hamfano.toric import (
     LatticePolytope,
     catalog_entry,
     delpezzo_catalog,
+    fixed_data_from_polytope,
     karshon_graph,
     primitive_directions,
 )
@@ -1006,3 +1007,376 @@ def test_small_suite_longeq_violation_detected():
     data = base.replace_components(tuple(comps))
     report = small_hamiltonian_suite(data)
     assert any(v.code == "longeq" for v in report.violations)
+
+
+# -- every precondition gate -------------------------------------------------------------------
+
+_FOURFOLD_MIN = FixedComponent(id="min", kind="fourfold", H=-1, weights=(1,))
+# a fourfold minimum under a point maximum: symplectic Fano
+_FOUR_POINT = build_04_data((-1, -1, -1), 0, 0, 0)
+# isolated extrema in dimension 6, relative Fano and Fano
+_POINTS_6D = FixedPointData(
+    half_dim=3,
+    components=(point("lo", -1, (1, 1, 1)), point("hi", 1, (-1, -1, -1))),
+    relative_fano=True,
+    fano=True,
+)
+_GENUS_ONE = lift_product(CP2, (1, 2), genus=1)
+_FIBRE = karshon_graph(CP2, (1, 2))
+
+
+def _genus_graph(*surfaces, ends=False):
+    """A surface graph without edges; with ends, its first and last surfaces are
+    its extremal vertices."""
+    return LabelledGraph(
+        vertices=surfaces,
+        edges=(),
+        v_min=surfaces[0].id if ends else None,
+        v_max=surfaces[-1].id if ends else None,
+    )
+
+
+_GATES = [
+    (
+        lambda: surface_graph(fixed_data_from_polytope(CP2, (1, 2))),
+        "surface_graph applies to 6-dimensional data",
+    ),
+    (lambda: surface_graph(_POINTS_6D), "surface_graph needs both extrema to be surfaces"),
+    (
+        lambda: fibre_correspondence(
+            _genus_graph(
+                surf("a", 0, (1, 1), 1, fibre_intersection=1),
+                surf("b", 0, (1, 1), 1, fibre_intersection=1),
+            ),
+            _FIBRE,
+        ),
+        "graph extremes are not unique",
+    ),
+    (
+        lambda: fibre_correspondence(
+            _genus_graph(surf("a", 0, (1, 1), 0), surf("b", 1, (-1, -1), 0)), _FIBRE
+        ),
+        "no positive-genus surfaces in the surface graph",
+    ),
+    (
+        lambda: fibre_correspondence(
+            _genus_graph(surf("a", 0, (1, 1), 1), surf("b", 1, (-1, -1), 1)), _FIBRE
+        ),
+        "every positive-genus surface needs its fibre_intersection",
+    ),
+    (
+        lambda: fibre_correspondence(
+            _genus_graph(surf("a", 0, (1, 1), 1, fibre_intersection=0)), _FIBRE
+        ),
+        "fibre intersections must be 1 or 2, got {0}",
+    ),
+    (
+        lambda: fibre_correspondence(
+            _genus_graph(
+                surf("a", 0, (1, 1), 1, fibre_intersection=2),
+                surf("b", 1, (-1, -1), 1, fibre_intersection=1),
+            ),
+            _FIBRE,
+        ),
+        "surface graph lacks its extremal vertices",
+    ),
+    (
+        lambda: chainres_check(replace(_FOUR_POINT, fano=False)),
+        "chainres_check applies to symplectic Fano data",
+    ),
+    (lambda: chainres_check(_POINTS_6D), "chainres_check needs a 4-dimensional minimum"),
+    (
+        lambda: type_abc_classify(replace(_FOUR_POINT, fano=False)),
+        "type_abc_classify applies to symplectic Fano data",
+    ),
+    (lambda: type_abc_classify(_POINTS_6D), "type_abc_classify needs a 4-dimensional minimum"),
+    (
+        lambda: type_abc_classify(
+            FixedPointData(
+                half_dim=3, components=(_FOURFOLD_MIN, surf("max", 1, (-1, -1), 0)), fano=True
+            )
+        ),
+        "type_abc_classify needs the maximum to be a point",
+    ),
+    (
+        lambda: build_04_data((-1, -3, -1), 0, 0, 0),
+        "maximum type must be one of ((-1, -1, -1), (-2, -1, -1)), got (-3, -1, -1)",
+    ),
+    (
+        lambda: build_04_data((-2, -1, -1), 1, 1, 0),
+        "a {-1,-1,-2} maximum needs n_B = n_A + 1",
+    ),
+    (lambda: build_04_data((-1, -1, -1), 1, 0, 0), "a {-1,-1,-1} maximum needs n_B = n_A"),
+    (
+        lambda: semifree_check(replace(_FOUR_POINT, fano=False)),
+        "semifree_check applies to symplectic Fano data",
+    ),
+    (lambda: semifree_check(_POINTS_6D), "semifree_check needs a 4-dimensional minimum"),
+    (lambda: semifree_check(_FOUR_POINT), "semifree_check needs dim(M_max) >= 2"),
+    (
+        lambda: c1_of_surface(point("p", 0, (1, 1, -1))),
+        "p: needs a fixed surface with two weights",
+    ),
+    (lambda: c1_of_surface(surf("s", 0, (1, -1), 1)), "s: needs both normal degrees"),
+    (
+        lambda: cycle_inequality(fixed_data_from_polytope(CP2, (1, 2))),
+        "cycle_inequality applies to 6-dimensional data",
+    ),
+    (lambda: cycle_inequality(_POINTS_6D), "cycle_inequality needs positive-genus extrema"),
+    (
+        lambda: nosphere_check(replace(_GENUS_ONE, relative_fano=False)),
+        "nosphere_check applies to relative Fano data",
+    ),
+    (lambda: nosphere_check(_POINTS_6D), "nosphere_check needs a positive-genus minimum"),
+    (
+        lambda: small_hamiltonian_suite(replace(_GENUS_ONE, relative_fano=False)),
+        "small_hamiltonian_suite applies to relative Fano data",
+    ),
+    (
+        lambda: small_hamiltonian_suite(_POINTS_6D),
+        "small_hamiltonian_suite needs positive-genus extremal surfaces",
+    ),
+    (
+        lambda: sphere_area_vs_fibre(_GENUS_ONE, LatticePolytope([(0, 0), (2, 0), (0, 1)]), (1, 2)),
+        "the fibre must be a toric del Pezzo polygon",
+    ),
+    (
+        lambda: sphere_area_vs_fibre(_with_sphere(0), CP2, (1, 2)),
+        "sph: fixed sphere must carry its area",
+    ),
+    (
+        # the fibre CP2 under (1, 2) spans the levels -3, 0 and 3
+        lambda: sphere_area_vs_fibre(_with_sphere(Fraction(7, 2), area=1), CP2, (1, 2)),
+        "sph: level 7/2 outside the fibre range [-3, 3]",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", _GATES, ids=[m for _c, m in _GATES])
+def test_every_precondition_gate_raises_its_message(call, message):
+    with pytest.raises(PreconditionError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
+# -- records reached by hand-made data ---------------------------------------------------------
+
+
+def _records(report):
+    return (
+        [(v.code, v.message, v.subject) for v in report.violations],
+        [(v.code, v.message, v.subject) for v in report.inconclusive],
+        report.notes,
+    )
+
+
+def _chainres_data(*points, edges):
+    """Points and spheres between a fourfold minimum and a point maximum."""
+    return FixedPointData(
+        half_dim=3,
+        components=(_FOURFOLD_MIN, point("max", 5, (-1, -1, -1))) + points,
+        edges=tuple(GradientEdge(*e) for e in edges),
+        fano=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "data, records",
+    [
+        (
+            # the seed m -> u continues down through the -2 of m to l; the seed
+            # l -> m gives the admissible chain m -> l
+            _chainres_data(
+                point("l", 0, (2, -1, -1)),
+                point("m", 2, (2, -2, -1)),
+                point("u", 4, (-2, -1, -1)),
+                edges=[("l", "m", 2), ("m", "u", 2)],
+            ),
+            [("chain u->m->l has length 3, not 2", None)],
+        ),
+        (
+            # the chain reads its weight off the sphere, not off the points
+            _chainres_data(
+                point("l", 0, (-1, -1, 2)), point("m", 2, (1, -1, -1)), edges=[("l", "m", 3)]
+            ),
+            [("chain m->l: sphere weight 3, expected 2", None)],
+        ),
+        (
+            _chainres_data(
+                point("l", 1, (-1, -1, 2)), point("m", 3, (1, -1, -2)), edges=[("l", "m", 2)]
+            ),
+            [("chain m->l: lower point sits on level 1, expected 0", "l")],
+        ),
+        (
+            _chainres_data(
+                point("l", 0, (-1, -1, 2)), point("m", 1, (1, -1, -2)), edges=[("l", "m", 2)]
+            ),
+            [("chain m->l: upper point sits on level 1 < 2", "m")],
+        ),
+    ],
+    ids=["length", "sphere-weight", "lower-level", "upper-level"],
+)
+def test_chainres_records_each_broken_chain_rule(data, records):
+    report = chainres_check(data)
+    assert [(v.message, v.subject) for v in report.violations] == records
+    assert {v.code for v in report.violations} == {"chainres"}
+
+
+def test_semifree_records_weights_and_level_zero_components():
+    data = FixedPointData(
+        half_dim=3,
+        components=(
+            FixedComponent(id="min", kind="fourfold", H=-2, weights=(1,)),
+            point("p", -1, (-2, 1, 1)),
+            point("q", 0, (-1, 1, 1)),
+            surf("s", 0, (-1, 2), 0),
+            surf("max", 1, (-1, -1), 1),
+        ),
+        fano=True,
+    )
+    level_zero = "level-0 component must be a surface with weights {-1,1,0}"
+    # each component in the canonical (H, id) order, its weights first
+    assert _records(semifree_check(data))[0] == [
+        ("newref", "p: weight -2 contradicts semi-freeness", "p"),
+        ("newref", f"q: {level_zero}", "q"),
+        ("newref", "s: weight 2 contradicts semi-freeness", "s"),
+        ("newref", f"s: {level_zero}", "s"),
+    ]
+
+
+def test_small_suite_flags_a_level_zero_sphere_with_positive_beta():
+    # beta = (2 - 0)(-1)(1) - (-2) - (-1) = 1, so c1 = 2 - 2 - 1 = -1 < 0; the point
+    # {1,1,-1} has alpha = 1/(-1) = -1 and keeps the localisation sum at 0
+    data = _GENUS_ONE.replace_components(
+        _GENUS_ONE.components
+        + (surf("sph", 0, (-1, 1), 0, (-2, -1)), point("x", 0, (1, 1, -1)))
+    )
+    message = "sph: beta = 1 > 0, so c1 < 0 on a sphere violates the relative Fano condition"
+    assert _records(small_hamiltonian_suite(data)) == ([("betapos-sphere", message, "sph")], [], [])
+
+
+def test_small_suite_flags_an_isolated_point_with_positive_alpha():
+    # alpha({1,1,1}) = 3 and alpha({1,1,-1}) = -1: three of the latter keep the sum at 0
+    extra = (point("x", 0, (1, 1, 1)),) + tuple(point(f"y{i}", 0, (1, 1, -1)) for i in range(3))
+    data = _GENUS_ONE.replace_components(_GENUS_ONE.components + extra)
+    assert _records(small_hamiltonian_suite(data)) == (
+        [("isolatedloc", "x: alpha = 3 > 0", "x")], [], []
+    )
+
+
+def _direct_link_data(lo_degrees, hi_degrees):
+    """Genus-1 extrema joined by an isotropy edge of weight 2 and, through their
+    weight-1 slots, by a weight-1 sphere."""
+    return FixedPointData(
+        half_dim=3,
+        components=(surf("lo", -2, (1, 2), 1, lo_degrees), surf("hi", 2, (-2, -1), 1, hi_degrees)),
+        edges=(GradientEdge("lo", "hi", 2),),
+        relative_fano=True,
+    )
+
+
+def test_cycle_inequality_links_the_extrema_directly():
+    # the edge adds 0 (no interior points) and the link 0 + 0: the cycle closes at 0,
+    # and both surfaces have c1 = 2 - 2 + 0 + 0 = 0; the least (c1, id) is hi's
+    assert _records(cycle_inequality(_direct_link_data((0, 0), (0, 0)))) == (
+        [], [], ["witness: hi with c1 = 0 <= 0"]
+    )
+    # slots (weight, degree): lo (1, 1), hi (-1, 1), so the link adds 2
+    assert _records(cycle_inequality(_direct_link_data((1, 0), (0, 1))))[:2] == (
+        [
+            ("isotropy-inequality", "link lo ~ hi: c1(L1) + c1(L2) = 2 > 0", None),
+            ("cycle-sum", "cyclic sum of isotropy contributions is 2 > 0", None),
+        ],
+        [],
+    )
+
+
+def test_cycle_inequality_without_the_witness_degrees_is_inconclusive():
+    # every connection is an isotropy edge, valued by its interior points (0, 0, -1, -1),
+    # so the cycle closes without s2's degrees; only the witness needs them
+    data = _four_cycle_data()
+    data = data.replace_components(
+        surf("s2", 0, (-2, 2), 2) if c.id == "s2" else c for c in data.components
+    )
+    assert _records(cycle_inequality(data)) == (
+        [], [("witness", "normal degrees missing for the witness", None)], []
+    )
+
+
+def test_small_suite_chain_estimate_without_degrees_is_inconclusive():
+    # the four-cycle on levels -2, 0, 2 without s2's degrees: its first edge in the
+    # canonical order, s1 -> s2, has no degree at s2
+    data = _four_cycle_data()
+    data = data.replace_components(
+        surf("s2", 0, (-2, 2), 2) if c.id == "s2" else replace(c, H=c.H // 2)
+        for c in data.components
+    )
+    assert _records(small_hamiltonian_suite(data)) == (
+        [],
+        [
+            ("betapos", "normal degrees missing on some surface; beta sum unknown", None),
+            ("chain", "degrees missing along the edge between s1 and s2", None),
+        ],
+        [],
+    )
+
+
+def _one_level_graph(count):
+    """count points on level 0 between a {1,1} minimum and a {-1,-1} maximum: every
+    permutation of the middle is an automorphism, and no edge joins the middle."""
+    middle = tuple(point(f"q{i}", 0, (-1, 1)) for i in range(count))
+    return LabelledGraph(
+        vertices=(point("qmin", -2, (1, 1)),) + middle + (point("qmax", 2, (-1, -1)),),
+        edges=(),
+    )
+
+
+def _fibre_surfaces(twice):
+    """Genus-1 extrema meeting the fibre once and two middle surfaces meeting it
+    `twice` times each."""
+    return (
+        surf("gmin", -2, (1, 1), 1, fibre_intersection=1),
+        surf("m1", 0, (-1, 1), 1, fibre_intersection=twice),
+        surf("m2", 0, (-1, 1), 1, fibre_intersection=twice),
+        surf("gmax", 2, (-1, -1), 1, fibre_intersection=1),
+    )
+
+
+def test_fibre_correspondence_count_split_and_reflectivity_records():
+    # case 2: five positive-genus surfaces against chi = 4; the genus-1 part still
+    # matches Q level by level, the genus-2 surface lies outside it
+    extra = surf("extra", 1, (-1, 1), 2, fibre_intersection=1)
+    result = fibre_correspondence(_genus_graph(*_fibre_surfaces(1), extra), _one_level_graph(2))
+    assert result.case == 2 and len(result.mapping) == 4
+    assert _records(result.report)[0] == [
+        ("count", "5 positive-genus surfaces, but chi of the fibre is 4", None)
+    ]
+    # case 1 with chi = 6 and 6/2 - 1 = 2 middle surfaces: Q is reflective, but its four
+    # middle points are four components, not two
+    g = _genus_graph(*_fibre_surfaces(2), ends=True)
+    result = fibre_correspondence(g, _one_level_graph(4))
+    assert (result.case, result.mapping) == (1, {})
+    assert _records(result.report)[0] == [
+        ("split", "non-extremal part of Q has 4 components, expected 2", None)
+    ]
+    # case 1 against a chi = 6 fibre graph with one point per level: no involution
+    levels = zip(range(-3, 3), [(1, 1), (-1, 1), (-1, 2), (-2, 1), (-1, 1), (-1, -1)])
+    q = LabelledGraph(vertices=tuple(point(f"q{h}", h, ws) for h, ws in levels), edges=())
+    result = fibre_correspondence(g, q)
+    assert (result.case, result.mapping) == (1, {})
+    assert _records(result.report)[0] == [
+        ("reflectivity", "fibre graph admits no order-two symmetry", None)
+    ]
+    # case 1 with chi = 4 and one middle surface, on level 1; Q's middle points sit on 0
+    gmin, _m1, _m2, gmax = _fibre_surfaces(2)
+    g = _genus_graph(gmin, surf("m", 1, (-1, 1), 1, fibre_intersection=2), gmax, ends=True)
+    result = fibre_correspondence(g, _one_level_graph(2))
+    assert (result.case, result.mapping) == (1, {})
+    assert _records(result.report)[0] == [
+        (
+            "no-isomorphism",
+            "component ['q0'] of Q does not match the non-extremal positive-genus surfaces: "
+            "vertex invariants differ: (0, (-1, 1)) vs (1, (-1, 1))",
+            None,
+        )
+    ]

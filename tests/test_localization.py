@@ -109,7 +109,7 @@ def test_cp2xcp1_threefold_pipeline():
     from hamfano.fixed_data import validate
     from hamfano.toric import delzant_check
 
-    assert delzant_check(CP2xCP1) and CP2xCP1.is_reflexive()
+    assert delzant_check(CP2xCP1) and CP2xCP1.reflexive
     data = fixed_data_from_polytope(CP2xCP1, (1, 2, 5))
     assert validate(data).ok
     assert abbv_sum_6d(data) == 0

@@ -75,17 +75,17 @@ def test_delzant_examples():
 
 
 def test_reflexive_examples():
-    assert CP2.is_reflexive()
-    assert SQUARE.is_reflexive()
-    assert not LatticePolytope([(-2, -2), (2, -2), (2, 2), (-2, 2)]).is_reflexive()
+    assert CP2.reflexive
+    assert SQUARE.reflexive
+    assert not LatticePolytope([(-2, -2), (2, -2), (2, 2), (-2, 2)]).reflexive
 
 
 def test_reflexive_needs_interior_origin():
     # every facet of this triangle has lattice distance 1 from (1, 1), but
     # the origin lies on its boundary
     shifted = LatticePolytope([(0, 0), (3, 0), (0, 3)])
-    assert not shifted.origin_interior()
-    assert not shifted.is_reflexive()
+    assert min(f.c for f in shifted.facets) == 0
+    assert not shifted.reflexive
 
 
 # -- generated data ----------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_catalog_oracle_checks():
     for entry in delpezzo_catalog():
         p = entry.polytope
         assert delzant_check(p), entry.name
-        assert p.is_reflexive(), entry.name
+        assert p.reflexive, entry.name
         assert entry.degree == 12 - len(p.vertices)
         assert all(e.length <= 3 for e in p.edges)
     assert all(e.length == 3 for e in catalog_entry("CP2").polytope.edges)

@@ -158,7 +158,7 @@ def test_each_dataset_equals_one_built_without_kept_edges():
 def test_non_delzant_polygon_constructs():
     p = LatticePolytope([(0, 0), (2, 0), (0, 1)])
     assert not delzant_check(p)
-    assert not p.is_reflexive()
+    assert not p.reflexive
     assert len(p.vertex_edges(0)) == 2
 
 

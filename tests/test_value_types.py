@@ -46,6 +46,7 @@ SAMPLES = {
     Violation: dict(code="c", message="m", subject="s", status="inconclusive"),
     Edge: dict(i=0, j=1, direction=(1, 0), length=3),
     Facet: dict(normal=(0, 1), c=1, vertex_ids=(0, 1)),
+    LatticePolytope: dict(vertices=((-1, -1), (-1, 2), (2, -1))),
     ScanItem: dict(xi=(1, 2), data=None, report=Report(notes=["n"]), error="e"),
     DelPezzoEntry: dict(name="CP2", polytope=_CP2, b2=1, degree=9),
     LabelledGraph: dict(vertices=(_HIGH, _LOW), edges=(_UP,), v_min="lo", v_max="hi"),
@@ -63,6 +64,7 @@ CHANGED = {
     Violation: dict(code="d"),
     Edge: dict(length=4),
     Facet: dict(c=2),
+    LatticePolytope: dict(vertices=((-1, -1), (-1, 1), (1, -1), (1, 1))),
     ScanItem: dict(error="f"),
     DelPezzoEntry: dict(degree=8),
     LabelledGraph: dict(v_min=None),
@@ -88,16 +90,6 @@ def _hash_or_error(x):
         return str(exc)
 
 
-def _comparable(x):
-    """A value for comparing across a pickle round trip: a polytope, which
-    compares by identity, by its vertices."""
-    if isinstance(x, LatticePolytope):
-        return x.vertices
-    if dataclasses.is_dataclass(x):
-        return tuple(_comparable(v) for v in _values(x))
-    return x
-
-
 def test_every_value_type_has_a_sample():
     frozen = {
         cls
@@ -106,7 +98,7 @@ def test_every_value_type_has_a_sample():
         if isinstance(cls, type) and cls.__module__ == module.__name__
         and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
     }
-    assert frozen == set(SAMPLES) and len(SAMPLES) == 12
+    assert frozen == set(SAMPLES) and len(SAMPLES) == 13
     assert all(set(kw) == {f.name for f in dataclasses.fields(cls)} for cls, kw in SAMPLES.items())
 
 
@@ -220,10 +212,8 @@ def test_pickle_round_trips(cls):
     obj = _sample(cls)
     back = pickle.loads(pickle.dumps(obj))
     assert type(back) is cls
-    assert _comparable(back) == _comparable(obj)
-    if cls is not DelPezzoEntry:  # its polytope compares and hashes by identity
-        assert back == obj
-        assert _hash_or_error(back) == _hash_or_error(obj)
+    assert back == obj
+    assert _hash_or_error(back) == _hash_or_error(obj)
 
 
 def test_derived_attributes_survive_pickling():
@@ -234,6 +224,30 @@ def test_derived_attributes_survive_pickling():
         assert back == obj
     assert pickle.loads(pickle.dumps(data)).component("hi") == _HIGH
     assert pickle.loads(pickle.dumps(graph)).vertex(graph.v_max) == graph.vertex(graph.v_max)
+    back = pickle.loads(pickle.dumps(_CP2))
+    assert (back.dim, back.facets, back.edges, back.delzant, back.reflexive) == (
+        _CP2.dim, _CP2.facets, _CP2.edges, _CP2.delzant, _CP2.reflexive
+    )
+    assert back.vertex_edges(0) == _CP2.vertex_edges(0)
+
+
+def test_a_polytope_is_a_value():
+    assert catalog_entry("CP2") == catalog_entry("CP2")
+    assert hash(catalog_entry("CP2")) == hash(catalog_entry("CP2"))
+    assert catalog_entry("CP2") != catalog_entry("CP1xCP1")
+    entry = catalog_entry("Bl3CP2")
+    assert pickle.loads(pickle.dumps(entry)) == entry
+    square = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    p, q = LatticePolytope(square), LatticePolytope(tuple(reversed(square)))
+    assert p == q and hash(p) == hash(q) and p.vertices == tuple(sorted(square))
+    with pytest.raises(FrozenInstanceError):
+        p.vertices = ((0, 0), (1, 0), (0, 1))
+    with pytest.raises(FrozenInstanceError):
+        p.delzant = False
+    # the gradient edges a polytope keeps do not enter its value
+    karshon_graph(p, (1, 2))
+    assert p._gradient_edges and not q._gradient_edges
+    assert p == q and hash(p) == hash(q)
 
 
 def test_the_cli_schema_reads_the_fields_unchanged():
