@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from . import dh as dh_mod
 from . import fano6, localization, toric
@@ -32,7 +32,7 @@ from .fixed_data import (
     validate,
 )
 from .localization import WeightSumInconsistency
-from .reports import InconsistencyError, StructuralError
+from .reports import InconsistencyError, Report, StructuralError
 
 SCHEMA_VERSION = "1"
 
@@ -189,11 +189,16 @@ def _operands(args: List[str], usage: str) -> List[str]:
     return args
 
 
+def _exit_code(reports: Iterable[Report]) -> int:
+    """Exit 1 iff some report holds a violation."""
+    return int(not all(report.ok for report in reports))
+
+
 def _cmd_validate(args: List[str]) -> Tuple[int, dict]:
     (path,) = _operands(args, "validate <file>")
     data = load_fixed_point_data(path)
     report = validate(data)
-    return (0 if report.ok else 1), report.as_dict()
+    return _exit_code([report]), report.as_dict()
 
 
 def _cmd_normalize(args: List[str]) -> Tuple[int, dict]:
@@ -263,9 +268,9 @@ def _cmd_toric_scan(args: List[str]) -> Tuple[int, dict]:
         p = toric.catalog_entry(target).polytope
     else:
         p = load_polytope(target)
-    items = []
-    any_violation = False
+    items, reports = [], []
     for item in toric.scan_directions(p, bound):
+        reports.append(item.report)
         entry: Dict[str, Any] = {"xi": list(item.xi)}
         if item.error is not None:
             entry["unsupported"] = item.error
@@ -282,9 +287,8 @@ def _cmd_toric_scan(args: List[str]) -> Tuple[int, dict]:
         if data.relative_fano:
             constant = localization.weight_sum_constant(data)
             entry["weight_sum_constant"] = format_rational(constant)
-        any_violation = any_violation or not item.report.ok
         items.append(entry)
-    return (1 if any_violation else 0), {"polytope": p.as_dict(), "items": items}
+    return _exit_code(reports), {"polytope": p.as_dict(), "items": items}
 
 
 def _require_uphill_edges(data: FixedPointData) -> None:
@@ -307,7 +311,7 @@ def _cmd_fano6(args: List[str]) -> Tuple[int, dict]:
     _require_uphill_edges(data)
     if sub == "graph":
         graph, report = fano6.surface_graph(data)
-        return (0 if report.ok else 1), {
+        return _exit_code([report]), {
             "graph": graph.as_dict(),
             "report": report.as_dict(),
         }
@@ -320,7 +324,7 @@ def _cmd_fano6(args: List[str]) -> Tuple[int, dict]:
             ]
         }
     n_a, n_b, n_c, report = fano6.type_abc_classify(data)
-    return (0 if report.ok else 1), {
+    return _exit_code([report]), {
         "n_A": n_a,
         "n_B": n_b,
         "n_C": n_c,
@@ -351,22 +355,15 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
     else:
         raise StructuralError(f"{path} does not carry data for the suite")
     _require_uphill_edges(data)
-    out: Dict[str, Any] = {}
-    code = 0
-    small = fano6.small_hamiltonian_suite(data)
-    out["small_hamiltonian"] = small.as_dict()
-    cycle = fano6.cycle_inequality(data)
-    out["cycle_inequality"] = cycle.as_dict()
-    code = max(code, 0 if small.ok else 1, 0 if cycle.ok else 1)
+    reports = {
+        "small_hamiltonian": fano6.small_hamiltonian_suite(data),
+        "cycle_inequality": fano6.cycle_inequality(data),
+    }
     if fibre is not None:
-        spheres = fano6.sphere_area_vs_fibre(data, fibre, fibre_xi)
-        out["sphere_area"] = spheres.as_dict()
-        code = max(code, 0 if spheres.ok else 1)
+        reports["sphere_area"] = fano6.sphere_area_vs_fibre(data, fibre, fibre_xi)
     if levels is not None:
-        pos = dh_mod.positivity_check(data, levels)
-        out["positivity"] = pos.as_dict()
-        code = max(code, 0 if pos.ok else 1)
-    return code, out
+        reports["positivity"] = dh_mod.positivity_check(data, levels)
+    return _exit_code(reports.values()), {name: r.as_dict() for name, r in reports.items()}
 
 
 def _cmd_enumerate_04(args: List[str]) -> Tuple[int, dict]:

@@ -134,8 +134,6 @@ def _dh_pieces(data: FixedPointData) -> PiecewisePolynomial:
         c0, c1 = terms.get(c.H, (0, 0))
         terms[c.H] = (c0 + const, c1 + slope)
     levels = sorted(terms)
-    if len(levels) < 2:
-        raise PreconditionError("direction collapses the polygon to one level")
     pieces: List[Polynomial] = []
     const = slope = 0
     for level in levels:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .dh import dh_function_toric, reduced_volume
 from .fixed_data import (
@@ -35,6 +35,7 @@ from .fixed_data import (
 )
 from .graphs import (
     LabelledGraph,
+    _key,
     first_isomorphism,
     is_mapping_isomorphism,
     nontrivial_involutions,
@@ -177,7 +178,8 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
     Case 1 (some surface meets the fibre twice): the non-extremal
     positive-genus count is chi/2 - 1, Q is reflective, and each of the
     two non-extremal components of Q maps isomorphically onto the
-    non-extremal part of G_+.  Mappings are re-verified, not trusted.
+    non-extremal part of G_+.  Both cases match through ``_matched``, which
+    re-verifies each mapping rather than trusting it.
     """
     report = Report()
     gplus = g.positive_genus()
@@ -203,13 +205,7 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
                 f"{len(gplus.vertices)} positive-genus surfaces, but chi of the "
                 f"fibre is {chi}",
             )
-        mapping = first_isomorphism(q_iso, gg)
-        if mapping is None:
-            mismatch = _level_mismatch(q_iso, gg)
-            report.flag("no-isomorphism", f"no isomorphism Q -> G_g: {mismatch}")
-            return Correspondence(case=2, mapping={}, report=report)
-        if not is_mapping_isomorphism(q_iso, gg, mapping):
-            raise InconsistencyError("isomorphism search returned a non-isomorphism")
+        mapping = _matched([("no isomorphism Q -> G_g", q_iso)], gg, {}, report)
         return Correspondence(case=2, mapping=mapping, report=report)
 
     # case 1: a doubly-covering surface forces reflectivity
@@ -238,33 +234,36 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
             f"non-extremal part of Q has {len(comps)} components, expected 2",
         )
         return Correspondence(case=1, mapping={}, report=report)
+    what = "component {} of Q does not match the non-extremal positive-genus surfaces"
+    parts = ((what.format(c), q_nonext.subgraph(lambda v, c=c: v.id in c)) for c in comps)
     g_nonext = gplus.subgraph(lambda v: v.id not in (g.v_min, g.v_max))
-    mapping: Dict[str, str] = {q_min: g.v_min, q_max: g.v_max}
-    for comp in comps:
-        part = q_nonext.subgraph(lambda v, comp=comp: v.id in comp)
-        m = first_isomorphism(part, g_nonext)
-        if m is None:
-            report.flag(
-                "no-isomorphism",
-                f"component {comp} of Q does not match the non-extremal "
-                f"positive-genus surfaces: {_level_mismatch(part, g_nonext)}",
-            )
-            return Correspondence(case=1, mapping={}, report=report)
-        if not is_mapping_isomorphism(part, g_nonext, m):
-            raise InconsistencyError("isomorphism search returned a non-isomorphism")
-        mapping.update(m)
+    mapping = _matched(parts, g_nonext, {q_min: g.v_min, q_max: g.v_max}, report)
     return Correspondence(case=1, mapping=mapping, report=report)
 
 
-def _level_mismatch(a: LabelledGraph, b: LabelledGraph) -> str:
-    """Human-readable witness for a failed graph match."""
-    akeys = sorted((v.H, v.sorted_weights()) for v in a.vertices)
-    bkeys = sorted((v.H, v.sorted_weights()) for v in b.vertices)
-    if akeys != bkeys:
-        for ka, kb in itertools.zip_longest(akeys, bkeys):
-            if ka != kb:
-                return f"vertex invariants differ: {ka} vs {kb}"
-    return "vertex invariants agree but no edge-compatible bijection exists"
+def _matched(
+    parts: Iterable[Tuple[str, LabelledGraph]],
+    target: LabelledGraph,
+    mapping: Dict[str, str],
+    report: Report,
+) -> Dict[str, str]:
+    """Extend mapping by a re-verified isomorphism of each (what, part) onto
+    target.  At the first part with none, flag ``no-isomorphism`` with what
+    and a witness, the first differing (H, weights) invariants, and return {}."""
+    for what, part in parts:
+        found = first_isomorphism(part, target)
+        if found is None:
+            keys = itertools.zip_longest(*(sorted(map(_key, g.vertices)) for g in (part, target)))
+            witness = next(
+                (f"vertex invariants differ: {a} vs {b}" for a, b in keys if a != b),
+                "vertex invariants agree but no edge-compatible bijection exists",
+            )
+            report.flag("no-isomorphism", f"{what}: {witness}")
+            return {}
+        if not is_mapping_isomorphism(part, target, found):
+            raise InconsistencyError("isomorphism search returned a non-isomorphism")
+        mapping.update(found)
+    return mapping
 
 
 # -- maximal downward chains ---------------------------------------------------
@@ -392,7 +391,15 @@ def chainres_check(data: FixedPointData) -> Report:
 TYPE_A = (-2, -1, 1)
 TYPE_B = (-1, -1, 2)
 TYPE_C = (-1, -1, 1)
-MAX_TYPES = ((-1, -1, -1), (-2, -1, -1))
+# the type-B points each admissible maximum type consumes beyond the one
+# under each type-A point: n_B = n_A + EXTRA_B[type]
+EXTRA_B = {(-1, -1, -1): 0, (-2, -1, -1): 1}
+MAX_TYPES = tuple(EXTRA_B)
+
+
+def _balance(mt: Tuple[int, ...]) -> Tuple[str, str]:
+    """A maximum type written as in the paper and the " + 1" its balance adds."""
+    return ",".join(map(str, reversed(mt))), " + 1" * EXTRA_B[mt]
 
 
 def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
@@ -419,18 +426,14 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
             f"[-1,-1,-1] nor [-1,-1,-2]",
             subject=max_id,
         )
-    n_a = n_b = n_c = 0
+    counts = dict.fromkeys((TYPE_A, TYPE_B, TYPE_C), 0)
     for c in data.ordered():
         if c.id in (min_id, max_id):
             continue
         if c.kind == POINT:
             ws = c.sorted_weights()
-            if ws == TYPE_A:
-                n_a += 1
-            elif ws == TYPE_B:
-                n_b += 1
-            elif ws == TYPE_C:
-                n_c += 1
+            if ws in counts:
+                counts[ws] += 1
             else:
                 report.flag(
                     "listofweights",
@@ -453,15 +456,11 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
                 f"{c.id}: unexpected non-extremal fourfold",
                 subject=c.id,
             )
-    if max_ws == (-1, -1, -1) and n_a != n_b:
+    n_a, n_b, n_c = counts.values()
+    if max_ws in EXTRA_B and n_b != n_a + EXTRA_B[max_ws]:
+        name, plus = _balance(max_ws)
         report.flag(
-            "nAnB", f"maximum of type (-1,-1,-1) forces n_A = n_B, got {n_a} != {n_b}"
-        )
-    if max_ws == (-2, -1, -1) and n_a + 1 != n_b:
-        report.flag(
-            "nAnB",
-            f"maximum of type (-1,-1,-2) forces n_A + 1 = n_B, got "
-            f"{n_a} + 1 != {n_b}",
+            "nAnB", f"maximum of type ({name}) forces n_A{plus} = n_B, got {n_a}{plus} != {n_b}"
         )
     report.note(f"b2(M_min) = {len(data.points())}")
     return n_a, n_b, n_c, report
@@ -473,44 +472,28 @@ def build_04_data(
     """Assemble the fixed-point dataset with a del Pezzo minimum, a point
     maximum of the given type and the prescribed type-A/B/C counts.
 
-    Hamiltonian values follow the weight sum formula; each type-A point is
-    chained to a type-B point by a weight-2 sphere, and a maximum of type
-    {-1,-1,-2} consumes one further type-B point.
+    Every component sits on the level the weight sum formula gives it,
+    H = -(sum of its weights).  Each type-A point is chained to a type-B
+    point by a weight-2 sphere, and the type-B points the maximum consumes
+    by ``EXTRA_B`` are chained to it.
     """
     mt = tuple(sorted(max_type))
     if mt not in MAX_TYPES:
         raise PreconditionError(f"maximum type must be one of {MAX_TYPES}, got {mt}")
-    comps = [
-        FixedComponent(
-            id="min",
-            kind=FOURFOLD,
-            H=-1,
-            weights=(1,),
-            b2=n_a + n_b + n_c + 1,
-        ),
-        FixedComponent(id="max", kind=POINT, H=-sum(mt), weights=mt),
+    points = [("max", mt)] + [
+        (f"{name}{i}", weights)
+        for name, weights, count in (("a", TYPE_A, n_a), ("b", TYPE_B, n_b), ("c", TYPE_C, n_c))
+        for i in range(count)
     ]
-    comps += [
-        FixedComponent(id=f"a{i}", kind=POINT, H=2, weights=TYPE_A)
-        for i in range(n_a)
-    ]
-    comps += [
-        FixedComponent(id=f"b{i}", kind=POINT, H=0, weights=TYPE_B)
+    comps = [FixedComponent(id="min", kind=FOURFOLD, H=-1, weights=(1,), b2=n_a + n_b + n_c + 1)]
+    comps += [FixedComponent(id=cid, kind=POINT, H=-sum(ws), weights=ws) for cid, ws in points]
+    if n_b != n_a + EXTRA_B[mt]:
+        name, plus = _balance(mt)
+        raise PreconditionError(f"a {{{name}}} maximum needs n_B = n_A{plus}")
+    edges = [
+        GradientEdge(bottom=f"b{i}", top=f"a{i}" if i < n_a else "max", weight=2)
         for i in range(n_b)
     ]
-    comps += [
-        FixedComponent(id=f"c{i}", kind=POINT, H=1, weights=TYPE_C)
-        for i in range(n_c)
-    ]
-    edges = [
-        GradientEdge(bottom=f"b{i}", top=f"a{i}", weight=2) for i in range(n_a)
-    ]
-    if mt == (-2, -1, -1):
-        if n_b != n_a + 1:
-            raise PreconditionError("a {-1,-1,-2} maximum needs n_B = n_A + 1")
-        edges.append(GradientEdge(bottom=f"b{n_a}", top="max", weight=2))
-    elif n_b != n_a:
-        raise PreconditionError("a {-1,-1,-1} maximum needs n_B = n_A")
     return FixedPointData(
         half_dim=3,
         components=tuple(comps),
@@ -523,24 +506,21 @@ def build_04_data(
 def enumerate_04() -> List[dict]:
     """All admissible (max type, n_A, n_B, n_C) rows with positive volume.
 
-    The volume of the level-0 reduced space is evaluated through
-    reduced_volume on the assembled dataset; rows with non-positive volume
-    are excluded.  The total count never exceeds 8 (so b2(M_min) <= 9) and
-    the bound is attained; both facts are re-asserted here.
+    n_B is read off ``EXTRA_B``, and the volume of the level-0 reduced space
+    is evaluated through reduced_volume on the assembled dataset.  It falls
+    with each type-A point (level 2) and type-C point (level 1), so the search
+    stops at the first non-positive volume in n_C and at the first n_A with no
+    row.  The total count never exceeds 8 (so b2(M_min) <= 9) and the bound
+    is attained; both facts are re-asserted here.
     """
     rows: List[dict] = []
-    for mt, vol0 in (((-1, -1, -1), 9), ((-2, -1, -1), 8)):
+    for mt, extra in EXTRA_B.items():
         for n_a in itertools.count():
-            if 2 * n_a >= vol0:
-                break
+            n_b = n_a + extra
             for n_c in itertools.count():
-                if 2 * n_a + n_c >= vol0:
-                    break
-                n_b = n_a if mt == (-1, -1, -1) else n_a + 1
-                data = build_04_data(mt, n_a, n_b, n_c)
-                vol = reduced_volume(data, 0)
+                vol = reduced_volume(build_04_data(mt, n_a, n_b, n_c), 0)
                 if vol <= 0:
-                    continue
+                    break
                 rows.append(
                     {
                         "max_type": list(mt),
@@ -552,6 +532,8 @@ def enumerate_04() -> List[dict]:
                         "b2_min": n_a + n_b + n_c + 1,
                     }
                 )
+            if n_c == 0:
+                break
     top = max(row["total"] for row in rows)
     if top != 8 or any(row["b2_min"] > 9 for row in rows):
         raise InconsistencyError("enumeration bound violated; implementation bug")

@@ -75,11 +75,11 @@ class LabelledGraph:
                 out.append((e.bottom, e.weight))
         return sorted(out)
 
-    def edge_weight(self, a: str, b: str) -> Optional[int]:
-        for e in self.edges:
-            if (e.bottom, e.top) in ((a, b), (b, a)):
-                return e.weight
-        return None
+    def edge_weight(self, a: str, b: str) -> List[int]:
+        """The weights of all edges between a and b, either way up, parallel
+        edges included: increasing, as the edges are sorted, and none with
+        both ends at one vertex, as every edge climbs strictly."""
+        return [e.weight for e in self.edges if e.bottom in (a, b) and e.top in (a, b)]
 
     def subgraph(self, keep: Callable[[FixedComponent], bool]) -> "LabelledGraph":
         kept = tuple(v for v in self.vertices if keep(v))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fixed_data import (
@@ -708,8 +709,11 @@ def primitive_directions(dim: int, bound: int) -> List[IntVec]:
     return out
 
 
-@value_type
+@dataclass
 class ScanItem:
+    """One scanned direction: its data and their (mutable) report, or why
+    it is unsupported."""
+
     xi: IntVec
     data: Optional[FixedPointData]
     report: Report

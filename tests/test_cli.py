@@ -12,6 +12,7 @@ import pytest
 
 import hamfano
 from hamfano.cli import (
+    USAGE,
     load_document,
     parse_fixed_point_data,
     render_fixed_point_data,
@@ -108,6 +109,21 @@ def test_localize_4d_zero(tmp_path):
     code, out = run(["localize", "4d", path])
     assert code == 0
     assert json.loads(out) == {"sum": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["localize", "5d"], "localize expects 4d or 6d, got '5d'"),
+        (["fano6", "foo"], "unknown fano6 subcommand 'foo'"),
+    ],
+    ids=["localize-5d", "fano6-foo"],
+)
+def test_unknown_subcommand_usage_exit_2(tmp_path, argv, error):
+    path = write(tmp_path, "cp2.json", doc_data(CP2_DATA))
+    code, out = run(argv + [path])
+    assert code == 2
+    assert json.loads(out) == {"error": error, "usage": USAGE.strip()}
 
 
 def test_localize_4d_nonzero_exits_1(tmp_path):

@@ -207,6 +207,15 @@ def test_fibre_area_bound_square():
     assert fibre_area_bound_check(SQUARE, (1, 2)).ok
 
 
+def test_fibre_area_bound_needs_an_isolated_minimum():
+    # (0, 1) fixes the square's bottom edge, a sphere at the minimum
+    with pytest.raises(PreconditionError) as caught:
+        fibre_area_bound_check(SQUARE, (0, 1))
+    assert str(caught.value) == (
+        "fibre_area_bound_check needs isolated fixed data (generic direction)"
+    )
+
+
 def test_fibre_area_bound_catalog_never_fails():
     for entry in delpezzo_catalog():
         for xi in ((1, -1), (2, 1), (5, 3)):
@@ -236,14 +245,28 @@ def test_positivity_is_inconclusive_below_a_fixed_sphere():
     ]
 
 
+def test_positivity_is_inconclusive_outside_the_open_range():
+    # CP2 under (1, 2) spans [-3, 3]; both ends and what lies beyond have no reduced space
+    report = positivity_check(fixed_data_from_polytope(CP2, (1, 2)), [-3, 0, 3, "7/2"])
+    assert report.ok and not report.violations and not report.notes
+    assert [(i.code, i.message) for i in report.inconclusive] == [
+        ("positivity", f"level {s} lies outside (H_min, H_max); no reduced space there")
+        for s in ("-3", "3", "7/2")
+    ]
+
+
 def test_positivity_default_levels():
     data = fixed_data_from_polytope(CP3, (1, 2, 4))
     assert positivity_check(data).ok
 
 
 def test_piecewise_polynomial_guards():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^breakpoints must be strictly increasing$"):
         PiecewisePolynomial((1, 0), (Polynomial.of(1),))
+    for breakpoints, pieces in (((0,), ()), ((0, 1, 2), (Polynomial.of(1),))):
+        with pytest.raises(PreconditionError) as caught:
+            PiecewisePolynomial(breakpoints, pieces)
+        assert str(caught.value) == "need k+1 breakpoints for k pieces, k >= 1"
     pp = PiecewisePolynomial((0, 1), (Polynomial.of(1),))
     with pytest.raises(PreconditionError):
         pp(2)

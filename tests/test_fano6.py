@@ -1380,3 +1380,50 @@ def test_fibre_correspondence_count_split_and_reflectivity_records():
             None,
         )
     ]
+
+
+def test_fibre_correspondence_case_2_names_its_witness():
+    g = _genus_graph(*_fibre_surfaces(1))
+    q = _one_level_graph(2)
+    # q0 moved up to level 1: the sorted invariants first differ there
+    moved = LabelledGraph(
+        vertices=tuple(point("q0", 1, v.weights) if v.id == "q0" else v for v in q.vertices),
+        edges=(),
+    )
+    # an isotropy edge that G lacks: the invariants agree, the edges do not
+    linked = LabelledGraph(vertices=q.vertices, edges=(GradientEdge("q0", "qmax", 2),))
+    for fibre, witness in (
+        (moved, "vertex invariants differ: (1, (-1, 1)) vs (0, (-1, 1))"),
+        (linked, "vertex invariants agree but no edge-compatible bijection exists"),
+    ):
+        result = fibre_correspondence(g, fibre)
+        assert (result.case, result.mapping) == (2, {})
+        assert _records(result.report) == (
+            [("no-isomorphism", f"no isomorphism Q -> G_g: {witness}", None)], [], []
+        )
+
+
+@pytest.mark.parametrize(
+    "middle, maximum, record",
+    [
+        (
+            (point("a0", 2, (-2, -1, 1)),),
+            point("max", 3, (-1, -1, -1)),
+            ("nAnB", "maximum of type (-1,-1,-1) forces n_A = n_B, got 1 != 0", None),
+        ),
+        (
+            (),
+            point("max", 4, (-2, -1, -1)),
+            ("nAnB", "maximum of type (-1,-1,-2) forces n_A + 1 = n_B, got 0 + 1 != 0", None),
+        ),
+        (
+            (FixedComponent(id="f", kind="fourfold", H=0, weights=(-1,)),),
+            point("max", 3, (-1, -1, -1)),
+            ("fourfold", "f: unexpected non-extremal fourfold", "f"),
+        ),
+    ],
+    ids=["balance-111", "balance-112", "fourfold"],
+)
+def test_type_abc_records_the_balance_and_a_middle_fourfold(middle, maximum, record):
+    data = FixedPointData(half_dim=3, components=(_FOURFOLD_MIN, *middle, maximum), fano=True)
+    assert _records(type_abc_classify(data)[3])[:2] == ([record], [])

@@ -142,7 +142,8 @@ DATASETS = {
 def _generated_datasets():
     """Product and A/B/C-row documents, rendered by the package itself.
 
-    Only ``write_corpus`` calls this: the tests read the stored documents.
+    Only ``write_corpus`` and the corpus guard call this: the cases read the
+    stored documents.
     """
     from dataclasses import replace
 
@@ -283,22 +284,32 @@ def _script_stdout(argv) -> bytes:
     return done.stdout
 
 
-def write_corpus() -> None:
-    for name, vertices in POLYTOPES.items():
-        doc = {"schema_version": "1", "polytope": {"vertices": vertices}}
-        (GOLDEN / f"{name}.json").write_text(json.dumps(doc) + "\n")
-    for name, payload in DATASETS.items():
-        doc = {"schema_version": "1", "fixed_point_data": payload}
-        (GOLDEN / f"{name}.json").write_text(json.dumps(doc) + "\n")
+def _documents():
+    """The text of every input document of the corpus, by file name."""
+    docs = {name: {"polytope": {"vertices": v}} for name, v in POLYTOPES.items()}
+    docs.update((name, {"fixed_point_data": d}) for name, d in DATASETS.items())
     for name, payload in _generated_datasets().items():
-        if "suite_request" not in payload:
-            payload = {"fixed_point_data": payload}
-        doc = {"schema_version": "1", **payload}
-        (GOLDEN / f"{name}.json").write_text(json.dumps(doc) + "\n")
+        docs[name] = payload if "suite_request" in payload else {"fixed_point_data": payload}
+    return {
+        f"{name}.json": json.dumps({"schema_version": "1", **doc}) + "\n"
+        for name, doc in docs.items()
+    }
+
+
+def write_corpus() -> None:
+    for name, text in _documents().items():
+        (GOLDEN / name).write_text(text)
     for case, argv in CASES.items():
         (GOLDEN / f"{case}.golden").write_text(_render(argv))
     for case, argv in SCRIPTS.items():
         (GOLDEN / f"{case}.golden").write_bytes(_script_stdout(argv))
+
+
+def test_the_corpus_is_what_write_corpus_writes():
+    documents = _documents()
+    assert {name: (GOLDEN / name).read_text() for name in documents} == documents
+    outputs = {f"{case}.golden" for case in (*CASES, *SCRIPTS)}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(documents.keys() | outputs)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

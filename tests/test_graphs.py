@@ -118,3 +118,23 @@ def test_subgraph_selectors():
     )
     assert [v.id for v in g.positive_genus().vertices] == ["a", "c"]
     assert [v.id for v in g.genus_part(2).vertices] == ["a"]
+
+
+def _double_edge(second):
+    """Two points joined by two edges, of weights `second` and 2."""
+    return LabelledGraph(
+        vertices=(
+            FixedComponent(id="u", kind="point", H=0, weights=(1, 1)),
+            FixedComponent(id="v", kind="point", H=1, weights=(-1, -1)),
+        ),
+        edges=(GradientEdge("u", "v", second), GradientEdge("u", "v", 2)),
+    )
+
+
+def test_parallel_edges_match_with_every_weight():
+    a, b = _double_edge(3), _double_edge(5)
+    assert a.edge_weight("u", "v") == a.edge_weight("v", "u") == [2, 3]
+    assert a.edge_weight("u", "u") == []
+    assert first_isomorphism(a, b) is None
+    assert not is_mapping_isomorphism(a, b, {"u": "u", "v": "v"})
+    assert first_isomorphism(a, _double_edge(3)) == {"u": "u", "v": "v"}
