@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import dh as dh_mod
 from . import fano6, localization, toric
@@ -50,6 +50,26 @@ commands:
   enumerate-04                        admissible type-A/B/C tables
 """
 
+
+def _word(previous: str, word: str) -> Tuple[Optional[Tuple[str, ...]], bool]:
+    """The tokens a usage word admits (None for any) and whether it is an
+    operand: a literal word or --flag admits itself, a {choice} its choices,
+    and a <placeholder> or a flag's value any token."""
+    if word.startswith("<") or previous.startswith("--"):
+        return None, True
+    if word.startswith("{"):
+        return tuple(word[1:-1].split("|")), True
+    return (word,), False
+
+
+# each command's line of USAGE, and the words after the command name
+_GRAMMAR = {
+    words[0]: (line, tuple(map(_word, words, words[1:])))
+    for entry in USAGE.split("commands:\n")[1].splitlines()
+    for line in [entry.strip().split("  ")[0]]
+    for words in [line.split()]
+}
+
 # -- document parsing ---------------------------------------------------------
 
 
@@ -62,21 +82,19 @@ def _schema(cls) -> Dict[str, Any]:
 _COMPONENT = _schema(FixedComponent)
 _EDGE = _schema(GradientEdge)
 _DATA = _schema(FixedPointData)
-
-
-def _known_keys(obj: dict, keys, what: str) -> None:
-    """Refuse a key that the format does not define, so that a misspelt key
-    is not silently dropped."""
-    if not obj.keys() <= keys:
-        raise StructuralError(f"{what} has the unknown key {min(obj.keys() - keys)!r}")
+_POLYTOPE = {"vertices": dataclasses.MISSING, "dim": None}
+_SUITE_REQUEST = {"data": dataclasses.MISSING, "fibre": None, "fibre_xi": None, "levels": None}
+_PAYLOADS = ("fixed_point_data", "polytope", "suite_request")
+_DOCUMENT = dict.fromkeys(("schema_version", *_PAYLOADS))
 
 
 def _fields(schema, obj: Any, what: str) -> Dict[str, Any]:
     """The fields of one document object, checked for the required keys and
-    for keys that are no field of the schema."""
+    for a key that is no field of the schema, which is refused, never dropped."""
     if not isinstance(obj, dict):
         raise StructuralError(f"{what} must be an object")
-    _known_keys(obj, schema.keys(), what)
+    if not obj.keys() <= schema.keys():
+        raise StructuralError(f"{what} has the unknown key {min(obj.keys() - schema.keys())!r}")
     for name, default in schema.items():
         if default is dataclasses.MISSING and name not in obj:
             raise StructuralError(f"{what} needs the key {name!r}")
@@ -118,16 +136,10 @@ def render_fixed_point_data(data: FixedPointData) -> dict:
 
 
 def parse_polytope(doc: dict) -> toric.LatticePolytope:
-    if not isinstance(doc, dict) or "vertices" not in doc:
-        raise StructuralError("polytope payload needs a 'vertices' array")
-    _known_keys(doc, {"dim", "vertices"}, "polytope")
-    p = toric.LatticePolytope(doc["vertices"])
+    p = toric.LatticePolytope(_fields(_POLYTOPE, doc, "polytope")["vertices"])
     if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != p.dim):
         raise StructuralError(f"declared dim {doc['dim']} != actual dim {p.dim}")
     return p
-
-
-_PAYLOADS = ("fixed_point_data", "polytope", "suite_request")
 
 
 def load_document(path: str) -> Tuple[str, Any]:
@@ -145,7 +157,7 @@ def load_document(path: str) -> Tuple[str, Any]:
         raise StructuralError(
             f"unrecognised schema_version {version!r}; expected {SCHEMA_VERSION!r}"
         )
-    _known_keys(doc, {"schema_version", *_PAYLOADS}, "document")
+    _fields(_DOCUMENT, doc, "document")
     payloads = [k for k in _PAYLOADS if k in doc]
     if len(payloads) != 1:
         raise StructuralError(
@@ -181,12 +193,23 @@ def _parse_xi(text: str) -> Tuple[int, ...]:
 # -- command handlers ----------------------------------------------------------
 
 
-def _operands(args: List[str], usage: str) -> List[str]:
-    """The args of a command that takes exactly the operands its usage line
-    `command operand ...` names; another count is a usage error."""
-    if len(args) != len(usage.split()) - 1:
-        raise StructuralError(f"usage: {usage}; got {args!r}")
-    return args
+def _operands(args: List[str], command: str) -> List[str]:
+    """The operands in a command's args, checked word by word against its usage
+    line, a `--flag=value` counting as two tokens; a mismatch is a usage error."""
+    line, shape = _GRAMMAR[command]
+    tokens: List[str] = []
+    for arg in args:
+        tokens += arg.split("=", 1) if arg.startswith("--") else (arg,)
+    if len(tokens) == len(shape):
+        operands = []
+        for token, (admits, operand) in zip(tokens, shape):
+            if admits is not None and token not in admits:
+                break
+            if operand:
+                operands.append(token)
+        else:
+            return operands
+    raise StructuralError(f"usage: {line}; got {args!r}")
 
 
 def _exit_code(reports: Iterable[Report]) -> int:
@@ -194,15 +217,13 @@ def _exit_code(reports: Iterable[Report]) -> int:
     return int(not all(report.ok for report in reports))
 
 
-def _cmd_validate(args: List[str]) -> Tuple[int, dict]:
-    (path,) = _operands(args, "validate <file>")
+def _cmd_validate(path: str) -> Tuple[int, dict]:
     data = load_fixed_point_data(path)
     report = validate(data)
     return _exit_code([report]), report.as_dict()
 
 
-def _cmd_normalize(args: List[str]) -> Tuple[int, dict]:
-    (path,) = _operands(args, "normalize <file>")
+def _cmd_normalize(path: str) -> Tuple[int, dict]:
     data = load_fixed_point_data(path)
     try:
         constant, shifted = localization.weight_sum_normalize(data)
@@ -220,20 +241,13 @@ def _cmd_normalize(args: List[str]) -> Tuple[int, dict]:
     }
 
 
-def _cmd_localize(args: List[str]) -> Tuple[int, dict]:
-    which, path = _operands(args, "localize {4d|6d} <file>")
+def _cmd_localize(which: str, path: str) -> Tuple[int, dict]:
     data = load_fixed_point_data(path)
-    if which == "4d":
-        total = localization.abbv_sum_4d(data)
-    elif which == "6d":
-        total = localization.abbv_sum_6d(data)
-    else:
-        raise StructuralError(f"localize expects 4d or 6d, got {which!r}")
+    total = (localization.abbv_sum_4d if which == "4d" else localization.abbv_sum_6d)(data)
     return (0 if total == 0 else 1), {"sum": format_rational(total)}
 
 
-def _cmd_chi_y(args: List[str]) -> Tuple[int, dict]:
-    (path,) = _operands(args, "chi-y <file>")
+def _cmd_chi_y(path: str) -> Tuple[int, dict]:
     data = load_fixed_point_data(path)
     poly = localization.chi_y(data)
     out: Dict[str, Any] = {
@@ -247,20 +261,13 @@ def _cmd_chi_y(args: List[str]) -> Tuple[int, dict]:
     return 0, out
 
 
-def _cmd_dh(args: List[str]) -> Tuple[int, dict]:
-    if len(args) < 2 or args[0] != "toric":
-        raise StructuralError("usage: dh toric <polytope> --xi a,b")
-    xi = _take_flag(args[2:], "--xi", "dh toric")
-    p = load_polytope(args[1])
+def _cmd_dh(path: str, xi: str) -> Tuple[int, dict]:
+    p = load_polytope(path)
     fn = dh_mod.dh_function_toric(p, _parse_xi(xi))
     return 0, fn.as_dict()
 
 
-def _cmd_toric_scan(args: List[str]) -> Tuple[int, dict]:
-    if len(args) < 2 or args[0] != "scan":
-        raise StructuralError("usage: toric scan <polytope|catalog-name> --bound N")
-    target = args[1]
-    bound_text = _take_flag(args[2:], "--bound", "toric scan")
+def _cmd_toric_scan(target: str, bound_text: str) -> Tuple[int, dict]:
     if not _INTEGER.fullmatch(bound_text):
         raise StructuralError(f"--bound expects an integer, got {bound_text!r}")
     bound = int(bound_text)
@@ -299,14 +306,9 @@ def _require_uphill_edges(data: FixedPointData) -> None:
             raise InconsistencyError(message)
 
 
-def _cmd_fano6(args: List[str]) -> Tuple[int, dict]:
-    if len(args) != 2:
-        raise StructuralError("usage: fano6 {graph|chains|abc|suite} <file>")
-    sub, path = args
+def _cmd_fano6(sub: str, path: str) -> Tuple[int, dict]:
     if sub == "suite":
         return _cmd_fano6_suite(path)
-    if sub not in ("graph", "chains", "abc"):
-        raise StructuralError(f"unknown fano6 subcommand {sub!r}")
     data = load_fixed_point_data(path)
     _require_uphill_edges(data)
     if sub == "graph":
@@ -337,9 +339,7 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
     kind, payload = load_document(path)
     fibre = fibre_xi = levels = None
     if kind == "suite_request":
-        if not isinstance(payload, dict) or "data" not in payload:
-            raise StructuralError("suite_request must be an object with a 'data' payload")
-        _known_keys(payload, {"data", "fibre", "fibre_xi", "levels"}, "suite_request")
+        payload = _fields(_SUITE_REQUEST, payload, "suite_request")
         data = parse_fixed_point_data(payload["data"])
         if "fibre" in payload:
             fibre = parse_polytope(payload["fibre"])
@@ -366,9 +366,7 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
     return _exit_code(reports.values()), {name: r.as_dict() for name, r in reports.items()}
 
 
-def _cmd_enumerate_04(args: List[str]) -> Tuple[int, dict]:
-    if args:
-        raise StructuralError("enumerate-04 takes no arguments")
+def _cmd_enumerate_04() -> Tuple[int, dict]:
     rows = fano6.enumerate_04()
     rendered = []
     for row in rows:
@@ -378,19 +376,18 @@ def _cmd_enumerate_04(args: List[str]) -> Tuple[int, dict]:
     return 0, {"rows": rendered, "max_total": max(r["total"] for r in rows)}
 
 
-def _take_flag(args: Sequence[str], flag: str, command: str) -> str:
-    """The value of the one `flag value` or `flag=value` that follows the
-    target; anything else is a usage error that names what was found."""
-    if len(args) == 2 and args[0] == flag:
-        return args[1]
-    if len(args) == 1 and args[0].startswith(flag + "="):
-        return args[0][len(flag) + 1 :]
-    raise StructuralError(
-        f"{command} takes exactly one {flag} after the target, got {list(args)!r}"
-    )
-
-
 # -- dispatch -----------------------------------------------------------------
+
+_HANDLERS = {
+    "validate": _cmd_validate,
+    "normalize": _cmd_normalize,
+    "localize": _cmd_localize,
+    "chi-y": _cmd_chi_y,
+    "dh": _cmd_dh,
+    "toric": _cmd_toric_scan,
+    "fano6": _cmd_fano6,
+    "enumerate-04": _cmd_enumerate_04,
+}
 
 
 def run(argv: Sequence[str]) -> Tuple[int, str]:
@@ -400,23 +397,13 @@ def run(argv: Sequence[str]) -> Tuple[int, str]:
     pretty = args[:1] == ["--pretty"]
     if pretty:
         del args[0]
-    handlers = {
-        "validate": _cmd_validate,
-        "normalize": _cmd_normalize,
-        "localize": _cmd_localize,
-        "chi-y": _cmd_chi_y,
-        "dh": _cmd_dh,
-        "toric": _cmd_toric_scan,
-        "fano6": _cmd_fano6,
-        "enumerate-04": _cmd_enumerate_04,
-    }
     try:
         if not args:
             raise StructuralError("no command given")
-        handler = handlers.get(args[0])
+        handler = _HANDLERS.get(args[0])
         if handler is None:
             raise StructuralError(f"unknown command {args[0]!r}")
-        code, payload = handler(args[1:])
+        code, payload = handler(*_operands(args[1:], args[0]))
     except InconsistencyError as exc:
         return 1, _dump({"error": str(exc)}, pretty)
     except ValueError as exc:

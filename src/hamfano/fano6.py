@@ -423,7 +423,7 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
         report.flag(
             "listofweights",
             f"{max_id}: maximum weights {list(max_ws)} are neither "
-            f"[-1,-1,-1] nor [-1,-1,-2]",
+            + " nor ".join(f"[{_balance(mt)[0]}]" for mt in MAX_TYPES),
             subject=max_id,
         )
     counts = dict.fromkeys((TYPE_A, TYPE_B, TYPE_C), 0)
@@ -778,6 +778,8 @@ def _chain_term(c: FixedComponent) -> Tuple[int, int]:
 
 def nosphere_check(data: FixedPointData) -> Report:
     """Fixed spheres live on levels >= 0 when M_min has positive genus."""
+    if data.half_dim != 3:
+        raise PreconditionError("nosphere_check applies to 6-dimensional data")
     if not data.relative_fano:
         raise PreconditionError("nosphere_check applies to relative Fano data")
     min_id, _ = extremal(data)
@@ -848,6 +850,8 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
     hypothesis and the localisation identity marks the data as impossible.
     Emits a witness surface of genus >= g with c1 <= 2-2g when it can.
     """
+    if data.half_dim != 3:
+        raise PreconditionError("small_hamiltonian_suite applies to 6-dimensional data")
     if not data.relative_fano:
         raise PreconditionError("small_hamiltonian_suite applies to relative Fano data")
     min_id, max_id = extremal(data)
@@ -884,10 +888,6 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
                 )
             else:
                 b = beta(c)
-                if b != -c1_of_surface(c):
-                    raise InconsistencyError(
-                        f"{c.id}: beta != -c1 for a level-0 sphere; implementation bug"
-                    )
                 if b > 0:
                     report.flag(
                         "betapos-sphere",

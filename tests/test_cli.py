@@ -112,17 +112,18 @@ def test_localize_4d_zero(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, error",
+    "argv, line",
     [
-        (["localize", "5d"], "localize expects 4d or 6d, got '5d'"),
-        (["fano6", "foo"], "unknown fano6 subcommand 'foo'"),
+        (["localize", "5d"], "localize {4d|6d} <file>"),
+        (["fano6", "foo"], "fano6 {graph|chains|abc|suite} <file>"),
     ],
     ids=["localize-5d", "fano6-foo"],
 )
-def test_unknown_subcommand_usage_exit_2(tmp_path, argv, error):
+def test_unknown_subcommand_usage_exit_2(tmp_path, argv, line):
     path = write(tmp_path, "cp2.json", doc_data(CP2_DATA))
     code, out = run(argv + [path])
     assert code == 2
+    error = f"usage: {line}; got {[argv[1], path]!r}"
     assert json.loads(out) == {"error": error, "usage": USAGE.strip()}
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hamfano.fano6 import (
+    EXTRA_B,
     Chain,
     IncompleteDataError,
     build_04_data,
@@ -28,6 +29,7 @@ from hamfano.fano6 import (
 )
 from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge
 from hamfano.graphs import LabelledGraph
+from hamfano.localization import beta
 from hamfano.reports import InconsistencyError, PreconditionError, StructuralError
 from hamfano.toric import (
     LatticePolytope,
@@ -505,6 +507,22 @@ def test_abc_rejects_wrong_tuple():
     extra = data.replace_components(data.components + (point("x", 2, (1, 1, -2)),))
     _, _, _, report = type_abc_classify(extra)
     assert any(v.code == "listofweights" for v in report.violations)
+
+
+def test_abc_names_every_admissible_maximum_type():
+    data = FixedPointData(
+        half_dim=3,
+        components=(
+            FixedComponent(id="min", kind="fourfold", H=Fraction(-1), weights=(1,)),
+            point("max", 5, (-1, -1, -3)),
+        ),
+        fano=True,
+    )
+    _, _, _, report = type_abc_classify(data)
+    (message,) = [v.message for v in report.violations if v.code == "listofweights"]
+    assert message == "max: maximum weights [-3, -1, -1] are neither [-1,-1,-1] nor [-1,-1,-2]"
+    for max_type in EXTRA_B:
+        assert f"[{','.join(map(str, reversed(max_type)))}]" in message
 
 
 def test_abc_surface_must_sit_on_level_zero():
@@ -1023,6 +1041,12 @@ _POINTS_6D = FixedPointData(
 )
 _GENUS_ONE = lift_product(CP2, (1, 2), genus=1)
 _FIBRE = karshon_graph(CP2, (1, 2))
+# relative Fano data in dimension 4 with genus-1 surfaces at both extrema
+_GENUS_ONE_4D = FixedPointData(
+    half_dim=2,
+    components=(surf("lo", -1, (1,), 1, (0,)), surf("hi", 1, (-1,), 1, (0,))),
+    relative_fano=True,
+)
 
 
 def _genus_graph(*surfaces, ends=False):
@@ -1127,10 +1151,15 @@ _GATES = [
         lambda: nosphere_check(replace(_GENUS_ONE, relative_fano=False)),
         "nosphere_check applies to relative Fano data",
     ),
+    (lambda: nosphere_check(_GENUS_ONE_4D), "nosphere_check applies to 6-dimensional data"),
     (lambda: nosphere_check(_POINTS_6D), "nosphere_check needs a positive-genus minimum"),
     (
         lambda: small_hamiltonian_suite(replace(_GENUS_ONE, relative_fano=False)),
         "small_hamiltonian_suite applies to relative Fano data",
+    ),
+    (
+        lambda: small_hamiltonian_suite(_GENUS_ONE_4D),
+        "small_hamiltonian_suite applies to 6-dimensional data",
     ),
     (
         lambda: small_hamiltonian_suite(_POINTS_6D),
@@ -1253,6 +1282,19 @@ def test_small_suite_flags_a_level_zero_sphere_with_positive_beta():
     )
     message = "sph: beta = 1 > 0, so c1 < 0 on a sphere violates the relative Fano condition"
     assert _records(small_hamiltonian_suite(data)) == ([("betapos-sphere", message, "sph")], [], [])
+
+
+@given(
+    genus=st.integers(0, 20),
+    n1=st.integers(-20, 20),
+    n2=st.integers(-20, 20),
+    weights=st.sampled_from([(-1, 1), (1, -1)]),
+)
+def test_beta_of_a_sphere_with_weights_minus_one_one_is_minus_c1(genus, n1, n2, weights):
+    # beta = (2 - 2g) w1 w2 - n1 w2^2 - n2 w1^2 = -(2 - 2g) - n1 - n2 when
+    # {w1, w2} = {-1, 1}, so the suite reads c1 < 0 off beta > 0
+    s = surf("s", 0, weights, genus, (n1, n2))
+    assert beta(s) == -c1_of_surface(s)
 
 
 def test_small_suite_flags_an_isolated_point_with_positive_alpha():

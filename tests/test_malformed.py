@@ -9,6 +9,8 @@ follows the target.
 """
 
 import copy
+import inspect
+import itertools
 import json
 from collections import Counter
 from datetime import timedelta
@@ -18,7 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hamfano.cli import run
+from hamfano.cli import _HANDLERS, USAGE, parse_fixed_point_data, run
+from hamfano.fixed_data import FixedComponent
+from hamfano.reports import StructuralError
+from hamfano.toric import LatticePolytope, catalog_entry, karshon_graph
 
 
 def _surface(cid, h, weights):
@@ -413,8 +418,11 @@ LENIENT_ARGV = [
     (["toric", "scan", "CP2", "junk", "--bound", "1"], "'junk'"),
     (["dh", "toric", CP2_PATH, "--xi", "+1,2", "extra"], "'extra'"),
     (["dh", "toric", CP2_PATH, "--bound", "1"], "'--bound'"),
-    (["toric", "scan", "CP2"], "[]"),
-    (["dh", "toric", CP2_PATH, "--xi"], "['--xi']"),
+    (["toric", "scan", "CP2"], "usage: toric scan <polytope|name> --bound N; got ['scan', 'CP2']"),
+    (
+        ["dh", "toric", CP2_PATH, "--xi"],
+        f"usage: dh toric <polytope> --xi a,b; got {['toric', CP2_PATH, '--xi']!r}",
+    ),
 ]
 
 
@@ -459,20 +467,36 @@ def test_fuzzed_argv_keeps_the_contract(argv):
     json.loads(out)
 
 
-# (argv, its usage line): each took its operands by tuple unpacking, so a
-# wrong count exited 2 with Python's unpack text, naming neither
+# each command's line of the usage text
+USAGE_LINES = [
+    entry.strip().split("  ")[0] for entry in USAGE.split("commands:\n")[1].splitlines()
+]
+
+
+def _usage_words(line):
+    """For each word of a usage line after the command name, a token that fits
+    it and whether the handler takes that token as an operand."""
+    words = line.split()
+    for previous, word in zip(words, words[1:]):
+        if word.startswith("{"):
+            yield word[1:-1].split("|")[0], True
+        elif word.startswith("<"):
+            yield CP2_PATH, True
+        elif previous.startswith("--"):
+            yield "1", True
+        else:
+            yield word, False
+
+
+# (argv, its usage line): one token too few and one too many for each command;
+# the file commands once took their operands by tuple unpacking, so a wrong
+# count exited 2 with Python's unpack text, naming neither
 ARITY_ARGV = [
-    (argv, usage)
-    for usage, operands in (
-        ("validate <file>", [CP2_PATH]),
-        ("normalize <file>", [CP2_PATH]),
-        ("chi-y <file>", [CP2_PATH]),
-        ("localize {4d|6d} <file>", ["4d", CP2_PATH]),
-    )
-    for argv in (
-        [usage.split()[0], *operands[:-1]],
-        [usage.split()[0], *operands, "extra"],
-    )
+    (argv, line)
+    for line in USAGE_LINES
+    for tokens in [[token for token, _operand in _usage_words(line)]]
+    for argv in ([line.split()[0], *tokens[:-1]], [line.split()[0], *tokens, "extra"])
+    if argv[1:] != tokens
 ]
 
 
@@ -489,9 +513,95 @@ def test_wrong_operand_count_exits_2_with_the_command_usage(argv, usage):
     assert "unpack" not in error
 
 
+def test_handlers_take_the_operands_of_their_usage_lines():
+    assert list(_HANDLERS) == [line.split()[0] for line in USAGE_LINES]
+    for line in USAGE_LINES:
+        handler = _HANDLERS[line.split()[0]]
+        operands = [token for token, operand in _usage_words(line) if operand]
+        assert len(inspect.signature(handler).parameters) == len(operands), line
+
+
+def _cli_error(*argv):
+    code, out = run(list(argv))
+    assert code == 2, out
+    return json.loads(out)["error"]
+
+
+def _file_error(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return _cli_error("validate", str(path)).replace(str(path), "<path>")
+
+
+def _raised(call, *args, **fields):
+    with pytest.raises(StructuralError) as caught:
+        call(*args, **fields)
+    return str(caught.value)
+
+
+def _point(**fields):
+    return _raised(FixedComponent, id="p", kind="point", H=0, weights=(1, 1), **fields)
+
+
+# (a refusal, given a scratch directory, and its exact text): each is one
+# that no other test reaches
+REFUSALS = [
+    (
+        lambda tmp: _cli_error("dh", "toric", CP2_PATH, "--xi", "1"),
+        "--xi expects 2 or 3 comma-separated integers",
+    ),
+    (
+        lambda tmp: _cli_error("dh", "toric", CP2_PATH, "--xi", "1,2,1"),
+        "direction has length 3, polytope dim 2",
+    ),
+    (lambda tmp: _cli_error("toric", "scan", "CP2", "--bound", "0"), "bound must be at least 1"),
+    (
+        lambda tmp: _file_error(tmp, "{"),
+        "<path> is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    (lambda tmp: _file_error(tmp, "[]"), "document must be a JSON object"),
+    (lambda tmp: _point(normal_degrees=(0, 0)), "p: points carry no normal degrees"),
+    (
+        lambda tmp: _raised(
+            FixedComponent,
+            id="s",
+            kind="surface",
+            H=0,
+            weights=(1, -1),
+            genus=0,
+            normal_degrees=(0, "1"),
+        ),
+        "s: normal degrees must be integers",
+    ),
+    (lambda tmp: _point(area=1), "p: area is stored for surfaces only"),
+    (lambda tmp: _point(b2=1), "p: b2 is stored for the fourfold extremum only"),
+    (lambda tmp: _point(fibre_intersection=1), "p: fibre_intersection applies to surfaces only"),
+    (lambda tmp: _raised(catalog_entry, "P2"), "no del Pezzo catalog entry named 'P2'"),
+    (
+        lambda tmp: _raised(
+            karshon_graph, LatticePolytope(list(itertools.product((0, 1), repeat=3))), (1, 2, 3)
+        ),
+        "karshon_graph applies to polygons",
+    ),
+    (
+        lambda tmp: _raised(parse_fixed_point_data(ROW).component, "nope"),
+        "no component with id 'nope'",
+    ),
+]
+
+
+@pytest.mark.parametrize("refusal, message", REFUSALS, ids=[m for _r, m in REFUSALS])
+def test_each_refusal_reads_its_exact_text(tmp_path, refusal, message):
+    assert refusal(tmp_path) == message
+
+
 def test_pretty_is_read_in_first_position_only():
     code, out = run(["toric", "scan", CP2_PATH, "--pretty", "--bound", "1"])
     assert code == 2, out
-    assert "['--pretty', '--bound', '1']" in json.loads(out)["error"]
+    assert json.loads(out)["error"] == (
+        "usage: toric scan <polytope|name> --bound N; "
+        f"got {['scan', CP2_PATH, '--pretty', '--bound', '1']!r}"
+    )
     code, out = run(["--pretty", "toric", "scan", CP2_PATH, "--bound", "1"])
     assert code == 0 and "\n" in out
