@@ -27,7 +27,6 @@ from .fixed_data import (
     _as_tuple,
     _INTEGER,
     as_rational,
-    edge_order_violation,
     format_rational,
     validate,
 )
@@ -298,19 +297,10 @@ def _cmd_toric_scan(target: str, bound_text: str) -> Tuple[int, dict]:
     return _exit_code(reports), {"polytope": p.as_dict(), "items": items}
 
 
-def _require_uphill_edges(data: FixedPointData) -> None:
-    """Exit 1 on the first edge that does not increase H, with the message
-    validate flags it by, before a fano6 analysis reads the edges."""
-    for e in data.edges:
-        if message := edge_order_violation(e, data.component(e.bottom), data.component(e.top)):
-            raise InconsistencyError(message)
-
-
 def _cmd_fano6(sub: str, path: str) -> Tuple[int, dict]:
     if sub == "suite":
         return _cmd_fano6_suite(path)
     data = load_fixed_point_data(path)
-    _require_uphill_edges(data)
     if sub == "graph":
         graph, report = fano6.surface_graph(data)
         return _exit_code([report]), {
@@ -354,7 +344,6 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
         data = parse_fixed_point_data(payload)
     else:
         raise StructuralError(f"{path} does not carry data for the suite")
-    _require_uphill_edges(data)
     reports = {
         "small_hamiltonian": fano6.small_hamiltonian_suite(data),
         "cycle_inequality": fano6.cycle_inequality(data),

@@ -109,7 +109,7 @@ def dh_function_toric(p: LatticePolytope, xi: Sequence[int]) -> PiecewisePolynom
 
 def _polygon_data(p: LatticePolytope, xi: Sequence[int]) -> FixedPointData:
     if p.dim != 2:
-        raise PreconditionError("dh_function_toric applies to Delzant polygons")
+        raise PreconditionError("the toric DH function applies to polygons")
     return fixed_data_from_polytope(p, xi)
 
 
@@ -160,8 +160,6 @@ def fibre_area_bound_check(p: LatticePolytope, xi: Sequence[int]) -> Report:
             "fibre_area_bound_check needs isolated fixed data (generic direction)"
         )
     a, b = bottom.weights
-    if a < 1 or b < 1:
-        raise InconsistencyError(f"minimum {bottom.id} has non-positive weights")
     dh = _dh_pieces(data)
     h_min = dh.breakpoints[0]
     bound = Polynomial.of(Fraction(-h_min, a * b), Fraction(1, a * b))

@@ -55,6 +55,25 @@ class IncompleteDataError(StructuralError):
     """A required continuation edge is absent from the dataset."""
 
 
+_FLAGS = {"fano": "symplectic Fano", "relative_fano": "relative Fano"}
+
+
+def _extrema(data: FixedPointData, name: str, flag=None) -> Tuple[FixedComponent, FixedComponent]:
+    """The entry gate of every analysis of data, which returns the minimum and the
+    maximum.  In this order it refuses an edge that does not climb, with the message
+    validate flags it by, data that is not 6-dimensional, data without the flag
+    (fano or relative_fano) the analysis needs, and extrema that are not unique."""
+    for e in data.edges:
+        if message := edge_order_violation(e, data.component(e.bottom), data.component(e.top)):
+            raise InconsistencyError(message)
+    if data.half_dim != 3:
+        raise PreconditionError(f"{name} applies to 6-dimensional data")
+    if flag is not None and not getattr(data, flag):
+        raise PreconditionError(f"{name} applies to {_FLAGS[flag]} data")
+    min_id, max_id = extremal(data)
+    return data.component(min_id), data.component(max_id)
+
+
 # -- graph of fixed surfaces ---------------------------------------------------
 
 
@@ -66,10 +85,8 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
     constancy along connected components, and that an edge of weight n
     consumes a weight n below and -n above.
     """
-    if data.half_dim != 3:
-        raise PreconditionError("surface_graph applies to 6-dimensional data")
-    min_id, max_id = extremal(data)
-    if data.component(min_id).kind != SURFACE or data.component(max_id).kind != SURFACE:
+    min_c, max_c = _extrema(data, "surface_graph")
+    if min_c.kind != SURFACE or max_c.kind != SURFACE:
         raise PreconditionError("surface_graph needs both extrema to be surfaces")
     report = Report()
     surfaces = data.surfaces()
@@ -77,7 +94,7 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
     edges = tuple(
         e for e in data.edges if e.bottom in ids and e.top in ids and e.weight >= 2
     )
-    graph = LabelledGraph(vertices=surfaces, edges=edges, v_min=min_id, v_max=max_id)
+    graph = LabelledGraph(vertices=surfaces, edges=edges, v_min=min_c.id, v_max=max_c.id)
     for e in graph.edges:  # the canonical order, not the file's
         bot, top = data.component(e.bottom), data.component(e.top)
         if e.weight not in bot.weights:
@@ -291,14 +308,16 @@ def maximal_downward_chains(data: FixedPointData) -> List[Chain]:
     From the current lowest point, while some weight v < -1 remains, follow
     the edge of weight |v| downward (most negative weight first, then the
     lexicographically least continuation).  A missing continuation edge
-    raises :class:`IncompleteDataError`.  Every edge followed must descend
-    strictly in H, so a chain ends after at most one step per level; an
-    edge that does not raises :class:`InconsistencyError`.
+    raises :class:`IncompleteDataError`.  The entry gate refuses first an edge
+    that does not climb (:class:`InconsistencyError`), data that is not
+    6-dimensional and tied extrema, so each edge followed descends strictly in
+    H and a chain ends after at most one step per level.
     """
+    _extrema(data, "maximal_downward_chains")
     chains: List[Chain] = []
     seeds = sorted((e for e in data.edges if e.weight > 1), key=edge_order)
     for seed in seeds:
-        points = [seed.top, _descend(data, seed)]
+        points = [seed.top, seed.bottom]
         weights = [seed.weight]
         while True:
             cur = data.component(points[-1])
@@ -315,17 +334,10 @@ def maximal_downward_chains(data: FixedPointData) -> List[Chain]:
                     f"{cur.id} has weight {v} but no downward edge of weight {-v}"
                 )
             nxt = candidates[0]
-            points.append(_descend(data, nxt))
+            points.append(nxt.bottom)
             weights.append(nxt.weight)
         chains.append(Chain(points=tuple(points), edge_weights=tuple(weights)))
     return chains
-
-
-def _descend(data: FixedPointData, e: GradientEdge) -> str:
-    """The bottom of e, once it is checked to lie strictly below the top."""
-    if message := edge_order_violation(e, data.component(e.bottom), data.component(e.top)):
-        raise InconsistencyError(f"{message}; no downward chain follows it")
-    return e.bottom
 
 
 def chainres_check(data: FixedPointData) -> Report:
@@ -335,10 +347,8 @@ def chainres_check(data: FixedPointData) -> Report:
     the lower one with weights {-1,-1,2} on level 0 and the upper one on a
     level >= 2; moreover no weight anywhere has modulus above 2.
     """
-    if not data.fano:
-        raise PreconditionError("chainres_check applies to symplectic Fano data")
-    min_id, _ = extremal(data)
-    if data.component(min_id).kind != FOURFOLD:
+    min_c, _ = _extrema(data, "chainres_check", "fano")
+    if min_c.kind != FOURFOLD:
         raise PreconditionError("chainres_check needs a 4-dimensional minimum")
     report = Report()
     for chain in maximal_downward_chains(data):
@@ -410,25 +420,23 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
     downward chains, and that every fixed surface sits on level 0 with
     weights {-1,1}.  The report notes b2(M_min) = number of isolated points.
     """
-    if not data.fano:
-        raise PreconditionError("type_abc_classify applies to symplectic Fano data")
-    min_id, max_id = extremal(data)
-    if data.component(min_id).kind != FOURFOLD:
+    min_c, max_c = _extrema(data, "type_abc_classify", "fano")
+    if min_c.kind != FOURFOLD:
         raise PreconditionError("type_abc_classify needs a 4-dimensional minimum")
-    if data.component(max_id).kind != POINT:
+    if max_c.kind != POINT:
         raise PreconditionError("type_abc_classify needs the maximum to be a point")
     report = Report()
-    max_ws = data.component(max_id).sorted_weights()
+    max_ws = max_c.sorted_weights()
     if max_ws not in MAX_TYPES:
         report.flag(
             "listofweights",
-            f"{max_id}: maximum weights {list(max_ws)} are neither "
+            f"{max_c.id}: maximum weights {list(max_ws)} are neither "
             + " nor ".join(f"[{_balance(mt)[0]}]" for mt in MAX_TYPES),
-            subject=max_id,
+            subject=max_c.id,
         )
     counts = dict.fromkeys((TYPE_A, TYPE_B, TYPE_C), 0)
     for c in data.ordered():
-        if c.id in (min_id, max_id):
+        if c.id in (min_c.id, max_c.id):
             continue
         if c.kind == POINT:
             ws = c.sorted_weights()
@@ -543,12 +551,10 @@ def enumerate_04() -> List[dict]:
 def semifree_check(data: FixedPointData) -> Report:
     """Semi-freeness when dim(M_min) = 4 and dim(M_max) >= 2: all weights
     have modulus 1 and level-0 components are surfaces with weights {-1,1}."""
-    if not data.fano:
-        raise PreconditionError("semifree_check applies to symplectic Fano data")
-    min_id, max_id = extremal(data)
-    if data.component(min_id).kind != FOURFOLD:
+    min_c, max_c = _extrema(data, "semifree_check", "fano")
+    if min_c.kind != FOURFOLD:
         raise PreconditionError("semifree_check needs a 4-dimensional minimum")
-    if data.component(max_id).kind == POINT:
+    if max_c.kind == POINT:
         raise PreconditionError("semifree_check needs dim(M_max) >= 2")
     report = Report()
     for c in data.ordered():
@@ -634,10 +640,8 @@ def cycle_inequality(data: FixedPointData) -> Report:
     cyclic sum certifies a witness surface with c1 <= 2 - 2g; an open chain
     is reported as inconclusive, not as a violation.
     """
-    if data.half_dim != 3:
-        raise PreconditionError("cycle_inequality applies to 6-dimensional data")
-    min_id, max_id = extremal(data)
-    min_c, max_c = data.component(min_id), data.component(max_id)
+    min_c, max_c = _extrema(data, "cycle_inequality")
+    min_id, max_id = min_c.id, max_c.id
     if any(c.kind != SURFACE or c.genus < 1 for c in (min_c, max_c)):
         raise PreconditionError("cycle_inequality needs positive-genus extrema")
     report = Report()
@@ -778,12 +782,7 @@ def _chain_term(c: FixedComponent) -> Tuple[int, int]:
 
 def nosphere_check(data: FixedPointData) -> Report:
     """Fixed spheres live on levels >= 0 when M_min has positive genus."""
-    if data.half_dim != 3:
-        raise PreconditionError("nosphere_check applies to 6-dimensional data")
-    if not data.relative_fano:
-        raise PreconditionError("nosphere_check applies to relative Fano data")
-    min_id, _ = extremal(data)
-    min_c = data.component(min_id)
+    min_c, _ = _extrema(data, "nosphere_check", "relative_fano")
     if min_c.kind != SURFACE or min_c.genus < 1:
         raise PreconditionError("nosphere_check needs a positive-genus minimum")
     report = Report()
@@ -850,12 +849,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
     hypothesis and the localisation identity marks the data as impossible.
     Emits a witness surface of genus >= g with c1 <= 2-2g when it can.
     """
-    if data.half_dim != 3:
-        raise PreconditionError("small_hamiltonian_suite applies to 6-dimensional data")
-    if not data.relative_fano:
-        raise PreconditionError("small_hamiltonian_suite applies to relative Fano data")
-    min_id, max_id = extremal(data)
-    min_c, max_c = data.component(min_id), data.component(max_id)
+    min_c, max_c = _extrema(data, "small_hamiltonian_suite", "relative_fano")
     for c in (min_c, max_c):
         if c.kind != SURFACE or c.genus < 1:
             raise PreconditionError(

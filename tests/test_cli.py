@@ -324,6 +324,37 @@ def test_dh_toric_refuses_a_non_delzant_polygon():
     assert "Delzant" in json.loads(out)["error"]
 
 
+def test_dh_toric_refuses_a_3_polytope():
+    # the cube is Delzant: the refusal is about the dimension alone
+    path = os.path.join(os.path.dirname(__file__), "golden", "cube.json")
+    code, out = run(["dh", "toric", path, "--xi", "1,2,4"])
+    assert code == 2
+    assert json.loads(out)["error"] == "the toric DH function applies to polygons"
+
+
+def test_fano6_chains_and_abc_refuse_4_dimensional_data(tmp_path):
+    data = fixed_data_from_polytope(catalog_entry("Bl1CP2").polytope, (1, 2))
+    path = write(tmp_path, "bl1cp2.json", doc_data(render_fixed_point_data(data)))
+    for sub, name in (("chains", "maximal_downward_chains"), ("abc", "type_abc_classify")):
+        code, out = run(["fano6", sub, path])
+        assert code == 2
+        assert json.loads(out)["error"] == f"{name} applies to 6-dimensional data"
+
+
+def test_fano6_chains_refuses_a_tied_minimum(tmp_path):
+    payload = {
+        "half_dim": 3,
+        "components": [
+            {"id": "lo", "kind": "point", "H": -1, "weights": [1, 1, 1]},
+            {"id": "lo2", "kind": "point", "H": -1, "weights": [1, 1, 1]},
+            {"id": "hi", "kind": "point", "H": 1, "weights": [-1, -1, -1]},
+        ],
+    }
+    code, out = run(["fano6", "chains", write(tmp_path, "tied.json", doc_data(payload))])
+    assert code == 2
+    assert json.loads(out)["error"] == "minimum attained by ['lo', 'lo2']"
+
+
 def test_fano6_suite_cli(tmp_path):
     from .lifts import lift_product
 

@@ -216,6 +216,27 @@ def test_fibre_area_bound_needs_an_isolated_minimum():
     )
 
 
+@pytest.mark.parametrize("call", [dh_function_toric, fibre_area_bound_check])
+def test_the_toric_dh_function_refuses_a_3_polytope(call):
+    with pytest.raises(PreconditionError) as caught:
+        call(CUBE, (1, 2, 4))
+    assert str(caught.value) == "the toric DH function applies to polygons"
+
+
+def test_fibre_area_bound_runs_wherever_the_minimum_is_a_point():
+    # the minimum is the unique lowest vertex and both of its edges climb
+    # strictly, so both of its weights are positive and the check never refuses
+    checked = 0
+    for entry in delpezzo_catalog():
+        for xi in primitive_directions(2, 6):
+            bottom = fixed_data_from_polytope(entry.polytope, xi).ordered()[0]
+            if bottom.kind == "point":
+                assert min(bottom.weights) >= 1, (entry.name, xi)
+                fibre_area_bound_check(entry.polytope, xi)
+                checked += 1
+    assert checked > 0
+
+
 def test_fibre_area_bound_catalog_never_fails():
     for entry in delpezzo_catalog():
         for xi in ((1, -1), (2, 1), (5, 3)):

@@ -1,6 +1,8 @@
 """Six-dimensional analyses: graphs, chains, type counting, inequality suites."""
 
+import inspect
 import random
+import typing
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hamfano import fano6
 from hamfano.fano6 import (
     EXTRA_B,
     Chain,
@@ -27,7 +30,7 @@ from hamfano.fano6 import (
     surface_graph,
     type_abc_classify,
 )
-from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge
+from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge, validate
 from hamfano.graphs import LabelledGraph
 from hamfano.localization import beta
 from hamfano.reports import InconsistencyError, PreconditionError, StructuralError
@@ -379,20 +382,37 @@ def test_chain_missing_continuation_is_incomplete_data():
         maximal_downward_chains(data)
 
 
+def _non_climbing(h_y, edges):
+    """Points x on level 0 and y on level h_y joined by weight-2 edges (bottom, top)."""
+    return FixedPointData(
+        half_dim=3,
+        components=(point("x", 0, (-2, 1, 1)), point("y", h_y, (-2, 1, 1))),
+        edges=tuple(GradientEdge(bottom=b, top=t, weight=2) for b, t in edges),
+    )
+
+
+# a downhill edge, and a level one (H(x) = H(y)), with the message validate flags each by
+_NON_CLIMBING = [
+    (
+        _non_climbing(1, (("x", "y"), ("y", "x"))),
+        "edge y->x must increase the Hamiltonian: H(y) = 1 !< H(x) = 0",
+    ),
+    (
+        _non_climbing(0, (("x", "y"),)),
+        "edge x->y must increase the Hamiltonian: H(x) = 0 !< H(y) = 0",
+    ),
+]
+
+
 def test_chain_walk_stops_at_a_downhill_edge():
-    # the CLI refuses such data up front; the library walk keeps its own
-    # guard, for a downhill edge and for a level one (H(x) = H(y))
-    for h_y, edges, key in (
-        (1, (("x", "y"), ("y", "x")), "y->x"),
-        (0, (("x", "y"),), "x->y"),
-    ):
-        data = FixedPointData(
-            half_dim=3,
-            components=(point("x", 0, (-2, 1, 1)), point("y", h_y, (-2, 1, 1))),
-            edges=tuple(GradientEdge(bottom=b, top=t, weight=2) for b, t in edges),
-        )
-        with pytest.raises(InconsistencyError, match=f"{key} must increase .*no downward chain"):
+    # the entry gate refuses the data before the walk, with validate's message
+    for data, message in _NON_CLIMBING:
+        assert [v.message for v in validate(data).violations if v.code == "edge-order"] == [
+            message
+        ]
+        with pytest.raises(InconsistencyError) as caught:
             maximal_downward_chains(data)
+        assert str(caught.value) == message
 
 
 def test_chain_value_constraints():
@@ -1047,6 +1067,8 @@ _GENUS_ONE_4D = FixedPointData(
     components=(surf("lo", -1, (1,), 1, (0,)), surf("hi", 1, (-1,), 1, (0,))),
     relative_fano=True,
 )
+# symplectic Fano data in dimension 4 with isolated extrema
+_BL1CP2_4D = fixed_data_from_polytope(catalog_entry("Bl1CP2").polytope, (1, 2))
 
 
 def _genus_graph(*surfaces, ends=False):
@@ -1105,10 +1127,24 @@ _GATES = [
         "surface graph lacks its extremal vertices",
     ),
     (
+        lambda: maximal_downward_chains(_BL1CP2_4D),
+        "maximal_downward_chains applies to 6-dimensional data",
+    ),
+    (
+        lambda: maximal_downward_chains(
+            _POINTS_6D.replace_components(
+                _POINTS_6D.components + (point("lo2", -1, (1, 1, 1)),)
+            )
+        ),
+        "minimum attained by ['lo', 'lo2']",
+    ),
+    (lambda: chainres_check(_BL1CP2_4D), "chainres_check applies to 6-dimensional data"),
+    (
         lambda: chainres_check(replace(_FOUR_POINT, fano=False)),
         "chainres_check applies to symplectic Fano data",
     ),
     (lambda: chainres_check(_POINTS_6D), "chainres_check needs a 4-dimensional minimum"),
+    (lambda: type_abc_classify(_BL1CP2_4D), "type_abc_classify applies to 6-dimensional data"),
     (
         lambda: type_abc_classify(replace(_FOUR_POINT, fano=False)),
         "type_abc_classify applies to symplectic Fano data",
@@ -1131,6 +1167,7 @@ _GATES = [
         "a {-1,-1,-2} maximum needs n_B = n_A + 1",
     ),
     (lambda: build_04_data((-1, -1, -1), 1, 0, 0), "a {-1,-1,-1} maximum needs n_B = n_A"),
+    (lambda: semifree_check(_BL1CP2_4D), "semifree_check applies to 6-dimensional data"),
     (
         lambda: semifree_check(replace(_FOUR_POINT, fano=False)),
         "semifree_check applies to symplectic Fano data",
@@ -1186,6 +1223,49 @@ def test_every_precondition_gate_raises_its_message(call, message):
     with pytest.raises(PreconditionError) as caught:
         call()
     assert str(caught.value) == message
+
+
+# every analysis of a FixedPointData that passes the entry gate first
+_GATED = [
+    surface_graph,
+    maximal_downward_chains,
+    chainres_check,
+    type_abc_classify,
+    semifree_check,
+    cycle_inequality,
+    nosphere_check,
+    small_hamiltonian_suite,
+]
+
+
+@pytest.mark.parametrize("analysis", _GATED, ids=[f.__name__ for f in _GATED])
+def test_every_gated_analysis_refuses_what_the_gate_refuses(analysis):
+    for data, message in _NON_CLIMBING:
+        with pytest.raises(InconsistencyError) as caught:
+            analysis(data)
+        assert str(caught.value) == message
+    with pytest.raises(PreconditionError) as caught:
+        analysis(_BL1CP2_4D)
+    assert str(caught.value) == f"{analysis.__name__} applies to 6-dimensional data"
+
+
+def test_every_analysis_of_fixed_point_data_is_gated():
+    # a new public analysis whose first parameter is a FixedPointData joins _GATED;
+    # sphere_area_vs_fibre alone reads polygon data too, for its direction checks
+    def first_parameter(f):
+        names = list(inspect.signature(f).parameters)
+        return typing.get_type_hints(f).get(names[0]) if names else None
+
+    analyses = {
+        name
+        for name, f in vars(fano6).items()
+        if inspect.isfunction(f)
+        and f.__module__ == fano6.__name__
+        and not name.startswith("_")
+        and first_parameter(f) is FixedPointData
+    }
+    assert analyses - {"sphere_area_vs_fibre"} == {f.__name__ for f in _GATED}
+    assert "sphere_area_vs_fibre" in analyses
 
 
 # -- records reached by hand-made data ---------------------------------------------------------
