@@ -987,6 +987,7 @@ def sphere_area_vs_fibre(
 
     Equality is admissible only for spheres flagged as representing the
     fibre class."""
+    _extrema(data, "sphere_area_vs_fibre")
     if not _is_delpezzo(fibre):
         raise PreconditionError("the fibre must be a toric del Pezzo polygon")
     dh = dh_function_toric(fibre, fibre_xi)

@@ -55,7 +55,12 @@ class LabelledGraph:
         for end in (self.v_min, self.v_max):
             if end is not None and end not in by_id:
                 raise StructuralError(f"extremal vertex {end!r} does not resolve")
-        object.__setattr__(self, "_by_id", by_id)
+        # {id: {neighbour id: weights}}, each pair's weights increasing, as the edges are sorted
+        adjacency: Dict[str, Dict[str, List[int]]] = {vid: {} for vid in by_id}
+        for e in self.edges:
+            adjacency[e.bottom].setdefault(e.top, []).append(e.weight)
+            adjacency[e.top].setdefault(e.bottom, []).append(e.weight)
+        self.__dict__.update(_by_id=by_id, _adjacency=adjacency)
 
     def vertex(self, vid: str) -> FixedComponent:
         v = self._by_id.get(vid)
@@ -64,22 +69,13 @@ class LabelledGraph:
         return v
 
     def degree(self, vid: str) -> int:
-        return sum(1 for e in self.edges if vid in (e.bottom, e.top))
-
-    def neighbours(self, vid: str) -> List[Tuple[str, int]]:
-        out = []
-        for e in self.edges:
-            if e.bottom == vid:
-                out.append((e.top, e.weight))
-            elif e.top == vid:
-                out.append((e.bottom, e.weight))
-        return sorted(out)
+        return sum(map(len, self._adjacency.get(vid, {}).values()))
 
     def edge_weight(self, a: str, b: str) -> List[int]:
         """The weights of all edges between a and b, either way up, parallel
-        edges included: increasing, as the edges are sorted, and none with
-        both ends at one vertex, as every edge climbs strictly."""
-        return [e.weight for e in self.edges if e.bottom in (a, b) and e.top in (a, b)]
+        edges included: increasing, and none with both ends at one vertex, as
+        every edge climbs strictly."""
+        return list(self._adjacency.get(a, {}).get(b, ()))
 
     def subgraph(self, keep: Callable[[FixedComponent], bool]) -> "LabelledGraph":
         kept = tuple(v for v in self.vertices if keep(v))
@@ -108,7 +104,7 @@ class LabelledGraph:
             while stack:
                 cur = stack.pop()
                 comp.append(cur)
-                for nb, _w in self.neighbours(cur):
+                for nb in self._adjacency[cur]:
                     if nb not in seen:
                         seen.add(nb)
                         stack.append(nb)

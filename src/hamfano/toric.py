@@ -27,7 +27,6 @@ from .fixed_data import (
     FixedPointData,
     GradientEdge,
     _as_tuple,
-    _extreme_ids,
     component_order,
     format_rational,
     validate,
@@ -381,16 +380,10 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
         for k, (e, pairing) in enumerate(zip(p.edges, pairings)):
             if pairing != 0:
                 continue
-            va, vb = p.vertices[e.i], p.vertices[e.j]
-            normal_weights = {
-                sign * pairings[m] for idx in (e.i, e.j) for m, sign in p._slots[idx] if m != k
-            }
-            if len(normal_weights) != 1:
-                raise StructuralError(
-                    f"fixed edge {va}-{vb} has ambiguous normal weight {normal_weights}"
-                )
-            w = normal_weights.pop()
-            sid = _surface_id(va, vb)
+            # xi is orthogonal to the primitive d_e, so xi = ±J d_e, and the other
+            # edge at either end, which makes a lattice basis with d_e, pairs to ±1
+            w = next(sign * pairings[m] for m, sign in p._slots[e.i] if m != k)
+            sid = _surface_id(p.vertices[e.i], p.vertices[e.j])
             components.append(
                 FixedComponent(
                     id=sid,
@@ -483,27 +476,25 @@ def catalog_entry(name: str) -> DelPezzoEntry:
 
 
 def karshon_graph(p: LatticePolytope, xi: Sequence[int]) -> LabelledGraph:
-    """Graph of the isolated fixed points of (P, xi), edges labelled by weight.
+    """Graph of the fixed points of (P, xi), edges labelled by weight, for a
+    direction whose fixed points are all isolated.
 
-    Weight-1 gradient spheres are retained with label 1.  For non-generic
-    directions the fixed spheres absorb their endpoint vertices and are
-    reported separately in the generated dataset, not in this graph.
+    Weight-1 gradient spheres are retained with label 1.  A direction that
+    fixes a boundary sphere is refused: the sphere is no vertex, so the graph
+    would miss it and the extremum it holds.
     """
     if p.dim != 2:
         raise PreconditionError("karshon_graph applies to polygons")
     data = fixed_data_from_polytope(p, xi)
-    return graph_of_points(data)
-
-
-def graph_of_points(data: FixedPointData) -> LabelledGraph:
-    """Karshon graph of a dataset whose relevant fixed components are points."""
+    if data.surfaces():
+        raise PreconditionError(
+            f"karshon_graph needs isolated fixed points; direction {tuple(xi)} "
+            f"fixes a boundary sphere"
+        )
     points = data.points()
-    ids = {c.id for c in points}
-    edges = tuple(e for e in data.edges if e.bottom in ids and e.top in ids)
-    lows, highs = _extreme_ids(points)
-    v_min = lows[0] if len(lows) == 1 and points[0].H == data.h_min() else None
-    v_max = highs[0] if len(highs) == 1 and points[-1].H == data.h_max() else None
-    return LabelledGraph(vertices=points, edges=edges, v_min=v_min, v_max=v_max)
+    return LabelledGraph(
+        vertices=points, edges=data.edges, v_min=points[0].id, v_max=points[-1].id
+    )
 
 
 # -- the del Pezzo lemma suite -----------------------------------------------

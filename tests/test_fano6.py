@@ -1,5 +1,6 @@
 """Six-dimensional analyses: graphs, chains, type counting, inequality suites."""
 
+import functools
 import inspect
 import random
 import typing
@@ -265,6 +266,17 @@ def test_correspondence_mismatched_weights_reported():
     result = fibre_correspondence(g, q)
     assert not result.report.ok
     assert any(v.code == "no-isomorphism" for v in result.report.violations)
+
+
+def test_a_fibre_graph_with_a_fixed_sphere_is_refused():
+    # (1, 0) fixes an edge of CP2; its graph used to drop that sphere, so the
+    # correspondence read chi(CP2) as 1 and flagged three surfaces against it
+    g, _ = surface_graph(lift_product(CP2, (1, 2), 1))
+    with pytest.raises(PreconditionError) as caught:
+        fibre_correspondence(g, karshon_graph(CP2, (1, 0)))
+    assert str(caught.value) == (
+        "karshon_graph needs isolated fixed points; direction (1, 0) fixes a boundary sphere"
+    )
 
 
 def _case1_data_and_graph(polytope, xi, genus):
@@ -1203,6 +1215,10 @@ _GATES = [
         "small_hamiltonian_suite needs positive-genus extremal surfaces",
     ),
     (
+        lambda: sphere_area_vs_fibre(_BL1CP2_4D, CP2, (1, 2)),
+        "sphere_area_vs_fibre applies to 6-dimensional data",
+    ),
+    (
         lambda: sphere_area_vs_fibre(_GENUS_ONE, LatticePolytope([(0, 0), (2, 0), (0, 1)]), (1, 2)),
         "the fibre must be a toric del Pezzo polygon",
     ),
@@ -1225,7 +1241,8 @@ def test_every_precondition_gate_raises_its_message(call, message):
     assert str(caught.value) == message
 
 
-# every analysis of a FixedPointData that passes the entry gate first
+# every analysis of a FixedPointData that passes the entry gate first, with
+# any further arguments bound
 _GATED = [
     surface_graph,
     maximal_downward_chains,
@@ -1235,10 +1252,15 @@ _GATED = [
     cycle_inequality,
     nosphere_check,
     small_hamiltonian_suite,
+    functools.partial(sphere_area_vs_fibre, fibre=CP2, fibre_xi=(1, 2)),
 ]
 
 
-@pytest.mark.parametrize("analysis", _GATED, ids=[f.__name__ for f in _GATED])
+def _name(analysis):
+    return getattr(analysis, "func", analysis).__name__
+
+
+@pytest.mark.parametrize("analysis", _GATED, ids=[_name(f) for f in _GATED])
 def test_every_gated_analysis_refuses_what_the_gate_refuses(analysis):
     for data, message in _NON_CLIMBING:
         with pytest.raises(InconsistencyError) as caught:
@@ -1246,12 +1268,11 @@ def test_every_gated_analysis_refuses_what_the_gate_refuses(analysis):
         assert str(caught.value) == message
     with pytest.raises(PreconditionError) as caught:
         analysis(_BL1CP2_4D)
-    assert str(caught.value) == f"{analysis.__name__} applies to 6-dimensional data"
+    assert str(caught.value) == f"{_name(analysis)} applies to 6-dimensional data"
 
 
 def test_every_analysis_of_fixed_point_data_is_gated():
-    # a new public analysis whose first parameter is a FixedPointData joins _GATED;
-    # sphere_area_vs_fibre alone reads polygon data too, for its direction checks
+    # a new public analysis whose first parameter is a FixedPointData joins _GATED
     def first_parameter(f):
         names = list(inspect.signature(f).parameters)
         return typing.get_type_hints(f).get(names[0]) if names else None
@@ -1264,8 +1285,7 @@ def test_every_analysis_of_fixed_point_data_is_gated():
         and not name.startswith("_")
         and first_parameter(f) is FixedPointData
     }
-    assert analyses - {"sphere_area_vs_fibre"} == {f.__name__ for f in _GATED}
-    assert "sphere_area_vs_fibre" in analyses
+    assert analyses == {_name(f) for f in _GATED}
 
 
 # -- records reached by hand-made data ---------------------------------------------------------

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamfano.fixed_data import FixedComponent, GradientEdge
 from hamfano.graphs import (
@@ -138,3 +140,53 @@ def test_parallel_edges_match_with_every_weight():
     assert first_isomorphism(a, b) is None
     assert not is_mapping_isomorphism(a, b, {"u": "u", "v": "v"})
     assert first_isomorphism(a, _double_edge(3)) == {"u": "u", "v": "v"}
+
+
+@st.composite
+def multigraphs(draw):
+    """Point graphs of 1-7 vertices on three levels, drawn in any order: edges
+    climb between drawn pairs, parallel ones and repeated weights included,
+    and a vertex may be isolated."""
+    n = draw(st.integers(1, 7))
+    levels = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(n) if levels[i] < levels[j]]
+    edges = draw(
+        st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 3)), max_size=10)
+        if pairs
+        else st.just([])
+    )
+    return LabelledGraph(
+        vertices=tuple(
+            FixedComponent(id=f"p{i}", kind="point", H=h, weights=(1, -1))
+            for i, h in draw(st.permutations(list(enumerate(levels))))
+        ),
+        edges=tuple(GradientEdge(f"p{i}", f"p{j}", w) for (i, j), w in edges),
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(multigraphs())
+def test_graph_queries_agree_with_scans_of_the_edges(g):
+    ids = [v.id for v in g.vertices] + ["unknown"]
+    for a in ids:
+        assert g.degree(a) == sum(a in (e.bottom, e.top) for e in g.edges)
+        for b in ids:
+            # a vertex against itself, and an unknown id, have no edges
+            ends = {a, b}
+            expected = sorted(e.weight for e in g.edges if {e.bottom, e.top} == ends)
+            assert g.edge_weight(a, b) == expected
+    # the components, each sorted, in the order of their first vertex
+    components = []
+    for v in g.vertices:
+        if any(v.id in c for c in components):
+            continue
+        comp = {v.id}
+        while grown := {
+            end
+            for e in g.edges
+            if e.bottom in comp or e.top in comp
+            for end in (e.bottom, e.top)
+        } - comp:
+            comp |= grown
+        components.append(sorted(comp))
+    assert g.connected_components() == components

@@ -8,10 +8,13 @@ from hamfano.graphs import LabelledGraph, is_mapping_isomorphism
 from hamfano.localization import abbv_sum_4d, abbv_sum_6d, beta
 from hamfano.reports import InconsistencyError, PreconditionError, StructuralError
 from hamfano.toric import (
+    CATALOG,
     LatticePolytope,
     boundary_selfint_2d,
     catalog_entry,
     fixed_data_from_polytope,
+    karshon_graph,
+    primitive_directions,
 )
 
 CUBE = LatticePolytope([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
@@ -118,3 +121,23 @@ def test_a_mapping_with_the_wrong_keys_or_images_is_no_isomorphism():
     assert is_mapping_isomorphism(_REFLECTIVE, _REFLECTIVE, ids)
     assert not is_mapping_isomorphism(_REFLECTIVE, _REFLECTIVE, dict(ids, extra="lo"))
     assert not is_mapping_isomorphism(_REFLECTIVE, _REFLECTIVE, dict(ids, a="lo"))
+
+
+def test_karshon_graph_refuses_every_direction_that_fixes_a_sphere():
+    # a direction fixes a boundary sphere of a polygon exactly when its lowest
+    # or its highest level holds two vertices, the ends of that edge
+    refused = 0
+    for name, (vertices, _b2, _degree) in CATALOG.items():
+        polygon = catalog_entry(name).polytope
+        for xi in primitive_directions(2, 3):
+            heights = [xi[0] * x + xi[1] * y for x, y in vertices]
+            if heights.count(min(heights)) == heights.count(max(heights)) == 1:
+                karshon_graph(polygon, xi)
+                continue
+            with pytest.raises(PreconditionError) as caught:
+                karshon_graph(polygon, xi)
+            assert str(caught.value) == (
+                f"karshon_graph needs isolated fixed points; direction {xi} fixes a boundary sphere"
+            )
+            refused += 1
+    assert refused == 13

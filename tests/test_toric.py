@@ -1,5 +1,7 @@
 """Lattice polytopes, the del Pezzo catalog and generated fixed-point data."""
 
+import itertools
+import math
 from datetime import timedelta
 from fractions import Fraction
 
@@ -21,13 +23,13 @@ from hamfano.toric import (
     delpezzo_lemma_suite,
     delzant_check,
     fixed_data_from_polytope,
-    graph_of_points,
     karshon_graph,
     primitive_directions,
     _lemma_checks,
     scan_directions,
 )
 
+from .lifts import lift_product
 from .oracle import LEMMA_CHECKS, lemma_suite_by_checks
 
 CP2 = LatticePolytope([(-1, -1), (2, -1), (-1, 2)])
@@ -124,6 +126,59 @@ def test_square_horizontal_direction_fixed_spheres():
     assert validate(data).ok
 
 
+# Delzant polygons as counterclockwise vertex cycles, written out here rather
+# than read from the package: the catalog, a 3x1 rectangle and three trapezoids
+_CYCLES = {
+    "CP2": [(-1, -1), (2, -1), (-1, 2)],
+    "CP1xCP1": [(-1, -1), (1, -1), (1, 1), (-1, 1)],
+    "Bl1CP2": [(-1, 0), (0, -1), (2, -1), (-1, 2)],
+    "Bl2CP2": [(-1, 0), (0, -1), (1, -1), (1, 0), (-1, 2)],
+    "Bl3CP2": [(-1, -4), (0, -1), (1, 3), (1, 4), (0, 1), (-1, -3)],
+    "rectangle": [(0, 0), (3, 0), (3, 1), (0, 1)],
+    **{f"trapezoid{k}": [(0, 0), (2 + k, 0), (2, 1), (0, 1)] for k in (1, 2, 3)},
+}
+
+
+def _primitive_step(a, b):
+    d = (b[0] - a[0], b[1] - a[1])
+    g = math.gcd(*d)
+    return d[0] // g, d[1] // g
+
+
+def test_a_fixed_sphere_weight_is_the_pairing_with_either_other_edge():
+    # a sphere fixed by xi has normal weight <xi, u> with u the primitive
+    # direction of the other edge at an end, pointing away from it; on a Delzant
+    # polygon both ends give the same weight, +-1
+    spheres = 0
+    for name, cycle in _CYCLES.items():
+        n = len(cycle)
+        assert all(
+            (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0
+            for a, b, c in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2])
+        ), name
+        polygon = LatticePolytope(cycle)
+        for xi in itertools.product(range(-6, 7), repeat=2):
+            if math.gcd(*xi) != 1 or next(x for x in xi if x) < 0:
+                continue
+            expected = []
+            for i in range(n):
+                a, b = cycle[i], cycle[(i + 1) % n]
+                if xi[0] * (b[0] - a[0]) + xi[1] * (b[1] - a[1]) != 0:
+                    continue
+                ends = [
+                    _primitive_step(a, cycle[i - 1]),
+                    _primitive_step(b, cycle[(i + 2) % n]),
+                ]
+                weights = {xi[0] * u[0] + xi[1] * u[1] for u in ends}
+                assert len(weights) == 1 and weights <= {1, -1}, (name, xi, a, b)
+                expected.append((xi[0] * a[0] + xi[1] * a[1], weights.pop()))
+            if expected:
+                data = fixed_data_from_polytope(polygon, xi)
+                assert sorted((c.H, c.weights[0]) for c in data.surfaces()) == sorted(expected)
+                spheres += len(expected)
+    assert spheres == 38
+
+
 def test_nongeneric_direction_in_dim3_rejected():
     with pytest.raises(UnsupportedDirectionError):
         fixed_data_from_polytope(CUBE, (1, 0, 0))
@@ -137,7 +192,7 @@ DIRECTION_ENTRIES = {
     "dh_function_toric": lambda xi: dh_function_toric(CP2, xi),
     "fibre_area_bound_check": lambda xi: fibre_area_bound_check(CP2, xi),
     "sphere_area_vs_fibre": lambda xi: sphere_area_vs_fibre(
-        fixed_data_from_polytope(CP2, (1, 2)), CP2, xi
+        lift_product(CP2, (1, 2), genus=1), CP2, xi
     ),
 }
 
@@ -233,11 +288,11 @@ def test_karshon_graph_cp2():
 
 def test_karshon_graph_holds_the_generated_points():
     data = fixed_data_from_polytope(CP2, (1, 2))
-    g = graph_of_points(data)
+    g = karshon_graph(CP2, (1, 2))
+    # the components are built anew per call, the polytope's gradient edges kept
     assert g.vertices == data.ordered()
-    assert all(v is c for v, c in zip(g.vertices, data.ordered()))
+    assert len(g.edges) == len(data.edges)
     assert all(any(e is d for d in data.edges) for e in g.edges)
-    assert karshon_graph(CP2, (1, 2)) == g
 
 
 def test_karshon_graph_square_diagonal():
