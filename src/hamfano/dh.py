@@ -4,9 +4,10 @@ For isolated fixed-point data the reduced volume at a level s is the
 finite sum -sum (s-H(p))^(n-1)/prod(weights) over the fixed points above
 s.  For a Delzant polygon the full DH function is reconstructed as a
 piecewise-linear function from the fixed-point data alone, as a sum of one
-line per fixed component starting at its level: (t - H)/(ab) for a point
-with weights a, b, and A/w - n(t - H)/w^2 for a fixed sphere of area A,
-weight w and self-intersection n, which sits at an extremal level.  The
+line per fixed component starting at its level, whose slope is its 4D
+localisation term: (t - H)/(ab) for a point with weights a, b, and
+A/w - n(t - H) for a fixed sphere of area A, weight w = +-1 and
+self-intersection n, which sits at an extremal level.  The
 independent slice-length oracle lives in the test suite and never feeds
 this module.
 """
@@ -25,7 +26,7 @@ from .fixed_data import (
     as_rational,
     format_rational,
 )
-from .localization import Polynomial
+from .localization import Polynomial, _term_4d
 from .reports import InconsistencyError, PreconditionError, Report, value_type
 from .toric import LatticePolytope, fixed_data_from_polytope
 
@@ -116,21 +117,20 @@ def _polygon_data(p: LatticePolytope, xi: Sequence[int]) -> FixedPointData:
 def _dh_pieces(data: FixedPointData) -> PiecewisePolynomial:
     """The DH function of data generated from a Delzant polygon.
 
-    Each fixed component adds one line from its level H upwards: a point with
-    weights a, b adds (t - H)/(ab), and a fixed sphere with weight w,
-    self-intersection n and area A adds A/w - n(t - H)/w^2.  The lines are
-    summed level by level as (constant, slope); the running sum after a level is
+    Each fixed component adds one line from its level H upwards, whose slope
+    is its ``_term_4d``: a point with weights a, b adds (t - H)/(ab), and a
+    fixed sphere with area A, self-intersection n and weight w adds
+    A/w - n(t - H), which is -n/w^2 as every fixed sphere of a Delzant polygon
+    has w = +-1.  The lines are summed level by level as (constant, slope), so
+    the last slope is the 4D localisation sum; the running sum after a level is
     the piece up to the next one, and after the top level it must vanish.
     """
     terms: dict = {}
     for c in data.components:
-        if c.kind == POINT:
-            slope = Fraction(1, math.prod(c.weights))
-            const = -c.H * slope
-        else:
-            (w,), (n,) = c.weights, c.normal_degrees
-            slope = Fraction(-n, w * w)
-            const = Fraction(c.area, w) - c.H * slope
+        slope = Fraction(*_term_4d(c))
+        const = -c.H * slope
+        if c.kind != POINT:
+            const += Fraction(c.area, c.weights[0])
         c0, c1 = terms.get(c.H, (0, 0))
         terms[c.H] = (c0 + const, c1 + slope)
     levels = sorted(terms)
@@ -159,10 +159,9 @@ def fibre_area_bound_check(p: LatticePolytope, xi: Sequence[int]) -> Report:
         raise PreconditionError(
             "fibre_area_bound_check needs isolated fixed data (generic direction)"
         )
-    a, b = bottom.weights
+    slope = Fraction(*_term_4d(bottom))
     dh = _dh_pieces(data)
-    h_min = dh.breakpoints[0]
-    bound = Polynomial.of(Fraction(-h_min, a * b), Fraction(1, a * b))
+    bound = Polynomial.of(-dh.breakpoints[0] * slope, slope)
 
     for i, piece in enumerate(dh.pieces):
         x0, x1 = dh.breakpoints[i], dh.breakpoints[i + 1]

@@ -40,7 +40,7 @@ from .graphs import (
     is_mapping_isomorphism,
     nontrivial_involutions,
 )
-from .localization import _beta_term, _sum_quotients, abbv_sum_6d, alpha, beta
+from .localization import _sum_quotients, _term_6d, abbv_sum_6d, alpha, beta
 from .reports import (
     InconsistencyError,
     PreconditionError,
@@ -926,7 +926,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
                 f"localisation sum is {format_rational(total)}, not 0; "
                 f"the data cannot come from a genuine action",
             )
-        beta_plus = _sum_quotients(map(_beta_term, plus))
+        beta_plus = _sum_quotients(map(_term_6d, plus))
         if beta_plus < 0:
             report.flag(
                 "betapos",

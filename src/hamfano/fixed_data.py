@@ -407,12 +407,14 @@ def validate(data: FixedPointData) -> Report:
     if len(comps) == 1:
         report.flag("extremum", "one component attains both extrema: the action is trivial")
 
-    g = math.gcd(*[w for c in comps for w in c.weights])
-    if g != 1:
-        report.flag(
-            "effectiveness",
-            f"gcd of all weight moduli is {g}; an effective action needs gcd 1",
-        )
+    for c in comps:
+        if (k := math.gcd(*c.weights)) > 1:
+            report.flag(
+                "effectiveness",
+                f"{c.id}: weights {list(c.weights)} share the factor {k}; an effective "
+                f"action has weights with gcd 1 at each fixed component",
+                subject=c.id,
+            )
 
     by_id, dim6 = data._by_id, data.half_dim == 3
     for e in data.edges:

@@ -90,37 +90,19 @@ class Polynomial:
         return out
 
 
-def _alpha_term(p: FixedComponent) -> Tuple[int, int]:
-    """alpha of an isolated point as the integer quotient (w1+w2+w3, w1*w2*w3)."""
-    if p.kind != POINT or len(p.weights) != 3:
-        raise PreconditionError(f"{p.id}: alpha needs an isolated point with 3 weights")
-    w1, w2, w3 = p.weights
-    return w1 + w2 + w3, w1 * w2 * w3
-
-
-def _beta_term(s: FixedComponent) -> Tuple[int, int]:
-    """beta of a fixed surface as one integer quotient over w1^2 * w2^2."""
-    if s.kind != SURFACE or len(s.weights) != 2:
-        raise PreconditionError(f"{s.id}: beta needs a fixed surface with 2 weights")
-    if s.normal_degrees is None:
-        raise PreconditionError(f"{s.id}: beta needs the normal degrees")
-    w1, w2 = s.weights
-    n1, n2 = s.normal_degrees
-    return (2 - 2 * s.genus) * w1 * w2 - n1 * w2 * w2 - n2 * w1 * w1, w1 * w1 * w2 * w2
-
-
 def alpha(p: FixedComponent) -> Fraction:
     """Localisation contribution (w1+w2+w3)/(w1*w2*w3) of an isolated point."""
-    return Fraction(*_alpha_term(p))
+    if p.kind != POINT or len(p.weights) != 3:
+        raise PreconditionError(f"{p.id}: alpha needs an isolated point with 3 weights")
+    return Fraction(*_term_6d(p))
 
 
 def beta(s: FixedComponent) -> Fraction:
-    """Localisation contribution of a fixed surface in a 6-manifold.
-
-    (2-2g)/(w1*w2) - n1/w1^2 - n2/w2^2, with n_i the degree of the
-    weight-w_i summand of the normal bundle.
-    """
-    return Fraction(*_beta_term(s))
+    """Localisation contribution (2-2g)/(w1*w2) - n1/w1^2 - n2/w2^2 of a fixed
+    surface in a 6-manifold, n_i the degree of its weight-w_i normal summand."""
+    if s.kind != SURFACE or len(s.weights) != 2:
+        raise PreconditionError(f"{s.id}: beta needs a fixed surface with 2 weights")
+    return Fraction(*_term_6d(s))
 
 
 def _sum_quotients(terms: Iterable[Tuple[int, int]]) -> Fraction:
@@ -135,13 +117,18 @@ def _sum_quotients(terms: Iterable[Tuple[int, int]]) -> Fraction:
 
 
 def _term_6d(c: FixedComponent) -> Tuple[int, int]:
+    """alpha of a point or beta of a surface as one integer quotient."""
     if c.kind == POINT:
-        return _alpha_term(c)
-    if c.kind == SURFACE:
-        return _beta_term(c)
-    raise PreconditionError(
-        f"{c.id}: localisation of c1 over a fourfold component is not supported"
-    )
+        w1, w2, w3 = c.weights
+        return w1 + w2 + w3, w1 * w2 * w3
+    if c.kind != SURFACE:
+        raise PreconditionError(
+            f"{c.id}: localisation of c1 over a fourfold component is not supported"
+        )
+    if c.normal_degrees is None:
+        raise PreconditionError(f"{c.id}: beta needs the normal degrees")
+    (w1, w2), (n1, n2) = c.weights, c.normal_degrees
+    return (2 - 2 * c.genus) * w1 * w2 - n1 * w2 * w2 - n2 * w1 * w1, w1 * w1 * w2 * w2
 
 
 def _term_4d(c: FixedComponent) -> Tuple[int, int]:
@@ -161,7 +148,8 @@ def abbv_sum_6d(data: FixedPointData) -> Fraction:
 
 
 def abbv_sum_4d(data: FixedPointData) -> Fraction:
-    """Sum 1/(a*b) over points minus the normal degrees of fixed surfaces."""
+    """Sum 1/(a*b) over points minus the normal degrees n of fixed surfaces: -n is
+    the local term -n/w^2 at the weight w = +-1, the only one ``validate`` accepts."""
     if data.half_dim != 2:
         raise PreconditionError("abbv_sum_4d needs half_dim 2")
     return _sum_quotients(map(_term_4d, data.ordered()))

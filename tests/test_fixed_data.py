@@ -217,6 +217,28 @@ def test_effectiveness_gcd():
     assert any(v.code == "effectiveness" for v in validate(data).violations)
 
 
+def test_effectiveness_is_checked_at_each_component():
+    # the weights have gcd 1 overall, but Z_3 fixes a neighbourhood of the minimum
+    data = FixedPointData(
+        half_dim=3,
+        components=(
+            point("lo", 0, (3, 3, 3)),
+            point("mid", 1, (-3, 1, 2)),
+            point("hi", 2, (-1, -1, -1)),
+        ),
+    )
+    records = [
+        (v.subject, v.message) for v in validate(data).violations if v.code == "effectiveness"
+    ]
+    assert records == [
+        (
+            "lo",
+            "lo: weights [3, 3, 3] share the factor 3; an effective action has weights "
+            "with gcd 1 at each fixed component",
+        )
+    ]
+
+
 def test_edge_must_increase_h():
     data = FixedPointData(
         half_dim=2,

@@ -114,6 +114,24 @@ DATASETS = {
             {"bottom": "y", "top": "x", "weight": 2},
         ],
     },
+    # a fixed sphere of weight 3 at the minimum: the weights have gcd 1 overall,
+    # but Z_3 would fix a neighbourhood of the sphere, so no effective action
+    "surface_weight3": {
+        "half_dim": 2,
+        "components": [
+            {
+                "id": "lo",
+                "kind": "surface",
+                "H": 0,
+                "weights": [3],
+                "genus": 0,
+                "normal_degrees": [1],
+                "area": 1,
+            },
+            {"id": "hi", "kind": "point", "H": 3, "weights": [-3, -1]},
+        ],
+        "edges": [{"bottom": "lo", "top": "hi", "weight": 3}],
+    },
     # CP2 x Sigma_1 under (1, 2) with every level shifted by -1/2, so the
     # constant is a p/q string; a p/q area, a fibre class and interior points
     "fractional": {
@@ -250,6 +268,7 @@ CASES = {
         for cmd, argv in commands.items()
     },
     "validate_two_cycle": ["validate", "two_cycle.json"],
+    "validate_surface_weight3": ["validate", "surface_weight3.json"],
     "chains_two_cycle": ["fano6", "chains", "two_cycle.json"],
     "suite_suite_cp2_g2": ["fano6", "suite", "suite_cp2_g2.json"],
     "dh_cp2_generic": ["dh", "toric", "cp2.json", "--xi", "1,2"],

@@ -1,0 +1,69 @@
+"""Source hygiene of ``src/hamfano``, read with ``ast``: no import that its
+module never uses, and no module-level private function or class that
+nothing in the package references.  A refactor that moves a helper's work
+elsewhere must delete the helper and its imports with it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hamfano"
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node: ast.AST) -> set:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _referenced(node: ast.AST) -> set:
+    """Every name that ``node`` refers to: its plain names, attribute names
+    (``module._helper``) and names imported from another module."""
+    names = _names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _exported(tree: ast.Module) -> set:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            return set(ast.literal_eval(stmt.value))
+    return set()
+
+
+def _bound_by_imports(tree: ast.Module):
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            if getattr(stmt, "module", None) != "__future__":
+                yield from (alias.asname or alias.name.split(".")[0] for alias in stmt.names)
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    body = [s for s in tree.body if not isinstance(s, (ast.Import, ast.ImportFrom))]
+    used = set().union(*map(_names, body))
+    unused = set(_bound_by_imports(tree)) - used - _exported(tree)
+    assert not unused, f"{module} imports {sorted(unused)} and never uses them"
+
+
+def test_every_private_definition_is_referenced():
+    # the references of each top-level statement, so that a helper that only
+    # calls itself still counts as unreferenced
+    refs = [(stmt, _referenced(stmt)) for tree in MODULES.values() for stmt in tree.body]
+    dead = [
+        f"{module}: {stmt.name}"
+        for module, tree in MODULES.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.startswith("__")
+        and not any(stmt.name in names for other, names in refs if other is not stmt)
+    ]
+    assert not dead, f"private definitions that nothing in src/ references: {dead}"

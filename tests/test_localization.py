@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge
+from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge, validate
 from hamfano.localization import (
     Polynomial,
     WeightSumInconsistency,
@@ -155,6 +155,15 @@ def test_localisation_sums_match_the_term_by_term_oracle(data):
                 want = oracle.beta_by_terms(c.weights, c.genus, c.normal_degrees)
             assert type(value) is Fraction and value == want
     assert type(total) is Fraction and total == expected
+
+
+@given(_datasets(2))
+def test_validate_accepts_a_fixed_surface_of_a_4_manifold_only_at_weight_one(data):
+    # abbv_sum_4d's surface term -n is the local term -n/w^2 only when |w| = 1;
+    # Z_|w| would fix a neighbourhood of any other surface, and validate says so
+    flagged = {v.subject for v in validate(data).violations if v.code == "effectiveness"}
+    for c in data.surfaces():
+        assert (c.id in flagged) == (abs(c.weights[0]) != 1)
 
 
 def test_localisation_oracle_cases_are_nonzero():
