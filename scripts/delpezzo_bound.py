@@ -7,7 +7,6 @@ second Betti number of the minimum.  The totals never exceed 8, so
 b2(M_min) <= 9, and the bound is attained.
 """
 
-from hamfano.fixed_data import format_rational
 from hamfano.fano6 import enumerate_04
 
 
@@ -19,7 +18,7 @@ def main() -> None:
     for row in rows:
         print(
             f"{str(row['max_type']):>14s} {row['n_A']:>4d} {row['n_B']:>4d} "
-            f"{row['n_C']:>4d} {str(format_rational(row['volume'])):>9s} "
+            f"{row['n_C']:>4d} {str(row['volume']):>9s} "
             f"{row['b2_min']:>4d}"
         )
     print(f"\n{len(rows)} admissible rows; max total {max(r['total'] for r in rows)}; "

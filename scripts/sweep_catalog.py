@@ -11,7 +11,6 @@ usage: python scripts/sweep_catalog.py [--bound N] [--verbose]
 
 import argparse
 
-from hamfano.fixed_data import format_rational
 from hamfano.localization import abbv_sum_4d
 from hamfano.toric import delpezzo_catalog, scan_directions
 
@@ -33,9 +32,9 @@ def main() -> None:
             if args.verbose:
                 data = item.data
                 print(
-                    f"  {entry.name} xi={item.xi} H=[{format_rational(data.h_min())},"
-                    f" {format_rational(data.h_max())}] comps={len(data.components)}"
-                    f" sum={format_rational(abbv_sum_4d(data))}"
+                    f"  {entry.name} xi={item.xi} H=[{data.h_min()},"
+                    f" {data.h_max()}] comps={len(data.components)}"
+                    f" sum={abbv_sum_4d(data)}"
                     f" {'ok' if item.report.ok else 'VIOLATIONS'}"
                 )
         print(

@@ -3,8 +3,8 @@
 Documents are JSON with a schema_version and exactly one payload:
 ``fixed_point_data``, ``polytope`` or ``suite_request``; a key that the
 format does not define is refused, never dropped.  Rationals travel
-as integers or "p/q" strings in lowest terms with positive denominator;
-output is byte-deterministic for identical input.
+as integers or "p/q" strings in lowest terms with positive denominator, and
+``_exact`` alone writes them; output is byte-deterministic for identical input.
 
 Exit codes: 0 every check passed, 1 semantic violations found,
 2 structural or usage errors.
@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import dh as dh_mod
 from . import fano6, localization, toric
@@ -27,7 +27,6 @@ from .fixed_data import (
     _as_tuple,
     _INTEGER,
     as_rational,
-    format_rational,
     validate,
 )
 from .localization import WeightSumInconsistency
@@ -113,14 +112,21 @@ def parse_fixed_point_data(doc: dict) -> FixedPointData:
     return FixedPointData(**fields)
 
 
+def _exact(value: Any) -> Union[int, str]:
+    """A Fraction as JSON: its numerator when integral, else its 'p/q' string."""
+    if type(value) is not Fraction:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return value.numerator if value.denominator == 1 else str(value)
+
+
 def _render(obj: Any, schema) -> Dict[str, Any]:
-    """Every field that differs from its default, by value: a Fraction as its
-    'p/q' string, anything else as it is (json writes a tuple as an array)."""
+    """Every field that differs from its default, by value: a Fraction as
+    ``_exact`` writes it, anything else as it is (a tuple is an array)."""
     out: Dict[str, Any] = {}
     for name, default in schema.items():
         value = getattr(obj, name)
         if default is dataclasses.MISSING or value != default:
-            out[name] = format_rational(value) if type(value) is Fraction else value
+            out[name] = _exact(value) if type(value) is Fraction else value
     return out
 
 
@@ -149,6 +155,8 @@ def load_document(path: str) -> Tuple[str, Any]:
         raise StructuralError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StructuralError(f"{path} is nested too deeply to read") from exc
     if not isinstance(doc, dict):
         raise StructuralError("document must be a JSON object")
     version = doc.get("schema_version")
@@ -229,13 +237,11 @@ def _cmd_normalize(path: str) -> Tuple[int, dict]:
     except WeightSumInconsistency as exc:
         return 1, {
             "error": "weight sum formula has no solution",
-            "constant_at_minimum": format_rational(exc.constant),
-            "residuals": {
-                cid: format_rational(r) for cid, r in sorted(exc.residuals.items())
-            },
+            "constant_at_minimum": exc.constant,
+            "residuals": dict(sorted(exc.residuals.items())),
         }
     return 0, {
-        "constant": format_rational(constant),
+        "constant": constant,
         "data": render_fixed_point_data(shifted),
     }
 
@@ -243,7 +249,7 @@ def _cmd_normalize(path: str) -> Tuple[int, dict]:
 def _cmd_localize(which: str, path: str) -> Tuple[int, dict]:
     data = load_fixed_point_data(path)
     total = (localization.abbv_sum_4d if which == "4d" else localization.abbv_sum_6d)(data)
-    return (0 if total == 0 else 1), {"sum": format_rational(total)}
+    return (0 if total == 0 else 1), {"sum": total}
 
 
 def _cmd_chi_y(path: str) -> Tuple[int, dict]:
@@ -251,12 +257,12 @@ def _cmd_chi_y(path: str) -> Tuple[int, dict]:
     poly = localization.chi_y(data)
     out: Dict[str, Any] = {
         "chi_y": poly.render("y"),
-        "coefficients": poly.as_list(),
+        "coefficients": list(poly.coefficients),
     }
     if data.half_dim == 3:
         todd, c1c2 = localization.todd_and_c1c2(data, poly)
-        out["todd"] = format_rational(todd)
-        out["c1c2"] = format_rational(c1c2)
+        out["todd"] = todd
+        out["c1c2"] = c1c2
     return 0, out
 
 
@@ -286,13 +292,10 @@ def _cmd_toric_scan(target: str, bound_text: str) -> Tuple[int, dict]:
         entry["ok"] = item.report.ok
         entry["violations"] = [v.as_dict() for v in item.report.violations]
         entry["notes"] = list(item.report.notes)
-        if data.half_dim == 2:
-            entry["abbv_sum"] = format_rational(localization.abbv_sum_4d(data))
-        else:
-            entry["abbv_sum"] = format_rational(localization.abbv_sum_6d(data))
+        abbv_sum = localization.abbv_sum_4d if data.half_dim == 2 else localization.abbv_sum_6d
+        entry["abbv_sum"] = abbv_sum(data)
         if data.relative_fano:
-            constant = localization.weight_sum_constant(data)
-            entry["weight_sum_constant"] = format_rational(constant)
+            entry["weight_sum_constant"] = localization.weight_sum_constant(data)
         items.append(entry)
     return _exit_code(reports), {"polytope": p.as_dict(), "items": items}
 
@@ -357,12 +360,7 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
 
 def _cmd_enumerate_04() -> Tuple[int, dict]:
     rows = fano6.enumerate_04()
-    rendered = []
-    for row in rows:
-        entry = dict(row)
-        entry["volume"] = format_rational(entry["volume"])
-        rendered.append(entry)
-    return 0, {"rows": rendered, "max_total": max(r["total"] for r in rows)}
+    return 0, {"rows": rows, "max_total": max(r["total"] for r in rows)}
 
 
 # -- dispatch -----------------------------------------------------------------
@@ -393,17 +391,18 @@ def run(argv: Sequence[str]) -> Tuple[int, str]:
         if handler is None:
             raise StructuralError(f"unknown command {args[0]!r}")
         code, payload = handler(*_operands(args[1:], args[0]))
+        # written inside the guard: an int too long to write is a ValueError
+        return code, _dump(payload, pretty)
     except InconsistencyError as exc:
         return 1, _dump({"error": str(exc)}, pretty)
     except ValueError as exc:
         return 2, _dump({"error": str(exc), "usage": USAGE.strip()}, pretty)
-    return code, _dump(payload, pretty)
 
 
 def _dump(payload: dict, pretty: bool) -> str:
     if pretty:
-        return json.dumps(payload, indent=2)
-    return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(payload, indent=2, default=_exact)
+    return json.dumps(payload, separators=(",", ":"), default=_exact)
 
 
 def main() -> None:

@@ -24,7 +24,6 @@ from .fixed_data import (
     Rational,
     as_fraction,
     as_rational,
-    format_rational,
 )
 from .localization import Polynomial, _term_4d
 from .reports import InconsistencyError, PreconditionError, Report, value_type
@@ -62,7 +61,7 @@ class PiecewisePolynomial:
         t = as_fraction(t)
         lo, hi = self.domain
         if t < lo or t > hi:
-            raise PreconditionError(f"{format_rational(t)} outside domain")
+            raise PreconditionError(f"{t} outside domain")
         values = [
             piece(t)
             for i, piece in enumerate(self.pieces)
@@ -71,9 +70,10 @@ class PiecewisePolynomial:
         return max(values)
 
     def as_dict(self) -> dict:
+        """Exact breakpoints and piece coefficients; the CLI writes them."""
         return {
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "pieces": [p.as_list() for p in self.pieces],
+            "breakpoints": list(self.breakpoints),
+            "pieces": [list(p.coefficients) for p in self.pieces],
         }
 
 
@@ -91,7 +91,7 @@ def reduced_volume(data: FixedPointData, s: Rational) -> Fraction:
             continue
         if c.kind != POINT:
             raise PreconditionError(
-                f"{c.id}: component above level {format_rational(s)} is a {c.kind}; "
+                f"{c.id}: component above level {s} is a {c.kind}; "
                 f"the isolated localisation formula does not apply"
             )
         total += Fraction((s - c.H) ** (n - 1), math.prod(c.weights))
@@ -169,15 +169,15 @@ def fibre_area_bound_check(p: LatticePolytope, xi: Sequence[int]) -> Report:
             if piece(t) > bound(t):
                 report.flag(
                     "fibre-area-bound",
-                    f"DH({format_rational(t)}) = {format_rational(piece(t))} exceeds "
-                    f"c/(ab) = {format_rational(bound(t))}",
+                    f"DH({t}) = {piece(t)} exceeds "
+                    f"c/(ab) = {bound(t)}",
                 )
         if i == 0:
             if piece != bound:
                 report.flag(
                     "fibre-area-bound",
                     "equality DH = c/(ab) fails on the first interval "
-                    f"[{format_rational(x0)}, {format_rational(x1)}]",
+                    f"[{x0}, {x1}]",
                 )
         else:
             mid = Fraction(x0 + x1, 2)
@@ -185,7 +185,7 @@ def fibre_area_bound_check(p: LatticePolytope, xi: Sequence[int]) -> Report:
                 report.flag(
                     "fibre-area-bound",
                     f"equality persists past the first critical level on "
-                    f"[{format_rational(x0)}, {format_rational(x1)}]",
+                    f"[{x0}, {x1}]",
                 )
     return report
 
@@ -204,19 +204,19 @@ def positivity_check(
         if not (crits[0] < s < crits[-1]):
             report.undecided(
                 "positivity",
-                f"level {format_rational(s)} lies outside (H_min, H_max); "
+                f"level {s} lies outside (H_min, H_max); "
                 f"no reduced space there",
             )
             continue
         try:
             vol = reduced_volume(data, s)
         except PreconditionError as exc:
-            report.undecided("positivity", f"level {format_rational(s)}: {exc}")
+            report.undecided("positivity", f"level {s}: {exc}")
             continue
         if vol <= 0:
             report.flag(
                 "positivity",
-                f"reduced volume at {format_rational(s)} is "
-                f"{format_rational(vol)}, not positive",
+                f"reduced volume at {s} is "
+                f"{vol}, not positive",
             )
     return report

@@ -31,7 +31,6 @@ from .fixed_data import (
     edge_order,
     edge_order_violation,
     extremal,
-    format_rational,
 )
 from .graphs import (
     LabelledGraph,
@@ -238,7 +237,7 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
         report.flag(
             "count",
             f"{len(nonext_g)} non-extremal positive-genus surfaces, expected "
-            f"chi/2 - 1 = {format_rational(Fraction(chi, 2) - 1)}",
+            f"chi/2 - 1 = {Fraction(chi, 2) - 1}",
         )
     if not reflective_check(q):
         report.flag("reflectivity", "fibre graph admits no order-two symmetry")
@@ -375,14 +374,14 @@ def chainres_check(data: FixedPointData) -> Report:
         if p2.H != 0:
             report.flag(
                 "chainres",
-                f"chain {label}: lower point sits on level {format_rational(p2.H)}, "
+                f"chain {label}: lower point sits on level {p2.H}, "
                 f"expected 0",
                 subject=p2.id,
             )
         if p1.H < 2:
             report.flag(
                 "chainres",
-                f"chain {label}: upper point sits on level {format_rational(p1.H)} < 2",
+                f"chain {label}: upper point sits on level {p1.H} < 2",
                 subject=p1.id,
             )
     for c in data.ordered():
@@ -454,7 +453,7 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
                 report.flag(
                     "surface-level",
                     f"{c.id}: fixed surface must sit on level 0 with weights "
-                    f"{{-1,1,0}}, got H = {format_rational(c.H)}, "
+                    f"{{-1,1,0}}, got H = {c.H}, "
                     f"weights {list(c.sorted_weights())}",
                     subject=c.id,
                 )
@@ -656,7 +655,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
             report.flag(
                 "isotropy-sum",
                 f"edge {e.key}: interior points give n_bot + n_top = "
-                f"{format_rational(recovered)} > 0",
+                f"{recovered} > 0",
                 subject=e.key,
             )
         if slots is None:
@@ -672,7 +671,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
                     "fourcor-mismatch",
                     f"edge {e.key}: stored degrees give n_bot + n_top = "
                     f"{n_bot + n_top}, interior points give "
-                    f"{format_rational(recovered)}",
+                    f"{recovered}",
                     subject=e.key,
                 )
         connections.append((e.bottom, e.top, recovered))
@@ -724,7 +723,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
     if total > 0:
         report.flag(
             "cycle-sum",
-            f"cyclic sum of isotropy contributions is {format_rational(total)} > 0",
+            f"cyclic sum of isotropy contributions is {total} > 0",
         )
         return report
     if {c.genus for c in plus} != {g}:
@@ -790,7 +789,7 @@ def nosphere_check(data: FixedPointData) -> Report:
         if c.kind == SURFACE and c.genus == 0 and c.H < 0:
             report.flag(
                 "nosphere",
-                f"{c.id}: fixed sphere on level {format_rational(c.H)} < 0",
+                f"{c.id}: fixed sphere on level {c.H} < 0",
                 subject=c.id,
             )
     return report
@@ -861,7 +860,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
     if lo < -3 or hi > 3:
         report.flag(
             "hyp-range",
-            f"H range [{format_rational(lo)}, {format_rational(hi)}] not inside [-3,3]",
+            f"H range [{lo}, {hi}] not inside [-3,3]",
         )
 
     # sphere pre-check (nosphere) and sphere-level classification
@@ -872,7 +871,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
                 report.flag(
                     "sphere-level",
                     f"{c.id}: genus-0 surface must sit on level 0 with weights "
-                    f"{{-1,1,0}}, got H = {format_rational(c.H)}, weights "
+                    f"{{-1,1,0}}, got H = {c.H}, weights "
                     f"{list(c.sorted_weights())}",
                     subject=c.id,
                 )
@@ -885,7 +884,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
                 if b > 0:
                     report.flag(
                         "betapos-sphere",
-                        f"{c.id}: beta = {format_rational(b)} > 0, so c1 < 0 on a "
+                        f"{c.id}: beta = {b} > 0, so c1 < 0 on a "
                         f"sphere violates the relative Fano condition",
                         subject=c.id,
                     )
@@ -905,7 +904,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
             if a > 0:
                 report.flag(
                     "isolatedloc",
-                    f"{c.id}: alpha = {format_rational(a)} > 0",
+                    f"{c.id}: alpha = {a} > 0",
                     subject=c.id,
                 )
 
@@ -923,7 +922,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
         if total != 0:
             report.flag(
                 "bigloc",
-                f"localisation sum is {format_rational(total)}, not 0; "
+                f"localisation sum is {total}, not 0; "
                 f"the data cannot come from a genuine action",
             )
         beta_plus = _sum_quotients(map(_term_6d, plus))
@@ -931,7 +930,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
             report.flag(
                 "betapos",
                 f"sum of beta over positive-genus surfaces is "
-                f"{format_rational(beta_plus)} < 0",
+                f"{beta_plus} < 0",
             )
     else:
         report.undecided(
@@ -948,7 +947,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
             report.flag(
                 "longeq",
                 f"chain {comp}: estimate right-hand side "
-                f"{format_rational(rhs)} > 0",
+                f"{rhs} > 0",
             )
 
     # (f) reflective branch
@@ -957,7 +956,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
         if t > 4 * (2 - 2 * g):
             report.flag(
                 "inclaim",
-                f"reflective bound fails: {format_rational(t)} > {4 * (2 - 2 * g)}",
+                f"reflective bound fails: {t} > {4 * (2 - 2 * g)}",
             )
 
     # witness emission
@@ -1000,15 +999,15 @@ def sphere_area_vs_fibre(
             raise PreconditionError(f"{c.id}: fixed sphere must carry its area")
         if not (lo <= c.H <= hi):
             raise PreconditionError(
-                f"{c.id}: level {format_rational(c.H)} outside the fibre range "
-                f"[{format_rational(lo)}, {format_rational(hi)}]"
+                f"{c.id}: level {c.H} outside the fibre range "
+                f"[{lo}, {hi}]"
             )
         slice_len = dh(c.H)
         if c.area > slice_len:
             report.flag(
                 "sphere-area",
-                f"{c.id}: area {format_rational(c.area)} exceeds the fibre slice "
-                f"{format_rational(slice_len)} at level {format_rational(c.H)}",
+                f"{c.id}: area {c.area} exceeds the fibre slice "
+                f"{slice_len} at level {c.H}",
                 subject=c.id,
             )
         elif c.area == slice_len and not c.fibre_class:

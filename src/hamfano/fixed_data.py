@@ -83,13 +83,6 @@ def _as_tuple(x, what: str, owner: str = "") -> tuple:
     return tuple(x)
 
 
-def format_rational(x: Rational) -> Union[int, str]:
-    """Canonical rendering: bare int when integral, else 'p/q' with q > 0."""
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 @value_type
 class FixedComponent:
     """One connected component of the fixed set."""
@@ -318,7 +311,7 @@ def edge_order_violation(
         return None
     return (
         f"edge {e.key} must increase the Hamiltonian: H({e.bottom}) = "
-        f"{format_rational(bottom.H)} !< H({e.top}) = {format_rational(top.H)}"
+        f"{bottom.H} !< H({e.top}) = {top.H}"
     )
 
 
@@ -378,14 +371,14 @@ def _check_missinglemma(data: FixedPointData, report: Report) -> None:
                 report.flag(
                     "missinglemma",
                     f"{c.id}: negative weight {w} needs {-w} <= H - H_min = "
-                    f"{format_rational(c.H - lo)}",
+                    f"{c.H - lo}",
                     subject=c.id,
                 )
             elif w > 0 and w > hi - c.H:
                 report.flag(
                     "missinglemma",
                     f"{c.id}: positive weight {w} needs {w} <= H_max - H = "
-                    f"{format_rational(hi - c.H)}",
+                    f"{hi - c.H}",
                     subject=c.id,
                 )
 

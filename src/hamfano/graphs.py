@@ -20,7 +20,6 @@ from .fixed_data import (
     component_order,
     edge_order,
     edge_order_violation,
-    format_rational,
 )
 from .reports import StructuralError, value_type
 
@@ -112,11 +111,12 @@ class LabelledGraph:
         return comps
 
     def as_dict(self) -> dict:
+        """Vertices with exact levels, edges and extrema; the CLI writes them."""
         return {
             "vertices": [
                 {
                     "id": v.id,
-                    "H": format_rational(v.H),
+                    "H": v.H,
                     "weights": list(v.sorted_weights()),
                     **({"genus": v.genus} if v.genus is not None else {}),
                 }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -23,7 +23,6 @@ from .fixed_data import (
     GradientEdge,
     Rational,
     as_fraction,
-    format_rational,
     index,
 )
 from .reports import InconsistencyError, PreconditionError, Report, value_type
@@ -64,9 +63,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def as_list(self) -> List[Union[int, str]]:
-        return [format_rational(c) for c in self.coefficients]
-
     def render(self, var: str = "y") -> str:
         if not self.coefficients:
             return "0"
@@ -75,7 +71,7 @@ class Polynomial:
             if c == 0:
                 continue
             if d == 0:
-                parts.append(str(format_rational(c)))
+                parts.append(str(c))
             else:
                 mono = var if d == 1 else f"{var}^{d}"
                 if c == 1:
@@ -83,7 +79,7 @@ class Polynomial:
                 elif c == -1:
                     parts.append(f"-{mono}")
                 else:
-                    parts.append(f"{format_rational(c)}*{mono}")
+                    parts.append(f"{c}*{mono}")
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -162,7 +158,7 @@ class WeightSumInconsistency(InconsistencyError):
         self.constant = constant
         self.residuals = residuals
         rendered = ", ".join(
-            f"{cid}: {format_rational(r)}" for cid, r in sorted(residuals.items()) if r != 0
+            f"{cid}: {r}" for cid, r in sorted(residuals.items()) if r != 0
         )
         super().__init__(f"weight sum formula has no solution; residuals {{{rendered}}}")
 
@@ -210,8 +206,8 @@ def check_converse_fano(data: FixedPointData) -> Report:
                 report.flag(
                     "weight-sum",
                     f"{c.id}: index-{2 * index(c)} component has H = "
-                    f"{format_rational(c.H)}, weight sum formula expects "
-                    f"{format_rational(expected)}",
+                    f"{c.H}, weight sum formula expects "
+                    f"{expected}",
                     subject=c.id,
                 )
     return report
@@ -224,7 +220,7 @@ def gradient_sphere_area(e: GradientEdge, data: FixedPointData) -> Fraction:
     area = Fraction(top.H - bottom.H, e.weight)
     if area <= 0:
         raise InconsistencyError(
-            f"edge {e.key}: area {format_rational(area)} is not positive"
+            f"edge {e.key}: area {area} is not positive"
         )
     return area
 

@@ -28,7 +28,6 @@ from .fixed_data import (
     GradientEdge,
     _as_tuple,
     component_order,
-    format_rational,
     validate,
 )
 from .graphs import LabelledGraph
@@ -606,7 +605,7 @@ def _lemma_checks(data: FixedPointData) -> Report:
                 report.flag(
                     "neededcor",
                     f"twin {{-1,n}} points {a.id}, {b.id} at level "
-                    f"{format_rational(a.H)} admit other points {offenders} below",
+                    f"{a.H} admit other points {offenders} below",
                 )
 
     # fourbound: weight-1 gradient spheres contain an extremal point
@@ -621,7 +620,7 @@ def _lemma_checks(data: FixedPointData) -> Report:
         area = gradient_sphere_area(e, data)
         report.flag(
             "4small",
-            f"boundary divisor {e.key} has area {format_rational(area)} > 3",
+            f"boundary divisor {e.key} has area {area} > 3",
             subject=e.key,
         )
 
@@ -629,7 +628,7 @@ def _lemma_checks(data: FixedPointData) -> Report:
     for c in twins:
         gap = c.H - h_min
         if gap > 3:
-            report.flag("us", f"{c.id}: H - H_min = {format_rational(gap)} > 3", subject=c.id)
+            report.flag("us", f"{c.id}: H - H_min = {gap} > 3", subject=c.id)
         if 1 not in min_ws:
             report.flag(
                 "us",
@@ -642,7 +641,7 @@ def _lemma_checks(data: FixedPointData) -> Report:
                 report.flag(
                     "us",
                     f"minimum weight m = {m} is below H({c.id}) - H_min = "
-                    f"{format_rational(gap)}",
+                    f"{gap}",
                     subject=min_id,
                 )
         strictly_between = [o.id for o in points if h_min < o.H < c.H]
@@ -662,7 +661,7 @@ def _lemma_checks(data: FixedPointData) -> Report:
         if h_min < -3 or h_max > 3:
             report.flag(
                 "calc",
-                f"H range [{format_rational(h_min)}, {format_rational(h_max)}] "
+                f"H range [{h_min}, {h_max}] "
                 f"is not contained in [-3, 3]",
             )
 

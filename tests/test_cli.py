@@ -7,12 +7,15 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import hamfano
 from hamfano.cli import (
     USAGE,
+    _dump,
+    _exact,
     load_document,
     parse_fixed_point_data,
     render_fixed_point_data,
@@ -308,6 +311,33 @@ def test_render_writes_a_fraction_as_p_over_q():
     )
     text = json.dumps(render_fixed_point_data(data)["components"][0], separators=(",", ":"))
     assert text == '{"id":"a","kind":"point","H":"-7/2","weights":[1,2]}'
+
+
+def test_exact_is_the_one_writer_of_a_fraction():
+    assert _exact(Fraction(-7, 2)) == "-7/2"
+    assert _exact(Fraction(4, 2)) == 2 and type(_exact(Fraction(4, 2))) is int
+    with pytest.raises(TypeError):
+        _exact(object())
+    with pytest.raises(TypeError):
+        _exact(1.5)
+    # json calls the writer for what it cannot write itself; an int stays an int
+    payload = {"q": Fraction(-7, 2), "n": Fraction(4, 2), "i": 3, "l": [Fraction(1, 3)]}
+    assert _dump(payload, False) == '{"q":"-7/2","n":2,"i":3,"l":["1/3"]}'
+    assert _dump(payload, True) == json.dumps(json.loads(_dump(payload, False)), indent=2)
+    with pytest.raises(TypeError):
+        _dump({"x": object()}, False)
+
+
+def test_readme_example_is_what_run_prints(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("### Examples\n\n```sh\n")[1].split("```")[0].splitlines()
+    document = example[1].split("'")[1]
+    assert example[1] == f"echo '{document}' > cp2.json"
+    command = example[2].split()
+    assert command[0] == "hamfano" and example[3].startswith("# ")
+    (tmp_path / "cp2.json").write_text(document + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(command[1:]) == (0, example[3][2:])
 
 
 def test_dh_toric_refuses_a_non_primitive_direction():

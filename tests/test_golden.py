@@ -338,6 +338,16 @@ def test_golden_output(case, monkeypatch):
     assert _render(CASES[case]) == expected
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pretty_output_is_the_indented_golden_output(case, monkeypatch):
+    # --pretty writes the same values through the same writer, indented
+    monkeypatch.chdir(GOLDEN)
+    status, compact = (GOLDEN / f"{case}.golden").read_text().split("\n", 1)
+    code, out = run(["--pretty", *CASES[case]])
+    assert f"exit {code}" == status
+    assert out == json.dumps(json.loads(compact), indent=2)
+
+
 @pytest.mark.parametrize("case", sorted(SCRIPTS))
 def test_script_output(case):
     assert _script_stdout(SCRIPTS[case]) == (GOLDEN / f"{case}.golden").read_bytes()

@@ -339,6 +339,16 @@ def _mutated(draw, named=False):
     return (name, doc) if named else doc
 
 
+def _no_float(text):
+    raise AssertionError(f"stdout holds the inexact number {text}")
+
+
+def _exact_json(out):
+    """stdout read as JSON, where a float, NaN or infinity fails: every number
+    the CLI writes is an int, and every other rational a 'p/q' string."""
+    return json.loads(out, parse_float=_no_float, parse_constant=_no_float)
+
+
 @settings(
     max_examples=300,
     derandomize=True,
@@ -352,7 +362,7 @@ def test_fuzzed_documents_keep_the_contract(tmp_path, doc):
     for command in COMMANDS:
         code, out = run(_argv(command, str(path)))
         assert code in (0, 1, 2), (command, out)
-        json.loads(out)
+        _exact_json(out)
 
 
 # the commands that read each payload kind
@@ -388,7 +398,7 @@ def test_fuzzed_documents_reach_a_verdict(tmp_path):
         for command in PAYLOAD_COMMANDS[kind]:
             code, out = run(_argv(command, str(path)))
             assert code in (0, 1, 2), (command, out)
-            json.loads(out)
+            _exact_json(out)
             tally[kind, code] += 1
 
     check()
@@ -464,7 +474,7 @@ def test_fuzzed_argv_keeps_the_contract(argv):
     # every bound token is at most 2, so each run stays small
     code, out = run(argv)
     assert code in (0, 1, 2), (argv, out)
-    json.loads(out)
+    _exact_json(out)
 
 
 # each command's line of the usage text
@@ -605,3 +615,49 @@ def test_pretty_is_read_in_first_position_only():
     )
     code, out = run(["--pretty", "toric", "scan", CP2_PATH, "--bound", "1"])
     assert code == 0 and "\n" in out
+
+
+DEEP = "[" * 200000 + "]" * 200000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [DEEP, '{"schema_version": "1", "fixed_point_data": ' + DEEP + "}"],
+    ids=["document", "payload"],
+)
+@pytest.mark.parametrize(
+    "command", [["validate"], ["toric", "scan", None, "--bound", "1"]], ids=["validate", "scan"]
+)
+def test_a_document_nested_too_deeply_exits_2(tmp_path, text, command):
+    # json.load raised RecursionError, which escaped run() as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out = run(_argv(command, str(path)))
+    assert code == 2, out
+    assert json.loads(out)["error"] == f"{path} is nested too deeply to read"
+
+
+def test_a_sum_too_long_to_write_exits_2(tmp_path):
+    # the sum's numerator and denominator pass Python's 4,300-digit limit of
+    # int-to-str conversion; the ValueError is raised while the payload is
+    # written, which run() does inside its guard
+    w = 10**2000 + 1
+    path = tmp_path / "long.json"
+    path.write_text(
+        json.dumps(
+            {
+                "schema_version": "1",
+                "fixed_point_data": {
+                    "half_dim": 3,
+                    "components": [
+                        {"id": "lo", "kind": "point", "H": 0, "weights": [w, w + 2, w + 4]},
+                        {"id": "hi", "kind": "point", "H": 1, "weights": [-w, -w - 2, -w - 6]},
+                    ],
+                },
+            }
+        )
+    )
+    for pretty in ([], ["--pretty"]):
+        code, out = run([*pretty, "localize", "6d", str(path)])
+        assert code == 2, out
+        assert "4300 digits" in json.loads(out)["error"]
