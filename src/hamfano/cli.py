@@ -27,6 +27,7 @@ from .fixed_data import (
     _as_tuple,
     _INTEGER,
     as_rational,
+    read_int,
     validate,
 )
 from .localization import WeightSumInconsistency
@@ -157,6 +158,8 @@ def load_document(path: str) -> Tuple[str, Any]:
         raise StructuralError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise StructuralError(f"{path} is nested too deeply to read") from exc
+    except ValueError as exc:  # an integer past int()'s digit limit, or bytes that are not UTF-8
+        raise StructuralError(f"{path} cannot be read: {exc}") from exc
     if not isinstance(doc, dict):
         raise StructuralError("document must be a JSON object")
     version = doc.get("schema_version")
@@ -194,7 +197,7 @@ def _parse_xi(text: str) -> Tuple[int, ...]:
         raise StructuralError(f"--xi expects integers like 1,2 or 1,2,4; got {text!r}")
     if len(parts) not in (2, 3):
         raise StructuralError("--xi expects 2 or 3 comma-separated integers")
-    return tuple(map(int, parts))
+    return tuple(read_int(part, "--xi") for part in parts)
 
 
 # -- command handlers ----------------------------------------------------------
@@ -275,7 +278,7 @@ def _cmd_dh(path: str, xi: str) -> Tuple[int, dict]:
 def _cmd_toric_scan(target: str, bound_text: str) -> Tuple[int, dict]:
     if not _INTEGER.fullmatch(bound_text):
         raise StructuralError(f"--bound expects an integer, got {bound_text!r}")
-    bound = int(bound_text)
+    bound = read_int(bound_text, "--bound")
     if target in toric.CATALOG:
         p = toric.catalog_entry(target).polytope
     else:

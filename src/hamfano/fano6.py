@@ -14,7 +14,7 @@ a silent pass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -27,10 +27,10 @@ from .fixed_data import (
     FixedPointData,
     GradientEdge,
     Rational,
-    _extreme_ids,
     edge_order,
     edge_order_violation,
     extremal,
+    extremum_violations,
 )
 from .graphs import (
     LabelledGraph,
@@ -42,6 +42,7 @@ from .graphs import (
 from .localization import _sum_quotients, _term_6d, abbv_sum_6d, alpha, beta
 from .reports import (
     InconsistencyError,
+    NonUniqueExtremumError,
     PreconditionError,
     Report,
     StructuralError,
@@ -167,21 +168,16 @@ class Correspondence:
 def isotropy_part(q: LabelledGraph) -> LabelledGraph:
     """Forget weight-1 edges: isotropy spheres and 4-manifolds have weight >= 2,
     and only those edges are shared by the fibre graph and the surface graph."""
-    return LabelledGraph(
-        vertices=q.vertices,
-        edges=tuple(e for e in q.edges if e.weight >= 2),
-        v_min=q.v_min,
-        v_max=q.v_max,
-    )
+    return replace(q, edges=tuple(e for e in q.edges if e.weight >= 2))
 
 
 def _graph_extremes(q: LabelledGraph) -> Tuple[str, str]:
+    """v_min and v_max, or on a graph without them its unique lowest and highest vertices."""
     if q.v_min is not None and q.v_max is not None:
         return q.v_min, q.v_max
-    lows, highs = _extreme_ids(q.vertices)
-    if len(lows) != 1 or len(highs) != 1:
-        raise PreconditionError("graph extremes are not unique")
-    return lows[0], highs[0]
+    if messages := extremum_violations(q.vertices):
+        raise NonUniqueExtremumError(messages[0])
+    return q.vertices[0].id, q.vertices[-1].id
 
 
 def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
@@ -195,7 +191,8 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
     positive-genus count is chi/2 - 1, Q is reflective, and each of the
     two non-extremal components of Q maps isomorphically onto the
     non-extremal part of G_+.  Both cases match through ``_matched``, which
-    re-verifies each mapping rather than trusting it.
+    re-verifies each mapping rather than trusting it, and read the extremes
+    of G and Q through ``_graph_extremes``, so a graph may omit v_min and v_max.
     """
     report = Report()
     gplus = g.positive_genus()
@@ -212,9 +209,8 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
     q_iso = isotropy_part(q)
 
     if inter == {1}:
-        gmin, _ = _graph_extremes(g)
-        genus = g.vertex(gmin).genus or 0
-        gg = g.genus_part(genus)
+        g_min, _ = _graph_extremes(g)
+        gg = g.genus_part(g.vertex(g_min).genus or 0)
         if len(gplus.vertices) != chi:
             report.flag(
                 "count",
@@ -225,18 +221,13 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
         return Correspondence(case=2, mapping=mapping, report=report)
 
     # case 1: a doubly-covering surface forces reflectivity
-    if g.v_min is None or g.v_max is None:
-        raise PreconditionError("surface graph lacks its extremal vertices")
+    g_min, g_max = _graph_extremes(g)
     q_min, q_max = _graph_extremes(q)
-    nonext_g = [
-        v
-        for v in gplus.vertices
-        if v.id not in (g.v_min, g.v_max)
-    ]
-    if chi % 2 == 1 or len(nonext_g) != chi // 2 - 1:
+    g_nonext = gplus.subgraph(lambda v: v.id not in (g_min, g_max))
+    if chi % 2 == 1 or len(g_nonext.vertices) != chi // 2 - 1:
         report.flag(
             "count",
-            f"{len(nonext_g)} non-extremal positive-genus surfaces, expected "
+            f"{len(g_nonext.vertices)} non-extremal positive-genus surfaces, expected "
             f"chi/2 - 1 = {Fraction(chi, 2) - 1}",
         )
     if not reflective_check(q):
@@ -252,8 +243,7 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
         return Correspondence(case=1, mapping={}, report=report)
     what = "component {} of Q does not match the non-extremal positive-genus surfaces"
     parts = ((what.format(c), q_nonext.subgraph(lambda v, c=c: v.id in c)) for c in comps)
-    g_nonext = gplus.subgraph(lambda v: v.id not in (g.v_min, g.v_max))
-    mapping = _matched(parts, g_nonext, {q_min: g.v_min, q_max: g.v_max}, report)
+    mapping = _matched(parts, g_nonext, {q_min: g_min, q_max: g_max}, report)
     return Correspondence(case=1, mapping=mapping, report=report)
 
 

@@ -58,10 +58,22 @@ def as_rational(x: Union[int, str, Fraction]) -> Rational:
         return x
     if type(x) is not Fraction:
         m = _RATIONAL.fullmatch(x) if type(x) is str else None
-        if m is None or (m[2] is not None and math.gcd(int(m[1]), int(m[2])) != 1):
+        # no match reads as 0/0, which is not in lowest terms; no denominator as 1
+        p, q = (read_int(part or "1", "rational value") for part in m.groups()) if m else (0, 0)
+        if math.gcd(p, q) != 1:
             raise StructuralError(f"not a canonical rational value (p/q in lowest terms): {x!r}")
-        x = Fraction(x)
+        x = Fraction(p, q)
     return x.numerator if x.denominator == 1 else x
+
+
+def read_int(token: str, what: str) -> int:
+    """A canonical integer token as an int; one with more digits than int() reads is
+    structural, and the error names what the token is."""
+    try:
+        return int(token)
+    except ValueError:
+        message = f"{what}: an integer of {len(token)} characters is too long to read"
+        raise StructuralError(message) from None
 
 
 def as_fraction(x: Union[int, Fraction]) -> Fraction:
@@ -289,19 +301,6 @@ class FixedPointData:
         return replace(self, components=tuple(comps))
 
 
-def _extreme_ids(ordered: Sequence) -> Tuple[List[str], List[str]]:
-    """Ids on the lowest and on the highest level of items sorted by (H, id)."""
-    if not ordered:
-        return [], []
-    lo, hi = ordered[0].H, ordered[-1].H
-    i, j = 1, len(ordered) - 1
-    while i < len(ordered) and ordered[i].H == lo:
-        i += 1
-    while j > 0 and ordered[j - 1].H == hi:
-        j -= 1
-    return [c.id for c in ordered[:i]], [c.id for c in ordered[j:]]
-
-
 def edge_order_violation(
     e: GradientEdge, bottom: FixedComponent, top: FixedComponent
 ) -> Optional[str]:
@@ -315,20 +314,31 @@ def edge_order_violation(
     )
 
 
-def extremal(data: FixedPointData) -> Tuple[str, str]:
-    """Ids of the unique components attaining H_min and H_max.
+def extremum_violations(ordered: Sequence) -> List[str]:
+    """The one owner of the extremum rule: why items sorted by (H, id), a dataset's
+    components or a graph's vertices, lack one lowest and one other highest item."""
+    n = len(ordered)
+    if n < 2:
+        return ["single component attains both extrema (trivial action)" if n else "no components"]
+    lo, hi = ordered[0].H, ordered[-1].H
+    i, j = 1, n - 1
+    while i < n and ordered[i].H == lo:
+        i += 1
+    while j > 0 and ordered[j - 1].H == hi:
+        j -= 1
+    messages = [f"minimum attained by {[c.id for c in ordered[:i]]}"] if i > 1 else []
+    if j < n - 1:
+        messages.append(f"maximum attained by {[c.id for c in ordered[j:]]}")
+    return messages
 
-    Raises :class:`NonUniqueExtremumError` on a tie (including the trivial
-    one-component dataset, where the same component attains both).
-    """
-    mins, maxs = _extreme_ids(data.ordered())
-    if len(mins) != 1:
-        raise NonUniqueExtremumError(f"minimum attained by {mins}")
-    if len(maxs) != 1:
-        raise NonUniqueExtremumError(f"maximum attained by {maxs}")
-    if mins[0] == maxs[0]:
-        raise NonUniqueExtremumError("single component attains both extrema (trivial action)")
-    return mins[0], maxs[0]
+
+def extremal(data: FixedPointData) -> Tuple[str, str]:
+    """Ids of the unique components attaining H_min and H_max, or
+    :class:`NonUniqueExtremumError` with the first of :func:`extremum_violations`."""
+    ordered = data.ordered()
+    if messages := extremum_violations(ordered):
+        raise NonUniqueExtremumError(messages[0])
+    return ordered[0].id, ordered[-1].id
 
 
 def _check_resweight(data: FixedPointData, min_comp: FixedComponent, report: Report) -> None:
@@ -387,18 +397,14 @@ def validate(data: FixedPointData) -> Report:
     """Check every dataset invariant; the report is empty iff the data passes.
 
     Pure and idempotent.  Structural defects raise before this point (the
-    constructors refuse them); everything reported here is semantic.
+    constructors refuse them); everything reported here is semantic, and the
+    extremum and edge-order records word their rules as the fano6 entry gate does.
     """
     report = Report()
     comps = data.ordered()
 
-    mins, maxs = _extreme_ids(comps)
-    if len(mins) > 1:
-        report.flag("extremum", f"minimum level attained by {mins}; M_min is connected")
-    if len(maxs) > 1:
-        report.flag("extremum", f"maximum level attained by {maxs}; M_max is connected")
-    if len(comps) == 1:
-        report.flag("extremum", "one component attains both extrema: the action is trivial")
+    for message in extremum_violations(comps):
+        report.flag("extremum", message)
 
     for c in comps:
         if (k := math.gcd(*c.weights)) > 1:
@@ -424,7 +430,7 @@ def validate(data: FixedPointData) -> Report:
 
     if data.relative_fano:
         _check_missinglemma(data, report)
-        if len(mins) == 1:
-            _check_resweight(data, data.component(mins[0]), report)
+        if len(comps) == 1 or comps[1].H > comps[0].H:  # the minimum is unique
+            _check_resweight(data, comps[0], report)
 
     return report

@@ -343,6 +343,22 @@ def test_correspondence_case1_hexagon():
     assert len(result.mapping) == len(q.vertices)
 
 
+def test_correspondence_case1_reads_the_ends_of_a_graph_built_without_them():
+    # surface_graph's graph and the Karshon graph carry their ends; the same graphs
+    # built by hand without them map the lowest and highest surfaces all the same
+    data, q = _case1_data_and_graph(STD_HEXAGON, (1, -1), genus=2)
+    g, _ = surface_graph(data)
+    expected = fibre_correspondence(g, q)
+    assert expected.case == 1 and expected.report.ok
+    bare_g = LabelledGraph(vertices=g.vertices, edges=g.edges)
+    bare_q = LabelledGraph(vertices=q.vertices, edges=q.edges)
+    for g_, q_ in ((bare_g, q), (g, bare_q), (bare_g, bare_q)):
+        result = fibre_correspondence(g_, q_)
+        assert (result.case, result.mapping) == (1, expected.mapping)
+        assert result.report.ok
+    assert expected.mapping[q.v_min] == g.v_min and expected.mapping[q.v_max] == g.v_max
+
+
 def test_correspondence_case1_wrong_count_flagged():
     data, q = _case1_data_and_graph(STD_HEXAGON, (1, -1), genus=2)
     extra = data.replace_components(
@@ -1108,7 +1124,7 @@ _GATES = [
             ),
             _FIBRE,
         ),
-        "graph extremes are not unique",
+        "minimum attained by ['a', 'b']",
     ),
     (
         lambda: fibre_correspondence(
@@ -1133,10 +1149,11 @@ _GATES = [
             _genus_graph(
                 surf("a", 0, (1, 1), 1, fibre_intersection=2),
                 surf("b", 1, (-1, -1), 1, fibre_intersection=1),
+                surf("c", 1, (-1, -1), 1, fibre_intersection=1),
             ),
             _FIBRE,
         ),
-        "surface graph lacks its extremal vertices",
+        "maximum attained by ['b', 'c']",
     ),
     (
         lambda: maximal_downward_chains(_BL1CP2_4D),

@@ -3,17 +3,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hamfano.fano6 import _graph_extremes
 from hamfano.fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
     extremal,
+    extremum_violations,
     index,
     validate,
 )
+from hamfano.graphs import LabelledGraph
 from hamfano.reports import NonUniqueExtremumError, StructuralError
 from hamfano.toric import LatticePolytope, fixed_data_from_polytope
 
@@ -195,6 +198,39 @@ def test_single_component_rejected_by_validate():
     assert any(v.code == "extremum" for v in report.violations)
     with pytest.raises(NonUniqueExtremumError):
         extremal(data)
+
+
+@given(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+@example([0, 0, 1])  # a tied minimum
+@example([0, 1, 1])  # a tied maximum
+@example([0, 0, 1, 1])  # both
+@example([0])  # one component
+@example([1, 1, 1])  # every component on one level
+def test_every_reader_words_the_extremum_rule_as_its_owner(levels):
+    comps = tuple(point(f"c{i}", h, (1, 1)) for i, h in enumerate(levels))
+    lows = sorted(c.id for c in comps if c.H == min(levels))
+    highs = sorted(c.id for c in comps if c.H == max(levels))
+    expected = [f"minimum attained by {lows}"] * (len(lows) > 1)
+    expected += [f"maximum attained by {highs}"] * (len(highs) > 1)
+    expected += ["single component attains both extrema (trivial action)"] * (len(comps) == 1)
+    data = FixedPointData(half_dim=2, components=comps)
+    assert extremum_violations(data.ordered()) == expected
+    assert [v.message for v in validate(data).violations if v.code == "extremum"] == expected
+    # the same components as a graph without its ends
+    graph = LabelledGraph(vertices=comps, edges=())
+    for read, subject in ((extremal, data), (_graph_extremes, graph)):
+        if expected:
+            with pytest.raises(NonUniqueExtremumError) as caught:
+                read(subject)
+            assert str(caught.value) == expected[0]
+        else:
+            assert read(subject) == (lows[0], highs[0])
+
+
+def test_an_empty_graph_has_no_extremum():
+    with pytest.raises(NonUniqueExtremumError) as caught:
+        _graph_extremes(LabelledGraph(vertices=(), edges=()))
+    assert str(caught.value) == "no components"
 
 
 # -- validate -----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Source hygiene of ``src/hamfano``, read with ``ast``: no import that its
-module never uses, and no module-level private function or class that
-nothing in the package references.  A refactor that moves a helper's work
-elsewhere must delete the helper and its imports with it."""
+module never uses, and no module-level private function, class or table
+(an assignment such as ``_FLAGS = {...}``) that nothing in the package
+references.  A refactor that moves a helper's work elsewhere must delete the
+helper, its tables and its imports with it."""
 
 import ast
 from pathlib import Path
@@ -53,17 +54,31 @@ def test_every_import_is_used(module):
     assert not unused, f"{module} imports {sorted(unused)} and never uses them"
 
 
+def _defined(stmt: ast.stmt) -> list:
+    """The names a top-level statement defines: a function or class name, or the
+    plain names an assignment binds (``_FLAGS = {...}``, ``_A, _B = ...``)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+
+
 def test_every_private_definition_is_referenced():
     # the references of each top-level statement, so that a helper that only
-    # calls itself still counts as unreferenced
+    # calls itself, or a table that only names itself, still counts as unreferenced
     refs = [(stmt, _referenced(stmt)) for tree in MODULES.values() for stmt in tree.body]
     dead = [
-        f"{module}: {stmt.name}"
+        f"{module}: {name}"
         for module, tree in MODULES.items()
         for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and stmt.name.startswith("_")
-        and not stmt.name.startswith("__")
-        and not any(stmt.name in names for other, names in refs if other is not stmt)
+        for name in _defined(stmt)
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in names for other, names in refs if other is not stmt)
     ]
     assert not dead, f"private definitions that nothing in src/ references: {dead}"

@@ -637,6 +637,64 @@ def test_a_document_nested_too_deeply_exits_2(tmp_path, text, command):
     assert json.loads(out)["error"] == f"{path} is nested too deeply to read"
 
 
+LONG = "1" * 5001  # past Python's 4,300-digit limit of str-to-int conversion
+_LONG_H = '{"schema_version": "1", "fixed_point_data": {"half_dim": 2, "components": [%s]}}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [LONG, _LONG_H % ('{"id": "p", "kind": "point", "H": %s, "weights": [1, 1]}' % LONG)],
+    ids=["document", "payload"],
+)
+@pytest.mark.parametrize(
+    "command", [["validate"], ["toric", "scan", None, "--bound", "1"]], ids=["validate", "scan"]
+)
+def test_a_number_too_long_to_read_exits_2_naming_the_file(tmp_path, text, command):
+    # json.load's int() raised a bare ValueError that named no file
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    code, out = run(_argv(command, str(path)))
+    assert code == 2, out
+    assert json.loads(out)["error"].startswith(f"{path} cannot be read: Exceeds the limit")
+
+
+def test_bytes_that_are_not_utf8_exit_2_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out = run(["validate", str(path)])
+    assert code == 2, out
+    assert json.loads(out)["error"] == (
+        f"{path} cannot be read: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            lambda path: ["validate", path],
+            "rational value: an integer of 5001 characters is too long to read",
+        ),
+        (
+            lambda path: ["toric", "scan", "CP2", "--bound", LONG],
+            "--bound: an integer of 5001 characters is too long to read",
+        ),
+        (
+            lambda path: ["dh", "toric", CP2_PATH, "--xi", "1," + LONG],
+            "--xi: an integer of 5001 characters is too long to read",
+        ),
+    ],
+    ids=["string-H", "bound", "xi"],
+)
+def test_an_integer_too_long_to_read_is_refused_in_words(tmp_path, argv, message):
+    path = tmp_path / "long.json"
+    path.write_text(_LONG_H % ('{"id": "p", "kind": "point", "H": "%s", "weights": [1, 1]}' % LONG))
+    code, out = run(argv(str(path)))
+    assert code == 2, out
+    assert json.loads(out)["error"] == message
+
+
 def test_a_sum_too_long_to_write_exits_2(tmp_path):
     # the sum's numerator and denominator pass Python's 4,300-digit limit of
     # int-to-str conversion; the ValueError is raised while the payload is
