@@ -289,16 +289,13 @@ def _cmd_toric_scan(target: str, bound_text: str) -> Tuple[int, dict]:
         entry: Dict[str, Any] = {"xi": list(item.xi)}
         if item.error is not None:
             entry["unsupported"] = item.error
-            items.append(entry)
-            continue
-        data = item.data
-        entry["ok"] = item.report.ok
-        entry["violations"] = [v.as_dict() for v in item.report.violations]
-        entry["notes"] = list(item.report.notes)
-        abbv_sum = localization.abbv_sum_4d if data.half_dim == 2 else localization.abbv_sum_6d
-        entry["abbv_sum"] = abbv_sum(data)
-        if data.relative_fano:
-            entry["weight_sum_constant"] = localization.weight_sum_constant(data)
+        else:
+            entry["ok"] = item.report.ok
+            entry["violations"] = [v.as_dict() for v in item.report.violations]
+            entry["notes"] = list(item.report.notes)
+            entry["abbv_sum"] = item.abbv_sum
+            if item.weight_sum_constant is not None:
+                entry["weight_sum_constant"] = item.weight_sum_constant
         items.append(entry)
     return _exit_code(reports), {"polytope": p.as_dict(), "items": items}
 
@@ -394,12 +391,14 @@ def run(argv: Sequence[str]) -> Tuple[int, str]:
         if handler is None:
             raise StructuralError(f"unknown command {args[0]!r}")
         code, payload = handler(*_operands(args[1:], args[0]))
-        # written inside the guard: an int too long to write is a ValueError
-        return code, _dump(payload, pretty)
     except InconsistencyError as exc:
         return 1, _dump({"error": str(exc)}, pretty)
     except ValueError as exc:
         return 2, _dump({"error": str(exc), "usage": USAGE.strip()}, pretty)
+    try:
+        return code, _dump(payload, pretty)
+    except ValueError as exc:  # an int too long to write: no usage error
+        return 2, _dump({"error": str(exc)}, pretty)
 
 
 def _dump(payload: dict, pretty: bool) -> str:

@@ -142,18 +142,23 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
 def reflective_check(q: LabelledGraph) -> bool:
     """True iff the graph admits a non-identity involution preserving H and
     all weight labels.  When it does, the extremal weights must be {1,1}
-    and {-1,-1}; data violating that is rejected as impossible."""
+    and {-1,-1}; data violating that is rejected as impossible.  An end the
+    graph lacks is read through ``_graph_extremes`` when its weights are
+    checked, the minimum's first, so a graph without ends is checked as one
+    with them."""
     reflective = next(nontrivial_involutions(q), None) is not None
     if reflective:
-        if q.v_min is not None and q.vertex(q.v_min).sorted_weights() != (1, 1):
+        v_min = q.v_min if q.v_min is not None else _graph_extremes(q)[0]
+        if q.vertex(v_min).sorted_weights() != (1, 1):
             raise InconsistencyError(
                 f"reflective graph has minimum weights "
-                f"{list(q.vertex(q.v_min).sorted_weights())} instead of {{1,1}}"
+                f"{list(q.vertex(v_min).sorted_weights())} instead of {{1,1}}"
             )
-        if q.v_max is not None and q.vertex(q.v_max).sorted_weights() != (-1, -1):
+        v_max = q.v_max if q.v_max is not None else _graph_extremes(q)[1]
+        if q.vertex(v_max).sorted_weights() != (-1, -1):
             raise InconsistencyError(
                 f"reflective graph has maximum weights "
-                f"{list(q.vertex(q.v_max).sorted_weights())} instead of {{-1,-1}}"
+                f"{list(q.vertex(v_max).sorted_weights())} instead of {{-1,-1}}"
             )
     return reflective
 

@@ -18,6 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fixed_data import (
@@ -26,12 +27,13 @@ from .fixed_data import (
     FixedComponent,
     FixedPointData,
     GradientEdge,
+    Rational,
     _as_tuple,
     component_order,
     validate,
 )
 from .graphs import LabelledGraph
-from .localization import gradient_sphere_area
+from .localization import abbv_sum_4d, abbv_sum_6d, gradient_sphere_area, weight_sum_constant
 from .reports import PreconditionError, Report, StructuralError, value_type
 
 IntVec = Tuple[int, ...]
@@ -701,31 +703,99 @@ def primitive_directions(dim: int, bound: int) -> List[IntVec]:
 
 @dataclass
 class ScanItem:
-    """One scanned direction: its data and their (mutable) report, or why
-    it is unsupported."""
+    """One scanned direction: its (mutable) report, the localisation sum and,
+    on relative Fano data, the weight-sum constant of its data, or why it is
+    unsupported.  ``data`` is ``fixed_data_from_polytope(polytope, xi)``,
+    generated when first read unless the scan already holds it."""
 
     xi: IntVec
-    data: Optional[FixedPointData]
+    polytope: LatticePolytope
     report: Report
+    abbv_sum: Optional[Rational] = None
+    weight_sum_constant: Optional[Rational] = None
     error: Optional[str] = None
+
+    @cached_property
+    def data(self) -> Optional[FixedPointData]:
+        return None if self.error is not None else fixed_data_from_polytope(self.polytope, self.xi)
+
+
+# The signed permutations of Z^2 and Z^3 other than the identity, each as its rows
+# (sign, k), so that (g x)_i = sign * x_k on row i.
+_SIGNED_PERMUTATIONS = {
+    dim: [
+        tuple(zip(signs, perm))
+        for perm in itertools.permutations(range(dim))
+        for signs in itertools.product((1, -1), repeat=dim)
+    ][1:]  # the identity comes first
+    for dim in (2, 3)
+}
+
+
+def _symmetries(p: LatticePolytope) -> List[Tuple[Tuple[int, int], ...]]:
+    """The signed permutations g other than the identity with g(vertices) = vertices:
+    each maps the vertex columns, and is kept when the images, zipped back into
+    points, all are vertices, since g is injective."""
+    columns = {}
+    for k, column in enumerate(zip(*p.vertices)):
+        columns[1, k] = column
+        columns[-1, k] = tuple(-x for x in column)
+    vertices = set(p.vertices)
+    return [
+        g
+        for g in _SIGNED_PERMUTATIONS[p.dim]
+        if vertices.issuperset(zip(*map(columns.__getitem__, g)))
+    ]
 
 
 def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
-    """Generate data for every primitive direction of max-norm <= bound.
+    """Report on every primitive direction of max-norm <= bound.
 
-    Directions are taken up to sign and enumerated lexicographically, and
-    ``validate`` reports on the data of each.  For polygons in the del Pezzo
-    class the lemma suite also runs on every direction; on a non-generic one,
-    which fixes a boundary sphere, it skips itself with a note.
+    Directions are taken up to sign and enumerated lexicographically.  For
+    each, ``validate`` reports on its data and the localisation sum and, on
+    relative Fano data, the weight-sum constant are computed.  For polygons in
+    the del Pezzo class the lemma suite also runs on every direction; on a
+    non-generic one, which fixes a boundary sphere, it skips itself with a note.
+
+    Only signed permutations g with g(vertices) = vertices are used: such a g
+    turns the data of xi into those of g xi with each vertex v renamed g v.  So
+    the first direction of each orbit is generated and checked, and if its
+    report holds no violation and no inconclusive record, whose text would name
+    ids, each later member g xi gets its own copy of that report and the same
+    sums, and its data are generated only when read.  -xi is no orbit member:
+    it gives reversed data, not renamed ones.  The symmetries are found when the
+    first report that may be shared appears.  Every other direction is checked
+    in full, an unsupported one too, since its message names coordinates.
     """
     is_delpezzo = _is_delpezzo(p)
+    abbv_sum = abbv_sum_4d if p.dim == 2 else abbv_sum_6d
+    symmetries = None
+    shared = {}  # a later orbit member -> its representative's notes and sums
     for xi in primitive_directions(p.dim, bound):
+        sums = shared.pop(xi, None)
+        if sums is not None:
+            notes, total, constant = sums
+            yield ScanItem(xi, p, Report(notes=list(notes)), total, constant)
+            continue
         try:
             data = fixed_data_from_polytope(p, xi)
         except UnsupportedDirectionError as exc:
-            yield ScanItem(xi=xi, data=None, report=Report(), error=str(exc))
+            yield ScanItem(xi, p, Report(), error=str(exc))
             continue
         report = validate(data)
         if is_delpezzo:
             report.extend(_lemma_checks(data))
-        yield ScanItem(xi=xi, data=data, report=report)
+        total = abbv_sum(data)
+        constant = weight_sum_constant(data) if data.relative_fano else None
+        item = ScanItem(xi, p, report, total, constant)
+        item.data = data
+        # once the search has found no symmetry, there is nothing to share
+        if symmetries != [] and report.ok and not report.inconclusive:
+            if symmetries is None:
+                symmetries = _symmetries(p)
+            sums = (tuple(report.notes), total, constant)
+            for g in symmetries:
+                image = tuple(sign * xi[k] for sign, k in g)
+                if image != xi and next(x for x in image if x) > 0:
+                    shared[image] = sums
+        yield item

@@ -19,14 +19,20 @@ oracle adds (-y)^index(F) chi_y(F) the same way, as plain Fraction lists.
 
 The lemma-suite oracle writes each of the seven del Pezzo checks out from
 its statement, check by check over the raw points and edges.
+
+The orbit oracles find a polytope's signed-permutation symmetries as integer
+matrices tested on every vertex, the orbits of the scanned directions under
+them, and a dataset's fields with each vertex named in an id renamed, by
+parsing the id, without the package's symmetry search or id writers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def _dot(a, b):
@@ -383,3 +389,83 @@ def lemma_suite_by_checks(points, edges) -> Tuple[list, List[str]]:
     else:
         notes.append("calc: vacuous (no fixed point with weights {1,1}, {-1,-1} or {1,-1})")
     return records, notes
+
+
+def apply_matrix(g, v) -> Tuple[int, ...]:
+    """The integer matrix g, given as its rows, applied to the vector v."""
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in g)
+
+
+def signed_permutation_symmetries(vertices) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Every signed permutation matrix g, as its rows, that maps the vertex set
+    onto itself, the identity included."""
+    points = {tuple(v) for v in vertices}
+    dim = len(next(iter(points)))
+    out = []
+    for perm in itertools.permutations(range(dim)):
+        for signs in itertools.product((1, -1), repeat=dim):
+            g = tuple(
+                tuple(signs[i] if j == perm[i] else 0 for j in range(dim)) for i in range(dim)
+            )
+            if {apply_matrix(g, v) for v in points} == points:
+                out.append(g)
+    return out
+
+
+def direction_orbits(group, dim: int, bound: int) -> Dict[Tuple[int, ...], tuple]:
+    """For each primitive direction of max-norm <= bound whose first nonzero
+    entry is positive, in lex order: the lex-least such direction of its orbit
+    under the group and a g in the group that takes that one to it."""
+    listed = [
+        xi
+        for xi in itertools.product(range(-bound, bound + 1), repeat=dim)
+        if gcd(*xi) == 1 and next(x for x in xi if x) > 0
+    ]
+    out: Dict[Tuple[int, ...], tuple] = {}
+    for xi in listed:
+        if xi in out:
+            continue
+        for g in group:  # the identity among them claims xi itself
+            image = apply_matrix(g, xi)
+            if next(x for x in image if x) > 0 and image not in out:
+                out[image] = (xi, g)
+    return dict(sorted(out.items()))
+
+
+def _renamed_id(cid: str, g) -> str:
+    """A generated id with each vertex v it names renamed g v: a point 'v<v>' or
+    a fixed sphere 's<a>__<b>' with its ends in lex order."""
+
+    def vertex(text):
+        return apply_matrix(g, tuple(int(x) for x in text.split("_")))
+
+    def text(v):
+        return "_".join(str(x) for x in v)
+
+    if cid.startswith("v"):
+        return "v" + text(vertex(cid[1:]))
+    a, b = sorted(vertex(part) for part in cid[1:].split("__"))
+    return "s" + text(a) + "__" + text(b)
+
+
+def renamed_fields(data, g) -> tuple:
+    """The fields of a generated dataset with each vertex v named in an id
+    renamed g v: its other fields in order, its components' fields by id,
+    and its edges' fields, sorted."""
+    top = tuple(
+        getattr(data, f.name)
+        for f in dataclasses.fields(data)
+        if f.name not in ("components", "edges")
+    )
+    components = {}
+    for c in data.components:
+        fields = dataclasses.asdict(c)
+        fields["id"] = _renamed_id(c.id, g)
+        components[fields["id"]] = fields
+    edges = []
+    for e in data.edges:
+        fields = dataclasses.asdict(e)
+        for end in ("bottom", "top"):
+            fields[end] = _renamed_id(fields[end], g)
+        edges.append(tuple(fields.items()))
+    return top, components, sorted(edges)

@@ -236,6 +236,25 @@ def test_reflective_asserts_minimum_weights():
         reflective_check(g)
 
 
+def test_reflective_check_reads_the_ends_of_a_graph_built_without_them():
+    vertices = (
+        point("a", -2, (1, 2)),
+        point("b", 0, (-1, 1)),
+        point("c", 0, (-1, 1)),
+        point("d", 2, (-1, -1)),
+    )
+    edges = (
+        GradientEdge(bottom="a", top="b", weight=1),
+        GradientEdge(bottom="a", top="c", weight=1),
+        GradientEdge(bottom="b", top="d", weight=1),
+        GradientEdge(bottom="c", top="d", weight=1),
+    )
+    message = r"^reflective graph has minimum weights \[1, 2\] instead of \{1,1\}$"
+    for ends in ({"v_min": "a", "v_max": "d"}, {}):
+        with pytest.raises(InconsistencyError, match=message):
+            reflective_check(LabelledGraph(vertices=vertices, edges=edges, **ends))
+
+
 # -- fibre correspondence -----------------------------------------------------------
 
 

@@ -698,7 +698,7 @@ def test_an_integer_too_long_to_read_is_refused_in_words(tmp_path, argv, message
 def test_a_sum_too_long_to_write_exits_2(tmp_path):
     # the sum's numerator and denominator pass Python's 4,300-digit limit of
     # int-to-str conversion; the ValueError is raised while the payload is
-    # written, which run() does inside its guard
+    # written, and run() answers it with exit 2 and no usage text
     w = 10**2000 + 1
     path = tmp_path / "long.json"
     path.write_text(
@@ -718,4 +718,6 @@ def test_a_sum_too_long_to_write_exits_2(tmp_path):
     for pretty in ([], ["--pretty"]):
         code, out = run([*pretty, "localize", "6d", str(path)])
         assert code == 2, out
-        assert "4300 digits" in json.loads(out)["error"]
+        doc = json.loads(out)
+        assert "4300 digits" in doc["error"]
+        assert "usage" not in doc

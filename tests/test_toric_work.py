@@ -28,6 +28,7 @@ from hamfano.toric import (
     scan_directions,
 )
 
+from .oracle import direction_orbits, signed_permutation_symmetries
 from .test_golden import GOLDEN, POLYTOPES
 
 
@@ -46,11 +47,29 @@ def _counting(monkeypatch, owner, name):
 # -- work counts ------------------------------------------------------------------
 
 
-def test_scan_generates_each_direction_once(monkeypatch):
+def test_scan_generates_each_orbit_once(monkeypatch):
+    # a scan generates each unsupported direction and the first direction of
+    # each orbit of the polytope's signed-permutation symmetries, counted here
+    # by brute force; a polytope with no symmetry generates every direction
     calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
-    code, _out = run(["toric", "scan", "Bl3CP2", "--bound", "4"])
+    vertices = _golden_vertices("cube")
+    _facets, edges = _oracle_faces(vertices)
+    orbits = direction_orbits(signed_permutation_symmetries(vertices), 3, 4)
+    unsupported = [xi for xi in orbits if any(_dot(xi, d) == 0 for _a, _b, d, _g in edges)]
+    firsts = {rep for xi, (rep, _g) in orbits.items() if xi not in unsupported}
+    code, _out = run(["toric", "scan", str(GOLDEN / "cube.json"), "--bound", "4"])
+    assert code == 0
+    assert len(calls) == len(unsupported) + len(firsts) < len(orbits)
+
+    calls.clear()
+    assert len(signed_permutation_symmetries(CATALOG["Bl2CP2"][0])) == 1
+    code, _out = run(["toric", "scan", "Bl2CP2", "--bound", "4"])
     assert code == 0
     assert len(calls) == len(primitive_directions(2, 4))
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def test_fibre_area_bound_check_generates_once(monkeypatch):
