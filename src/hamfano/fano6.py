@@ -30,7 +30,6 @@ from .fixed_data import (
     edge_order,
     edge_order_violation,
     extremal,
-    extremum_violations,
 )
 from .graphs import (
     LabelledGraph,
@@ -42,7 +41,6 @@ from .graphs import (
 from .localization import _sum_quotients, _term_6d, abbv_sum_6d, alpha, beta
 from .reports import (
     InconsistencyError,
-    NonUniqueExtremumError,
     PreconditionError,
     Report,
     StructuralError,
@@ -94,7 +92,7 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
     edges = tuple(
         e for e in data.edges if e.bottom in ids and e.top in ids and e.weight >= 2
     )
-    graph = LabelledGraph(vertices=surfaces, edges=edges, v_min=min_c.id, v_max=max_c.id)
+    graph = LabelledGraph(vertices=surfaces, edges=edges)
     for e in graph.edges:  # the canonical order, not the file's
         bot, top = data.component(e.bottom), data.component(e.top)
         if e.weight not in bot.weights:
@@ -142,23 +140,20 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
 def reflective_check(q: LabelledGraph) -> bool:
     """True iff the graph admits a non-identity involution preserving H and
     all weight labels.  When it does, the extremal weights must be {1,1}
-    and {-1,-1}; data violating that is rejected as impossible.  An end the
-    graph lacks is read through ``_graph_extremes`` when its weights are
-    checked, the minimum's first, so a graph without ends is checked as one
-    with them."""
+    and {-1,-1} at its ends, :meth:`LabelledGraph.ends`; data violating that
+    is rejected as impossible, the minimum checked first."""
     reflective = next(nontrivial_involutions(q), None) is not None
     if reflective:
-        v_min = q.v_min if q.v_min is not None else _graph_extremes(q)[0]
-        if q.vertex(v_min).sorted_weights() != (1, 1):
+        q_min, q_max = q.ends()
+        if q.vertex(q_min).sorted_weights() != (1, 1):
             raise InconsistencyError(
                 f"reflective graph has minimum weights "
-                f"{list(q.vertex(v_min).sorted_weights())} instead of {{1,1}}"
+                f"{list(q.vertex(q_min).sorted_weights())} instead of {{1,1}}"
             )
-        v_max = q.v_max if q.v_max is not None else _graph_extremes(q)[1]
-        if q.vertex(v_max).sorted_weights() != (-1, -1):
+        if q.vertex(q_max).sorted_weights() != (-1, -1):
             raise InconsistencyError(
                 f"reflective graph has maximum weights "
-                f"{list(q.vertex(v_max).sorted_weights())} instead of {{-1,-1}}"
+                f"{list(q.vertex(q_max).sorted_weights())} instead of {{-1,-1}}"
             )
     return reflective
 
@@ -176,15 +171,6 @@ def isotropy_part(q: LabelledGraph) -> LabelledGraph:
     return replace(q, edges=tuple(e for e in q.edges if e.weight >= 2))
 
 
-def _graph_extremes(q: LabelledGraph) -> Tuple[str, str]:
-    """v_min and v_max, or on a graph without them its unique lowest and highest vertices."""
-    if q.v_min is not None and q.v_max is not None:
-        return q.v_min, q.v_max
-    if messages := extremum_violations(q.vertices):
-        raise NonUniqueExtremumError(messages[0])
-    return q.vertices[0].id, q.vertices[-1].id
-
-
 def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
     """Match the Karshon graph of the symplectic fibre against the graph of
     fixed surfaces.
@@ -196,8 +182,8 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
     positive-genus count is chi/2 - 1, Q is reflective, and each of the
     two non-extremal components of Q maps isomorphically onto the
     non-extremal part of G_+.  Both cases match through ``_matched``, which
-    re-verifies each mapping rather than trusting it, and read the extremes
-    of G and Q through ``_graph_extremes``, so a graph may omit v_min and v_max.
+    re-verifies each mapping rather than trusting it, and read the ends of
+    G and Q off their vertices through :meth:`LabelledGraph.ends`.
     """
     report = Report()
     gplus = g.positive_genus()
@@ -214,7 +200,7 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
     q_iso = isotropy_part(q)
 
     if inter == {1}:
-        g_min, _ = _graph_extremes(g)
+        g_min, _ = g.ends()
         gg = g.genus_part(g.vertex(g_min).genus or 0)
         if len(gplus.vertices) != chi:
             report.flag(
@@ -226,8 +212,8 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
         return Correspondence(case=2, mapping=mapping, report=report)
 
     # case 1: a doubly-covering surface forces reflectivity
-    g_min, g_max = _graph_extremes(g)
-    q_min, q_max = _graph_extremes(q)
+    g_min, g_max = g.ends()
+    q_min, q_max = q.ends()
     g_nonext = gplus.subgraph(lambda v: v.id not in (g_min, g_max))
     if chi % 2 == 1 or len(g_nonext.vertices) != chi // 2 - 1:
         report.flag(

@@ -20,8 +20,9 @@ from .fixed_data import (
     component_order,
     edge_order,
     edge_order_violation,
+    extremum_violations,
 )
-from .reports import StructuralError, value_type
+from .reports import NonUniqueExtremumError, StructuralError, value_type
 
 
 def _key(c: FixedComponent) -> Tuple:
@@ -31,12 +32,11 @@ def _key(c: FixedComponent) -> Tuple:
 
 @value_type
 class LabelledGraph:
-    """Directed graph with edges oriented by increasing Hamiltonian."""
+    """Directed graph with edges oriented by increasing Hamiltonian.  Its ends
+    are read off its vertices, sorted by (H, id), by :meth:`ends`."""
 
     vertices: Tuple[FixedComponent, ...]
     edges: Tuple[GradientEdge, ...]
-    v_min: Optional[str] = None
-    v_max: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=component_order)))
@@ -51,15 +51,19 @@ class LabelledGraph:
         object.__setattr__(
             self, "edges", tuple(sorted(self.edges, key=edge_order))
         )
-        for end in (self.v_min, self.v_max):
-            if end is not None and end not in by_id:
-                raise StructuralError(f"extremal vertex {end!r} does not resolve")
         # {id: {neighbour id: weights}}, each pair's weights increasing, as the edges are sorted
         adjacency: Dict[str, Dict[str, List[int]]] = {vid: {} for vid in by_id}
         for e in self.edges:
             adjacency[e.bottom].setdefault(e.top, []).append(e.weight)
             adjacency[e.top].setdefault(e.bottom, []).append(e.weight)
         self.__dict__.update(_by_id=by_id, _adjacency=adjacency)
+
+    def ends(self) -> Tuple[str, str]:
+        """Ids of the unique lowest and highest vertices, or
+        :class:`NonUniqueExtremumError` with the first of :func:`extremum_violations`."""
+        if messages := extremum_violations(self.vertices):
+            raise NonUniqueExtremumError(messages[0])
+        return self.vertices[0].id, self.vertices[-1].id
 
     def vertex(self, vid: str) -> FixedComponent:
         v = self._by_id.get(vid)
@@ -82,8 +86,6 @@ class LabelledGraph:
         return LabelledGraph(
             vertices=kept,
             edges=tuple(e for e in self.edges if e.bottom in ids and e.top in ids),
-            v_min=self.v_min if self.v_min in ids else None,
-            v_max=self.v_max if self.v_max in ids else None,
         )
 
     def positive_genus(self) -> "LabelledGraph":
@@ -111,7 +113,8 @@ class LabelledGraph:
         return comps
 
     def as_dict(self) -> dict:
-        """Vertices with exact levels, edges and extrema; the CLI writes them."""
+        """Vertices with exact levels, edges and ends; the CLI writes them."""
+        lowest, highest = self.ends()
         return {
             "vertices": [
                 {
@@ -125,8 +128,8 @@ class LabelledGraph:
             "edges": [
                 {"bottom": e.bottom, "top": e.top, "weight": e.weight} for e in self.edges
             ],
-            "min": self.v_min,
-            "max": self.v_max,
+            "min": lowest,
+            "max": highest,
         }
 
 

@@ -482,7 +482,8 @@ def karshon_graph(p: LatticePolytope, xi: Sequence[int]) -> LabelledGraph:
 
     Weight-1 gradient spheres are retained with label 1.  A direction that
     fixes a boundary sphere is refused: the sphere is no vertex, so the graph
-    would miss it and the extremum it holds.
+    would miss it and the extremum it holds.  Every other direction has a
+    unique lowest and highest fixed point, the graph's ``ends()``.
     """
     if p.dim != 2:
         raise PreconditionError("karshon_graph applies to polygons")
@@ -492,10 +493,7 @@ def karshon_graph(p: LatticePolytope, xi: Sequence[int]) -> LabelledGraph:
             f"karshon_graph needs isolated fixed points; direction {tuple(xi)} "
             f"fixes a boundary sphere"
         )
-    points = data.points()
-    return LabelledGraph(
-        vertices=points, edges=data.edges, v_min=points[0].id, v_max=points[-1].id
-    )
+    return LabelledGraph(vertices=data.points(), edges=data.edges)
 
 
 # -- the del Pezzo lemma suite -----------------------------------------------

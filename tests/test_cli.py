@@ -340,6 +340,24 @@ def test_readme_example_is_what_run_prints(tmp_path, monkeypatch):
     assert run(command[1:]) == (0, example[3][2:])
 
 
+def test_readme_usage_block_is_the_usage_text():
+    # the argv grammar is read from USAGE, so the README must show USAGE itself
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n")[1].split("```")[0]
+    assert block == USAGE.replace("usage: ", "", 1).replace("commands:\n", "", 1)
+
+
+def test_chi_y_and_localize_compute_on_data_validate_rejects():
+    # as the README says: neither applies validate's rules first
+    path = os.path.join(os.path.dirname(__file__), "golden", "surface_weight3.json")
+    code, out = run(["validate", path])
+    assert code == 1
+    assert [v["code"] for v in json.loads(out)["violations"]] == ["effectiveness"]
+    code, out = run(["chi-y", path])
+    assert (code, json.loads(out)["chi_y"]) == (0, "1 - y + y^2")
+    assert run(["localize", "4d", path]) == (1, '{"sum":"-2/3"}')
+
+
 def test_dh_toric_refuses_a_non_primitive_direction():
     path = os.path.join(os.path.dirname(__file__), "golden", "cp2.json")
     code, out = run(["dh", "toric", path, "--xi", "2,4"])

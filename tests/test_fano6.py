@@ -166,8 +166,6 @@ def test_reflective_path_with_distinct_weights_false():
             GradientEdge(bottom="a", top="b", weight=1),
             GradientEdge(bottom="b", top="c", weight=1),
         ),
-        v_min="a",
-        v_max="c",
     )
     assert reflective_check(g) is False
 
@@ -196,8 +194,6 @@ def test_reflective_invariant_under_relabelling(names):
             GradientEdge(bottom=ids["b"], top=ids["d"], weight=1),
             GradientEdge(bottom=ids["c"], top=ids["d"], weight=1),
         ),
-        v_min=ids["a"],
-        v_max=ids["d"],
     )
     assert reflective_check(g) is True
 
@@ -208,12 +204,14 @@ def test_reflective_message_lists_sorted_weights():
             point("a", -4, (3, 2)),
             point("b", 0, (-2, 1)),
             point("c", 0, (-2, 1)),
+            point("d", 4, (-1, -1)),
         ),
         edges=(
             GradientEdge(bottom="a", top="b", weight=2),
             GradientEdge(bottom="a", top="c", weight=2),
+            GradientEdge(bottom="b", top="d", weight=1),
+            GradientEdge(bottom="c", top="d", weight=1),
         ),
-        v_min="a",
     )
     with pytest.raises(InconsistencyError, match=r"minimum weights \[2, 3\] instead"):
         reflective_check(g)
@@ -225,14 +223,16 @@ def test_reflective_asserts_minimum_weights():
             point("a", -4, (2, 2)),
             point("b", 0, (-2, 1)),
             point("c", 0, (-2, 1)),
+            point("d", 4, (-1, -1)),
         ),
         edges=(
             GradientEdge(bottom="a", top="b", weight=2),
             GradientEdge(bottom="a", top="c", weight=2),
+            GradientEdge(bottom="b", top="d", weight=1),
+            GradientEdge(bottom="c", top="d", weight=1),
         ),
-        v_min="a",
     )
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(InconsistencyError, match=r"\[2, 2\] instead of \{1,1\}$"):
         reflective_check(g)
 
 
@@ -250,9 +250,8 @@ def test_reflective_check_reads_the_ends_of_a_graph_built_without_them():
         GradientEdge(bottom="c", top="d", weight=1),
     )
     message = r"^reflective graph has minimum weights \[1, 2\] instead of \{1,1\}$"
-    for ends in ({"v_min": "a", "v_max": "d"}, {}):
-        with pytest.raises(InconsistencyError, match=message):
-            reflective_check(LabelledGraph(vertices=vertices, edges=edges, **ends))
+    with pytest.raises(InconsistencyError, match=message):
+        reflective_check(LabelledGraph(vertices=vertices, edges=edges))
 
 
 # -- fibre correspondence -----------------------------------------------------------
@@ -305,7 +304,7 @@ def _case1_data_and_graph(polytope, xi, genus):
     from hamfano.graphs import nontrivial_involutions
 
     sigma = next(nontrivial_involutions(q))
-    q_min, q_max = q.v_min, q.v_max
+    q_min, q_max = q.ends()
     orbit_rep = {}
     for v in q.vertices:
         rep = min(v.id, sigma[v.id])
@@ -356,26 +355,28 @@ def test_correspondence_case1_hexagon():
     assert result.case == 1
     assert result.report.ok, result.report.violations
     # chi = 6: exactly 6/2 - 1 = 2 non-extremal surfaces
-    nonext = [v for v in g.positive_genus().vertices if v.id not in (g.v_min, g.v_max)]
+    nonext = [v for v in g.positive_genus().vertices if v.id not in g.ends()]
     assert len(nonext) == 2
     # both non-extremal fibre points on one level map onto the same surface
     assert len(result.mapping) == len(q.vertices)
 
 
 def test_correspondence_case1_reads_the_ends_of_a_graph_built_without_them():
-    # surface_graph's graph and the Karshon graph carry their ends; the same graphs
-    # built by hand without them map the lowest and highest surfaces all the same
+    # a graph's ends are its lowest and highest vertices: the lowest and highest
+    # fibre points map onto the lowest and highest surfaces
     data, q = _case1_data_and_graph(STD_HEXAGON, (1, -1), genus=2)
     g, _ = surface_graph(data)
-    expected = fibre_correspondence(g, q)
-    assert expected.case == 1 and expected.report.ok
-    bare_g = LabelledGraph(vertices=g.vertices, edges=g.edges)
-    bare_q = LabelledGraph(vertices=q.vertices, edges=q.edges)
-    for g_, q_ in ((bare_g, q), (g, bare_q), (bare_g, bare_q)):
-        result = fibre_correspondence(g_, q_)
-        assert (result.case, result.mapping) == (1, expected.mapping)
-        assert result.report.ok
-    assert expected.mapping[q.v_min] == g.v_min and expected.mapping[q.v_max] == g.v_max
+    result = fibre_correspondence(g, q)
+    assert result.case == 1 and result.report.ok
+    assert g.ends() == q.ends() == ("v-1_1", "v1_-1")
+    assert result.mapping == {
+        "v-1_1": "v-1_1",
+        "v1_-1": "v1_-1",
+        "v-1_0": "v-1_0",
+        "v0_-1": "v0_-1",
+        "v0_1": "v-1_0",
+        "v1_0": "v0_-1",
+    }
 
 
 def test_correspondence_case1_wrong_count_flagged():
@@ -1118,15 +1119,9 @@ _GENUS_ONE_4D = FixedPointData(
 _BL1CP2_4D = fixed_data_from_polytope(catalog_entry("Bl1CP2").polytope, (1, 2))
 
 
-def _genus_graph(*surfaces, ends=False):
-    """A surface graph without edges; with ends, its first and last surfaces are
-    its extremal vertices."""
-    return LabelledGraph(
-        vertices=surfaces,
-        edges=(),
-        v_min=surfaces[0].id if ends else None,
-        v_max=surfaces[-1].id if ends else None,
-    )
+def _genus_graph(*surfaces):
+    """A surface graph without edges."""
+    return LabelledGraph(vertices=surfaces, edges=())
 
 
 _GATES = [
@@ -1531,7 +1526,7 @@ def test_fibre_correspondence_count_split_and_reflectivity_records():
     ]
     # case 1 with chi = 6 and 6/2 - 1 = 2 middle surfaces: Q is reflective, but its four
     # middle points are four components, not two
-    g = _genus_graph(*_fibre_surfaces(2), ends=True)
+    g = _genus_graph(*_fibre_surfaces(2))
     result = fibre_correspondence(g, _one_level_graph(4))
     assert (result.case, result.mapping) == (1, {})
     assert _records(result.report)[0] == [
@@ -1547,7 +1542,7 @@ def test_fibre_correspondence_count_split_and_reflectivity_records():
     ]
     # case 1 with chi = 4 and one middle surface, on level 1; Q's middle points sit on 0
     gmin, _m1, _m2, gmax = _fibre_surfaces(2)
-    g = _genus_graph(gmin, surf("m", 1, (-1, 1), 1, fibre_intersection=2), gmax, ends=True)
+    g = _genus_graph(gmin, surf("m", 1, (-1, 1), 1, fibre_intersection=2), gmax)
     result = fibre_correspondence(g, _one_level_graph(2))
     assert (result.case, result.mapping) == (1, {})
     assert _records(result.report)[0] == [

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hamfano.fano6 import _graph_extremes
 from hamfano.fixed_data import (
     FixedComponent,
     FixedPointData,
@@ -216,9 +215,9 @@ def test_every_reader_words_the_extremum_rule_as_its_owner(levels):
     data = FixedPointData(half_dim=2, components=comps)
     assert extremum_violations(data.ordered()) == expected
     assert [v.message for v in validate(data).violations if v.code == "extremum"] == expected
-    # the same components as a graph without its ends
+    # the same components as a graph, whose ends are read off its vertices
     graph = LabelledGraph(vertices=comps, edges=())
-    for read, subject in ((extremal, data), (_graph_extremes, graph)):
+    for read, subject in ((extremal, data), (LabelledGraph.ends, graph)):
         if expected:
             with pytest.raises(NonUniqueExtremumError) as caught:
                 read(subject)
@@ -229,7 +228,7 @@ def test_every_reader_words_the_extremum_rule_as_its_owner(levels):
 
 def test_an_empty_graph_has_no_extremum():
     with pytest.raises(NonUniqueExtremumError) as caught:
-        _graph_extremes(LabelledGraph(vertices=(), edges=()))
+        LabelledGraph(vertices=(), edges=()).ends()
     assert str(caught.value) == "no components"
 
 

@@ -1,5 +1,6 @@
-"""Labelled-graph isomorphism search and its re-verification."""
+"""Labelled graphs: their ends, isomorphism search and its re-verification."""
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamfano.fixed_data import FixedComponent, GradientEdge
+from hamfano.fano6 import surface_graph
+from hamfano.fixed_data import FixedComponent, GradientEdge, extremal
 from hamfano.graphs import (
     LabelledGraph,
     first_isomorphism,
@@ -16,6 +18,15 @@ from hamfano.graphs import (
     nontrivial_involutions,
 )
 from hamfano.reports import StructuralError
+from hamfano.toric import (
+    CATALOG,
+    catalog_entry,
+    fixed_data_from_polytope,
+    karshon_graph,
+    primitive_directions,
+)
+
+from .lifts import lift_product
 
 
 def path_graph(ids, levels, weights, edge_weights):
@@ -27,7 +38,7 @@ def path_graph(ids, levels, weights, edge_weights):
         GradientEdge(bottom=a, top=b, weight=w)
         for (a, b), w in zip(zip(ids, ids[1:]), edge_weights)
     )
-    return LabelledGraph(vertices=vs, edges=es, v_min=ids[0], v_max=ids[-1])
+    return LabelledGraph(vertices=vs, edges=es)
 
 
 A = path_graph(["a", "b", "c"], [-2, 0, 2], [(1, 2), (-2, 1), (-1, -1)], [2, 1])
@@ -77,8 +88,6 @@ def test_all_isomorphisms_of_symmetric_square():
             GradientEdge(bottom="m1", top="hi", weight=1),
             GradientEdge(bottom="m2", top="hi", weight=1),
         ),
-        v_min="lo",
-        v_max="hi",
     )
     autos = list(isomorphisms(square, square))
     assert len(autos) == 2
@@ -190,3 +199,35 @@ def test_graph_queries_agree_with_scans_of_the_edges(g):
             comp |= grown
         components.append(sorted(comp))
     assert g.connected_components() == components
+
+
+def test_a_graph_s_ends_are_no_field_a_caller_can_set():
+    # reflective_check and fibre_correspondence trust a graph's ends, so no
+    # caller may leave them out or name the wrong vertices
+    assert [f.name for f in dataclasses.fields(LabelledGraph)] == ["vertices", "edges"]
+    with pytest.raises(TypeError):
+        LabelledGraph(vertices=A.vertices, edges=A.edges, v_min="b")
+    assert A.ends() == ("a", "c") and A.as_dict()["min"] == "a"
+
+def test_every_graph_the_package_builds_ends_at_its_data_s_extrema():
+    # a graph's ends are read off its vertices; on the Karshon graphs of the catalog
+    # polygons and the surface graphs of their products with a curve, they are the
+    # unique extrema of the data the graph was built from, and as_dict writes them
+    karshon = lifted = 0
+    for name in CATALOG:
+        polygon = catalog_entry(name).polytope
+        for xi in primitive_directions(2, 4):
+            data = fixed_data_from_polytope(polygon, xi)
+            if data.surfaces():
+                continue
+            assert karshon_graph(polygon, xi).ends() == extremal(data)
+            karshon += 1
+            if max(map(abs, xi)) > 2:
+                continue
+            for genus in (1, 2, 3):
+                lift = lift_product(polygon, xi, genus)
+                graph, _ = surface_graph(lift)
+                written = graph.as_dict()
+                assert graph.ends() == (written["min"], written["max"]) == extremal(lift)
+                lifted += 1
+    assert (karshon, lifted) == (106, 84)

@@ -1,16 +1,27 @@
-"""Source hygiene of ``src/hamfano``, read with ``ast``: no import that its
-module never uses, and no module-level private function, class or table
-(an assignment such as ``_FLAGS = {...}``) that nothing in the package
-references.  A refactor that moves a helper's work elsewhere must delete the
-helper, its tables and its imports with it."""
+"""Source hygiene, read with ``ast``: no import that its module never uses,
+in ``src/hamfano``, ``scripts`` and ``tests``, and no module-level private
+function, class or table of ``src/hamfano`` (an assignment such as
+``_FLAGS = {...}``) that nothing in the package references.  A refactor that
+moves a helper's work elsewhere must delete the helper, its tables and its
+imports with it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hamfano"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hamfano"
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+# the package's modules by name, the tooling's by path from the repository root
+IMPORTERS = dict(
+    MODULES,
+    **{
+        path.relative_to(ROOT).as_posix(): ast.parse(path.read_text())
+        for folder in ("scripts", "tests")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    },
+)
 
 
 def _names(node: ast.AST) -> set:
@@ -45,9 +56,9 @@ def _bound_by_imports(tree: ast.Module):
                 yield from (alias.asname or alias.name.split(".")[0] for alias in stmt.names)
 
 
-@pytest.mark.parametrize("module", sorted(MODULES))
+@pytest.mark.parametrize("module", sorted(IMPORTERS))
 def test_every_import_is_used(module):
-    tree = MODULES[module]
+    tree = IMPORTERS[module]
     body = [s for s in tree.body if not isinstance(s, (ast.Import, ast.ImportFrom))]
     used = set().union(*map(_names, body))
     unused = set(_bound_by_imports(tree)) - used - _exported(tree)

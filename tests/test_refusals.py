@@ -42,8 +42,6 @@ _REFLECTIVE = LabelledGraph(
         point("hi", 1, (-2, -1)),
     ),
     edges=(),
-    v_min="lo",
-    v_max="hi",
 )
 
 _REFUSALS = [
@@ -94,11 +92,6 @@ _REFUSALS = [
         lambda: beta(point("p", 0, (1, 1, -1))),
         PreconditionError,
         "p: beta needs a fixed surface with 2 weights",
-    ),
-    (
-        lambda: LabelledGraph(vertices=(point("p", 0, (1, 1)),), edges=(), v_min="nope"),
-        StructuralError,
-        "extremal vertex 'nope' does not resolve",
     ),
     (lambda: _REFLECTIVE.vertex("nope"), StructuralError, "no vertex 'nope'"),
     (

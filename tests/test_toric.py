@@ -283,7 +283,7 @@ def test_catalog_b2_vertex_relation():
 def test_karshon_graph_cp2():
     g = karshon_graph(CP2, (1, 2))
     assert sorted(e.weight for e in g.edges) == [1, 1, 2]
-    assert g.v_min == "v-1_-1" and g.v_max == "v-1_2"
+    assert g.ends() == ("v-1_-1", "v-1_2")
 
 
 def test_karshon_graph_holds_the_generated_points():
