@@ -718,32 +718,99 @@ class ScanItem:
         return None if self.error is not None else fixed_data_from_polytope(self.polytope, self.xi)
 
 
-# The signed permutations of Z^2 and Z^3 other than the identity, each as its rows
-# (sign, k), so that (g x)_i = sign * x_k on row i.
-_SIGNED_PERMUTATIONS = {
-    dim: [
-        tuple(zip(signs, perm))
-        for perm in itertools.permutations(range(dim))
-        for signs in itertools.product((1, -1), repeat=dim)
-    ][1:]  # the identity comes first
-    for dim in (2, 3)
-}
+def _apply(t: IntVec, v: IntVec) -> IntVec:
+    """The integer matrix t, flattened row by row, applied to v, in plain arithmetic."""
+    if len(v) == 2:
+        a, b, c, d = t
+        x, y = v
+        return a * x + b * y, c * x + d * y
+    a, b, c, d, e, f, g, h, i = t
+    x, y, z = v
+    return a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z
 
 
-def _symmetries(p: LatticePolytope) -> List[Tuple[Tuple[int, int], ...]]:
-    """The signed permutations g other than the identity with g(vertices) = vertices:
-    each maps the vertex columns, and is kept when the images, zipped back into
-    points, all are vertices, since g is injective."""
-    columns = {}
-    for k, column in enumerate(zip(*p.vertices)):
-        columns[1, k] = column
-        columns[-1, k] = tuple(-x for x in column)
-    vertices = set(p.vertices)
-    return [
-        g
-        for g in _SIGNED_PERMUTATIONS[p.dim]
-        if vertices.issuperset(zip(*map(columns.__getitem__, g)))
-    ]
+def _outer_sum(u: Sequence[IntVec], e: Sequence[IntVec]) -> IntVec:
+    """sum_i u_i e_i^T flattened row by row: the matrix x -> sum_i <x, e_i> u_i."""
+    if len(u) == 2:
+        (a0, a1), (b0, b1) = u
+        (x0, x1), (y0, y1) = e
+        return a0 * x0 + b0 * y0, a0 * x1 + b0 * y1, a1 * x0 + b1 * y0, a1 * x1 + b1 * y1
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = u
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = e
+    return (
+        a0 * x0 + b0 * y0 + c0 * z0, a0 * x1 + b0 * y1 + c0 * z1, a0 * x2 + b0 * y2 + c0 * z2,
+        a1 * x0 + b1 * y0 + c1 * z0, a1 * x1 + b1 * y1 + c1 * z1, a1 * x2 + b1 * y2 + c1 * z2,
+        a2 * x0 + b2 * y0 + c2 * z0, a2 * x1 + b2 * y1 + c2 * z1, a2 * x2 + b2 * y2 + c2 * z2,
+    )
+
+
+def _lattice_automorphisms(p: LatticePolytope) -> List[IntVec]:
+    """Every linear g in GL(n, Z) with g(vertices) = vertices, the identity first,
+    each stored as its transpose flattened row by row.  p must be Delzant.
+
+    The edge directions d_i leaving vertex 0 form a lattice basis, and the normals u_i
+    of the facets through vertex 0, u_i the one that misses d_i, form its dual basis.
+    A symmetry g takes vertex 0 to a vertex v and each d_i to an edge direction e_i
+    leaving v of the same lattice length, so g x = sum_i <u_i, x> e_i and
+    g^T x = sum_i <x, e_i> u_i; it is kept when it maps the vertex set onto itself.
+    Translations are left out: one shifts every facet level, and with them H and the
+    weight-sum constant.
+
+    The orderings of vertex 0's own edges that give a symmetry form its stabiliser S.
+    The orbit of vertex 0 is closed under the symmetries found so far, keeping for
+    each vertex w reached the images of the d_i under one symmetry that takes vertex
+    0 to w.  A vertex still outside it is tested only when its sorted edge lengths and
+    sorted facet levels are vertex 0's, and the first ordering of its edges that gives
+    a symmetry extends the orbit.  The symmetries are then, for each orbit vertex w
+    with images e and each s in S, the one taking d_i to e_{s(i)}: all of them, as
+    |orbit| * |S| = |group|.
+    """
+    levels = {f.normal: f.c for f in p.facets}
+    vertex_set = set(p.vertices)
+
+    def edges_at(v: int) -> Tuple[List[IntVec], List[int]]:
+        slots = p._slots[v]
+        return (
+            [tuple(sign * x for x in p.edges[k].direction) for k, sign in slots],
+            [p.edges[k].length for k, _ in slots],
+        )
+
+    def symmetries(v: int) -> Iterator[Tuple[Tuple[int, ...], IntVec]]:
+        """Each ordering s of the edges e at v, with lengths those of the d_i, for which
+        the g that takes d_i to e_{s(i)} is a symmetry, and that g."""
+        directions, lengths = edges_at(v)
+        for s in itertools.permutations(range(p.dim)):
+            if [lengths[k] for k in s] == lengths0:
+                g = _outer_sum([directions[k] for k in s], u0)
+                if all(_apply(g, w) in vertex_set for w in p.vertices):
+                    yield s, g
+
+    def invariant(v: int) -> Tuple[List[int], List[int]]:
+        lengths = sorted(p.edges[k].length for k, _ in p._slots[v])
+        return lengths, sorted(levels[u] for u in p._incidence[v])
+
+    d0, lengths0 = edges_at(0)
+    u0 = [next(u for u in p._incidence[0] if sum(map(operator.mul, u, d))) for d in d0]
+    stabiliser = list(symmetries(0))  # the identity first
+    generators = [g for _s, g in stabiliser[1:]]
+    orbit = {p.vertices[0]: d0}
+    key0 = invariant(0)
+    for v, w in enumerate(p.vertices):
+        if w in orbit or invariant(v) != key0:
+            continue
+        first = next(symmetries(v), None)
+        if first is None:
+            continue
+        generators.append(first[1])
+        todo = list(orbit)
+        while todo:
+            x = todo.pop()
+            for g in generators:
+                y = _apply(g, x)
+                if y not in orbit:
+                    orbit[y] = [_apply(g, e) for e in orbit[x]]
+                    todo.append(y)
+    return [_outer_sum(u0, [e[k] for k in s]) for e in orbit.values() for s, _g in stabiliser]
 
 
 def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
@@ -755,15 +822,16 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
     the del Pezzo class the lemma suite also runs on every direction; on a
     non-generic one, which fixes a boundary sphere, it skips itself with a note.
 
-    Only signed permutations g with g(vertices) = vertices are used: such a g
-    turns the data of xi into those of g xi with each vertex v renamed g v.  So
-    the first direction of each orbit is generated and checked, and if its
-    report holds no violation and no inconclusive record, whose text would name
-    ids, each later member g xi gets its own copy of that report and the same
-    sums, and its data are generated only when read.  -xi is no orbit member:
-    it gives reversed data, not renamed ones.  The symmetries are found when the
-    first report that may be shared appears.  Every other direction is checked
-    in full, an unsupported one too, since its message names coordinates.
+    A lattice automorphism g of P, a linear g in GL(n, Z) with g(vertices) =
+    vertices, turns the data of xi into those of g^T xi with each vertex w renamed
+    g^-1 w, since <xi, g w> = <g^T xi, w>.  So the first direction of each orbit
+    {g^T xi} is generated and checked, and if its report holds no violation and no
+    inconclusive record, whose text would name ids, each later member gets its own
+    copy of that report and the same sums, and its data are generated only when
+    read.  -xi is no orbit member: it gives reversed data, not renamed ones.  The
+    group is found by ``_lattice_automorphisms`` when the first report that may be
+    shared appears.  Every other direction is checked in full, an unsupported
+    one too, since its message names coordinates.
     """
     is_delpezzo = _is_delpezzo(p)
     abbv_sum = abbv_sum_4d if p.dim == 2 else abbv_sum_6d
@@ -790,10 +858,11 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
         # once the search has found no symmetry, there is nothing to share
         if symmetries != [] and report.ok and not report.inconclusive:
             if symmetries is None:
-                symmetries = _symmetries(p)
+                symmetries = _lattice_automorphisms(p)[1:]
             sums = (tuple(report.notes), total, constant)
-            for g in symmetries:
-                image = tuple(sign * xi[k] for sign, k in g)
-                if image != xi and next(x for x in image if x) > 0:
+            for t in symmetries:
+                image = _apply(t, xi)
+                # later in the scan's lex order, so also with a positive leading entry
+                if image > xi:
                     shared[image] = sums
         yield item

@@ -20,10 +20,12 @@ oracle adds (-y)^index(F) chi_y(F) the same way, as plain Fraction lists.
 The lemma-suite oracle writes each of the seven del Pezzo checks out from
 its statement, check by check over the raw points and edges.
 
-The orbit oracles find a polytope's signed-permutation symmetries as integer
-matrices tested on every vertex, the orbits of the scanned directions under
-them, and a dataset's fields with each vertex named in an id renamed, by
-parsing the id, without the package's symmetry search or id writers.
+The orbit oracles find a polytope's lattice automorphisms, every integral
+unimodular g with g(vertices) = vertices, by brute force over the images of
+n independent vertices, with no edge or facet in sight; the orbits of the
+scanned directions under the transposes g^T; and a dataset's fields with each
+vertex named in an id renamed, by parsing the id, without the package's
+symmetry search or id writers.
 """
 
 from __future__ import annotations
@@ -396,38 +398,82 @@ def apply_matrix(g, v) -> Tuple[int, ...]:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in g)
 
 
-def signed_permutation_symmetries(vertices) -> List[Tuple[Tuple[int, ...], ...]]:
-    """Every signed permutation matrix g, as its rows, that maps the vertex set
-    onto itself, the identity included."""
-    points = {tuple(v) for v in vertices}
-    dim = len(next(iter(points)))
+def _det(m) -> int:
+    """The determinant of a 2x2 or 3x3 integer matrix, given as its rows."""
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    minors = ([row[:j] + row[j + 1 :] for row in m[1:]] for j in range(3))
+    return sum((-1) ** j * m[0][j] * _det(minor) for j, minor in enumerate(minors))
+
+
+def _adjugate(m) -> Tuple[Tuple[int, ...], ...]:
+    """The adjugate of a 2x2 or 3x3 integer matrix: m times it is det(m) times 1."""
+    n = len(m)
+    if n == 2:
+        return ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * _det([row[:i] + row[i + 1 :] for k, row in enumerate(m) if k != j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def transpose(g) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(zip(*g))
+
+
+def unimodular_inverse(g) -> Tuple[Tuple[int, ...], ...]:
+    """The inverse of an integer matrix with determinant +-1."""
+    det = _det(g)
+    assert det in (1, -1), g
+    return tuple(tuple(det * x for x in row) for row in _adjugate(g))
+
+
+def lattice_automorphisms(vertices) -> List[Tuple[Tuple[int, ...], ...]]:
+    """Every integer matrix g, as its rows, with determinant +-1 that maps the vertex
+    set onto itself, the identity included.  A linear g is fixed by its values on n
+    independent vertices a_j, the columns of A: g = W adj(A) / det(A) for the columns
+    W of their images.  So every injective choice of images among the vertices is
+    tried, and g is kept when it is integral, unimodular and maps every vertex to a
+    vertex."""
+    points = sorted({tuple(v) for v in vertices})
+    dim = len(points[0])
+    basis = next(c for c in itertools.combinations(points, dim) if _det(c) != 0)
+    det = _det(basis)  # the determinant of A, whose columns are the basis
+    adj = _adjugate(transpose(basis))
     out = []
-    for perm in itertools.permutations(range(dim)):
-        for signs in itertools.product((1, -1), repeat=dim):
-            g = tuple(
-                tuple(signs[i] if j == perm[i] else 0 for j in range(dim)) for i in range(dim)
-            )
-            if {apply_matrix(g, v) for v in points} == points:
-                out.append(g)
+    for images in itertools.permutations(points, dim):
+        if abs(_det(images)) != abs(det):
+            continue
+        w = transpose(images)
+        m = [[sum(w[i][k] * adj[k][j] for k in range(dim)) for j in range(dim)] for i in range(dim)]
+        if any(x % det for row in m for x in row):
+            continue
+        g = tuple(tuple(x // det for x in row) for row in m)
+        if {apply_matrix(g, v) for v in points} == set(points):
+            out.append(g)
     return out
 
 
 def direction_orbits(group, dim: int, bound: int) -> Dict[Tuple[int, ...], tuple]:
     """For each primitive direction of max-norm <= bound whose first nonzero
     entry is positive, in lex order: the lex-least such direction of its orbit
-    under the group and a g in the group that takes that one to it."""
-    listed = [
+    {g^T xi} under the group and a g in the group with g^T of that one equal to it."""
+    listed = {
         xi
         for xi in itertools.product(range(-bound, bound + 1), repeat=dim)
         if gcd(*xi) == 1 and next(x for x in xi if x) > 0
-    ]
+    }
     out: Dict[Tuple[int, ...], tuple] = {}
-    for xi in listed:
+    for xi in sorted(listed):
         if xi in out:
             continue
         for g in group:  # the identity among them claims xi itself
-            image = apply_matrix(g, xi)
-            if next(x for x in image if x) > 0 and image not in out:
+            image = apply_matrix(transpose(g), xi)
+            if image in listed and image not in out:
                 out[image] = (xi, g)
     return dict(sorted(out.items()))
 

@@ -1,16 +1,21 @@
 """A direction scan's shared orbit members against their own data.
 
-A signed permutation g of the coordinates with g(P) = P turns the data of
-(P, xi) into those of (P, g xi) with each vertex v renamed g v, so the scan
-checks the first direction of each orbit and gives each later member a copy
-of its report and the same sums.  These tests stand in for checking every
+A lattice automorphism g of P, a linear g in GL(n, Z) with g(P) = P, turns the
+data of (P, xi) into those of (P, g^T xi) with each vertex w renamed g^-1 w, so
+the scan checks the first direction of each orbit and gives each later member
+a copy of its report and the same sums.  These tests stand in for checking every
 member: the symmetries, the orbits and the renaming come from
 ``tests/oracle.py``, which shares no code with the scan, and each item is
 compared with ``validate``, the lemma suite and the sums run on the data of
 its own direction.
 """
 
+import functools
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hamfano.toric
 from hamfano.fixed_data import validate
@@ -19,31 +24,43 @@ from hamfano.toric import (
     CATALOG,
     LatticePolytope,
     UnsupportedDirectionError,
+    _lattice_automorphisms,
     _lemma_checks,
-    _symmetries,
     fixed_data_from_polytope,
     scan_directions,
 )
 
-from .oracle import direction_orbits, renamed_fields, signed_permutation_symmetries
+from .oracle import (
+    apply_matrix,
+    direction_orbits,
+    lattice_automorphisms,
+    renamed_fields,
+    transpose,
+    unimodular_inverse,
+)
 from .test_golden import POLYTOPES
 
 HEXAGON = [(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)]
 
-# name -> (vertices, bound, order of the signed-permutation symmetry group)
+# name -> (vertices, bound, order of the lattice automorphism group)
 CASES = {
     "cube": (POLYTOPES["cube"], 3, 48),
-    "CP3": (POLYTOPES["cp3"], 3, 6),
-    "CP2xCP1": (POLYTOPES["cp2xcp1"], 3, 4),
-    "Bl3CP2xCP1": (POLYTOPES["bl3cp2xcp1"], 3, 4),
+    "CP3": (POLYTOPES["cp3"], 3, 24),
+    "CP2xCP1": (POLYTOPES["cp2xcp1"], 3, 12),
+    "Bl3CP2xCP1": (POLYTOPES["bl3cp2xcp1"], 3, 24),
     "truncated_cube": (POLYTOPES["truncated_cube"], 3, 6),
-    "CP2": (CATALOG["CP2"][0], 6, 2),
+    "CP2": (CATALOG["CP2"][0], 6, 6),
     "CP1xCP1": (CATALOG["CP1xCP1"][0], 6, 8),
     "Bl1CP2": (CATALOG["Bl1CP2"][0], 6, 2),
-    "Bl2CP2": (CATALOG["Bl2CP2"][0], 6, 1),
-    "Bl3CP2": (CATALOG["Bl3CP2"][0], 6, 2),
-    "hexagon": (HEXAGON, 6, 4),
+    "Bl2CP2": (CATALOG["Bl2CP2"][0], 6, 2),
+    "Bl3CP2": (CATALOG["Bl3CP2"][0], 6, 12),
+    "hexagon": (HEXAGON, 6, 12),
 }
+
+
+def flat_transposes(group):
+    """The oracle's matrices in the search's form: each g^T flattened row by row."""
+    return {sum(transpose(g), ()) for g in group}
 
 
 def _direct(p, data):
@@ -77,10 +94,12 @@ def _probe(xi):
 def test_each_orbit_member_is_its_representatives_data_renamed(name, monkeypatch):
     vertices, bound, order = CASES[name]
     p = LatticePolytope([tuple(v) for v in vertices])
-    group = signed_permutation_symmetries(vertices)
+    group = lattice_automorphisms(vertices)
     assert len(group) == order
-    assert len(_symmetries(p)) == order - 1
+    found = _lattice_automorphisms(p)
+    assert len(found) == order and set(found) == flat_transposes(group)
     orbits = direction_orbits(group, p.dim, bound)
+    identity = tuple(tuple(int(i == j) for j in range(p.dim)) for i in range(p.dim))
 
     generated = _recording(monkeypatch)
     items = []
@@ -103,8 +122,8 @@ def test_each_orbit_member_is_its_representatives_data_renamed(name, monkeypatch
             clean[item.xi] = False
             continue
         if rep != item.xi:
-            assert renamed_fields(fixed_data_from_polytope(p, rep), g) == renamed_fields(
-                data, group[0]
+            assert renamed_fields(fixed_data_from_polytope(p, rep), unimodular_inverse(g)) == (
+                renamed_fields(data, identity)
             ), (name, item.xi, rep)
         report, total, constant = _direct(p, data)
         if rep == item.xi:
@@ -118,14 +137,15 @@ def test_each_orbit_member_is_its_representatives_data_renamed(name, monkeypatch
     # a direction is generated in the scan unless its representative's report is shared
     expected = [xi for xi, (rep, _g) in orbits.items() if rep == xi or not clean[rep]]
     assert scanned == expected, name
-    # Bl2CP2 has no symmetry, and Bl3CP2's only one, -1, takes no direction to a listed one
-    assert (len(scanned) < len(items)) == (name not in ("Bl2CP2", "Bl3CP2")), name
+    # Bl2CP2's one symmetry besides the identity, (a, b) -> (-a, b - a) on directions,
+    # turns the sign of every leading entry, and -xi is no member: it shares nothing
+    assert (len(scanned) < len(items)) == (name != "Bl2CP2"), name
 
 
 def test_a_flagged_member_leaves_the_other_members_unchanged():
     vertices = POLYTOPES["cube"]
     p = LatticePolytope([tuple(v) for v in vertices])
-    orbits = direction_orbits(signed_permutation_symmetries(vertices), 3, 2)
+    orbits = direction_orbits(lattice_automorphisms(vertices), 3, 2)
     items = {item.xi: item for item in scan_directions(p, 2)}
     members = {}
     for xi, (rep, _g) in orbits.items():
@@ -163,3 +183,50 @@ def test_an_orbit_whose_report_names_an_id_is_checked_in_full(record, monkeypatc
             lowest = min(vertices, key=lambda v: sum(a * b for a, b in zip(item.xi, v)))
             records = item.report.violations if record == "flag" else item.report.inconclusive
             assert [r.message for r in records] == [f"minimum at v{'_'.join(map(str, lowest))}"]
+
+
+def _product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _elementary(dim):
+    """The shears 1 + E_ij and 1 - E_ij, the transpositions and the sign flips of Z^dim."""
+    one = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    out = []
+    for i, j in itertools.permutations(range(dim), 2):
+        for a in (1, -1):
+            m = [row[:] for row in one]
+            m[i][j] = a
+            out.append(m)
+        m = [row[:] for row in one]
+        m[i], m[j] = m[j], m[i]
+        out.append(m)
+    for i in range(dim):
+        m = [row[:] for row in one]
+        m[i][i] = -1
+        out.append(m)
+    return [tuple(map(tuple, m)) for m in out]
+
+
+COORDINATE_CASES = ["CP2", "CP1xCP1", "Bl1CP2", "Bl2CP2", "Bl3CP2", "CP3", "cube"]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_group(name):
+    return lattice_automorphisms(CASES[name][0])
+
+
+@pytest.mark.parametrize("name", COORDINATE_CASES)
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_the_search_follows_a_change_of_lattice_basis(name, data):
+    # the group of A P is A Aut(P) A^-1 for every unimodular A, so sheared coordinates
+    # such as the catalog's hexagon lose no symmetry
+    vertices = CASES[name][0]
+    dim = len(vertices[0])
+    steps = data.draw(st.lists(st.sampled_from(_elementary(dim)), min_size=1, max_size=5))
+    a = functools.reduce(_product, steps)
+    moved = LatticePolytope([apply_matrix(a, v) for v in vertices])
+    expected = [_product(_product(a, g), unimodular_inverse(a)) for g in _oracle_group(name)]
+    found = _lattice_automorphisms(moved)
+    assert len(found) == len(expected) and set(found) == flat_transposes(expected), (name, a)

@@ -2,10 +2,12 @@
 generated data against a brute-force facet enumeration that shares no code
 with the package."""
 
+import importlib.util
 import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -28,8 +30,9 @@ from hamfano.toric import (
     scan_directions,
 )
 
-from .oracle import direction_orbits, signed_permutation_symmetries
-from .test_golden import GOLDEN, POLYTOPES
+from .oracle import direction_orbits, lattice_automorphisms
+from .test_golden import GOLDEN, POLYTOPES, ROOT
+from .test_toric_orbits import CASES, flat_transposes
 
 
 def _counting(monkeypatch, owner, name):
@@ -47,25 +50,72 @@ def _counting(monkeypatch, owner, name):
 # -- work counts ------------------------------------------------------------------
 
 
-def test_scan_generates_each_orbit_once(monkeypatch):
-    # a scan generates each unsupported direction and the first direction of
-    # each orbit of the polytope's signed-permutation symmetries, counted here
-    # by brute force; a polytope with no symmetry generates every direction
+def test_scan_generates_each_orbit_once(monkeypatch, tmp_path):
+    # a scan generates each unsupported direction and the first direction of each
+    # orbit {g^T xi} of the polytope's lattice automorphisms, counted here by brute force
     calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
-    vertices = _golden_vertices("cube")
-    _facets, edges = _oracle_faces(vertices)
-    orbits = direction_orbits(signed_permutation_symmetries(vertices), 3, 4)
-    unsupported = [xi for xi in orbits if any(_dot(xi, d) == 0 for _a, _b, d, _g in edges)]
-    firsts = {rep for xi, (rep, _g) in orbits.items() if xi not in unsupported}
-    code, _out = run(["toric", "scan", str(GOLDEN / "cube.json"), "--bound", "4"])
-    assert code == 0
-    assert len(calls) == len(unsupported) + len(firsts) < len(orbits)
+    path = tmp_path / "p.json"
+    for name, (vertices, bound, _order) in CASES.items():
+        dim = len(vertices[0])
+        _facets, edges = _oracle_faces([tuple(v) for v in vertices])
+        orbits = direction_orbits(lattice_automorphisms(vertices), dim, bound)
+        unsupported = [
+            xi for xi in orbits if dim == 3 and any(_dot(xi, d) == 0 for _a, _b, d, _g in edges)
+        ]
+        firsts = {rep for xi, (rep, _g) in orbits.items() if xi not in unsupported}
+        path.write_text(json.dumps({"schema_version": "1", "polytope": {"vertices": vertices}}))
+        calls.clear()
+        code, _out = run(["toric", "scan", str(path), "--bound", str(bound)])
+        assert code == 0, name
+        assert len(calls) == len(unsupported) + len(firsts), name
 
-    calls.clear()
-    assert len(signed_permutation_symmetries(CATALOG["Bl2CP2"][0])) == 1
-    code, _out = run(["toric", "scan", "Bl2CP2", "--bound", "4"])
+
+def test_a_polytope_with_no_symmetry_generates_every_direction(monkeypatch, tmp_path):
+    trapezoid = [(0, 0), (3, 0), (1, 1), (0, 1)]
+    assert lattice_automorphisms(trapezoid) == [((1, 0), (0, 1))]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"schema_version": "1", "polytope": {"vertices": trapezoid}}))
+    calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
+    code, _out = run(["toric", "scan", str(path), "--bound", "4"])
     assert code == 0
     assert len(calls) == len(primitive_directions(2, 4))
+
+
+def _load_bench_generator():
+    """perfbench/gen.py, loaded by path without writing bytecode next to it."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        path = ROOT / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.mark.parametrize("workload, generated", [("scan2d", 3288), ("scan3d", 3727)])
+def test_a_benchmark_scan_cycle_generates_the_counted_datasets(
+    workload, generated, monkeypatch, tmp_path
+):
+    # one cycle of the benchmark's own ops at seed 7, each run once: the scans generate
+    # each unsupported direction and the first direction of each orbit {g^T xi} whose
+    # report they share
+    ops = _load_bench_generator().generate(workload, 7, str(tmp_path))
+    monkeypatch.chdir(tmp_path)  # the ops name their files relative to it
+    calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
+    for op in ops:
+        assert run(op["argv"])[0] == op["expect"], op["argv"]
+    assert len(calls) == generated
+
+
+def test_the_search_finds_the_oracle_group_on_the_benchmark_polytopes():
+    gen = _load_bench_generator()
+    for q in [gen.polygon(name) for name in gen.POLYGONS] + gen.polytopes_3d():
+        found = hamfano.toric._lattice_automorphisms(LatticePolytope(q.vertices))
+        expected = flat_transposes(lattice_automorphisms(q.vertices))
+        assert len(found) == len(expected) and set(found) == expected, q.name
 
 
 def _dot(a, b):
