@@ -12,7 +12,7 @@ usage: python scripts/sweep_catalog.py [--bound N] [--verbose]
 import argparse
 
 from hamfano.localization import abbv_sum_4d
-from hamfano.toric import delpezzo_catalog, scan_directions
+from hamfano.toric import delpezzo_catalog, fixed_data_from_polytope, scan_directions
 
 
 def main() -> None:
@@ -27,10 +27,10 @@ def main() -> None:
             total += 1
             if item.report.ok:
                 ok += 1
-            if not item.data.surfaces():  # a fixed sphere means a non-generic direction
+            data = fixed_data_from_polytope(entry.polytope, item.xi)
+            if not data.surfaces():  # a fixed sphere means a non-generic direction
                 suites += 1
             if args.verbose:
-                data = item.data
                 print(
                     f"  {entry.name} xi={item.xi} H=[{data.h_min()},"
                     f" {data.h_max()}] comps={len(data.components)}"

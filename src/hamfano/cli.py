@@ -378,7 +378,11 @@ _HANDLERS = {
 
 
 def run(argv: Sequence[str]) -> Tuple[int, str]:
-    """Execute one CLI invocation; returns (exit code, output text)."""
+    """Execute one CLI invocation; returns (exit code, output text).
+
+    Only argv that names no known command or does not fit its usage line gets
+    the usage text.  A later error, also one in writing the output, gets its
+    message alone: exit 1 for an inconsistency, 2 otherwise."""
     args = list(argv)
     # the global flag is read in first position only, as the usage line has it
     pretty = args[:1] == ["--pretty"]
@@ -390,15 +394,15 @@ def run(argv: Sequence[str]) -> Tuple[int, str]:
         handler = _HANDLERS.get(args[0])
         if handler is None:
             raise StructuralError(f"unknown command {args[0]!r}")
-        code, payload = handler(*_operands(args[1:], args[0]))
-    except InconsistencyError as exc:
-        return 1, _dump({"error": str(exc)}, pretty)
-    except ValueError as exc:
+        operands = _operands(args[1:], args[0])
+    except StructuralError as exc:
         return 2, _dump({"error": str(exc), "usage": USAGE.strip()}, pretty)
     try:
+        code, payload = handler(*operands)
         return code, _dump(payload, pretty)
-    except ValueError as exc:  # an int too long to write: no usage error
-        return 2, _dump({"error": str(exc)}, pretty)
+    except ValueError as exc:
+        code = 1 if isinstance(exc, InconsistencyError) else 2
+        return code, _dump({"error": str(exc)}, pretty)
 
 
 def _dump(payload: dict, pretty: bool) -> str:

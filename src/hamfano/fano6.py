@@ -719,7 +719,6 @@ def cycle_inequality(data: FixedPointData) -> Report:
     except PreconditionError:
         report.undecided("witness", "normal degrees missing for the witness")
         return report
-    report.note(f"witness: {witness} with c1 = {c1} <= {2 - 2 * g}")
     if c1 > 2 - 2 * g:
         report.flag(
             "aim-conclusion",
@@ -727,6 +726,8 @@ def cycle_inequality(data: FixedPointData) -> Report:
             f"{2 - 2 * g}; impossible data",
             subject=witness,
         )
+    else:
+        report.note(f"witness: {witness} with c1 = {c1} <= {2 - 2 * g}")
     return report
 
 
@@ -944,16 +945,17 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
     if degrees_known and report.ok:
         c1, witness = min((c1_of_surface(c), c.id) for c in plus)
         wit_c = data.component(witness)
-        report.note(
-            f"witness: {witness} (genus {wit_c.genus}) with c1 = {c1} "
-            f"<= {2 - 2 * g}"
-        )
         if wit_c.genus < g or c1 > 2 - 2 * g:
             report.flag(
                 "conclusion",
                 f"hypotheses and localisation hold, yet no surface of genus >= {g} "
                 f"has c1 <= {2 - 2 * g}; impossible data",
                 subject=witness,
+            )
+        else:
+            report.note(
+                f"witness: {witness} (genus {wit_c.genus}) with c1 = {c1} "
+                f"<= {2 - 2 * g}"
             )
     return report
 

@@ -18,7 +18,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fixed_data import (
@@ -703,19 +702,13 @@ def primitive_directions(dim: int, bound: int) -> List[IntVec]:
 class ScanItem:
     """One scanned direction: its (mutable) report, the localisation sum and,
     on relative Fano data, the weight-sum constant of its data, or why it is
-    unsupported.  ``data`` is ``fixed_data_from_polytope(polytope, xi)``,
-    generated when first read unless the scan already holds it."""
+    unsupported.  Its data are ``fixed_data_from_polytope(p, xi)`` on the scanned p."""
 
     xi: IntVec
-    polytope: LatticePolytope
     report: Report
     abbv_sum: Optional[Rational] = None
     weight_sum_constant: Optional[Rational] = None
     error: Optional[str] = None
-
-    @cached_property
-    def data(self) -> Optional[FixedPointData]:
-        return None if self.error is not None else fixed_data_from_polytope(self.polytope, self.xi)
 
 
 def _apply(t: IntVec, v: IntVec) -> IntVec:
@@ -827,11 +820,11 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
     g^-1 w, since <xi, g w> = <g^T xi, w>.  So the first direction of each orbit
     {g^T xi} is generated and checked, and if its report holds no violation and no
     inconclusive record, whose text would name ids, each later member gets its own
-    copy of that report and the same sums, and its data are generated only when
-    read.  -xi is no orbit member: it gives reversed data, not renamed ones.  The
-    group is found by ``_lattice_automorphisms`` when the first report that may be
-    shared appears.  Every other direction is checked in full, an unsupported
-    one too, since its message names coordinates.
+    copy of that report and the same sums, and no data are generated for it.  -xi
+    is no orbit member: it gives reversed data, not renamed ones.  The group is
+    found by ``_lattice_automorphisms`` when the first report that may be shared
+    appears.  Every other direction is checked in full, an unsupported one too,
+    since its message names coordinates.
     """
     is_delpezzo = _is_delpezzo(p)
     abbv_sum = abbv_sum_4d if p.dim == 2 else abbv_sum_6d
@@ -841,20 +834,18 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
         sums = shared.pop(xi, None)
         if sums is not None:
             notes, total, constant = sums
-            yield ScanItem(xi, p, Report(notes=list(notes)), total, constant)
+            yield ScanItem(xi, Report(notes=list(notes)), total, constant)
             continue
         try:
             data = fixed_data_from_polytope(p, xi)
         except UnsupportedDirectionError as exc:
-            yield ScanItem(xi, p, Report(), error=str(exc))
+            yield ScanItem(xi, Report(), error=str(exc))
             continue
         report = validate(data)
         if is_delpezzo:
             report.extend(_lemma_checks(data))
         total = abbv_sum(data)
         constant = weight_sum_constant(data) if data.relative_fano else None
-        item = ScanItem(xi, p, report, total, constant)
-        item.data = data
         # once the search has found no symmetry, there is nothing to share
         if symmetries != [] and report.ok and not report.inconclusive:
             if symmetries is None:
@@ -865,4 +856,4 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
                 # later in the scan's lex order, so also with a positive leading entry
                 if image > xi:
                     shared[image] = sums
-        yield item
+        yield ScanItem(xi, report, total, constant)

@@ -498,6 +498,22 @@ def test_no_command_usage_exit_2():
     assert run([]) == (2, json.dumps(obj, separators=(",", ":")))
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["normalize", str(Path(__file__).resolve().parent / "golden" / "surface_weight3.json")],
+            "weight_sum_constant applies to relative Fano data",
+        ),
+        (["toric", "scan", "CP2", "--bound", "x"], "--bound expects an integer, got 'x'"),
+    ],
+    ids=["normalize-not-relative-fano", "scan-bound-not-an-integer"],
+)
+def test_an_error_past_the_usage_check_prints_only_itself(argv, error):
+    # argv fits its usage line, so the command's own refusal carries no usage text
+    assert run(argv) == (2, json.dumps({"error": error}, separators=(",", ":")))
+
+
 def test_scan_bound_over_cap_exit_2_quickly():
     start = time.perf_counter()
     code, out = run(["toric", "scan", "CP2", "--bound", "100000"])

@@ -32,7 +32,7 @@ from hamfano.localization import (
     weight_sum_normalize,
 )
 from hamfano.reports import PreconditionError, StructuralError
-from hamfano.toric import LatticePolytope, catalog_entry, scan_directions
+from hamfano.toric import LatticePolytope, catalog_entry, fixed_data_from_polytope, scan_directions
 
 from .lifts import lift_product
 from .test_golden import GOLDEN, POLYTOPES, PRODUCTS
@@ -49,10 +49,10 @@ def _scans():
         for name in ("cp3", "cube")
     ]
     return [
-        (name, p, v, item.xi, item.data)
+        (name, p, v, item.xi, fixed_data_from_polytope(p, item.xi))
         for name, p, v, bound in targets
         for item in scan_directions(p, bound)
-        if item.data is not None
+        if item.error is None
     ]
 
 

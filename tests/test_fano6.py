@@ -1476,6 +1476,34 @@ def test_cycle_inequality_without_the_witness_degrees_is_inconclusive():
     )
 
 
+def test_cycle_inequality_notes_no_witness_that_fails_the_bound():
+    # the edge adds 1/(1 * -1) = -1 and the weight-1 link 0 + 0, so the cycle closes at
+    # -1; both surfaces have c1 = 0 + 0 + 5 = 5 > 0, and the least (c1, id) is hi's
+    data = FixedPointData(
+        half_dim=3,
+        components=(surf("lo", 0, (1, 2), 1, (0, 5)), surf("hi", 4, (-1, -2), 1, (0, 5))),
+        edges=(GradientEdge("lo", "hi", 2, interior_points=((1, -1),)),),
+        relative_fano=True,
+    )
+    mismatch = "edge lo->hi: stored degrees give n_bot + n_top = 10, interior points give -1"
+    aim = "cyclic sum closes but the best surface has c1 = 5 > 0; impossible data"
+    assert _records(cycle_inequality(data)) == (
+        [("fourcor-mismatch", mismatch, "lo->hi"), ("aim-conclusion", aim, "hi")], [], []
+    )
+
+
+def test_small_suite_notes_no_witness_of_a_lower_genus():
+    # a genus-1 surface s with c1 = -3 and beta = 3 beside the genus-2 product, and three
+    # points {1,1,-1} of alpha -1 that keep the localisation sum at 0: every check holds,
+    # and the least (c1, id) is s's, of genus 1 < 2
+    data = lift_product(CP2, (1, 2), genus=2)
+    extra = (surf("s", 0, (1, -1), 1, (-3, 0)),)
+    extra += tuple(point(f"y{i}", 0, (1, 1, -1)) for i in range(3))
+    report = small_hamiltonian_suite(data.replace_components(data.components + extra))
+    assert [(v.code, v.subject) for v in report.violations] == [("conclusion", "s")]
+    assert not report.inconclusive and report.notes == []
+
+
 def test_small_suite_chain_estimate_without_degrees_is_inconclusive():
     # the four-cycle on levels -2, 0, 2 without s2's degrees: its first edge in the
     # canonical order, s1 -> s2, has no degree at s2

@@ -408,8 +408,9 @@ def test_toric_data_always_validates():
 
     for entry in delpezzo_catalog():
         for item in scan_directions(entry.polytope, 2):
-            assert item.data is not None
-            assert validate(item.data).ok, (entry.name, item.xi)
+            assert item.error is None
+            data = fixed_data_from_polytope(entry.polytope, item.xi)
+            assert validate(data).ok, (entry.name, item.xi)
 
 
 def test_constructors_canonicalise_their_fields():

@@ -1,9 +1,10 @@
 """Source hygiene, read with ``ast``: no import that its module never uses,
 in ``src/hamfano``, ``scripts`` and ``tests``, and no module-level private
-function, class or table of ``src/hamfano`` (an assignment such as
-``_FLAGS = {...}``) that nothing in the package references.  A refactor that
-moves a helper's work elsewhere must delete the helper, its tables and its
-imports with it."""
+function, class or table (an assignment such as ``_FLAGS = {...}``) that
+nothing references: in ``src/hamfano`` nothing in the package, in ``scripts``,
+``tests/oracle.py`` and ``tests/lifts.py`` nothing in the package, the scripts
+or the tests.  A refactor that moves a helper's work elsewhere must delete the
+helper, its tables and its imports with it."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,9 @@ IMPORTERS = dict(
         for path in sorted((ROOT / folder).glob("*.py"))
     },
 )
+# the scripts and the test helper modules, whose private definitions are checked too
+TOOLING = [name for name in IMPORTERS if name.startswith("scripts/")]
+TOOLING += ["tests/lifts.py", "tests/oracle.py"]
 
 
 def _names(node: ast.AST) -> set:
@@ -79,17 +83,28 @@ def _defined(stmt: ast.stmt) -> list:
     return [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
 
 
-def test_every_private_definition_is_referenced():
-    # the references of each top-level statement, so that a helper that only
-    # calls itself, or a table that only names itself, still counts as unreferenced
-    refs = [(stmt, _referenced(stmt)) for tree in MODULES.values() for stmt in tree.body]
-    dead = [
+def _unreferenced(checked, scope) -> list:
+    """``module: name`` of each private top-level definition of the modules named in
+    ``checked`` that no other top-level statement of ``scope`` references; taken per
+    statement, a helper that only calls itself, or a table that only names itself,
+    still counts as unreferenced."""
+    refs = [(stmt, _referenced(stmt)) for tree in scope.values() for stmt in tree.body]
+    return [
         f"{module}: {name}"
-        for module, tree in MODULES.items()
-        for stmt in tree.body
+        for module in checked
+        for stmt in scope[module].body
         for name in _defined(stmt)
         if name.startswith("_")
         and not name.startswith("__")
         and not any(name in names for other, names in refs if other is not stmt)
     ]
+
+
+def test_every_private_definition_is_referenced():
+    dead = _unreferenced(MODULES, MODULES)
     assert not dead, f"private definitions that nothing in src/ references: {dead}"
+
+
+def test_every_private_tooling_definition_is_referenced():
+    dead = _unreferenced(TOOLING, IMPORTERS)
+    assert not dead, f"private definitions that nothing references: {dead}"

@@ -372,10 +372,8 @@ def test_chi_y_vertex_count_property():
         from hamfano.toric import scan_directions
 
         for item in scan_directions(entry.polytope, 2):
-            assert chi_y(item.data) == Polynomial.of(1, -(v - 2), 1), (
-                entry.name,
-                item.xi,
-            )
+            data = fixed_data_from_polytope(entry.polytope, item.xi)
+            assert chi_y(data) == Polynomial.of(1, -(v - 2), 1), (entry.name, item.xi)
 
 
 def test_positive_index_components_never_change_todd():

@@ -409,7 +409,7 @@ def test_lemma_suite_matches_the_oracle_on_random_points(dataset):
 def test_lemma_suite_matches_the_oracle_on_scanned_polygons():
     for entry in delpezzo_catalog():
         for item in scan_directions(entry.polytope, 6):
-            data = item.data
+            data = fixed_data_from_polytope(entry.polytope, item.xi)
             if any(c.kind == "surface" for c in data.components):
                 assert _lemma_checks(data).notes == [
                     "skipped: direction is not generic (fixed boundary spheres)"
@@ -445,7 +445,7 @@ def test_primitive_directions_bound_cap():
 def test_scan_dim3_reports_unsupported():
     items = list(scan_directions(CUBE, 1))
     unsupported = [i for i in items if i.error is not None]
-    generic = [i for i in items if i.data is not None]
+    generic = [i for i in items if i.error is None]
     assert unsupported and generic
     for item in generic:
-        assert validate(item.data).ok
+        assert validate(fixed_data_from_polytope(CUBE, item.xi)).ok

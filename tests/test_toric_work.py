@@ -32,7 +32,7 @@ from hamfano.toric import (
 
 from .oracle import direction_orbits, lattice_automorphisms
 from .test_golden import GOLDEN, POLYTOPES, ROOT
-from .test_toric_orbits import CASES, flat_transposes
+from .test_toric_orbits import CASES, LOPSIDED_HEXAGON, flat_transposes
 
 
 def _counting(monkeypatch, owner, name):
@@ -71,14 +71,15 @@ def test_scan_generates_each_orbit_once(monkeypatch, tmp_path):
 
 
 def test_a_polytope_with_no_symmetry_generates_every_direction(monkeypatch, tmp_path):
-    trapezoid = [(0, 0), (3, 0), (1, 1), (0, 1)]
-    assert lattice_automorphisms(trapezoid) == [((1, 0), (0, 1))]
-    path = tmp_path / "p.json"
-    path.write_text(json.dumps({"schema_version": "1", "polytope": {"vertices": trapezoid}}))
     calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
-    code, _out = run(["toric", "scan", str(path), "--bound", "4"])
-    assert code == 0
-    assert len(calls) == len(primitive_directions(2, 4))
+    path = tmp_path / "p.json"
+    for polygon in ([(0, 0), (3, 0), (1, 1), (0, 1)], LOPSIDED_HEXAGON):
+        assert lattice_automorphisms(polygon) == [((1, 0), (0, 1))]
+        path.write_text(json.dumps({"schema_version": "1", "polytope": {"vertices": polygon}}))
+        calls.clear()
+        code, _out = run(["toric", "scan", str(path), "--bound", "4"])
+        assert code == 0
+        assert len(calls) == len(primitive_directions(2, 4)), polygon
 
 
 def _load_bench_generator():
@@ -188,8 +189,8 @@ def test_scan_constructs_each_gradient_edge_once(monkeypatch):
         keys = {
             (e.bottom, e.top, e.weight)
             for item in scan_directions(p, bound)
-            if item.data is not None
-            for e in item.data.edges
+            if item.error is None
+            for e in fixed_data_from_polytope(p, item.xi).edges
         }
         assert sorted(args[1:] for args in calls) == sorted(keys)
 
