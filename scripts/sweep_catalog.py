@@ -11,7 +11,6 @@ usage: python scripts/sweep_catalog.py [--bound N] [--verbose]
 
 import argparse
 
-from hamfano.localization import abbv_sum_4d
 from hamfano.toric import delpezzo_catalog, fixed_data_from_polytope, scan_directions
 
 
@@ -34,7 +33,7 @@ def main() -> None:
                 print(
                     f"  {entry.name} xi={item.xi} H=[{data.h_min()},"
                     f" {data.h_max()}] comps={len(data.components)}"
-                    f" sum={abbv_sum_4d(data)}"
+                    f" sum={item.abbv_sum}"
                     f" {'ok' if item.report.ok else 'VIOLATIONS'}"
                 )
         print(

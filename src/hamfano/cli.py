@@ -259,7 +259,7 @@ def _cmd_chi_y(path: str) -> Tuple[int, dict]:
     data = load_fixed_point_data(path)
     poly = localization.chi_y(data)
     out: Dict[str, Any] = {
-        "chi_y": poly.render("y"),
+        "chi_y": poly.render(),
         "coefficients": list(poly.coefficients),
     }
     if data.half_dim == 3:

@@ -139,7 +139,7 @@ def _dh_pieces(data: FixedPointData) -> PiecewisePolynomial:
     for level in levels:
         c0, c1 = terms[level]
         const, slope = const + c0, slope + c1
-        pieces.append(Polynomial.of(const, slope))
+        pieces.append(Polynomial((const, slope)))
     if pieces.pop().coefficients:
         raise InconsistencyError(
             "DH reconstruction does not close up to zero above the maximum; "
@@ -161,7 +161,7 @@ def fibre_area_bound_check(p: LatticePolytope, xi: Sequence[int]) -> Report:
         )
     slope = Fraction(*_term_4d(bottom))
     dh = _dh_pieces(data)
-    bound = Polynomial.of(-dh.breakpoints[0] * slope, slope)
+    bound = Polynomial((-dh.breakpoints[0] * slope, slope))
 
     for i, piece in enumerate(dh.pieces):
         x0, x1 = dh.breakpoints[i], dh.breakpoints[i + 1]

@@ -165,12 +165,6 @@ class Correspondence:
     report: Report
 
 
-def isotropy_part(q: LabelledGraph) -> LabelledGraph:
-    """Forget weight-1 edges: isotropy spheres and 4-manifolds have weight >= 2,
-    and only those edges are shared by the fibre graph and the surface graph."""
-    return replace(q, edges=tuple(e for e in q.edges if e.weight >= 2))
-
-
 def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
     """Match the Karshon graph of the symplectic fibre against the graph of
     fixed surfaces.
@@ -197,11 +191,14 @@ def fibre_correspondence(g: LabelledGraph, q: LabelledGraph) -> Correspondence:
     if not inter <= {1, 2}:
         raise PreconditionError(f"fibre intersections must be 1 or 2, got {inter}")
     chi = len(q.vertices)
-    q_iso = isotropy_part(q)
+    # forget weight-1 edges: isotropy spheres and 4-manifolds have weight >= 2,
+    # and only those edges are shared by the fibre graph and the surface graph
+    q_iso = replace(q, edges=tuple(e for e in q.edges if e.weight >= 2))
 
     if inter == {1}:
         g_min, _ = g.ends()
-        gg = g.genus_part(g.vertex(g_min).genus or 0)
+        genus = g.vertex(g_min).genus or 0
+        gg = g.subgraph(lambda v: v.genus == genus)
         if len(gplus.vertices) != chi:
             report.flag(
                 "count",
@@ -450,7 +447,7 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
         report.flag(
             "nAnB", f"maximum of type ({name}) forces n_A{plus} = n_B, got {n_a}{plus} != {n_b}"
         )
-    report.note(f"b2(M_min) = {len(data.points())}")
+    report.notes.append(f"b2(M_min) = {len(data.points())}")
     return n_a, n_b, n_c, report
 
 
@@ -677,7 +674,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
                 # extremal surface has no matching +-1 weight slot left
                 report.undecided(
                     "weight-one-link",
-                    f"{c.id}: no weight-{-w} slot remains at {ext_id}",
+                    f"{c.id}: no slot of weight {-w} remains at {ext_id}",
                     subject=c.id,
                 )
                 connections.append((ext_id, c.id, None))
@@ -727,7 +724,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
             subject=witness,
         )
     else:
-        report.note(f"witness: {witness} with c1 = {c1} <= {2 - 2 * g}")
+        report.notes.append(f"witness: {witness} with c1 = {c1} <= {2 - 2 * g}")
     return report
 
 
@@ -943,9 +940,8 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 
     # witness emission
     if degrees_known and report.ok:
-        c1, witness = min((c1_of_surface(c), c.id) for c in plus)
-        wit_c = data.component(witness)
-        if wit_c.genus < g or c1 > 2 - 2 * g:
+        c1, witness = min((c1_of_surface(c), c.id) for c in plus if c.genus >= g)
+        if c1 > 2 - 2 * g:
             report.flag(
                 "conclusion",
                 f"hypotheses and localisation hold, yet no surface of genus >= {g} "
@@ -953,9 +949,9 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
                 subject=witness,
             )
         else:
-            report.note(
-                f"witness: {witness} (genus {wit_c.genus}) with c1 = {c1} "
-                f"<= {2 - 2 * g}"
+            report.notes.append(
+                f"witness: {witness} (genus {data.component(witness).genus}) "
+                f"with c1 = {c1} <= {2 - 2 * g}"
             )
     return report
 

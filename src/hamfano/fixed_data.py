@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .reports import (
     NonUniqueExtremumError,
@@ -296,9 +295,6 @@ class FixedPointData:
 
     def h_max(self) -> Rational:
         return self._ordered[-1].H
-
-    def replace_components(self, comps: Iterable[FixedComponent]) -> "FixedPointData":
-        return replace(self, components=tuple(comps))
 
 
 def edge_order_violation(

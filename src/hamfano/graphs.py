@@ -91,9 +91,6 @@ class LabelledGraph:
     def positive_genus(self) -> "LabelledGraph":
         return self.subgraph(lambda v: (v.genus or 0) > 0)
 
-    def genus_part(self, g: int) -> "LabelledGraph":
-        return self.subgraph(lambda v: v.genus == g)
-
     def connected_components(self) -> List[List[str]]:
         seen: set = set()
         comps: List[List[str]] = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .fixed_data import (
     POINT,
@@ -44,17 +44,10 @@ class Polynomial:
             cs.pop()
         object.__setattr__(self, "coefficients", tuple(cs))
 
-    @classmethod
-    def of(cls, *coeffs: Union[int, Fraction]) -> "Polynomial":
-        return cls(coeffs)
-
     def coefficient(self, d: int) -> Fraction:
         if 0 <= d < len(self.coefficients):
             return self.coefficients[d]
         return Fraction(0)
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0)
 
     def __call__(self, x: Union[int, Fraction]) -> Fraction:
         x = as_fraction(x)
@@ -63,7 +56,7 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def render(self, var: str = "y") -> str:
+    def render(self) -> str:
         if not self.coefficients:
             return "0"
         parts = []
@@ -73,7 +66,7 @@ class Polynomial:
             if d == 0:
                 parts.append(str(c))
             else:
-                mono = var if d == 1 else f"{var}^{d}"
+                mono = "y" if d == 1 else f"y^{d}"
                 if c == 1:
                     parts.append(mono)
                 elif c == -1:
@@ -188,7 +181,9 @@ def weight_sum_normalize(data: FixedPointData) -> Tuple[Rational, FixedPointData
     Raises as :func:`weight_sum_constant` does.
     """
     c = weight_sum_constant(data)
-    return c, data.replace_components(replace(comp, H=comp.H + c) for comp in data.components)
+    return c, replace(
+        data, components=tuple(replace(comp, H=comp.H + c) for comp in data.components)
+    )
 
 
 def check_converse_fano(data: FixedPointData) -> Report:
@@ -250,12 +245,10 @@ def chi_y(data: FixedPointData) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-def todd_and_c1c2(
-    data: FixedPointData, chi: Optional[Polynomial] = None
-) -> Tuple[Fraction, Fraction]:
-    """Todd genus (constant term of chi_y) and c1*c2 = 24 * Todd, dimension 6;
-    a caller that already holds chi_y(data) passes it as ``chi``."""
+def todd_and_c1c2(data: FixedPointData, chi: Polynomial) -> Tuple[Fraction, Fraction]:
+    """Todd genus (constant term of chi = chi_y(data)) and c1*c2 = 24 * Todd,
+    dimension 6."""
     if data.half_dim != 3:
         raise PreconditionError("todd_and_c1c2 applies to 6-dimensional data")
-    todd = (chi_y(data) if chi is None else chi).constant_term()
+    todd = chi.coefficient(0)
     return todd, 24 * todd

@@ -105,9 +105,6 @@ class Report:
     def undecided(self, code: str, message: str, subject: Optional[str] = None) -> None:
         self.inconclusive.append(Violation(code, message, subject, "inconclusive"))
 
-    def note(self, message: str) -> None:
-        self.notes.append(message)
-
     def extend(self, other: "Report") -> None:
         self.violations.extend(other.violations)
         self.inconclusive.extend(other.inconclusive)

@@ -7,6 +7,7 @@ are no tolerances anywhere.
 
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 from hamfano.dh import dh_function_toric, reduced_volume
@@ -69,8 +70,8 @@ def generic_directions(p, bound):
 def test_criterion_1_chern_numbers():
     with criterion(1, "chi_y and c1c2 = 24 on CP3"):
         data = fixed_data_from_polytope(CP3, (1, 2, 4))
-        assert chi_y(data) == Polynomial.of(1, -1, 1, -1)
-        todd, c1c2 = todd_and_c1c2(data)
+        assert chi_y(data) == Polynomial((1, -1, 1, -1))
+        todd, c1c2 = todd_and_c1c2(data, chi_y(data))
         assert todd == 1 and c1c2 == 24
 
 
@@ -176,7 +177,7 @@ def test_criterion_7_chain_discipline():
             bad_point = FixedComponent(
                 id="zz", kind="point", H=Fraction(1, 2), weights=(3, -1, -1)
             )
-            injected = data.replace_components(data.components + (bad_point,))
+            injected = replace(data, components=data.components + (bad_point,))
             report = chainres_check(injected)
             assert len(report.violations) == 1
             assert "modulus" in report.violations[0].message
@@ -184,15 +185,16 @@ def test_criterion_7_chain_discipline():
             if max_type == (-1, -1, -1):
                 # no chain passes through this maximum, so a modulus-3 weight
                 # there is caught by the global restriction alone
-                mutated = data.replace_components(
-                    tuple(
+                mutated = replace(
+                    data,
+                    components=tuple(
                         FixedComponent(
                             id=c.id, kind="point", H=c.H, weights=(-1, -1, -3)
                         )
                         if c.id == "max"
                         else c
                         for c in data.components
-                    )
+                    ),
                 )
                 report = chainres_check(mutated)
                 assert len(report.violations) == 1
@@ -240,13 +242,14 @@ def test_criterion_9_small_hamiltonian_suite():
 
         # fixture: a point with weights {3,-1,-1} trips exactly isosimp
         fixture = lift_product(cp2, (1, 2), 1)
-        fixture = fixture.replace_components(
-            fixture.components
+        fixture = replace(
+            fixture,
+            components=fixture.components
             + (
                 FixedComponent(
                     id="bad", kind="point", H=Fraction(-1), weights=(3, -1, -1)
                 ),
-            )
+            ),
         )
         report = small_hamiltonian_suite(fixture)
         assert [v.code for v in report.violations] == ["isosimp"]
@@ -262,6 +265,6 @@ def test_criterion_9_small_hamiltonian_suite():
             normal_degrees=(-1, 0),
             area=Fraction(1),
         )
-        fixture = fixture.replace_components(fixture.components + (sphere,))
+        fixture = replace(fixture, components=fixture.components + (sphere,))
         report = small_hamiltonian_suite(fixture)
         assert [v.code for v in report.violations] == ["nosphere"]

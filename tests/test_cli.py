@@ -306,8 +306,11 @@ def test_fano6_downhill_edge_exits_1_with_the_validate_message(tmp_path, sub, le
 
 def test_render_writes_a_fraction_as_p_over_q():
     data = parse_fixed_point_data(CP2_DATA)
-    data = data.replace_components(
-        replace(c, H=Fraction(-7, 2)) if c.id == "a" else c for c in data.components
+    data = replace(
+        data,
+        components=tuple(
+            replace(c, H=Fraction(-7, 2)) if c.id == "a" else c for c in data.components
+        ),
     )
     text = json.dumps(render_fixed_point_data(data)["components"][0], separators=(",", ":"))
     assert text == '{"id":"a","kind":"point","H":"-7/2","weights":[1,2]}'
@@ -440,7 +443,7 @@ def test_fano6_suite_violations_exit_1(tmp_path):
         normal_degrees=(-1, 0),
         area=Fraction(1),
     )
-    data = base.replace_components(base.components + (sphere,))
+    data = replace(base, components=base.components + (sphere,))
     path = write(tmp_path, "bad.json", doc_data(render_fixed_point_data(data)))
     code, out = run(["fano6", "suite", path])
     assert code == 1

@@ -79,15 +79,15 @@ def test_reduced_volume_matches_slice_oracle_on_cube():
 def test_dh_cp2_shape():
     dh = dh_function_toric(CP2, (1, 2))
     assert dh.breakpoints == (-3, 0, 3)
-    assert dh.pieces[0] == Polynomial.of(Fraction(3, 2), Fraction(1, 2))
-    assert dh.pieces[1] == Polynomial.of(Fraction(3, 2), Fraction(-1, 2))
+    assert dh.pieces[0] == Polynomial((Fraction(3, 2), Fraction(1, 2)))
+    assert dh.pieces[1] == Polynomial((Fraction(3, 2), Fraction(-1, 2)))
     assert dh.pieces[0](0) == dh.pieces[1](0)
 
 
 def test_dh_square_horizontal():
     dh = dh_function_toric(SQUARE, (1, 0))
     assert dh.breakpoints == (-1, 1)
-    assert dh.pieces[0] == Polynomial.of(2)
+    assert dh.pieces[0] == Polynomial((2,))
     assert dh(Fraction(1, 3)) == 2
     # closed slices at the fixed-sphere levels have the full edge length
     assert dh(-1) == 2 and dh(1) == 2
@@ -283,11 +283,11 @@ def test_positivity_default_levels():
 
 def test_piecewise_polynomial_guards():
     with pytest.raises(PreconditionError, match="^breakpoints must be strictly increasing$"):
-        PiecewisePolynomial((1, 0), (Polynomial.of(1),))
-    for breakpoints, pieces in (((0,), ()), ((0, 1, 2), (Polynomial.of(1),))):
+        PiecewisePolynomial((1, 0), (Polynomial((1,)),))
+    for breakpoints, pieces in (((0,), ()), ((0, 1, 2), (Polynomial((1,)),))):
         with pytest.raises(PreconditionError) as caught:
             PiecewisePolynomial(breakpoints, pieces)
         assert str(caught.value) == "need k+1 breakpoints for k pieces, k >= 1"
-    pp = PiecewisePolynomial((0, 1), (Polynomial.of(1),))
+    pp = PiecewisePolynomial((0, 1), (Polynomial((1,)),))
     with pytest.raises(PreconditionError):
         pp(2)

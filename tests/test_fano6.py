@@ -381,9 +381,10 @@ def test_correspondence_case1_reads_the_ends_of_a_graph_built_without_them():
 
 def test_correspondence_case1_wrong_count_flagged():
     data, q = _case1_data_and_graph(STD_HEXAGON, (1, -1), genus=2)
-    extra = data.replace_components(
-        data.components
-        + (surf("extra", Fraction(1, 2), (-1, 1), 2, (0, 0), fibre_intersection=2),)
+    extra = replace(
+        data,
+        components=data.components
+        + (surf("extra", Fraction(1, 2), (-1, 1), 2, (0, 0), fibre_intersection=2),),
     )
     g, _ = surface_graph(extra)
     result = fibre_correspondence(g, q)
@@ -530,11 +531,12 @@ def test_chainres_rejects_wrong_lower_weights():
 
 def test_chainres_modulus_three_single_violation():
     data = build_04_data((-1, -1, -1), 1, 1, 1)
-    tweaked = data.replace_components(
-        tuple(
+    tweaked = replace(
+        data,
+        components=tuple(
             point(c.id, c.H, (3, -1, -1)) if c.id == "c0" else c
             for c in data.components
-        )
+        ),
     )
     report = chainres_check(tweaked)
     assert len(report.violations) == 1
@@ -572,7 +574,7 @@ def test_abc_nanb_violation():
 
 def test_abc_rejects_wrong_tuple():
     data = build_04_data((-1, -1, -1), 1, 1, 0)
-    extra = data.replace_components(data.components + (point("x", 2, (1, 1, -2)),))
+    extra = replace(data, components=data.components + (point("x", 2, (1, 1, -2)),))
     _, _, _, report = type_abc_classify(extra)
     assert any(v.code == "listofweights" for v in report.violations)
 
@@ -595,9 +597,7 @@ def test_abc_names_every_admissible_maximum_type():
 
 def test_abc_surface_must_sit_on_level_zero():
     data = build_04_data((-1, -1, -1), 0, 0, 0)
-    extra = data.replace_components(
-        data.components + (surf("s", 1, (-1, 1), 0, (0, 0)),)
-    )
+    extra = replace(data, components=data.components + (surf("s", 1, (-1, 1), 0, (0, 0)),))
     _, _, _, report = type_abc_classify(extra)
     assert any(v.code == "surface-level" for v in report.violations)
 
@@ -652,10 +652,11 @@ def test_semifree_check():
     # the {-1,1,1} point on level -1 is allowed by semi-freeness
     assert semifree_check(data).ok
 
-    bad = data.replace_components(
-        tuple(
+    bad = replace(
+        data,
+        components=tuple(
             point("p", -1, (-2, 1, 1)) if c.id == "p" else c for c in data.components
-        )
+        ),
     )
     report = semifree_check(bad)
     assert any(v.code == "newref" for v in report.violations)
@@ -793,7 +794,7 @@ def test_cycle_inequality_open_chain_inconclusive():
         else c
         for c in data.components
     )
-    report = cycle_inequality(data.replace_components(comps))
+    report = cycle_inequality(replace(data, components=comps))
     assert report.ok
     assert any(i.code in ("weight-one-link", "open-chain") for i in report.inconclusive)
 
@@ -867,7 +868,7 @@ def test_cycle_inequality_ignores_component_order():
     data = FixedPointData(half_dim=3, components=comps, relative_fano=True)
     report = cycle_inequality(data)
     assert [v.code for v in report.violations] == ["isotropy-inequality"]
-    shuffled = data.replace_components((comps[2], comps[3], comps[1], comps[0]))
+    shuffled = replace(data, components=(comps[2], comps[3], comps[1], comps[0]))
     assert cycle_inequality(shuffled).as_dict() == report.as_dict()
     # with isotropy edges too, neither order moves a record
     for data in _order_cases():
@@ -910,8 +911,11 @@ def test_small_suite_reports_a_missing_weight_once():
     # the weight-2 edge's bottom surface carries the weight 3 instead: the
     # surface graph flags the edge, and the chain estimate adds no second record
     data = lift_product(CP2, (1, 2), genus=1)
-    data = data.replace_components(
-        replace(c, weights=(1, 3)) if c.id == "v-1_-1" else c for c in data.components
+    data = replace(
+        data,
+        components=tuple(
+            replace(c, weights=(1, 3)) if c.id == "v-1_-1" else c for c in data.components
+        ),
     )
     (edge,) = data.edges
     records = [v for v in small_hamiltonian_suite(data).violations if v.code == "edge-weight"]
@@ -932,9 +936,12 @@ def test_chain_estimate_agrees_with_oracle_on_catalog_lifts():
             except ValueError:
                 continue  # a fixed sphere: not a generic direction
             for _ in range(3):
-                data = base.replace_components(
-                    replace(c, normal_degrees=(rng.randint(-3, 2), rng.randint(-3, 2)))
-                    for c in base.components
+                data = replace(
+                    base,
+                    components=tuple(
+                        replace(c, normal_degrees=(rng.randint(-3, 2), rng.randint(-3, 2)))
+                        for c in base.components
+                    ),
                 )
                 report = small_hamiltonian_suite(data)
                 reported = sorted(
@@ -962,7 +969,7 @@ def _with_sphere(h, area=None, nd=(0, 0), weights=(-1, 2), fibre_class=False):
         area=None if area is None else Fraction(area),
         fibre_class=fibre_class,
     )
-    return base.replace_components(base.components + (sphere,))
+    return replace(base, components=base.components + (sphere,))
 
 
 def test_nosphere_check():
@@ -1006,7 +1013,7 @@ def test_small_suite_passes_and_emits_witness():
 
 def test_small_suite_point_fixture_exactly_isosimp():
     base = lift_product(CP2, (1, 2), genus=1)
-    data = base.replace_components(base.components + (point("bad", -1, (3, -1, -1)),))
+    data = replace(base, components=base.components + (point("bad", -1, (3, -1, -1)),))
     report = small_hamiltonian_suite(data)
     assert [v.code for v in report.violations] == ["isosimp"]
     assert report.violations[0].subject == "bad"
@@ -1023,7 +1030,7 @@ def test_small_suite_sphere_fixture_exactly_nosphere():
         normal_degrees=(-1, 0),  # beta = 0: the localisation sum stays 0
         area=Fraction(1),
     )
-    data = base.replace_components(base.components + (sphere,))
+    data = replace(base, components=base.components + (sphere,))
     report = small_hamiltonian_suite(data)
     assert [v.code for v in report.violations] == ["nosphere"]
     assert report.violations[0].subject == "sph"
@@ -1032,8 +1039,9 @@ def test_small_suite_sphere_fixture_exactly_nosphere():
 def test_small_suite_alpha_zero_point_passes():
     base = lift_product(CP2, (1, 2), genus=1)
     # alpha({1,1,-2}) = 0 and the point pairs with {-1,-1,2} to keep the sum 0
-    data = base.replace_components(
-        base.components + (point("x", 0, (1, 1, -2)), point("y", 0, (-1, -1, 2)))
+    data = replace(
+        base,
+        components=base.components + (point("x", 0, (1, 1, -2)), point("y", 0, (-1, -1, 2))),
     )
     report = small_hamiltonian_suite(data)
     assert not any(
@@ -1074,7 +1082,7 @@ def test_small_suite_betapos_violation_detected():
             comps.append(surf(c.id, c.H, c.weights, 2, (1, 1), fibre_intersection=1))
         else:
             comps.append(c)
-    data = base.replace_components(tuple(comps))
+    data = replace(base, components=tuple(comps))
     report = small_hamiltonian_suite(data)
     codes = {v.code for v in report.violations}
     assert "betapos" in codes and "bigloc" in codes
@@ -1090,7 +1098,7 @@ def test_small_suite_longeq_violation_detected():
             comps.append(surf(c.id, c.H, c.weights, 1, (3, 0), fibre_intersection=1))
         else:
             comps.append(c)
-    data = base.replace_components(tuple(comps))
+    data = replace(base, components=tuple(comps))
     report = small_hamiltonian_suite(data)
     assert any(v.code == "longeq" for v in report.violations)
 
@@ -1175,9 +1183,7 @@ _GATES = [
     ),
     (
         lambda: maximal_downward_chains(
-            _POINTS_6D.replace_components(
-                _POINTS_6D.components + (point("lo2", -1, (1, 1, 1)),)
-            )
+            replace(_POINTS_6D, components=_POINTS_6D.components + (point("lo2", -1, (1, 1, 1)),))
         ),
         "minimum attained by ['lo', 'lo2']",
     ),
@@ -1407,9 +1413,10 @@ def test_semifree_records_weights_and_level_zero_components():
 def test_small_suite_flags_a_level_zero_sphere_with_positive_beta():
     # beta = (2 - 0)(-1)(1) - (-2) - (-1) = 1, so c1 = 2 - 2 - 1 = -1 < 0; the point
     # {1,1,-1} has alpha = 1/(-1) = -1 and keeps the localisation sum at 0
-    data = _GENUS_ONE.replace_components(
-        _GENUS_ONE.components
-        + (surf("sph", 0, (-1, 1), 0, (-2, -1)), point("x", 0, (1, 1, -1)))
+    data = replace(
+        _GENUS_ONE,
+        components=_GENUS_ONE.components
+        + (surf("sph", 0, (-1, 1), 0, (-2, -1)), point("x", 0, (1, 1, -1))),
     )
     message = "sph: beta = 1 > 0, so c1 < 0 on a sphere violates the relative Fano condition"
     assert _records(small_hamiltonian_suite(data)) == ([("betapos-sphere", message, "sph")], [], [])
@@ -1431,7 +1438,7 @@ def test_beta_of_a_sphere_with_weights_minus_one_one_is_minus_c1(genus, n1, n2, 
 def test_small_suite_flags_an_isolated_point_with_positive_alpha():
     # alpha({1,1,1}) = 3 and alpha({1,1,-1}) = -1: three of the latter keep the sum at 0
     extra = (point("x", 0, (1, 1, 1)),) + tuple(point(f"y{i}", 0, (1, 1, -1)) for i in range(3))
-    data = _GENUS_ONE.replace_components(_GENUS_ONE.components + extra)
+    data = replace(_GENUS_ONE, components=_GENUS_ONE.components + extra)
     assert _records(small_hamiltonian_suite(data)) == (
         [("isolatedloc", "x: alpha = 3 > 0", "x")], [], []
     )
@@ -1468,8 +1475,11 @@ def test_cycle_inequality_without_the_witness_degrees_is_inconclusive():
     # every connection is an isotropy edge, valued by its interior points (0, 0, -1, -1),
     # so the cycle closes without s2's degrees; only the witness needs them
     data = _four_cycle_data()
-    data = data.replace_components(
-        surf("s2", 0, (-2, 2), 2) if c.id == "s2" else c for c in data.components
+    data = replace(
+        data,
+        components=tuple(
+            surf("s2", 0, (-2, 2), 2) if c.id == "s2" else c for c in data.components
+        ),
     )
     assert _records(cycle_inequality(data)) == (
         [], [("witness", "normal degrees missing for the witness", None)], []
@@ -1492,25 +1502,61 @@ def test_cycle_inequality_notes_no_witness_that_fails_the_bound():
     )
 
 
-def test_small_suite_notes_no_witness_of_a_lower_genus():
-    # a genus-1 surface s with c1 = -3 and beta = 3 beside the genus-2 product, and three
-    # points {1,1,-1} of alpha -1 that keep the localisation sum at 0: every check holds,
-    # and the least (c1, id) is s's, of genus 1 < 2
+def _with_a_genus_one_surface():
+    """A genus-1 surface s with c1 = -3 and beta = 3 beside the genus-2 product, and
+    three points {1,1,-1} of alpha -1 that keep the localisation sum at 0."""
     data = lift_product(CP2, (1, 2), genus=2)
     extra = (surf("s", 0, (1, -1), 1, (-3, 0)),)
     extra += tuple(point(f"y{i}", 0, (1, 1, -1)) for i in range(3))
-    report = small_hamiltonian_suite(data.replace_components(data.components + extra))
-    assert [(v.code, v.subject) for v in report.violations] == [("conclusion", "s")]
-    assert not report.inconclusive and report.notes == []
+    return replace(data, components=data.components + extra)
+
+
+def test_small_suite_notes_no_witness_of_a_lower_genus():
+    # every check holds; s has the least (c1, id) of all, but its genus 1 is below
+    # g = 2, so the witness is the least over the genus-2 surfaces
+    assert _records(small_hamiltonian_suite(_with_a_genus_one_surface())) == (
+        [], [], ["witness: v-1_-1 (genus 2) with c1 = -2 <= -2"]
+    )
+
+
+def test_cycle_inequality_names_a_missing_slot_by_its_signed_weight():
+    # s takes the weight-one slots of both extrema, so v2_-1's links find none
+    _, undecided, _ = _records(cycle_inequality(_with_a_genus_one_surface()))
+    assert undecided[:2] == [
+        ("weight-one-link", "v2_-1: no slot of weight 1 remains at v-1_-1", "v2_-1"),
+        ("weight-one-link", "v2_-1: no slot of weight -1 remains at v-1_2", "v2_-1"),
+    ]
+
+
+def test_small_suite_flags_impossible_data_on_which_every_check_holds():
+    # degrees (0, 1), (0, 1) and (3, -2) give the genus-2 surfaces beta -5/4, 1 and 1/4,
+    # so both localisation sums are 0, and the chain v-1_-1 -> v-1_2 has the estimate
+    # -3 - 3 + (1 + 3)(4 - 1)/4 = -3 <= 0; yet each surface has c1 = -2 + 1 = -1 > -2
+    data = lift_product(CP2, (1, 2), genus=2)
+    degrees = {"v-1_-1": (0, 1), "v2_-1": (0, 1), "v-1_2": (3, -2)}
+    data = replace(
+        data,
+        components=tuple(replace(c, normal_degrees=degrees[c.id]) for c in data.components),
+    )
+    message = (
+        "hypotheses and localisation hold, yet no surface of genus >= 2 has c1 <= -2; "
+        "impossible data"
+    )
+    assert _records(small_hamiltonian_suite(data)) == (
+        [("conclusion", message, "v-1_-1")], [], []
+    )
 
 
 def test_small_suite_chain_estimate_without_degrees_is_inconclusive():
     # the four-cycle on levels -2, 0, 2 without s2's degrees: its first edge in the
     # canonical order, s1 -> s2, has no degree at s2
     data = _four_cycle_data()
-    data = data.replace_components(
-        surf("s2", 0, (-2, 2), 2) if c.id == "s2" else replace(c, H=c.H // 2)
-        for c in data.components
+    data = replace(
+        data,
+        components=tuple(
+            surf("s2", 0, (-2, 2), 2) if c.id == "s2" else replace(c, H=c.H // 2)
+            for c in data.components
+        ),
     )
     assert _records(small_hamiltonian_suite(data)) == (
         [],

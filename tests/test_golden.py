@@ -176,7 +176,7 @@ def _generated_datasets():
     prod = lift_product(cp2, (1, 2), genus=1)
 
     def with_components(comps):
-        return prod.replace_components(comps)
+        return replace(prod, components=tuple(comps))
 
     def sphere(cid, h, weights, nd):
         return FixedComponent(

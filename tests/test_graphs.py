@@ -128,7 +128,7 @@ def test_subgraph_selectors():
         edges=(),
     )
     assert [v.id for v in g.positive_genus().vertices] == ["a", "c"]
-    assert [v.id for v in g.genus_part(2).vertices] == ["a"]
+    assert [v.id for v in g.subgraph(lambda v: v.genus == 2).vertices] == ["a"]
 
 
 def _double_edge(second):

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hamfano.cli import _HANDLERS, USAGE, parse_fixed_point_data, run
+from hamfano.fano6 import Chain
 from hamfano.fixed_data import FixedComponent
 from hamfano.reports import StructuralError
 from hamfano.toric import LatticePolytope, catalog_entry, karshon_graph
@@ -597,6 +598,32 @@ REFUSALS = [
     (
         lambda tmp: _raised(parse_fixed_point_data(ROW).component, "nope"),
         "no component with id 'nope'",
+    ),
+    (
+        lambda tmp: _cli_error(
+            "dh", "toric", _write(tmp, {"polytope": {"dim": 2, "vertices": []}}), "--xi", "1,2"
+        ),
+        "no vertices given",
+    ),
+    *(
+        (
+            lambda tmp, end=end: _cli_error(
+                "validate", _write(tmp, _set(DOCUMENTS["product"], EDGE + ("bottom",), end))
+            ),
+            "edge endpoints must be component ids",
+        )
+        for end in ("", 5)
+    ),
+    # only the prefix: the rest is the operating system's text
+    (
+        lambda tmp: _cli_error("validate", str(tmp / "missing.json"))
+        .replace(str(tmp), "<dir>")
+        .partition(": ")[0],
+        "cannot read <dir>/missing.json",
+    ),
+    (
+        lambda tmp: _raised(Chain, points=("a", "b", "c"), edge_weights=(2,)),
+        "a chain of k points carries k-1 sphere weights",
     ),
 ]
 
