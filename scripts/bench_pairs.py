@@ -12,6 +12,13 @@ each end-to-end metric, every run, the median and quartiles of each side,
 and the number of pairs each side won, and each tree's ``src/`` line count
 (the lines of ``src/**/*.py``).
 
+Each metric also states the two rules a comparison is judged by.
+``gain_shown``: the change won at least nine in ten of the pairs (a tie
+counts for neither side), and its median moved the better way by more than
+the parent's quartile spread q3 - q1.  ``within_bound``: the change's median
+is not worse than the parent's by more than the metric's bound, a fraction
+of the parent's median.
+
 usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
            --seeds A-B --out BENCH.json
 """
@@ -73,6 +80,11 @@ def compare(runs: dict, metric: dict) -> dict:
     parent = out["parent"]
     out["median_change"] = (out["change"]["median"] - parent["median"]) / parent["median"]
     out["parent_spread"] = (parent["q3"] - parent["q1"]) / parent["median"]
+    gain = (out["change"]["median"] - parent["median"]) * (1 if higher else -1)
+    out["gain_shown"] = (
+        10 * wins["change"] >= 9 * len(values["change"]) and gain > parent["q3"] - parent["q1"]
+    )
+    out["within_bound"] = -gain <= metric["bound"] * parent["median"]
     return out
 
 

@@ -87,9 +87,10 @@ _PAYLOADS = ("fixed_point_data", "polytope", "suite_request")
 _DOCUMENT = dict.fromkeys(("schema_version", *_PAYLOADS))
 
 
-def _fields(schema, obj: Any, what: str) -> Dict[str, Any]:
-    """The fields of one document object, checked for the required keys and
-    for a key that is no field of the schema, which is refused, never dropped."""
+def _fields(schema, obj: Any, what: str) -> None:
+    """Only check one document object; it is neither copied nor returned.  It
+    must be an object with every required key of the schema, and a key that is
+    no field of the schema is refused, never dropped."""
     if not isinstance(obj, dict):
         raise StructuralError(f"{what} must be an object")
     if not obj.keys() <= schema.keys():
@@ -97,20 +98,19 @@ def _fields(schema, obj: Any, what: str) -> Dict[str, Any]:
     for name, default in schema.items():
         if default is dataclasses.MISSING and name not in obj:
             raise StructuralError(f"{what} needs the key {name!r}")
-    return dict(obj)
 
 
 def parse_fixed_point_data(doc: dict) -> FixedPointData:
-    fields = _fields(_DATA, doc, "fixed_point_data")
-    fields["components"] = tuple(
-        FixedComponent(**_fields(_COMPONENT, c, "component"))
-        for c in _as_tuple(fields["components"], "components")
-    )
-    fields["edges"] = tuple(
-        GradientEdge(**_fields(_EDGE, e, "edge"))
-        for e in _as_tuple(fields.get("edges", ()), "edges")
-    )
-    return FixedPointData(**fields)
+    _fields(_DATA, doc, "fixed_point_data")
+    args = {**doc, "components": [], "edges": []}
+    for key, cls, schema, what in (
+        ("components", FixedComponent, _COMPONENT, "component"),
+        ("edges", GradientEdge, _EDGE, "edge"),
+    ):
+        for obj in _as_tuple(doc.get(key, ()), key):
+            _fields(schema, obj, what)
+            args[key].append(cls(**obj))
+    return FixedPointData(**args)
 
 
 def _exact(value: Any) -> Union[int, str]:
@@ -142,7 +142,8 @@ def render_fixed_point_data(data: FixedPointData) -> dict:
 
 
 def parse_polytope(doc: dict) -> toric.LatticePolytope:
-    p = toric.LatticePolytope(_fields(_POLYTOPE, doc, "polytope")["vertices"])
+    _fields(_POLYTOPE, doc, "polytope")
+    p = toric.LatticePolytope(doc["vertices"])
     if "dim" in doc and (type(doc["dim"]) is not int or doc["dim"] != p.dim):
         raise StructuralError(f"declared dim {doc['dim']} != actual dim {p.dim}")
     return p
@@ -332,15 +333,17 @@ def _cmd_fano6_suite(path: str) -> Tuple[int, dict]:
     kind, payload = load_document(path)
     fibre = fibre_xi = levels = None
     if kind == "suite_request":
-        payload = _fields(_SUITE_REQUEST, payload, "suite_request")
+        _fields(_SUITE_REQUEST, payload, "suite_request")
         data = parse_fixed_point_data(payload["data"])
+        if ("fibre" in payload) != ("fibre_xi" in payload):
+            raise StructuralError(
+                "suite_request with a fibre needs fibre_xi"
+                if "fibre" in payload
+                else "suite_request with fibre_xi needs a fibre"
+            )
         if "fibre" in payload:
             fibre = parse_polytope(payload["fibre"])
-            if "fibre_xi" not in payload:
-                raise StructuralError("suite_request with a fibre needs fibre_xi")
             fibre_xi = _as_tuple(payload["fibre_xi"], "fibre_xi")
-        elif "fibre_xi" in payload:
-            raise StructuralError("suite_request with fibre_xi needs a fibre")
         if "levels" in payload:
             levels = [as_rational(x) for x in _as_tuple(payload["levels"], "levels")]
     elif kind == "fixed_point_data":

@@ -72,6 +72,21 @@ def _extrema(data: FixedPointData, name: str, flag=None) -> Tuple[FixedComponent
     return data.component(min_id), data.component(max_id)
 
 
+def _fourfold_minimum(data: FixedPointData, name: str) -> Tuple[FixedComponent, FixedComponent]:
+    """The entry gate of an analysis of symplectic Fano data whose minimum is a
+    del Pezzo fourfold: ``_extrema``, then the refusal of any other minimum."""
+    min_c, max_c = _extrema(data, name, "fano")
+    if min_c.kind != FOURFOLD:
+        raise PreconditionError(f"{name} needs a 4-dimensional minimum")
+    return min_c, max_c
+
+
+def _on_level_zero(c: FixedComponent) -> bool:
+    """Whether c is a fixed surface on level 0 with weights {-1,1}: where a fixed surface
+    sits above a fourfold minimum, and a fixed sphere above a positive-genus one."""
+    return c.kind == SURFACE and c.H == 0 and c.sorted_weights() == (-1, 1)
+
+
 # -- graph of fixed surfaces ---------------------------------------------------
 
 
@@ -94,19 +109,10 @@ def surface_graph(data: FixedPointData) -> Tuple[LabelledGraph, Report]:
     )
     graph = LabelledGraph(vertices=surfaces, edges=edges)
     for e in graph.edges:  # the canonical order, not the file's
-        bot, top = data.component(e.bottom), data.component(e.top)
-        if e.weight not in bot.weights:
-            report.flag(
-                "edge-weight",
-                f"edge {e.key}: bottom surface lacks the weight {e.weight}",
-                subject=e.key,
-            )
-        if -e.weight not in top.weights:
-            report.flag(
-                "edge-weight",
-                f"edge {e.key}: top surface lacks the weight {-e.weight}",
-                subject=e.key,
-            )
+        for end, cid, w in (("bottom", e.bottom, e.weight), ("top", e.top, -e.weight)):
+            if w not in data.component(cid).weights:
+                message = f"edge {e.key}: {end} surface lacks the weight {w}"
+                report.flag("edge-weight", message, subject=e.key)
 
     for c in surfaces:
         deg = graph.degree(c.id)
@@ -144,17 +150,12 @@ def reflective_check(q: LabelledGraph) -> bool:
     is rejected as impossible, the minimum checked first."""
     reflective = next(nontrivial_involutions(q), None) is not None
     if reflective:
-        q_min, q_max = q.ends()
-        if q.vertex(q_min).sorted_weights() != (1, 1):
-            raise InconsistencyError(
-                f"reflective graph has minimum weights "
-                f"{list(q.vertex(q_min).sorted_weights())} instead of {{1,1}}"
-            )
-        if q.vertex(q_max).sorted_weights() != (-1, -1):
-            raise InconsistencyError(
-                f"reflective graph has maximum weights "
-                f"{list(q.vertex(q_max).sorted_weights())} instead of {{-1,-1}}"
-            )
+        for end, v, w in zip(("minimum", "maximum"), q.ends(), (1, -1)):
+            ws = q.vertex(v).sorted_weights()
+            if ws != (w, w):
+                raise InconsistencyError(
+                    f"reflective graph has {end} weights {list(ws)} instead of {{{w},{w}}}"
+                )
     return reflective
 
 
@@ -324,9 +325,7 @@ def chainres_check(data: FixedPointData) -> Report:
     the lower one with weights {-1,-1,2} on level 0 and the upper one on a
     level >= 2; moreover no weight anywhere has modulus above 2.
     """
-    min_c, _ = _extrema(data, "chainres_check", "fano")
-    if min_c.kind != FOURFOLD:
-        raise PreconditionError("chainres_check needs a 4-dimensional minimum")
+    _fourfold_minimum(data, "chainres_check")
     report = Report()
     for chain in maximal_downward_chains(data):
         label = "->".join(chain.points)
@@ -397,9 +396,7 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
     downward chains, and that every fixed surface sits on level 0 with
     weights {-1,1}.  The report notes b2(M_min) = number of isolated points.
     """
-    min_c, max_c = _extrema(data, "type_abc_classify", "fano")
-    if min_c.kind != FOURFOLD:
-        raise PreconditionError("type_abc_classify needs a 4-dimensional minimum")
+    min_c, max_c = _fourfold_minimum(data, "type_abc_classify")
     if max_c.kind != POINT:
         raise PreconditionError("type_abc_classify needs the maximum to be a point")
     report = Report()
@@ -427,7 +424,7 @@ def type_abc_classify(data: FixedPointData) -> Tuple[int, int, int, Report]:
                     subject=c.id,
                 )
         elif c.kind == SURFACE:
-            if c.H != 0 or c.sorted_weights() != (-1, 1):
+            if not _on_level_zero(c):
                 report.flag(
                     "surface-level",
                     f"{c.id}: fixed surface must sit on level 0 with weights "
@@ -528,9 +525,7 @@ def enumerate_04() -> List[dict]:
 def semifree_check(data: FixedPointData) -> Report:
     """Semi-freeness when dim(M_min) = 4 and dim(M_max) >= 2: all weights
     have modulus 1 and level-0 components are surfaces with weights {-1,1}."""
-    min_c, max_c = _extrema(data, "semifree_check", "fano")
-    if min_c.kind != FOURFOLD:
-        raise PreconditionError("semifree_check needs a 4-dimensional minimum")
+    _, max_c = _fourfold_minimum(data, "semifree_check")
     if max_c.kind == POINT:
         raise PreconditionError("semifree_check needs dim(M_max) >= 2")
     report = Report()
@@ -542,7 +537,7 @@ def semifree_check(data: FixedPointData) -> Report:
                     f"{c.id}: weight {w} contradicts semi-freeness",
                     subject=c.id,
                 )
-        if c.H == 0 and (c.kind != SURFACE or c.sorted_weights() != (-1, 1)):
+        if c.H == 0 and not _on_level_zero(c):
             report.flag(
                 "newref",
                 f"{c.id}: level-0 component must be a surface with weights "
@@ -824,7 +819,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 
     Hypothesis failures (range, sphere levels) are reported separately from
     conclusion failures; a conclusion failing on data that satisfies every
-    hypothesis and the localisation identity marks the data as impossible.
+    hypothesis and the global localisation sum marks the data as impossible.
     Emits a witness surface of genus >= g with c1 <= 2-2g when it can.
     """
     min_c, max_c = _extrema(data, "small_hamiltonian_suite", "relative_fano")
@@ -846,7 +841,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
     report.extend(nosphere_check(data))
     for c in data.ordered():
         if c.kind == SURFACE and c.genus == 0 and c.H >= 0:
-            if c.H != 0 or c.sorted_weights() != (-1, 1):
+            if not _on_level_zero(c):
                 report.flag(
                     "sphere-level",
                     f"{c.id}: genus-0 surface must sit on level 0 with weights "
@@ -944,8 +939,8 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
         if c1 > 2 - 2 * g:
             report.flag(
                 "conclusion",
-                f"hypotheses and localisation hold, yet no surface of genus >= {g} "
-                f"has c1 <= {2 - 2 * g}; impossible data",
+                f"hypotheses and the global localisation sum hold, yet no surface of "
+                f"genus >= {g} has c1 <= {2 - 2 * g}; impossible data",
                 subject=witness,
             )
         else:

@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py``, which every speed and no-regression figure
-rests on: its pair count, medians and spread on synthetic runs, and its
-``src/`` line count on a temporary tree.  The script is loaded by path and
+rests on: its pair count, medians, spread and the two rules it states
+(``gain_shown``, ``within_bound``) on synthetic runs, and its ``src/`` line
+count on a temporary tree.  The script is loaded by path and
 not run, and no bytecode is written next to it."""
 
 import importlib.util
@@ -29,12 +30,12 @@ PARENT = [1, 2, 3, 4, 5]
 CHANGE = [4, 1, 3, 6, 7]  # pair 3 is a tie; the change is higher in pairs 1, 4 and 5
 
 
-def _compare(bench_pairs, better):
+def _compare(bench_pairs, better, parent=PARENT, change=CHANGE, bound=0.25):
     runs = {
-        "parent": [{"metrics": {"m": v}} for v in PARENT],
-        "change": [{"metrics": {"m": v}} for v in CHANGE],
+        "parent": [{"metrics": {"m": v}} for v in parent],
+        "change": [{"metrics": {"m": v}} for v in change],
     }
-    metric = {"name": "m", "unit": "1/s", "better": better, "bound": 0.25}
+    metric = {"name": "m", "unit": "1/s", "better": better, "bound": bound}
     return bench_pairs.compare(runs, metric)
 
 
@@ -58,6 +59,60 @@ def test_median_change_and_spread_by_hand(bench_pairs):
     assert out["median_change"] == pytest.approx((4 - 3) / 3)
     assert out["parent_spread"] == pytest.approx((4 - 2) / 3)
     assert (out["unit"], out["better"], out["bound"]) == ("1/s", "higher", 0.25)
+
+
+# ten parent runs with quartiles 10.25, 11.5 and 12.75: a spread of 2.5 around 11.5
+PARENT_10 = [10, 11, 12, 13, 14, 9, 10, 11, 12, 13]
+
+
+@pytest.mark.parametrize(
+    "better, change, shown",
+    [
+        # the change wins all ten pairs by 3, beyond the spread of 2.5
+        ("higher", [v + 3 for v in PARENT_10], True),
+        ("lower", [v - 3 for v in PARENT_10], True),
+        # nine wins and a tie still show a gain; the tie counts for neither side
+        ("higher", [v + 4 for v in PARENT_10[:9]] + PARENT_10[9:], True),
+        # eight wins and two losses do not, however far the median moves
+        ("higher", [v + 9 for v in PARENT_10[:8]] + [v - 1 for v in PARENT_10[8:]], False),
+        # every pair won, but by 2, inside the parent's spread of 2.5
+        ("higher", [v + 2 for v in PARENT_10], False),
+        # every pair moved the worse way
+        ("lower", [v + 3 for v in PARENT_10], False),
+    ],
+    ids=["higher", "lower", "nine-and-a-tie", "eight-of-ten", "inside-spread", "worse-way"],
+)
+def test_a_gain_shows_only_with_nine_in_ten_pairs_and_a_move_past_the_spread(
+    bench_pairs, better, change, shown
+):
+    assert _compare(bench_pairs, better, PARENT_10, change)["gain_shown"] is shown
+
+
+def test_a_gain_needs_every_pair_of_five(bench_pairs):
+    # four wins of five pairs are below nine in ten
+    change = [v + 5 for v in PARENT[:4]] + [PARENT[4] - 1]
+    assert _compare(bench_pairs, "higher", PARENT, change)["pairs_won"]["change"] == 4
+    assert not _compare(bench_pairs, "higher", PARENT, change)["gain_shown"]
+    assert _compare(bench_pairs, "higher", PARENT, [v + 5 for v in PARENT])["gain_shown"]
+
+
+@pytest.mark.parametrize(
+    "better, change_median, within",
+    [
+        # the parent's median is 3, so a bound of 0.25 allows a move of 0.75 the worse way
+        ("higher", 2.25, True),
+        ("higher", 2.2, False),
+        ("higher", 9, True),
+        ("lower", 3.75, True),
+        ("lower", 3.8, False),
+        ("lower", 0.5, True),
+    ],
+)
+def test_within_bound_allows_the_bound_as_a_share_of_the_parents_median(
+    bench_pairs, better, change_median, within
+):
+    change = [change_median] * len(PARENT)
+    assert _compare(bench_pairs, better, PARENT, change)["within_bound"] is within
 
 
 def test_src_lines_counts_every_python_file_under_src(bench_pairs, tmp_path):

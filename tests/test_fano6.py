@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import itertools
 import random
 import typing
 from dataclasses import replace
@@ -1410,6 +1411,80 @@ def test_semifree_records_weights_and_level_zero_components():
     ]
 
 
+# each analysis that holds components to the level-zero rule: the data a component
+# joins (extrema on levels -2 and 2 or 3), the code it flags the rule under, and
+# which components it holds to the rule
+_LEVEL_ZERO_ANALYSES = {
+    "abc": (
+        lambda d: type_abc_classify(d)[3],
+        FixedPointData(
+            half_dim=3,
+            components=(replace(_FOURFOLD_MIN, H=-2), point("max", 3, (-1, -1, -1))),
+            fano=True,
+        ),
+        "surface-level",
+        lambda kind, h: kind == "surface",
+    ),
+    "suite": (
+        small_hamiltonian_suite,
+        FixedPointData(
+            half_dim=3,
+            components=(surf("lo", -2, (1, 1), 1, (0, 0)), surf("hi", 2, (-1, -1), 1, (0, 0))),
+            relative_fano=True,
+        ),
+        "sphere-level",
+        lambda kind, h: kind == "surface" and h >= 0,
+    ),
+    "semifree": (
+        semifree_check,
+        FixedPointData(
+            half_dim=3,
+            components=(replace(_FOURFOLD_MIN, H=-2), surf("max", 2, (-1, -1), 1)),
+            fano=True,
+        ),
+        "newref",
+        lambda kind, h: h == 0,
+    ),
+}
+
+
+# (analysis, kind, level, weights) already pinned: test_abc_surface_must_sit_on_level_zero,
+# test_abc_counts_determine_reduced_volume (type-C points on level 1), test_semifree_check,
+# test_semifree_records_weights_and_level_zero_components and
+# test_small_suite_flags_a_level_zero_sphere_with_positive_beta
+_LEVEL_ZERO_PINNED = {
+    ("abc", "surface", 1, (-1, 1)),
+    ("abc", "point", 1, (-1, -1)),
+    ("semifree", "surface", 0, (-1, 1)),
+    ("semifree", "point", 0, (-1, 1)),
+    ("suite", "surface", 0, (-1, 1)),
+    ("suite", "point", 0, (-1, 1)),
+}
+_LEVEL_ZERO_CASES = [
+    case
+    for case in itertools.product(
+        sorted(_LEVEL_ZERO_ANALYSES), ("surface", "point"), (-1, 0, 1), ((-1, 1), (1, 2), (-1, -1))
+    )
+    if case not in _LEVEL_ZERO_PINNED
+]
+
+
+@pytest.mark.parametrize(
+    "analysis, kind, h, weights",
+    _LEVEL_ZERO_CASES,
+    ids=[f"{a}-{k}-H{h}-w{w[0]},{w[1]}" for a, k, h, w in _LEVEL_ZERO_CASES],
+)
+def test_each_analysis_flags_exactly_what_the_level_zero_rule_rejects(analysis, kind, h, weights):
+    # a point carries a third weight; only a surface on level 0 with weights {-1,1}
+    # keeps the rule, and each analysis flags a component it holds to the rule otherwise
+    run, base, code, held = _LEVEL_ZERO_ANALYSES[analysis]
+    c = surf("c", h, weights, 0) if kind == "surface" else point("c", h, weights + (1,))
+    report = run(replace(base, components=base.components + (c,)))
+    kept = kind == "surface" and h == 0 and weights == (-1, 1)
+    flagged = [v.subject for v in report.violations if v.code == code and "level" in v.message]
+    assert flagged == ([] if kept or not held(kind, h) else ["c"])
+
+
 def test_small_suite_flags_a_level_zero_sphere_with_positive_beta():
     # beta = (2 - 0)(-1)(1) - (-2) - (-1) = 1, so c1 = 2 - 2 - 1 = -1 < 0; the point
     # {1,1,-1} has alpha = 1/(-1) = -1 and keeps the localisation sum at 0
@@ -1539,8 +1614,8 @@ def test_small_suite_flags_impossible_data_on_which_every_check_holds():
         components=tuple(replace(c, normal_degrees=degrees[c.id]) for c in data.components),
     )
     message = (
-        "hypotheses and localisation hold, yet no surface of genus >= 2 has c1 <= -2; "
-        "impossible data"
+        "hypotheses and the global localisation sum hold, yet no surface of genus >= 2 "
+        "has c1 <= -2; impossible data"
     )
     assert _records(small_hamiltonian_suite(data)) == (
         [("conclusion", message, "v-1_-1")], [], []
