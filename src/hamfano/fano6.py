@@ -81,6 +81,17 @@ def _fourfold_minimum(data: FixedPointData, name: str) -> Tuple[FixedComponent, 
     return min_c, max_c
 
 
+def _positive_genus_extrema(
+    data: FixedPointData, name: str, flag=None
+) -> Tuple[FixedComponent, FixedComponent]:
+    """The entry gate of an analysis of data whose extrema are positive-genus
+    surfaces: ``_extrema``, then the refusal of any other extremum."""
+    min_c, max_c = _extrema(data, name, flag)
+    if any(c.kind != SURFACE or c.genus < 1 for c in (min_c, max_c)):
+        raise PreconditionError(f"{name} needs positive-genus extremal surfaces")
+    return min_c, max_c
+
+
 def _on_level_zero(c: FixedComponent) -> bool:
     """Whether c is a fixed surface on level 0 with weights {-1,1}: where a fixed surface
     sits above a fourfold minimum, and a fixed sphere above a positive-genus one."""
@@ -612,10 +623,8 @@ def cycle_inequality(data: FixedPointData) -> Report:
     cyclic sum certifies a witness surface with c1 <= 2 - 2g; an open chain
     is reported as inconclusive, not as a violation.
     """
-    min_c, max_c = _extrema(data, "cycle_inequality")
+    min_c, max_c = _positive_genus_extrema(data, "cycle_inequality")
     min_id, max_id = min_c.id, max_c.id
-    if any(c.kind != SURFACE or c.genus < 1 for c in (min_c, max_c)):
-        raise PreconditionError("cycle_inequality needs positive-genus extrema")
     report = Report()
     g = min_c.genus
     plus = _positive_genus_surfaces(data)
@@ -753,22 +762,6 @@ def _chain_term(c: FixedComponent) -> Tuple[int, int]:
 # -- small Hamiltonian suite -----------------------------------------------------
 
 
-def nosphere_check(data: FixedPointData) -> Report:
-    """Fixed spheres live on levels >= 0 when M_min has positive genus."""
-    min_c, _ = _extrema(data, "nosphere_check", "relative_fano")
-    if min_c.kind != SURFACE or min_c.genus < 1:
-        raise PreconditionError("nosphere_check needs a positive-genus minimum")
-    report = Report()
-    for c in data.ordered():
-        if c.kind == SURFACE and c.genus == 0 and c.H < 0:
-            report.flag(
-                "nosphere",
-                f"{c.id}: fixed sphere on level {c.H} < 0",
-                subject=c.id,
-            )
-    return report
-
-
 def _chain_longeq(
     data: FixedPointData, comp: List[str], free: _FreeSlots, matched: _Matching, report: Report
 ) -> Optional[Fraction]:
@@ -820,14 +813,12 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
     Hypothesis failures (range, sphere levels) are reported separately from
     conclusion failures; a conclusion failing on data that satisfies every
     hypothesis and the global localisation sum marks the data as impossible.
+    One pass over the fixed spheres applies the sphere rules: as M_min has
+    positive genus, a sphere below level 0 is flagged under ``nosphere``, and
+    any other one not on level 0 with weights {-1,1} under ``sphere-level``.
     Emits a witness surface of genus >= g with c1 <= 2-2g when it can.
     """
-    min_c, max_c = _extrema(data, "small_hamiltonian_suite", "relative_fano")
-    for c in (min_c, max_c):
-        if c.kind != SURFACE or c.genus < 1:
-            raise PreconditionError(
-                "small_hamiltonian_suite needs positive-genus extremal surfaces"
-            )
+    min_c, max_c = _positive_genus_extrema(data, "small_hamiltonian_suite", "relative_fano")
     report = Report()
     g = min_c.genus
     lo, hi = data.h_min(), data.h_max()
@@ -837,11 +828,12 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
             f"H range [{lo}, {hi}] not inside [-3,3]",
         )
 
-    # sphere pre-check (nosphere) and sphere-level classification
-    report.extend(nosphere_check(data))
+    # the sphere rules; ordered() lists every sphere below level 0 first
     for c in data.ordered():
-        if c.kind == SURFACE and c.genus == 0 and c.H >= 0:
-            if not _on_level_zero(c):
+        if c.kind == SURFACE and c.genus == 0:
+            if c.H < 0:
+                report.flag("nosphere", f"{c.id}: fixed sphere on level {c.H} < 0", subject=c.id)
+            elif not _on_level_zero(c):
                 report.flag(
                     "sphere-level",
                     f"{c.id}: genus-0 surface must sit on level 0 with weights "
@@ -865,6 +857,7 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
 
     # (a) isolated weight moduli in {1, 2}; (b) alpha <= 0, which only makes
     # sense for points that already pass (a)
+    weights_admissible = True
     for c in data.points():
         bad = [w for w in c.weights if abs(w) not in (1, 2)]
         for w in bad:
@@ -873,20 +866,19 @@ def small_hamiltonian_suite(data: FixedPointData) -> Report:
                 f"{c.id}: isolated weight {w} has modulus outside {{1,2}}",
                 subject=c.id,
             )
-        if not bad:
-            a = alpha(c)
-            if a > 0:
-                report.flag(
-                    "isolatedloc",
-                    f"{c.id}: alpha = {a} > 0",
-                    subject=c.id,
-                )
+        if bad:
+            weights_admissible = False
+        elif (a := alpha(c)) > 0:
+            report.flag(
+                "isolatedloc",
+                f"{c.id}: alpha = {a} > 0",
+                subject=c.id,
+            )
 
     # (d) sum of beta over positive-genus surfaces, and the global identity;
     # only meaningful once every isolated weight is admissible
     plus = _positive_genus_surfaces(data)
     degrees_known = all(c.normal_degrees is not None for c in data.surfaces())
-    weights_admissible = not any(v.code == "isosimp" for v in report.violations)
     if not weights_admissible:
         report.undecided(
             "bigloc", "inadmissible isolated weights; certificate not evaluated"

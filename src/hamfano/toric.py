@@ -86,9 +86,10 @@ class LatticePolytope:
     hash, repr and pickling go by its vertex tuple, which determines the rest.
 
     Vertices are stored lexicographically sorted; every supplied point must
-    be a genuine vertex of the hull.  Only the search for the facets depends
-    on the dimension: a monotone chain for polygons, gift wrapping in exact
-    integers for 3-polytopes (up to O(V^2) plane tests for the first facet, then O(F * V)).
+    be a genuine vertex of the hull, given once.  Only the search for the
+    facets depends on the dimension: a monotone chain for polygons, gift
+    wrapping in exact integers for 3-polytopes (up to O(V^2) plane tests for
+    the first facet, then O(F * V)).
     The search also gives the edges: a polygon's hull pairs, a 3-polytope's
     ridges, each turned once by the wrap.  Everything else is derived once at
     construction, with exact integer arithmetic, from the facets through each
@@ -103,9 +104,12 @@ class LatticePolytope:
     vertices: Tuple[IntVec, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted({_ivec(v) for v in _as_tuple(self.vertices, "vertices")}))
+        verts = tuple(sorted(_ivec(v) for v in _as_tuple(self.vertices, "vertices")))
         if not verts:
             raise StructuralError("no vertices given")
+        for a, b in zip(verts, verts[1:]):
+            if a == b:
+                raise StructuralError(f"duplicate vertex {a}")
         dims = {len(v) for v in verts}
         if len(dims) != 1 or dims.pop() not in (2, 3):
             raise StructuralError("vertices must all lie in dimension 2 or 3")

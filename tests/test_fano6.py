@@ -4,6 +4,7 @@ import functools
 import inspect
 import itertools
 import random
+import re
 import typing
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hamfano import fano6
+from hamfano.cli import run
 from hamfano.fano6 import (
     EXTRA_B,
     Chain,
@@ -24,7 +26,6 @@ from hamfano.fano6 import (
     enumerate_04,
     fibre_correspondence,
     maximal_downward_chains,
-    nosphere_check,
     reflective_check,
     semifree_check,
     small_hamiltonian_suite,
@@ -47,6 +48,7 @@ from hamfano.toric import (
 
 from .lifts import lift_product
 from .oracle import chain_estimate_sums, is_maximal_downward_chain
+from .test_golden import GOLDEN, ROOT
 
 SQUARE = catalog_entry("CP1xCP1").polytope
 CP2 = catalog_entry("CP2").polytope
@@ -955,7 +957,7 @@ def test_chain_estimate_agrees_with_oracle_on_catalog_lifts():
     assert seen[True] and seen[False], seen
 
 
-# -- nosphere and sphere areas ----------------------------------------------------------------
+# -- sphere levels and areas ------------------------------------------------------------------
 
 
 def _with_sphere(h, area=None, nd=(0, 0), weights=(-1, 2), fibre_class=False):
@@ -973,11 +975,21 @@ def _with_sphere(h, area=None, nd=(0, 0), weights=(-1, 2), fibre_class=False):
     return replace(base, components=base.components + (sphere,))
 
 
-def test_nosphere_check():
-    assert nosphere_check(lift_product(CP2, (1, 2), genus=1)).ok
-    assert nosphere_check(_with_sphere(0, weights=(-1, 1))).ok
-    report = nosphere_check(_with_sphere(-1))
-    assert [v.code for v in report.violations] == ["nosphere"]
+def test_small_suite_flags_a_sphere_below_level_zero():
+    # a fixed sphere lies on a level >= 0 when M_min has positive genus
+    def spheres(data):
+        violations = small_hamiltonian_suite(data).violations
+        return [(v.code, v.subject) for v in violations if v.code in ("nosphere", "sphere-level")]
+
+    assert spheres(_with_sphere(0, weights=(-1, 1))) == []
+    report = small_hamiltonian_suite(_with_sphere(-1))
+    assert [(v.code, v.message, v.subject) for v in report.violations if v.code == "nosphere"] == [
+        ("nosphere", "sph: fixed sphere on level -1 < 0", "sph")
+    ]
+    # one pass in the order (H, id): the sphere below level 0 comes first
+    data = _with_sphere(-1)
+    data = replace(data, components=data.components + (surf("a", 1, (-1, 1), 0, (0, 0)),))
+    assert spheres(data) == [("nosphere", "sph"), ("sphere-level", "a")]
 
 
 def test_sphere_area_vs_fibre():
@@ -1233,13 +1245,10 @@ _GATES = [
         lambda: cycle_inequality(fixed_data_from_polytope(CP2, (1, 2))),
         "cycle_inequality applies to 6-dimensional data",
     ),
-    (lambda: cycle_inequality(_POINTS_6D), "cycle_inequality needs positive-genus extrema"),
     (
-        lambda: nosphere_check(replace(_GENUS_ONE, relative_fano=False)),
-        "nosphere_check applies to relative Fano data",
+        lambda: cycle_inequality(_POINTS_6D),
+        "cycle_inequality needs positive-genus extremal surfaces",
     ),
-    (lambda: nosphere_check(_GENUS_ONE_4D), "nosphere_check applies to 6-dimensional data"),
-    (lambda: nosphere_check(_POINTS_6D), "nosphere_check needs a positive-genus minimum"),
     (
         lambda: small_hamiltonian_suite(replace(_GENUS_ONE, relative_fano=False)),
         "small_hamiltonian_suite applies to relative Fano data",
@@ -1288,7 +1297,6 @@ _GATED = [
     type_abc_classify,
     semifree_check,
     cycle_inequality,
-    nosphere_check,
     small_hamiltonian_suite,
     functools.partial(sphere_area_vs_fibre, fibre=CP2, fibre_xi=(1, 2)),
 ]
@@ -1324,6 +1332,32 @@ def test_every_analysis_of_fixed_point_data_is_gated():
         and first_parameter(f) is FixedPointData
     }
     assert analyses == {_name(f) for f in _GATED}
+
+
+def test_readme_lists_the_gated_analyses():
+    # the entry-gate section of the README names each analysis of _GATED, in order,
+    # and counts them in words
+    readme = (ROOT / "README.md").read_text()
+    listed = readme.split("Every `fano6` analysis of a dataset (")[1].split(" in all)")[0]
+    names, count = listed.rsplit(", ", 1)
+    assert re.findall(r"`(\w+)`", names) == [_name(f) for f in _GATED]
+    words = "zero one two three four five six seven eight nine ten eleven twelve".split()
+    assert count == words[len(_GATED)]
+
+
+def test_one_suite_op_passes_the_entry_gate_three_times(monkeypatch):
+    # small_hamiltonian_suite, the surface_graph it runs, and cycle_inequality
+    calls = []
+    inner = fano6._extrema
+
+    def counting(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(fano6, "_extrema", counting)
+    code, _out = run(["fano6", "suite", str(GOLDEN / "prod_cp2_g1.json")])
+    assert code == 0
+    assert calls == ["small_hamiltonian_suite", "surface_graph", "cycle_inequality"]
 
 
 # -- records reached by hand-made data ---------------------------------------------------------

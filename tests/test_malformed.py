@@ -550,6 +550,9 @@ def _raised(call, *args, **fields):
     return str(caught.value)
 
 
+_REPEATED_VERTEX = [[-1, -1], [2, -1], [-1, 2], [2, -1]]
+
+
 def _point(**fields):
     return _raised(FixedComponent, id="p", kind="point", H=0, weights=(1, 1), **fields)
 
@@ -604,6 +607,16 @@ REFUSALS = [
             "dh", "toric", _write(tmp, {"polytope": {"dim": 2, "vertices": []}}), "--xi", "1,2"
         ),
         "no vertices given",
+    ),
+    # CP2 with a vertex given twice is refused, not read as CP2
+    *(
+        (
+            lambda tmp, command=command: _cli_error(
+                *_argv(command, _write(tmp, {"polytope": {"vertices": _REPEATED_VERTEX}}))
+            ),
+            "duplicate vertex (2, -1)",
+        )
+        for command in PAYLOAD_COMMANDS["polytope"]
     ),
     *(
         (
