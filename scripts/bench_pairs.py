@@ -10,7 +10,11 @@ BENCHMARK.json; the script refuses to run when the change tree's file gives
 other metrics or another run length.  The JSON written to --out holds, for
 each end-to-end metric, every run, the median and quartiles of each side,
 and the number of pairs each side won, and each tree's ``src/`` line count
-(the lines of ``src/**/*.py``).
+(the lines of ``src/**/*.py``).  It also records whether both trees ran the
+same harness: a digest of each tree's BENCHMARK.json and ``perfbench/*.py``,
+and ``harness_identical``.  A difference is recorded, not refused, since a
+change that claims no gain may change the harness; one that claims a gain
+should read true.
 
 Each metric also states the two rules a comparison is judged by.
 ``gain_shown``: the change won at least nine in ten of the pairs (a tie
@@ -25,6 +29,7 @@ usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import statistics
@@ -45,6 +50,27 @@ def src_lines(tree: str) -> int:
         with open(path, encoding="utf-8") as f:
             total += sum(1 for _line in f)
     return total
+
+
+def harness_digest(tree: str) -> str:
+    """SHA-256 over the tree's BENCHMARK.json and perfbench/*.py, each file's
+    relative path, size and bytes, in path order."""
+    paths = ["BENCHMARK.json"] + sorted(
+        os.path.relpath(path, tree).replace(os.sep, "/")
+        for path in glob.glob(os.path.join(tree, "perfbench", "*.py"))
+    )
+    digest = hashlib.sha256()
+    for rel in paths:
+        with open(os.path.join(tree, rel), "rb") as f:
+            data = f.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def harness(trees: dict) -> dict:
+    digests = {side: harness_digest(trees[side]) for side in SIDES}
+    return {"harness_digest": digests, "harness_identical": digests["parent"] == digests["change"]}
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -124,6 +150,7 @@ def main() -> None:
         "seeds": [first, last],
         "first_in_pair": [SIDES[k % 2] for k in range(last - first + 1)],
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
+        **harness(trees),
         "all_correct": all(r["correct"] and r["failed"] == 0 for s in SIDES for r in runs[s]),
         "runs": runs,
         "metrics": {m["name"]: compare(runs, m) for m in metrics},

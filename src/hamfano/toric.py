@@ -95,7 +95,9 @@ class LatticePolytope:
     construction, with exact integer arithmetic, from the facets through each
     vertex: the hull vertex and full-dimensionality checks, and the invariants
     every generated direction reuses: the vertex ids, the signed edge slots of
-    each vertex and the ``delzant`` and ``reflexive`` flags.
+    each vertex and the ``delzant`` and ``reflexive`` flags.  A 3-polytope also
+    keeps its distinct edge lines, each primitive edge direction up to sign in
+    the order of its first edge, with the refusal text naming that edge.
     It also keeps the frozen gradient edges its directions produce, by (bottom,
     top, weight): one per (edge, orientation, weight) in dimension 3, up to four in
     dimension 2, where a key also records which ends lie on a fixed edge.
@@ -131,6 +133,17 @@ class LatticePolytope:
         for k, e in enumerate(edges):
             slots[e.i].append((k, 1))
             slots[e.j].append((k, -1))
+        # a 3-polytope's edge lines, with the refusal text of the first edge on each:
+        # a direction orthogonal to a line fixes its edges.  An edge runs from the
+        # lex-smaller vertex, so its direction is already the line's positive one.
+        lines = {}
+        if dim == 3:
+            for e in edges:
+                if e.direction not in lines:
+                    lines[e.direction] = (
+                        f" fixes the edge through vertices {verts[e.i]}, {verts[e.j]}; "
+                        f"positive-dimensional fixed loci of 6-manifolds are not generated"
+                    )
         self.__dict__.update(
             vertices=verts,
             dim=dim,
@@ -138,6 +151,7 @@ class LatticePolytope:
             edges=edges,
             _incidence=incidence,
             _slots=tuple(tuple(s) for s in slots),
+            _edge_lines=tuple(lines.items()),
             _vertex_ids=tuple(_vertex_id(v) for v in verts),
             # the signs only flip the determinant, so they are left out here
             delzant=all(_is_lattice_basis([edges[k].direction for k, _ in s], dim) for s in slots),
@@ -352,9 +366,12 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
     endpoint vertices; any other edge gives a gradient edge of weight |<xi, d>|.
     The relative Fano flag is set iff the polytope is reflexive.
 
-    Only the V heights <xi, v> are dot products: an edge of lattice length l from
-    v_i to v_j has <xi, d> = (H_j - H_i) / l exactly.  A gradient edge the polytope
-    keeps is reused; every component and dataset is built and checked anew.
+    In dimension 3 a direction orthogonal to an edge is refused before any
+    height, by one dot product per edge line of the polytope; the message names
+    the lowest-index edge it fixes.  Otherwise only the V heights <xi, v> are dot
+    products: an edge of lattice length l from v_i to v_j has <xi, d> =
+    (H_j - H_i) / l exactly.  A gradient edge the polytope keeps is reused; every
+    component and dataset is built and checked anew.
     """
     x = _ivec(tuple(xi))
     if math.gcd(*x) != 1:
@@ -368,19 +385,15 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
         heights = [a * v0 + b * v1 for v0, v1 in p.vertices]
     else:
         a, b, c = x
+        for (d0, d1, d2), tail in p._edge_lines:
+            if a * d0 + b * d1 + c * d2 == 0:
+                raise UnsupportedDirectionError(f"direction {x}{tail}")
         heights = [a * v0 + b * v1 + c * v2 for v0, v1, v2 in p.vertices]
     pairings = [(heights[e.j] - heights[e.i]) // e.length for e in p.edges]
-    if p.dim == 3 and 0 in pairings:
-        e = p.edges[pairings.index(0)]
-        raise UnsupportedDirectionError(
-            f"direction {x} fixes the edge through vertices "
-            f"{p.vertices[e.i]}, {p.vertices[e.j]}; positive-dimensional "
-            f"fixed loci of 6-manifolds are not generated"
-        )
 
     absorbed = {}
     components: List[FixedComponent] = []
-    if 0 in pairings:  # a fixed edge of a polygon; in dimension 3 it raised above
+    if 0 in pairings:  # a fixed edge of a polygon; in dimension 3 its line refused above
         for k, (e, pairing) in enumerate(zip(p.edges, pairings)):
             if pairing != 0:
                 continue
@@ -682,7 +695,11 @@ MAX_DIRECTION_CANDIDATES = 32768
 
 
 def primitive_directions(dim: int, bound: int) -> List[IntVec]:
-    """Primitive vectors of max-norm <= bound, one per +-pair, in lex order."""
+    """Primitive vectors of max-norm <= bound, one per +-pair, in lex order.
+
+    The cap counts all (2*bound+1)^dim integer vectors, but only those whose
+    first nonzero entry is positive are built: more leading zeros first, then
+    by that entry and the rest."""
     if bound < 1:
         raise PreconditionError("bound must be at least 1")
     candidates = (2 * bound + 1) ** dim
@@ -691,14 +708,14 @@ def primitive_directions(dim: int, bound: int) -> List[IntVec]:
             f"bound {bound} gives {candidates} candidate directions in dimension "
             f"{dim}; at most {MAX_DIRECTION_CANDIDATES} are scanned"
         )
-    out = []
-    for v in itertools.product(range(-bound, bound + 1), repeat=dim):
-        if math.gcd(*v) != 1:
-            continue
-        first = next(x for x in v if x != 0)
-        if first < 0:
-            continue
-        out.append(v)
+    span = range(-bound, bound + 1)
+    out: List[IntVec] = []
+    for zeros in range(dim - 1, -1, -1):  # more leading zeros sort first
+        head = (0,) * zeros
+        for lead in range(1, bound + 1):
+            for tail in itertools.product(span, repeat=dim - zeros - 1):
+                if math.gcd(lead, *tail) == 1:
+                    out.append((*head, lead, *tail))
     return out
 
 
@@ -827,8 +844,9 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
     copy of that report and the same sums, and no data are generated for it.  -xi
     is no orbit member: it gives reversed data, not renamed ones.  The group is
     found by ``_lattice_automorphisms`` when the first report that may be shared
-    appears.  Every other direction is checked in full, an unsupported one too,
-    since its message names coordinates.
+    appears.  Every other direction is checked in full; an unsupported one is
+    refused again by the polytope's edge lines, since its message names
+    coordinates.
     """
     is_delpezzo = _is_delpezzo(p)
     abbv_sum = abbv_sum_4d if p.dim == 2 else abbv_sum_6d

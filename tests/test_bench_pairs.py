@@ -1,7 +1,7 @@
 """``scripts/bench_pairs.py``, which every speed and no-regression figure
 rests on: its pair count, medians, spread and the two rules it states
 (``gain_shown``, ``within_bound``) on synthetic runs, and its ``src/`` line
-count on a temporary tree.  The script is loaded by path and
+count and harness digest on temporary trees.  The script is loaded by path and
 not run, and no bytecode is written next to it."""
 
 import importlib.util
@@ -123,3 +123,27 @@ def test_src_lines_counts_every_python_file_under_src(bench_pairs, tmp_path):
     (tmp_path / "scripts").mkdir()
     (tmp_path / "scripts" / "tool.py").write_text("outside src\n")
     assert bench_pairs.src_lines(str(tmp_path)) == 5
+
+
+def _harness_tree(root):
+    (root / "perfbench" / "_work").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text('{"run_seconds": 35}\n')
+    (root / "perfbench" / "gen.py").write_text("SEEDS = range(10)\n")
+    (root / "perfbench" / "run.py").write_text("import gen\n")
+    (root / "perfbench" / "_work" / "out.py").write_text("not part of the harness\n")
+    return str(root)
+
+
+def test_the_harness_digest_reads_benchmark_json_and_perfbench_sources(bench_pairs, tmp_path):
+    trees = {side: _harness_tree(tmp_path / side) for side in bench_pairs.SIDES}
+    same = bench_pairs.harness(trees)
+    assert same["harness_identical"] is True
+    assert same["harness_digest"]["parent"] == same["harness_digest"]["change"]
+    # what the runs leave under perfbench/_work/ is no part of the harness
+    (tmp_path / "change" / "perfbench" / "_work" / "out.py").write_text("changed\n")
+    assert bench_pairs.harness(trees)["harness_identical"] is True
+    (tmp_path / "change" / "perfbench" / "gen.py").write_text("SEEDS = range(11)\n")
+    changed = bench_pairs.harness(trees)
+    assert changed["harness_identical"] is False
+    assert changed["harness_digest"]["parent"] == same["harness_digest"]["parent"]
+    assert changed["harness_digest"]["change"] != same["harness_digest"]["change"]

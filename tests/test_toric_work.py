@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 
@@ -493,3 +494,49 @@ def test_generation_matches_the_oracle_on_catalog_polygons():
 def test_generation_matches_the_oracle_on_golden_3_polytopes():
     for name in ("cp3", "cube", "truncated_cube"):
         _assert_generation_matches_oracle(name, _golden_vertices(name), 4)
+
+
+# -- the scan's directions and a 3-polytope's refusals, against the old rules -------
+
+
+def test_primitive_directions_build_the_brute_force_half():
+    for dim, top in ((2, 30), (3, 8)):
+        for bound in range(1, top + 1):
+            assert primitive_directions(dim, bound) == _oracle_directions(dim, bound), (dim, bound)
+
+
+GOLDEN_3_POLYTOPES = ("cp3", "cube", "cp2xcp1", "bl3cp2xcp1", "truncated_cube")
+
+
+def test_a_3_polytope_refuses_exactly_the_directions_that_fix_an_edge():
+    # the rule before edge lines: every height, every pairing, then the first zero
+    directions = _oracle_directions(3, 4)
+    assert len(directions) == 289
+    for name in GOLDEN_3_POLYTOPES:
+        p = LatticePolytope(_golden_vertices(name))
+        for xi in directions:
+            heights = [sum(map(operator.mul, xi, v)) for v in p.vertices]
+            fixed = [e for e in p.edges if (heights[e.j] - heights[e.i]) // e.length == 0]
+            if not fixed:
+                assert fixed_data_from_polytope(p, xi).half_dim == 3
+                continue
+            e = fixed[0]
+            with pytest.raises(UnsupportedDirectionError) as refused:
+                fixed_data_from_polytope(p, xi)
+            assert str(refused.value) == (
+                f"direction {xi} fixes the edge through vertices "
+                f"{p.vertices[e.i]}, {p.vertices[e.j]}; positive-dimensional "
+                f"fixed loci of 6-manifolds are not generated"
+            ), (name, xi)
+
+
+def test_a_3_polytope_keeps_one_line_per_edge_direction_up_to_sign():
+    counts = {"cp3": 6, "cube": 3, "cp2xcp1": 4, "bl3cp2xcp1": 4, "truncated_cube": 9}
+    for name in GOLDEN_3_POLYTOPES:
+        p = LatticePolytope(_golden_vertices(name))
+        unsigned = {frozenset((e.direction, tuple(-x for x in e.direction))) for e in p.edges}
+        lines = [d for d, _tail in p._edge_lines]
+        assert len(lines) == len(unsigned) == counts[name], name
+        assert {frozenset((d, tuple(-x for x in d))) for d in lines} == unsigned, name
+    assert len(LatticePolytope(_golden_vertices("truncated_cube")).edges) == 36
+    assert catalog_entry("Bl3CP2").polytope._edge_lines == ()
