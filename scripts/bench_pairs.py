@@ -21,7 +21,10 @@ Each metric also states the two rules a comparison is judged by.
 counts for neither side), and its median moved the better way by more than
 the parent's quartile spread q3 - q1.  ``within_bound``: the change's median
 is not worse than the parent's by more than the metric's bound, a fraction
-of the parent's median.
+of the parent's median.  ``unresolved`` records when the runs spread too
+widely for ``within_bound`` to tell: either side's quartile spread, (q3 -
+q1) / median, exceeds the bound, and not every change run beats every parent
+run.  It is recorded, not refused.
 
 usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
            --seeds A-B --out BENCH.json
@@ -111,6 +114,10 @@ def compare(runs: dict, metric: dict) -> dict:
         10 * wins["change"] >= 9 * len(values["change"]) and gain > parent["q3"] - parent["q1"]
     )
     out["within_bound"] = -gain <= metric["bound"] * parent["median"]
+    spreads = [(out[side]["q3"] - out[side]["q1"]) / out[side]["median"] for side in SIDES]
+    sign = 1 if higher else -1
+    apart = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
+    out["unresolved"] = max(spreads) > metric["bound"] and not apart
     return out
 
 

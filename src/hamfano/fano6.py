@@ -605,10 +605,11 @@ def _take(slots: List[_Slot], w: int) -> Optional[_Slot]:
     return None
 
 
-def isotropy_edge_sum(e: GradientEdge) -> Fraction:
+def isotropy_edge_sum(e: GradientEdge) -> Rational:
     """Recover n_bot + n_top for an isotropy 4-manifold from its interior
     fixed points: by the 4-dimensional localisation identity on it, the
-    normal degrees of its two end surfaces sum to the sum of 1/(ab) over them."""
+    normal degrees of its two end surfaces sum to the sum of 1/(ab) over them,
+    returned as a canonical rational."""
     return _sum_quotients((1, a * b) for a, b in e.interior_points)
 
 
@@ -764,7 +765,7 @@ def _chain_term(c: FixedComponent) -> Tuple[int, int]:
 
 def _chain_longeq(
     data: FixedPointData, comp: List[str], free: _FreeSlots, matched: _Matching, report: Report
-) -> Optional[Fraction]:
+) -> Optional[Rational]:
     """Evaluate the chain form of the localisation estimate on one component.
 
     The right-hand side sums the term of each surface and the quotient

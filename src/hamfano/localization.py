@@ -94,15 +94,17 @@ def beta(s: FixedComponent) -> Fraction:
     return Fraction(*_term_6d(s))
 
 
-def _sum_quotients(terms: Iterable[Tuple[int, int]]) -> Fraction:
+def _sum_quotients(terms: Iterable[Tuple[int, int]]) -> Rational:
     """Exact sum of the integer quotients n/d, added over the least common
-    denominator of the terms so far, so that only the result is normalised."""
+    denominator of the terms so far, as a canonical rational: the int when the
+    denominator divides the numerator, so no Fraction is built for it, else the
+    one normalised Fraction."""
     num, den = 0, 1
     for n, d in terms:
         common = math.lcm(den, d)
         num = num * (common // den) + n * (common // d)
         den = common
-    return Fraction(num, den)
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def _term_6d(c: FixedComponent) -> Tuple[int, int]:
@@ -129,16 +131,18 @@ def _term_4d(c: FixedComponent) -> Tuple[int, int]:
     return -c.normal_degrees[0], 1
 
 
-def abbv_sum_6d(data: FixedPointData) -> Fraction:
-    """Sum of alpha over points plus beta over surfaces; zero certifies consistency."""
+def abbv_sum_6d(data: FixedPointData) -> Rational:
+    """Sum of alpha over points plus beta over surfaces, as a canonical rational;
+    zero certifies consistency."""
     if data.half_dim != 3:
         raise PreconditionError("abbv_sum_6d needs half_dim 3")
     return _sum_quotients(map(_term_6d, data.ordered()))
 
 
-def abbv_sum_4d(data: FixedPointData) -> Fraction:
-    """Sum 1/(a*b) over points minus the normal degrees n of fixed surfaces: -n is
-    the local term -n/w^2 at the weight w = +-1, the only one ``validate`` accepts."""
+def abbv_sum_4d(data: FixedPointData) -> Rational:
+    """Sum 1/(a*b) over points minus the normal degrees n of fixed surfaces, as a
+    canonical rational: -n is the local term -n/w^2 at the weight w = +-1, the only
+    one ``validate`` accepts."""
     if data.half_dim != 2:
         raise PreconditionError("abbv_sum_4d needs half_dim 2")
     return _sum_quotients(map(_term_4d, data.ordered()))

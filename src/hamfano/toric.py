@@ -18,7 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fixed_data import (
     POINT,
@@ -46,10 +46,6 @@ def _ivec(v: Sequence[int]) -> IntVec:
     if not isinstance(v, (list, tuple)) or any(type(x) is not int for x in v):
         raise StructuralError(f"integer vector expected, got {v!r}")
     return tuple(v)
-
-
-def _sub(a: IntVec, b: IntVec) -> IntVec:
-    return tuple(map(operator.sub, a, b))
 
 
 def _primitive(v: IntVec) -> Tuple[IntVec, int]:
@@ -89,15 +85,17 @@ class LatticePolytope:
     be a genuine vertex of the hull, given once.  Only the search for the
     facets depends on the dimension: a monotone chain for polygons, gift
     wrapping in exact integers for 3-polytopes (up to O(V^2) plane tests for
-    the first facet, then O(F * V)).
+    the first facet, then one wrap of O(V) tests per further facet).
     The search also gives the edges: a polygon's hull pairs, a 3-polytope's
-    ridges, each turned once by the wrap.  Everything else is derived once at
+    ridges, as the facets found hold them.  Everything else is derived once at
     construction, with exact integer arithmetic, from the facets through each
     vertex: the hull vertex and full-dimensionality checks, and the invariants
-    every generated direction reuses: the vertex ids, the signed edge slots of
-    each vertex and the ``delzant`` and ``reflexive`` flags.  A 3-polytope also
-    keeps its distinct edge lines, each primitive edge direction up to sign in
-    the order of its first edge, with the refusal text naming that edge.
+    every generated direction reuses: the vertex ids, the edge table
+    ``_edge_ends`` of one plain (i, j, lattice length) int triple per edge, the
+    signed edge slots of each vertex and the ``delzant`` and ``reflexive``
+    flags.  A 3-polytope also keeps its distinct edge lines, each primitive
+    edge direction up to sign in the order of its first edge, with the refusal
+    text naming that edge.
     It also keeps the frozen gradient edges its directions produce, by (bottom,
     top, weight): one per (edge, orientation, weight) in dimension 3, up to four in
     dimension 2, where a key also records which ends lie on a fixed edge.
@@ -126,7 +124,14 @@ class LatticePolytope:
         for v, through in zip(verts, incidence):
             if len(through) < dim:
                 raise StructuralError(f"point {v} is not a vertex of the hull")
-        edges = tuple(Edge(i, j, *_primitive(_sub(verts[j], verts[i]))) for i, j in sorted(pairs))
+        # the edge table: (i, j, lattice length) as plain ints, and the edges built from it
+        edge_ends, edges = [], []
+        for i, j in sorted(pairs):
+            step = [b - a for a, b in zip(verts[i], verts[j])]
+            length = math.gcd(*step)
+            edge_ends.append((i, j, length))
+            edges.append(Edge(i, j, tuple(x // length for x in step), length))
+        edges = tuple(edges)
         # (edge index, sign) at each vertex: the sign turns the edge direction,
         # and its pairing with any direction, to point away from the vertex
         slots: List[List[Tuple[int, int]]] = [[] for _ in verts]
@@ -149,6 +154,7 @@ class LatticePolytope:
             dim=dim,
             facets=facets,
             edges=edges,
+            _edge_ends=tuple(edge_ends),
             _incidence=incidence,
             _slots=tuple(tuple(s) for s in slots),
             _edge_lines=tuple(lines.items()),
@@ -215,15 +221,17 @@ def _polygon_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], List
     return facets, on, pairs
 
 
-def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], set]:
+def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], List[Tuple[int, int]]]:
     """Facets of the hull of lex-sorted 3-dimensional points, the normals of those
     through each point, and the ridges, as index pairs i < j, by gift wrapping in exact
     integers.  The first facet is a supporting plane through pts[0], which is lex-least
     and so a vertex.  A facet holds every point on its plane; its ridges are the pairs of
     its hull cycle, with a coordinate on which the normal is nonzero dropped, and they are
     the polytope's edges.  The first facet takes up to O(V^2) planes through pts[0], each
-    tested on all V points; each ridge is then turned once into the facet beyond it:
-    O(F * V) plane tests.  None when coplanar."""
+    tested on all V points.  Each facet is processed as soon as a wrap finds it, and every
+    ridge counts the found facets that hold it.  A ridge is turned into the facet beyond
+    it only while one found facet holds it, when that facet is still unknown, so each
+    turn finds a new facet: F - 1 turns of O(V) plane tests.  None when coplanar."""
     ax, ay, az = pts[0]
     for (bx, by, bz), (cx, cy, cz) in itertools.combinations(pts[1:], 2):
         bx, by, bz, cx, cy, cz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
@@ -232,16 +240,14 @@ def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], set
         if side:
             break
     else:
-        return [], [], set()
+        return [], [], []
     facets: List[Facet] = []
     on_facets: List[set] = [set() for _ in pts]
-    turned = set()
-    todo = [(n if side > 0 else tuple(-x for x in n), 0)]  # a normal, a point on its plane
-    while todo:
-        n, i = todo.pop()
+    holders: Dict[Tuple[int, int], int] = {}  # ridge -> the found facets that hold it
+    found = []  # (its ridges not yet looked at, the points off it) per found facet
+    n, i = (n if side > 0 else tuple(-x for x in n)), 0  # a new facet's normal, a point on it
+    while n is not None:
         u, _ = _primitive(n)
-        if u in on_facets[i]:
-            continue  # reached again through another of its ridges
         u0, u1, u2 = u
         heights = [u0 * x + u1 * y + u2 * z for x, y, z in pts]
         level = heights[i]
@@ -249,17 +255,26 @@ def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], set
         for v in on:
             on_facets[v].add(u)
         facets.append(Facet(normal=u, c=-level, vertex_ids=on))
-        off = [p for p, h in zip(pts, heights) if h != level]
         k = next(j for j, x in enumerate(u) if x)
         flat = {pts[v][:k] + pts[v][k + 1 :]: v for v in on}
         cycle = [flat[p] for p in _hull_cycle(sorted(flat))]
+        ridges = []  # each with a point of the facet off it, for the wrap
         for j, (ia, ib) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
             ridge = (ia, ib) if ia < ib else (ib, ia)
-            if ridge not in turned:
-                turned.add(ridge)
-                q = pts[cycle[(j + 2) % len(cycle)]]
-                todo.append((_wrap_ridge(pts[ia], pts[ib], q, off), ia))
-    return facets, on_facets, turned
+            holders[ridge] = holders.get(ridge, 0) + 1
+            ridges.append((ridge, pts[cycle[(j + 2) % len(cycle)]]))
+        found.append((iter(ridges), [p for p, h in zip(pts, heights) if h != level]))
+        # the next ridge, newest facet first, that no second found facet holds
+        n = None
+        while found and n is None:
+            ridges_left, off = found[-1]
+            for (ia, ib), q in ridges_left:
+                if holders[ia, ib] == 1:
+                    n, i = _wrap_ridge(pts[ia], pts[ib], q, off), ia
+                    break
+            else:
+                found.pop()
+    return facets, on_facets, list(holders)
 
 
 def _wrap_ridge(a: IntVec, b: IntVec, q: IntVec, off: Sequence[IntVec]) -> IntVec:
@@ -346,7 +361,7 @@ def boundary_selfint_2d(p: LatticePolytope, edge: Edge) -> int:
 
 
 def _vertex_id(v: IntVec) -> str:
-    return "v" + "_".join(str(x) for x in v)
+    return "v" + "_".join(map(str, v))
 
 
 def _surface_id(a: IntVec, b: IntVec) -> str:
@@ -370,8 +385,9 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
     height, by one dot product per edge line of the polytope; the message names
     the lowest-index edge it fixes.  Otherwise only the V heights <xi, v> are dot
     products: an edge of lattice length l from v_i to v_j has <xi, d> =
-    (H_j - H_i) / l exactly.  A gradient edge the polytope keeps is reused; every
-    component and dataset is built and checked anew.
+    (H_j - H_i) / l exactly, read from the polytope's edge table.  A gradient
+    edge the polytope keeps is reused; every component and dataset is built, by
+    position, and checked anew.
     """
     x = _ivec(tuple(xi))
     if math.gcd(*x) != 1:
@@ -389,48 +405,41 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
             if a * d0 + b * d1 + c * d2 == 0:
                 raise UnsupportedDirectionError(f"direction {x}{tail}")
         heights = [a * v0 + b * v1 + c * v2 for v0, v1, v2 in p.vertices]
-    pairings = [(heights[e.j] - heights[e.i]) // e.length for e in p.edges]
+    ends = p._edge_ends
+    pairings = [(heights[j] - heights[i]) // length for i, j, length in ends]
 
     absorbed = {}
     components: List[FixedComponent] = []
     if 0 in pairings:  # a fixed edge of a polygon; in dimension 3 its line refused above
-        for k, (e, pairing) in enumerate(zip(p.edges, pairings)):
+        for k, ((i, j, length), pairing) in enumerate(zip(ends, pairings)):
             if pairing != 0:
                 continue
             # xi is orthogonal to the primitive d_e, so xi = ±J d_e, and the other
             # edge at either end, which makes a lattice basis with d_e, pairs to ±1
-            w = next(sign * pairings[m] for m, sign in p._slots[e.i] if m != k)
-            sid = _surface_id(p.vertices[e.i], p.vertices[e.j])
-            components.append(
-                FixedComponent(
-                    id=sid,
-                    kind=SURFACE,
-                    H=heights[e.i],
-                    weights=(w,),
-                    genus=0,
-                    normal_degrees=(boundary_selfint_2d(p, e),),
-                    area=e.length,
-                )
-            )
-            absorbed[e.i] = sid
-            absorbed[e.j] = sid
+            w = next(sign * pairings[m] for m, sign in p._slots[i] if m != k)
+            sid = _surface_id(p.vertices[i], p.vertices[j])
+            # genus 0, the normal degree and the area, by position
+            selfint = boundary_selfint_2d(p, p.edges[k])
+            components.append(FixedComponent(sid, SURFACE, heights[i], (w,), 0, (selfint,), length))
+            absorbed[i] = sid
+            absorbed[j] = sid
 
     for i, vid in enumerate(p._vertex_ids):
         if i in absorbed:
             continue
         weights = tuple(sorted([sign * pairings[k] for k, sign in p._slots[i]]))
-        components.append(FixedComponent(id=vid, kind=POINT, H=heights[i], weights=weights))
+        components.append(FixedComponent(vid, POINT, heights[i], weights))
     components.sort(key=component_order)
 
     ids = p._vertex_ids
     if absorbed:
         ids = [absorbed.get(i, vid) for i, vid in enumerate(ids)]
     keys = []
-    for e, pairing in zip(p.edges, pairings):
+    for (i, j, _length), pairing in zip(ends, pairings):
         if pairing > 0:
-            keys.append((ids[e.i], ids[e.j], pairing))
+            keys.append((ids[i], ids[j], pairing))
         elif pairing < 0:
-            keys.append((ids[e.j], ids[e.i], -pairing))
+            keys.append((ids[j], ids[i], -pairing))
     # a generated edge has no interior points, so its key sorts as edge_order does
     keys.sort()
     kept = p._gradient_edges
@@ -441,13 +450,8 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
             edge = kept[key] = GradientEdge(*key)
         edges.append(edge)
 
-    return FixedPointData(
-        half_dim=p.dim,
-        components=tuple(components),
-        edges=tuple(edges),
-        relative_fano=p.reflexive,
-        fano=p.reflexive,
-    )
+    # half_dim, components, edges and the relative Fano and Fano flags, by position
+    return FixedPointData(p.dim, tuple(components), tuple(edges), p.reflexive, p.reflexive)
 
 
 # -- the five toric del Pezzo polygons ---------------------------------------
@@ -743,6 +747,19 @@ def _apply(t: IntVec, v: IntVec) -> IntVec:
     return a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z
 
 
+def _images(ts: Sequence[IntVec], v: IntVec) -> List[IntVec]:
+    """Each integer matrix of ts, flattened row by row, applied to v: one comprehension,
+    with v unpacked once."""
+    if len(v) == 2:
+        x, y = v
+        return [(a * x + b * y, c * x + d * y) for a, b, c, d in ts]
+    x, y, z = v
+    return [
+        (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+        for a, b, c, d, e, f, g, h, i in ts
+    ]
+
+
 def _outer_sum(u: Sequence[IntVec], e: Sequence[IntVec]) -> IntVec:
     """sum_i u_i e_i^T flattened row by row: the matrix x -> sum_i <x, e_i> u_i."""
     if len(u) == 2:
@@ -846,7 +863,8 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
     found by ``_lattice_automorphisms`` when the first report that may be shared
     appears.  Every other direction is checked in full; an unsupported one is
     refused again by the polytope's edge lines, since its message names
-    coordinates.
+    coordinates.  A representative's images g^T xi come from one comprehension
+    over the stored transposes.
     """
     is_delpezzo = _is_delpezzo(p)
     abbv_sum = abbv_sum_4d if p.dim == 2 else abbv_sum_6d
@@ -873,8 +891,7 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
             if symmetries is None:
                 symmetries = _lattice_automorphisms(p)[1:]
             sums = (tuple(report.notes), total, constant)
-            for t in symmetries:
-                image = _apply(t, xi)
+            for image in _images(symmetries, xi):
                 # later in the scan's lex order, so also with a positive leading entry
                 if image > xi:
                     shared[image] = sums

@@ -26,6 +26,11 @@ n independent vertices, with no edge or facet in sight; the orbits of the
 scanned directions under the transposes g^T; and a dataset's fields with each
 vertex named in an id renamed, by parsing the id, without the package's
 symmetry search or id writers.
+
+The hull oracle finds the facets of a point set by testing every line
+through two points, or plane through three, against all the others, and
+its edges, or a 3-polytope's ridges, as the point pairs on dim - 1 common
+facets, with no gift wrap, monotone chain or edge table.
 """
 
 from __future__ import annotations
@@ -515,3 +520,55 @@ def renamed_fields(data, g) -> tuple:
             fields[end] = _renamed_id(fields[end], g)
         edges.append(tuple(fields.items()))
     return top, components, sorted(edges)
+
+
+def hull_faces(points):
+    """Facets and edges of the hull of points in dimension 2 or 3, by checking
+    every line through two of them, or plane through three, against all the
+    others.  A facet is (inward primitive normal u, c, the points on it), with
+    the facet <u, x> >= -c; an edge is (p, q, primitive step, lattice length)
+    for a pair p < q of points on dim - 1 common facets."""
+    pts = sorted(set(points))
+    dim = len(pts[0])
+    facets = set()
+    for a, *rest in itertools.combinations(pts, dim):
+        if dim == 2:
+            (b,) = rest
+            n = (a[1] - b[1], b[0] - a[0])
+        else:
+            b, c = rest
+            ab = [b[k] - a[k] for k in range(3)]
+            ac = [c[k] - a[k] for k in range(3)]
+            n = (
+                ab[1] * ac[2] - ab[2] * ac[1],
+                ab[2] * ac[0] - ab[0] * ac[2],
+                ab[0] * ac[1] - ab[1] * ac[0],
+            )
+        if not any(n):
+            continue
+        values = [sum(n[k] * (q[k] - a[k]) for k in range(dim)) for q in pts]
+        if min(values) >= 0:
+            sign = 1
+        elif max(values) <= 0:
+            sign = -1
+        else:
+            continue
+        g = gcd(*n)
+        u = tuple(sign * x // g for x in n)
+        c_val = -sum(u[k] * a[k] for k in range(dim))
+        on = frozenset(q for q in pts if sum(u[k] * q[k] for k in range(dim)) == -c_val)
+        facets.add((u, c_val, on))
+    edges = set()
+    for p, q in itertools.combinations(pts, 2):
+        if sum(1 for f in facets if p in f[2] and q in f[2]) >= dim - 1:
+            d = tuple(q[k] - p[k] for k in range(dim))
+            g = gcd(*d)
+            edges.add((p, q, tuple(x // g for x in d), g))
+    return facets, edges
+
+
+def hull_vertices(points):
+    """The points that lie on three or more of the brute-force facets: none
+    when the points are coplanar."""
+    facets, _edges = hull_faces(points)
+    return sorted(p for p in set(points) if sum(1 for f in facets if p in f[2]) >= 3)

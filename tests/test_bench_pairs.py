@@ -1,6 +1,7 @@
 """``scripts/bench_pairs.py``, which every speed and no-regression figure
-rests on: its pair count, medians, spread and the two rules it states
-(``gain_shown``, ``within_bound``) on synthetic runs, and its ``src/`` line
+rests on: its pair count, medians, spread, the two rules it states
+(``gain_shown``, ``within_bound``) and its ``unresolved`` record on synthetic
+runs, and its ``src/`` line
 count and harness digest on temporary trees.  The script is loaded by path and
 not run, and no bytecode is written next to it."""
 
@@ -147,3 +148,36 @@ def test_the_harness_digest_reads_benchmark_json_and_perfbench_sources(bench_pai
     assert changed["harness_identical"] is False
     assert changed["harness_digest"]["parent"] == same["harness_digest"]["parent"]
     assert changed["harness_digest"]["change"] != same["harness_digest"]["change"]
+
+
+# quartiles 10, 10 and 14: a spread of 0.4 around a median of 10
+WIDE = [10, 14, 10, 16, 9]
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, unresolved",
+    [
+        # both sides spread by 0.2 or less, inside the bound of 0.25
+        ("higher", PARENT_10, [v + 1 for v in PARENT_10], False),
+        # the parent spreads by 0.4, past the bound, and the runs overlap
+        ("higher", WIDE, [v + 1 for v in WIDE], True),
+        # the change alone spreads past the bound
+        ("lower", [10] * 5, WIDE, True),
+        # wide on both sides, but every change run beats every parent run
+        ("higher", WIDE, [v + 20 for v in WIDE], False),
+        ("lower", WIDE, [v - 3 for v in WIDE], True),
+        ("lower", [v + 20 for v in WIDE], WIDE, False),
+        # a change run equal to a parent run does not beat it
+        ("higher", WIDE, [v + 7 for v in WIDE], True),
+    ],
+)
+def test_a_metric_is_unresolved_when_a_side_spreads_past_the_bound(
+    bench_pairs, better, parent, change, unresolved
+):
+    assert _compare(bench_pairs, better, parent, change)["unresolved"] is unresolved
+
+
+def test_the_unresolved_rule_reads_the_metrics_bound(bench_pairs):
+    # a spread of 0.4 is unresolved under a bound of 0.25 but not under 0.5
+    assert _compare(bench_pairs, "higher", WIDE, WIDE, bound=0.25)["unresolved"]
+    assert not _compare(bench_pairs, "higher", WIDE, WIDE, bound=0.5)["unresolved"]

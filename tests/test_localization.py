@@ -4,9 +4,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hamfano.fano6 import isotropy_edge_sum
 from hamfano.fixed_data import FixedComponent, FixedPointData, GradientEdge, validate
 from hamfano.localization import (
     Polynomial,
@@ -155,7 +156,28 @@ def test_localisation_sums_match_the_term_by_term_oracle(data):
                 value = beta(c)
                 want = oracle.beta_by_terms(c.weights, c.genus, c.normal_degrees)
             assert type(value) is Fraction and value == want
-    assert type(total) is Fraction and total == expected
+    assert _is_canonical(total, expected)
+
+
+def _is_canonical(value, exact: Fraction) -> bool:
+    """value equals exact in the canonical form: an int exactly when it is
+    integral, else a Fraction with denominator > 1."""
+    return value == exact and type(value) is (int if exact.denominator == 1 else Fraction)
+
+
+_INTERIOR_WEIGHTS = st.integers(-4, 4).filter(bool)
+
+
+@given(st.lists(st.tuples(_INTERIOR_WEIGHTS, _INTERIOR_WEIGHTS), max_size=6))
+@example([])
+@example([(1, -1), (1, -1)])
+@example([(2, 2), (2, -2)])
+@example([(1, 2), (1, 3)])
+def test_isotropy_edge_sum_is_the_canonical_sum_of_its_terms(interior):
+    # sum 1/(ab) over the interior points, one Fraction per term, with no package code
+    expected = sum((Fraction(1, a * b) for a, b in interior), Fraction(0))
+    e = GradientEdge(bottom="lo", top="hi", weight=2, interior_points=tuple(interior))
+    assert _is_canonical(isotropy_edge_sum(e), expected)
 
 
 @given(_datasets(2))

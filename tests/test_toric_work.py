@@ -31,7 +31,7 @@ from hamfano.toric import (
     scan_directions,
 )
 
-from .oracle import direction_orbits, lattice_automorphisms
+from .oracle import direction_orbits, hull_faces, hull_vertices, lattice_automorphisms
 from .test_golden import GOLDEN, POLYTOPES, ROOT
 from .test_toric_orbits import CASES, LOPSIDED_HEXAGON, flat_transposes
 
@@ -58,7 +58,7 @@ def test_scan_generates_each_orbit_once(monkeypatch, tmp_path):
     path = tmp_path / "p.json"
     for name, (vertices, bound, _order) in CASES.items():
         dim = len(vertices[0])
-        _facets, edges = _oracle_faces([tuple(v) for v in vertices])
+        _facets, edges = hull_faces([tuple(v) for v in vertices])
         orbits = direction_orbits(lattice_automorphisms(vertices), dim, bound)
         unsupported = [
             xi for xi in orbits if dim == 3 and any(_dot(xi, d) == 0 for _a, _b, d, _g in edges)
@@ -163,19 +163,26 @@ def test_vertex_basis_test_runs_once_per_vertex(monkeypatch):
     assert len(calls) == len(p.vertices)
 
 
-def test_3d_build_turns_each_ridge_once(monkeypatch):
+def test_3d_build_turns_one_ridge_per_new_facet(monkeypatch):
     # gift wrapping: whole-set plane tests only for the first facet, all
-    # through the lex-least vertex, then one turn about each ridge, and the
-    # turned ridges are the edges
+    # through the lex-least vertex, then one turn about a ridge per facet not
+    # yet found, F - 1 in all, each about a different ridge; the ridges
+    # found are the edges
     sides = _counting(monkeypatch, hamfano.toric, "_supporting_side")
     turns = _counting(monkeypatch, hamfano.toric, "_wrap_ridge")
-    p = LatticePolytope(POLYTOPES_3D["truncated_cube"])
-    first = p.vertices[0]
-    assert sides and all(level == sum(x * y for x, y in zip(n, first)) for n, level, _ in sides)
-    assert len(sides) <= math.comb(len(p.vertices) - 1, 2)
-    assert len(turns) == len(p.edges) == 36
-    ends = {tuple(sorted((p.vertices.index(a), p.vertices.index(b)))) for a, b, _q, _off in turns}
-    assert ends == {(e.i, e.j) for e in p.edges}
+    for name, faces in (("truncated_cube", 14), ("cube", 6), ("CP3", 4)):
+        sides.clear()
+        turns.clear()
+        p = LatticePolytope(POLYTOPES_3D[name])
+        first = p.vertices[0]
+        assert sides and all(level == sum(x * y for x, y in zip(n, first)) for n, level, _ in sides)
+        assert len(sides) <= math.comb(len(p.vertices) - 1, 2)
+        assert len(turns) == len(p.facets) - 1 == faces - 1, name
+        turned = {tuple(sorted((p.vertices.index(a), p.vertices.index(b)))) for a, b, _q, _o in turns}
+        edges = {(e.i, e.j) for e in p.edges}
+        assert len(turned) == len(turns) and turned <= edges, name
+        _facets, _on, ridges = hamfano.toric._polytope_facets(p.vertices)
+        assert sorted(ridges) == sorted(edges), name
 
 
 def _golden_vertices(name):
@@ -236,56 +243,6 @@ def test_non_delzant_polygon_constructs():
 # -- the polytope build ------------------------------------------------------------
 
 
-def _oracle_faces(points):
-    """Facets and edges of the hull of points in dimension 2 or 3, by checking
-    every line through two of them, or plane through three, against all the
-    others; an edge is a pair of points on dim - 1 common facets."""
-    pts = sorted(set(points))
-    dim = len(pts[0])
-
-    def gcd(v):
-        g = 0
-        for x in v:
-            g = math.gcd(g, x)
-        return g
-
-    facets = set()
-    for a, *rest in itertools.combinations(pts, dim):
-        if dim == 2:
-            (b,) = rest
-            n = (a[1] - b[1], b[0] - a[0])
-        else:
-            b, c = rest
-            ab = [b[k] - a[k] for k in range(3)]
-            ac = [c[k] - a[k] for k in range(3)]
-            n = (
-                ab[1] * ac[2] - ab[2] * ac[1],
-                ab[2] * ac[0] - ab[0] * ac[2],
-                ab[0] * ac[1] - ab[1] * ac[0],
-            )
-        if not any(n):
-            continue
-        values = [sum(n[k] * (q[k] - a[k]) for k in range(dim)) for q in pts]
-        if min(values) >= 0:
-            sign = 1
-        elif max(values) <= 0:
-            sign = -1
-        else:
-            continue
-        g = gcd(n)
-        u = tuple(sign * x // g for x in n)
-        c_val = -sum(u[k] * a[k] for k in range(dim))
-        on = frozenset(q for q in pts if sum(u[k] * q[k] for k in range(dim)) == -c_val)
-        facets.add((u, c_val, on))
-    edges = set()
-    for p, q in itertools.combinations(pts, 2):
-        if sum(1 for f in facets if p in f[2] and q in f[2]) >= dim - 1:
-            d = tuple(q[k] - p[k] for k in range(dim))
-            g = gcd(d)
-            edges.add((p, q, tuple(x // g for x in d), g))
-    return facets, edges
-
-
 POLYTOPES_3D = {
     name: [tuple(v) for v in POLYTOPES[key]]
     for name, key in (
@@ -309,7 +266,7 @@ POLYGONS = {
 
 def _assert_build_matches_brute_force(name, verts):
     p = LatticePolytope(verts)
-    facets, edges = _oracle_faces(verts)
+    facets, edges = hull_faces(verts)
     got_facets = {
         (f.normal, f.c, frozenset(p.vertices[i] for i in f.vertex_ids)) for f in p.facets
     }
@@ -333,18 +290,39 @@ SOLIDS_3D = {
 }
 
 
-def _oracle_vertices(points):
-    """The points that lie on three or more of the brute-force facets: none
-    when the points are coplanar."""
-    facets, _edges = _oracle_faces(points)
-    return sorted(p for p in set(points) if sum(1 for f in facets if p in f[2]) >= 3)
-
-
 def test_build_3d_matches_brute_force():
     # the solids add vertices on four or more facets; the truncated cube has octagons
     for name, verts in {**POLYTOPES_3D, **SOLIDS_3D}.items():
         p = _assert_build_matches_brute_force(name, verts)
         assert delzant_check(p) == (name in POLYTOPES_3D or name == "box"), name
+
+
+def _assert_gift_wrap_matches_brute_force(name, verts):
+    # the facets, each point's normals and the ridges, straight from the wrap
+    pts = sorted(verts)
+    facets, on, ridges = hamfano.toric._polytope_facets(pts)
+    want_facets, want_edges = hull_faces(pts)
+    got = {(f.normal, f.c, frozenset(pts[i] for i in f.vertex_ids)) for f in facets}
+    assert got == want_facets and len(facets) == len(want_facets), name
+    assert on == [{u for u, _c, held in want_facets if q in held} for q in pts], name
+    want_ridges = sorted((pts.index(a), pts.index(b)) for a, b, _d, _l in want_edges)
+    assert sorted(ridges) == want_ridges and len(ridges) == len(want_edges), name
+
+
+def test_gift_wrap_matches_the_brute_force_facet_search():
+    for name, verts in POLYTOPES_3D.items():
+        _assert_gift_wrap_matches_brute_force(name, verts)
+    # convex lattice point sets of 4 to 14 points in [-4, 4]^3: the hull vertices of a
+    # random set, kept when they span space and number 4 to 14
+    rng = random.Random(1)
+    checked = 0
+    while checked < 100:
+        size = rng.randint(4, 20)
+        points = {tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(size)}
+        vertices = hull_vertices(points)
+        if 4 <= len(vertices) <= 14:
+            _assert_gift_wrap_matches_brute_force(f"{vertices}", vertices)
+            checked += 1
 
 
 def test_build_3d_matches_brute_force_on_seeded_point_sets():
@@ -355,7 +333,7 @@ def test_build_3d_matches_brute_force_on_seeded_point_sets():
         r = rng.choice((1, 2, 3, 5))
         size = rng.randint(4, 13)
         points = sorted({tuple(rng.randint(-r, r) for _ in range(3)) for _ in range(size)})
-        vertices = _oracle_vertices(points)
+        vertices = hull_vertices(points)
         if vertices != points:
             with pytest.raises(StructuralError):
                 LatticePolytope(points)
@@ -407,7 +385,7 @@ def _oracle_selfint(verts):
     """D^2 of each boundary divisor from the brute-force facets: with u the
     normal of its facet and u', u'' those of the other facets at its two
     ends, u' + u'' = -D^2 u."""
-    facets, _edges = _oracle_faces(verts)
+    facets, _edges = hull_faces(verts)
     out = {}
     for u, _c, on in facets:
         s = [0, 0]
@@ -451,7 +429,7 @@ def _oracle_id(v):
 def _assert_generation_matches_oracle(name, vertices, bound):
     corners = sorted({tuple(v) for v in vertices})
     p = LatticePolytope(corners)
-    _facets, edges = _oracle_faces(corners)
+    _facets, edges = hull_faces(corners)
     dim = len(corners[0])
     for xi in _oracle_directions(dim, bound):
         height = {v: sum(a * b for a, b in zip(xi, v)) for v in corners}
