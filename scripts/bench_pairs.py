@@ -26,6 +26,10 @@ widely for ``within_bound`` to tell: either side's quartile spread, (q3 -
 q1) / median, exceeds the bound, and not every change run beats every parent
 run.  It is recorded, not refused.
 
+Each workload also records each side's ``failed_share``, its failed ops over
+its attempted ops summed across its runs, and ``failed_share_rose``, whether the
+change's share is higher than the parent's.  A rise is recorded, not refused.
+
 usage: python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W
            --seeds A-B --out BENCH.json
 """
@@ -88,6 +92,17 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def failures(runs: dict) -> dict:
+    """Each side's failed ops over its attempted ops across its runs (None when it
+    attempted none), and whether the change's share is higher."""
+    share = {}
+    for side in SIDES:
+        attempted = sum(r["attempted"] for r in runs[side])
+        share[side] = sum(r["failed"] for r in runs[side]) / attempted if attempted else None
+    rose = None not in share.values() and share["change"] > share["parent"]
+    return {"failed_share": share, "failed_share_rose": rose}
 
 
 def summary(values: list) -> dict:
@@ -159,6 +174,7 @@ def main() -> None:
         "src_lines": {side: src_lines(trees[side]) for side in SIDES},
         **harness(trees),
         "all_correct": all(r["correct"] and r["failed"] == 0 for s in SIDES for r in runs[s]),
+        **failures(runs),
         "runs": runs,
         "metrics": {m["name"]: compare(runs, m) for m in metrics},
     }

@@ -702,7 +702,7 @@ def cycle_inequality(data: FixedPointData) -> Report:
         )
         return report
 
-    total = sum(values, Fraction(0))
+    total = sum(values)
     if total > 0:
         report.flag(
             "cycle-sum",

@@ -130,7 +130,7 @@ class LatticePolytope:
             step = [b - a for a, b in zip(verts[i], verts[j])]
             length = math.gcd(*step)
             edge_ends.append((i, j, length))
-            edges.append(Edge(i, j, tuple(x // length for x in step), length))
+            edges.append(Edge(i, j, tuple([x // length for x in step]), length))
         edges = tuple(edges)
         # (edge index, sign) at each vertex: the sign turns the edge direction,
         # and its pairing with any direction, to point away from the vertex
@@ -158,7 +158,7 @@ class LatticePolytope:
             _incidence=incidence,
             _slots=tuple(tuple(s) for s in slots),
             _edge_lines=tuple(lines.items()),
-            _vertex_ids=tuple(_vertex_id(v) for v in verts),
+            _vertex_ids=tuple([_vertex_id(v) for v in verts]),
             # the signs only flip the determinant, so they are left out here
             delzant=all(_is_lattice_basis([edges[k].direction for k, _ in s], dim) for s in slots),
             reflexive=all(f.c == 1 for f in facets),
@@ -231,7 +231,9 @@ def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], Lis
     tested on all V points.  Each facet is processed as soon as a wrap finds it, and every
     ridge counts the found facets that hold it.  A ridge is turned into the facet beyond
     it only while one found facet holds it, when that facet is still unknown, so each
-    turn finds a new facet: F - 1 turns of O(V) plane tests.  None when coplanar."""
+    turn finds a new facet: F - 1 turns of O(V) plane tests.  The points off a facet are
+    listed, from the heights and level kept with it, when a ridge of it is first turned,
+    so a facet none of whose ridges is turned lists none.  None when coplanar."""
     ax, ay, az = pts[0]
     for (bx, by, bz), (cx, cy, cz) in itertools.combinations(pts[1:], 2):
         bx, by, bz, cx, cy, cz = bx - ax, by - ay, bz - az, cx - ax, cy - ay, cz - az
@@ -244,33 +246,40 @@ def _polytope_facets(pts: Sequence[IntVec]) -> Tuple[List[Facet], List[set], Lis
     facets: List[Facet] = []
     on_facets: List[set] = [set() for _ in pts]
     holders: Dict[Tuple[int, int], int] = {}  # ridge -> the found facets that hold it
-    found = []  # (its ridges not yet looked at, the points off it) per found facet
+    # per found facet: its ridges not yet looked at, its heights and level, and the
+    # points off it once listed
+    found: List[list] = []
     n, i = (n if side > 0 else tuple(-x for x in n)), 0  # a new facet's normal, a point on it
     while n is not None:
         u, _ = _primitive(n)
         u0, u1, u2 = u
         heights = [u0 * x + u1 * y + u2 * z for x, y, z in pts]
         level = heights[i]
-        on = tuple(v for v, h in enumerate(heights) if h == level)
+        on = [v for v, h in enumerate(heights) if h == level]
         for v in on:
             on_facets[v].add(u)
-        facets.append(Facet(normal=u, c=-level, vertex_ids=on))
-        k = next(j for j, x in enumerate(u) if x)
+        facets.append(Facet(u, -level, tuple(on)))
+        k = 0 if u0 else 1 if u1 else 2  # a coordinate on which the normal is nonzero
         flat = {pts[v][:k] + pts[v][k + 1 :]: v for v in on}
         cycle = [flat[p] for p in _hull_cycle(sorted(flat))]
-        ridges = []  # each with a point of the facet off it, for the wrap
-        for j, (ia, ib) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
+        size = len(cycle)
+        ridges = []  # each with the index of a point of the facet off it, for the wrap
+        for j in range(size):
+            ia, ib = cycle[j], cycle[j + 1 - size]
             ridge = (ia, ib) if ia < ib else (ib, ia)
             holders[ridge] = holders.get(ridge, 0) + 1
-            ridges.append((ridge, pts[cycle[(j + 2) % len(cycle)]]))
-        found.append((iter(ridges), [p for p, h in zip(pts, heights) if h != level]))
+            ridges.append((ridge, cycle[j + 2 - size]))
+        found.append([iter(ridges), heights, level, None])
         # the next ridge, newest facet first, that no second found facet holds
         n = None
         while found and n is None:
-            ridges_left, off = found[-1]
+            entry = found[-1]
+            ridges_left, facet_heights, facet_level, off = entry
             for (ia, ib), q in ridges_left:
                 if holders[ia, ib] == 1:
-                    n, i = _wrap_ridge(pts[ia], pts[ib], q, off), ia
+                    if off is None:
+                        off = entry[3] = [p for p, h in zip(pts, facet_heights) if h != facet_level]
+                    n, i = _wrap_ridge(pts[ia], pts[ib], pts[q], off), ia
                     break
             else:
                 found.pop()
@@ -369,6 +378,21 @@ def _surface_id(a: IntVec, b: IntVec) -> str:
     return "s" + "_".join(str(x) for x in lo) + "__" + "_".join(str(x) for x in hi)
 
 
+def _require_delzant(p: LatticePolytope) -> None:
+    if not p.delzant:
+        raise PreconditionError("fixed_data_from_polytope needs a Delzant polytope")
+
+
+def _edge_line_refusal(p: LatticePolytope, x: IntVec) -> Optional[str]:
+    """Why the checked 3-D direction x is not generated: the refusal text of the first
+    edge line of p orthogonal to x, one dot product per line, or None."""
+    a, b, c = x
+    for (d0, d1, d2), tail in p._edge_lines:
+        if a * d0 + b * d1 + c * d2 == 0:
+            return f"direction {x}{tail}"
+    return None
+
+
 def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPointData:
     """Fixed-point data of the circle action cut out by xi on the toric manifold.
 
@@ -382,28 +406,27 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
     The relative Fano flag is set iff the polytope is reflexive.
 
     In dimension 3 a direction orthogonal to an edge is refused before any
-    height, by one dot product per edge line of the polytope; the message names
-    the lowest-index edge it fixes.  Otherwise only the V heights <xi, v> are dot
-    products: an edge of lattice length l from v_i to v_j has <xi, d> =
-    (H_j - H_i) / l exactly, read from the polytope's edge table.  A gradient
-    edge the polytope keeps is reused; every component and dataset is built, by
-    position, and checked anew.
+    height with the text of ``_edge_line_refusal``, which names the lowest-index
+    edge it fixes.  Otherwise only the V heights <xi, v> are dot products: an edge
+    of lattice length l from v_i to v_j has <xi, d> = (H_j - H_i) / l exactly,
+    read from the polytope's edge table, and a vertex's weights come from its
+    unpacked (edge, sign) slots.  A gradient edge the polytope keeps is reused;
+    every component and dataset is built, by position, and checked anew.
     """
     x = _ivec(tuple(xi))
     if math.gcd(*x) != 1:
         raise StructuralError(f"direction {x} is not primitive")
     if len(x) != p.dim:
         raise PreconditionError(f"direction has length {len(x)}, polytope dim {p.dim}")
-    if not p.delzant:
-        raise PreconditionError("fixed_data_from_polytope needs a Delzant polytope")
+    _require_delzant(p)
     if p.dim == 2:
         a, b = x
         heights = [a * v0 + b * v1 for v0, v1 in p.vertices]
     else:
+        refusal = _edge_line_refusal(p, x)
+        if refusal is not None:
+            raise UnsupportedDirectionError(refusal)
         a, b, c = x
-        for (d0, d1, d2), tail in p._edge_lines:
-            if a * d0 + b * d1 + c * d2 == 0:
-                raise UnsupportedDirectionError(f"direction {x}{tail}")
         heights = [a * v0 + b * v1 + c * v2 for v0, v1, v2 in p.vertices]
     ends = p._edge_ends
     pairings = [(heights[j] - heights[i]) // length for i, j, length in ends]
@@ -424,11 +447,17 @@ def fixed_data_from_polytope(p: LatticePolytope, xi: Sequence[int]) -> FixedPoin
             absorbed[i] = sid
             absorbed[j] = sid
 
-    for i, vid in enumerate(p._vertex_ids):
-        if i in absorbed:
-            continue
-        weights = tuple(sorted([sign * pairings[k] for k, sign in p._slots[i]]))
-        components.append(FixedComponent(vid, POINT, heights[i], weights))
+    # a Delzant vertex has dim (edge, sign) slots; in dimension 3 none is absorbed
+    if p.dim == 2:
+        for i, (vid, ((k, s), (m, t))) in enumerate(zip(p._vertex_ids, p._slots)):
+            if i not in absorbed:
+                w, z = s * pairings[k], t * pairings[m]
+                weights = (w, z) if w <= z else (z, w)
+                components.append(FixedComponent(vid, POINT, heights[i], weights))
+    else:
+        for vid, h, ((k, s), (m, t), (n, r)) in zip(p._vertex_ids, heights, p._slots):
+            weights = tuple(sorted((s * pairings[k], t * pairings[m], r * pairings[n])))
+            components.append(FixedComponent(vid, POINT, h, weights))
     components.sort(key=component_order)
 
     ids = p._vertex_ids
@@ -861,26 +890,35 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
     copy of that report and the same sums, and no data are generated for it.  -xi
     is no orbit member: it gives reversed data, not renamed ones.  The group is
     found by ``_lattice_automorphisms`` when the first report that may be shared
-    appears.  Every other direction is checked in full; an unsupported one is
-    refused again by the polytope's edge lines, since its message names
-    coordinates.  A representative's images g^T xi come from one comprehension
-    over the stored transposes.
+    appears.  Every other direction is checked in full.  A representative's images
+    g^T xi come from one comprehension over the stored transposes.
+
+    The Delzant precondition is checked once, after the bound and before the first
+    item.  A 3-D direction that fixes an edge is refused by ``_edge_line_refusal``,
+    the text ``fixed_data_from_polytope`` raises, with no exception: the scan built
+    it with plain ints, gcd 1 and the polytope's dimension.  Its text names
+    coordinates, so it is not shared; nor is it ever a pending member, since
+    <g^T xi, d> = <xi, g d> and g permutes the edge lines.
     """
+    directions = primitive_directions(p.dim, bound)
+    _require_delzant(p)
     is_delpezzo = _is_delpezzo(p)
+    refuses = p.dim == 3
     abbv_sum = abbv_sum_4d if p.dim == 2 else abbv_sum_6d
     symmetries = None
     shared = {}  # a later orbit member -> its representative's notes and sums
-    for xi in primitive_directions(p.dim, bound):
+    for xi in directions:
         sums = shared.pop(xi, None)
         if sums is not None:
             notes, total, constant = sums
             yield ScanItem(xi, Report(notes=list(notes)), total, constant)
             continue
-        try:
-            data = fixed_data_from_polytope(p, xi)
-        except UnsupportedDirectionError as exc:
-            yield ScanItem(xi, Report(), error=str(exc))
-            continue
+        if refuses:
+            refusal = _edge_line_refusal(p, xi)
+            if refusal is not None:
+                yield ScanItem(xi, Report(), error=refusal)
+                continue
+        data = fixed_data_from_polytope(p, xi)
         report = validate(data)
         if is_delpezzo:
             report.extend(_lemma_checks(data))

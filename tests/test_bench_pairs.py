@@ -1,7 +1,7 @@
 """``scripts/bench_pairs.py``, which every speed and no-regression figure
 rests on: its pair count, medians, spread, the two rules it states
-(``gain_shown``, ``within_bound``) and its ``unresolved`` record on synthetic
-runs, and its ``src/`` line
+(``gain_shown``, ``within_bound``), its ``unresolved`` record and each side's
+share of failed ops on synthetic runs, and its ``src/`` line
 count and harness digest on temporary trees.  The script is loaded by path and
 not run, and no bytecode is written next to it."""
 
@@ -181,3 +181,30 @@ def test_the_unresolved_rule_reads_the_metrics_bound(bench_pairs):
     # a spread of 0.4 is unresolved under a bound of 0.25 but not under 0.5
     assert _compare(bench_pairs, "higher", WIDE, WIDE, bound=0.25)["unresolved"]
     assert not _compare(bench_pairs, "higher", WIDE, WIDE, bound=0.5)["unresolved"]
+
+
+def _failures(bench_pairs, parent, change):
+    """``failures`` on each side's runs, given as (attempted, failed) pairs."""
+    runs = {
+        side: [{"attempted": a, "failed": f} for a, f in pairs]
+        for side, pairs in (("parent", parent), ("change", change))
+    }
+    return bench_pairs.failures(runs)
+
+
+@pytest.mark.parametrize(
+    "parent, change, share, rose",
+    [
+        # summed over the runs, not averaged per run: 2 of 400 against 3 of 200
+        ([(100, 0), (300, 2)], [(100, 3), (100, 0)], {"parent": 2 / 400, "change": 3 / 200}, True),
+        ([(100, 1), (100, 1)], [(50, 0), (150, 0)], {"parent": 0.01, "change": 0.0}, False),
+        # an equal share did not rise
+        ([(200, 2)], [(100, 1)], {"parent": 0.01, "change": 0.01}, False),
+        ([(100, 0)], [(100, 0)], {"parent": 0.0, "change": 0.0}, False),
+        # a side that attempted nothing has no share, and no rise is read from it
+        ([(0, 0)], [(100, 5)], {"parent": None, "change": 0.05}, False),
+    ],
+)
+def test_each_side_records_its_share_of_failed_ops(bench_pairs, parent, change, share, rose):
+    out = _failures(bench_pairs, parent, change)
+    assert out == {"failed_share": share, "failed_share_rose": rose}

@@ -1,5 +1,6 @@
 """Six-dimensional analyses: graphs, chains, type counting, inequality suites."""
 
+import builtins
 import functools
 import inspect
 import itertools
@@ -706,6 +707,37 @@ def test_cycle_inequality_four_cycle_witness():
     assert any("witness" in n for n in report.notes)
     # per-step sums are {0, -1, 0, -1}; best c1 is -3 <= 2 - 2*2
     assert any("c1 = -3" in n for n in report.notes)
+
+
+def test_cycle_inequality_sums_integral_contributions_as_an_int(monkeypatch):
+    # the cyclic sum starts from the int 0: integral contributions give an int, and a
+    # non-integral sum still writes itself as p/q
+    totals = []
+
+    def recording(values, *start):
+        totals.append(builtins.sum(values, *start))
+        return totals[-1]
+
+    monkeypatch.setattr(fano6, "sum", recording, raising=False)
+    assert cycle_inequality(_four_cycle_data()).ok
+    assert totals == [-2] and type(totals[0]) is int
+    data = _four_cycle_data()
+    s2_s3, s4_s3 = data.edges[2:]
+    halves = (replace(s2_s3, interior_points=((1, 2),)), replace(s4_s3, interior_points=((1, 1),)))
+    report = cycle_inequality(replace(data, edges=data.edges[:2] + halves))
+    assert totals[1:] == [Fraction(3, 2)]
+    expected = []
+    for e, recovered in zip(halves, ("1/2", "1")):
+        expected += [
+            ("isotropy-sum", f"edge {e.key}: interior points give n_bot + n_top = {recovered} > 0"),
+            (
+                "fourcor-mismatch",
+                f"edge {e.key}: stored degrees give n_bot + n_top = -1, "
+                f"interior points give {recovered}",
+            ),
+        ]
+    expected.append(("cycle-sum", "cyclic sum of isotropy contributions is 3/2 > 0"))
+    assert [(v.code, v.message) for v in report.violations] == expected
 
 
 def test_cycle_inequality_empty_interior_sum_is_zero():

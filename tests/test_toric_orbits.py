@@ -115,6 +115,7 @@ def test_each_orbit_member_is_its_representatives_data_renamed(name, monkeypatch
     assert [item.xi for item in items] == list(orbits)
 
     clean = {}  # representative -> whether its own report may be shared
+    refused = set()
     for item in items:
         rep, g = orbits[item.xi]
         try:
@@ -124,6 +125,7 @@ def test_each_orbit_member_is_its_representatives_data_renamed(name, monkeypatch
             with pytest.raises(UnsupportedDirectionError):
                 fixed_data_from_polytope(p, rep)
             clean[item.xi] = False
+            refused.add(item.xi)
             continue
         if rep != item.xi:
             assert renamed_fields(fixed_data_from_polytope(p, rep), unimodular_inverse(g)) == (
@@ -138,7 +140,12 @@ def test_each_orbit_member_is_its_representatives_data_renamed(name, monkeypatch
         assert (item.abbv_sum, item.weight_sum_constant) == (total, constant), (name, item.xi)
 
     # a direction is generated in the scan unless its representative's report is shared
-    expected = [xi for xi, (rep, _g) in orbits.items() if rep == xi or not clean[rep]]
+    # or the scan refuses it, which it does without generating
+    expected = [
+        xi
+        for xi, (rep, _g) in orbits.items()
+        if (rep == xi or not clean[rep]) and xi not in refused
+    ]
     assert scanned == expected, name
     # Bl2CP2's one symmetry besides the identity, (a, b) -> (-a, b - a) on directions,
     # turns the sign of every leading entry, and -xi is no member: it shares nothing;
@@ -181,9 +188,15 @@ def test_an_orbit_whose_report_names_an_id_is_checked_in_full(record, monkeypatc
     monkeypatch.setattr(hamfano.toric, "validate", naming)
     generated = _recording(monkeypatch)
     items = list(scan_directions(p, 2))
-    assert generated == [item.xi for item in items]
+    # every supported direction is generated; an unsupported one is refused with the
+    # text generation raises on it
+    assert generated == [item.xi for item in items if item.error is None]
     for item in items:
-        if item.error is None:
+        if item.error is not None:
+            with pytest.raises(UnsupportedDirectionError) as refused:
+                fixed_data_from_polytope(p, item.xi)
+            assert item.error == str(refused.value), item.xi
+        else:
             lowest = min(vertices, key=lambda v: sum(a * b for a, b in zip(item.xi, v)))
             records = item.report.violations if record == "flag" else item.report.inconclusive
             assert [r.message for r in records] == [f"minimum at v{'_'.join(map(str, lowest))}"]

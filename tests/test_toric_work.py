@@ -51,10 +51,28 @@ def _counting(monkeypatch, owner, name):
 # -- work counts ------------------------------------------------------------------
 
 
+def _refusals(monkeypatch):
+    """The directions the package refuses from here on, through the one owner of the
+    refusal text."""
+    refused = []
+    inner = hamfano.toric._edge_line_refusal
+
+    def recording(p, x):
+        text = inner(p, x)
+        if text is not None:
+            refused.append(x)
+        return text
+
+    monkeypatch.setattr(hamfano.toric, "_edge_line_refusal", recording)
+    return refused
+
+
 def test_scan_generates_each_orbit_once(monkeypatch, tmp_path):
-    # a scan generates each unsupported direction and the first direction of each
-    # orbit {g^T xi} of the polytope's lattice automorphisms, counted here by brute force
+    # a scan generates the first direction of each orbit {g^T xi} of the polytope's
+    # lattice automorphisms, counted here by brute force, and refuses each unsupported
+    # direction itself, without generating it
     calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
+    refused = _refusals(monkeypatch)
     path = tmp_path / "p.json"
     for name, (vertices, bound, _order) in CASES.items():
         dim = len(vertices[0])
@@ -66,9 +84,11 @@ def test_scan_generates_each_orbit_once(monkeypatch, tmp_path):
         firsts = {rep for xi, (rep, _g) in orbits.items() if xi not in unsupported}
         path.write_text(json.dumps({"schema_version": "1", "polytope": {"vertices": vertices}}))
         calls.clear()
+        refused.clear()
         code, _out = run(["toric", "scan", str(path), "--bound", str(bound)])
         assert code == 0, name
-        assert len(calls) == len(unsupported) + len(firsts), name
+        assert len(calls) == len(firsts), name
+        assert refused == unsupported, name
 
 
 def test_a_polytope_with_no_symmetry_generates_every_direction(monkeypatch, tmp_path):
@@ -97,19 +117,26 @@ def _load_bench_generator():
     return module
 
 
-@pytest.mark.parametrize("workload, generated", [("scan2d", 3288), ("scan3d", 3727)])
+REFUSED_PER_CYCLE = {"scan2d": 0, "scan3d": 3220}
+
+
+@pytest.mark.parametrize("workload, generated", [("scan2d", 3288), ("scan3d", 507)])
 def test_a_benchmark_scan_cycle_generates_the_counted_datasets(
     workload, generated, monkeypatch, tmp_path
 ):
     # one cycle of the benchmark's own ops at seed 7, each run once: the scans generate
-    # each unsupported direction and the first direction of each orbit {g^T xi} whose
-    # report they share
+    # the first direction of each orbit {g^T xi} whose report they share, and refuse
+    # each unsupported direction through the one owner of its text, raising nothing
     ops = _load_bench_generator().generate(workload, 7, str(tmp_path))
     monkeypatch.chdir(tmp_path)  # the ops name their files relative to it
     calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
+    refused = _refusals(monkeypatch)
+    raised = _counting(monkeypatch, UnsupportedDirectionError, "__init__")
     for op in ops:
         assert run(op["argv"])[0] == op["expect"], op["argv"]
     assert len(calls) == generated
+    assert len(refused) == REFUSED_PER_CYCLE[workload]
+    assert raised == []
 
 
 def test_the_search_finds_the_oracle_group_on_the_benchmark_polytopes():
@@ -506,6 +533,46 @@ def test_a_3_polytope_refuses_exactly_the_directions_that_fix_an_edge():
                 f"{p.vertices[e.i]}, {p.vertices[e.j]}; positive-dimensional "
                 f"fixed loci of 6-manifolds are not generated"
             ), (name, xi)
+
+
+def test_a_scan_refuses_with_the_text_generation_raises():
+    # one owner of the refusal text: a scan item's error is what fixed_data_from_polytope
+    # raises on its direction, and None exactly when that call returns data
+    for name in GOLDEN_3_POLYTOPES:
+        p = LatticePolytope(_golden_vertices(name))
+        items = list(scan_directions(p, 4))
+        assert [item.xi for item in items] == _oracle_directions(3, 4), name
+        for item in items:
+            try:
+                fixed_data_from_polytope(p, item.xi)
+            except UnsupportedDirectionError as exc:
+                assert item.error == str(exc), (name, item.xi)
+            else:
+                assert item.error is None, (name, item.xi)
+
+
+SQUARE_PYRAMID = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "bound, error",
+    [
+        ("1", "fixed_data_from_polytope needs a Delzant polytope"),
+        ("0", "bound must be at least 1"),
+    ],
+)
+def test_a_scan_checks_its_precondition_after_the_bound(bound, error, monkeypatch, tmp_path):
+    # the scan refuses a non-Delzant polytope once, before its first item, and a bad
+    # bound first; it tests no direction
+    p = LatticePolytope(SQUARE_PYRAMID)
+    assert not p.delzant
+    refused = _refusals(monkeypatch)
+    calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
+    path = tmp_path / "pyramid.json"
+    doc = {"schema_version": "1", "polytope": {"vertices": SQUARE_PYRAMID}}
+    path.write_text(json.dumps(doc))
+    assert run(["toric", "scan", str(path), "--bound", bound]) == (2, f'{{"error":"{error}"}}')
+    assert refused == [] and calls == []
 
 
 def test_a_3_polytope_keeps_one_line_per_edge_direction_up_to_sign():
