@@ -765,15 +765,16 @@ class ScanItem:
     error: Optional[str] = None
 
 
-def _apply(t: IntVec, v: IntVec) -> IntVec:
-    """The integer matrix t, flattened row by row, applied to v, in plain arithmetic."""
+def _apply(gt: IntVec, v: IntVec) -> IntVec:
+    """g v, for the integer matrix g whose transpose gt is flattened row by row, in plain
+    arithmetic."""
     if len(v) == 2:
-        a, b, c, d = t
+        a, b, c, d = gt
         x, y = v
-        return a * x + b * y, c * x + d * y
-    a, b, c, d, e, f, g, h, i = t
+        return a * x + c * y, b * x + d * y
+    a, b, c, d, e, f, g, h, i = gt
     x, y, z = v
-    return a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z
+    return a * x + d * y + g * z, b * x + e * y + h * z, c * x + f * y + i * z
 
 
 def _images(ts: Sequence[IntVec], v: IntVec) -> List[IntVec]:
@@ -789,88 +790,129 @@ def _images(ts: Sequence[IntVec], v: IntVec) -> List[IntVec]:
     ]
 
 
-def _outer_sum(u: Sequence[IntVec], e: Sequence[IntVec]) -> IntVec:
-    """sum_i u_i e_i^T flattened row by row: the matrix x -> sum_i <x, e_i> u_i."""
+def _outer_sums(u: Sequence[IntVec], es: Iterable[Sequence[IntVec]]) -> List[IntVec]:
+    """For each e of es, sum_i u_i e_i^T flattened row by row: the matrix
+    x -> sum_i <x, e_i> u_i.  One comprehension, with u unpacked once."""
     if len(u) == 2:
         (a0, a1), (b0, b1) = u
-        (x0, x1), (y0, y1) = e
-        return a0 * x0 + b0 * y0, a0 * x1 + b0 * y1, a1 * x0 + b1 * y0, a1 * x1 + b1 * y1
+        return [
+            (a0 * x0 + b0 * y0, a0 * x1 + b0 * y1, a1 * x0 + b1 * y0, a1 * x1 + b1 * y1)
+            for (x0, x1), (y0, y1) in es
+        ]
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = u
-    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = e
-    return (
-        a0 * x0 + b0 * y0 + c0 * z0, a0 * x1 + b0 * y1 + c0 * z1, a0 * x2 + b0 * y2 + c0 * z2,
-        a1 * x0 + b1 * y0 + c1 * z0, a1 * x1 + b1 * y1 + c1 * z1, a1 * x2 + b1 * y2 + c1 * z2,
-        a2 * x0 + b2 * y0 + c2 * z0, a2 * x1 + b2 * y1 + c2 * z1, a2 * x2 + b2 * y2 + c2 * z2,
-    )
+    return [
+        (
+            a0 * x0 + b0 * y0 + c0 * z0, a0 * x1 + b0 * y1 + c0 * z1, a0 * x2 + b0 * y2 + c0 * z2,
+            a1 * x0 + b1 * y0 + c1 * z0, a1 * x1 + b1 * y1 + c1 * z1, a1 * x2 + b1 * y2 + c1 * z2,
+            a2 * x0 + b2 * y0 + c2 * z0, a2 * x1 + b2 * y1 + c2 * z1, a2 * x2 + b2 * y2 + c2 * z2,
+        )
+        for (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) in es
+    ]
+
+
+def _vertex_permutation(
+    gt: IntVec, w0: IntVec, v: IntVec, points: Sequence[IntVec], index: Dict[IntVec, int]
+) -> Optional[List[int]]:
+    """The index of each point's image under x -> g(x - w0) + v, for the integer matrix g
+    whose transpose gt is flattened row by row, or None when an image is no key of index.
+    gt is unpacked once, and the shift v - g w0 computed once."""
+    if len(v) == 2:
+        a, b, c, d = gt
+        x0, y0 = w0
+        s0, s1 = v[0] - a * x0 - c * y0, v[1] - b * x0 - d * y0
+        images = [index.get((a * x + c * y + s0, b * x + d * y + s1)) for x, y in points]
+    else:
+        a, b, c, d, e, f, g, h, i = gt
+        x0, y0, z0 = w0
+        s0 = v[0] - a * x0 - d * y0 - g * z0
+        s1 = v[1] - b * x0 - e * y0 - h * z0
+        s2 = v[2] - c * x0 - f * y0 - i * z0
+        images = [
+            index.get(
+                (a * x + d * y + g * z + s0, b * x + e * y + h * z + s1, c * x + f * y + i * z + s2)
+            )
+            for x, y, z in points
+        ]
+    return None if None in images else images
 
 
 def _lattice_automorphisms(p: LatticePolytope) -> List[IntVec]:
-    """Every linear g in GL(n, Z) with g(vertices) = vertices, the identity first,
-    each stored as its transpose flattened row by row.  p must be Delzant.
+    """The linear part g in GL(n, Z) of every affine lattice automorphism
+    x -> g(x - w0) + v of P, w0 its vertex 0 and v a vertex, the identity first, each
+    stored as its transpose flattened row by row.  p must be Delzant.
+
+    Two automorphisms with one linear part differ by a translation of P onto itself,
+    which is none, so there are as many linear parts as automorphisms.  Sharing a scan
+    over them is sound: with t = v - g w0, <g^T xi, w> = <xi, g w + t> - <xi, t>, so the
+    data of g^T xi are those of xi with each vertex renamed and every H lowered by
+    <xi, t>.  What a scan shares reads absolute H only on relative Fano data, which come
+    from a reflexive P; its one interior lattice point, the origin, is fixed by every
+    automorphism, so there t = 0 and g is a linear symmetry.
 
     The edge directions d_i leaving vertex 0 form a lattice basis, and the normals u_i
     of the facets through vertex 0, u_i the one that misses d_i, form its dual basis.
-    A symmetry g takes vertex 0 to a vertex v and each d_i to an edge direction e_i
+    An automorphism takes vertex 0 to a vertex v and each d_i to an edge direction e_i
     leaving v of the same lattice length, so g x = sum_i <u_i, x> e_i and
-    g^T x = sum_i <x, e_i> u_i; it is kept when it maps the vertex set onto itself.
-    Translations are left out: one shifts every facet level, and with them H and the
-    weight-sum constant.
+    g^T x = sum_i <x, e_i> u_i; it is kept when it maps every vertex to a vertex, and
+    then permutes them.
 
-    The orderings of vertex 0's own edges that give a symmetry form its stabiliser S.
-    The orbit of vertex 0 is closed under the symmetries found so far, keeping for
-    each vertex w reached the images of the d_i under one symmetry that takes vertex
-    0 to w.  A vertex still outside it is tested only when its sorted edge lengths and
-    sorted facet levels are vertex 0's, and the first ordering of its edges that gives
-    a symmetry extends the orbit.  The symmetries are then, for each orbit vertex w
-    with images e and each s in S, the one taking d_i to e_{s(i)}: all of them, as
-    |orbit| * |S| = |group|.
+    The orderings of vertex 0's own edges that give an automorphism form its stabiliser
+    S.  The orbit of vertex 0 is closed under the vertex permutations of the
+    automorphisms found so far, keeping for each vertex w reached the images of the d_i
+    under one that takes vertex 0 to w.  A vertex still outside it is tested only when
+    its sorted edge lengths, which an automorphism keeps, are vertex 0's, and the first
+    ordering of its edges that gives an automorphism extends the orbit.  The linear
+    parts are then, for each orbit vertex w with images e and each s in S, the one
+    taking d_i to e_{s(i)}: all of them, as |orbit| * |S| = |group|.
     """
-    levels = {f.normal: f.c for f in p.facets}
-    vertex_set = set(p.vertices)
+    vertices, edges = p.vertices, p.edges
+    index = {w: k for k, w in enumerate(vertices)}
 
     def edges_at(v: int) -> Tuple[List[IntVec], List[int]]:
         slots = p._slots[v]
         return (
-            [tuple(sign * x for x in p.edges[k].direction) for k, sign in slots],
-            [p.edges[k].length for k, _ in slots],
+            [
+                edges[k].direction if sign > 0 else tuple([-x for x in edges[k].direction])
+                for k, sign in slots
+            ],
+            [edges[k].length for k, _ in slots],
         )
 
-    def symmetries(v: int) -> Iterator[Tuple[Tuple[int, ...], IntVec]]:
+    def automorphisms(v: int) -> Iterator[Tuple[Tuple[int, ...], IntVec, List[int]]]:
         """Each ordering s of the edges e at v, with lengths those of the d_i, for which
-        the g that takes d_i to e_{s(i)} is a symmetry, and that g."""
+        the g that takes d_i to e_{s(i)} is the linear part of an automorphism taking
+        vertex 0 to v: s, g^T and the automorphism's vertex permutation."""
         directions, lengths = edges_at(v)
         for s in itertools.permutations(range(p.dim)):
             if [lengths[k] for k in s] == lengths0:
-                g = _outer_sum([directions[k] for k in s], u0)
-                if all(_apply(g, w) in vertex_set for w in p.vertices):
-                    yield s, g
-
-    def invariant(v: int) -> Tuple[List[int], List[int]]:
-        lengths = sorted(p.edges[k].length for k, _ in p._slots[v])
-        return lengths, sorted(levels[u] for u in p._incidence[v])
+                (gt,) = _outer_sums(u0, [[directions[k] for k in s]])
+                images = _vertex_permutation(gt, vertices[0], vertices[v], vertices, index)
+                if images is not None:
+                    yield s, gt, images
 
     d0, lengths0 = edges_at(0)
     u0 = [next(u for u in p._incidence[0] if sum(map(operator.mul, u, d))) for d in d0]
-    stabiliser = list(symmetries(0))  # the identity first
-    generators = [g for _s, g in stabiliser[1:]]
-    orbit = {p.vertices[0]: d0}
-    key0 = invariant(0)
-    for v, w in enumerate(p.vertices):
-        if w in orbit or invariant(v) != key0:
+    stabiliser = list(automorphisms(0))  # the identity first
+    generators = [(gt, images) for _s, gt, images in stabiliser[1:]]
+    orbit = {0: d0}
+    key0 = sorted(lengths0)
+    for v in range(len(vertices)):
+        if v in orbit or sorted([edges[k].length for k, _ in p._slots[v]]) != key0:
             continue
-        first = next(symmetries(v), None)
+        first = next(automorphisms(v), None)
         if first is None:
             continue
-        generators.append(first[1])
+        generators.append(first[1:])
         todo = list(orbit)
         while todo:
             x = todo.pop()
-            for g in generators:
-                y = _apply(g, x)
+            for gt, images in generators:
+                y = images[x]
                 if y not in orbit:
-                    orbit[y] = [_apply(g, e) for e in orbit[x]]
+                    orbit[y] = [_apply(gt, e) for e in orbit[x]]
                     todo.append(y)
-    return [_outer_sum(u0, [e[k] for k in s]) for e in orbit.values() for s, _g in stabiliser]
+    getters = [operator.itemgetter(*s) for s, _gt, _images in stabiliser]
+    return _outer_sums(u0, [get(e) for e in orbit.values() for get in getters])
 
 
 def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
@@ -882,16 +924,19 @@ def scan_directions(p: LatticePolytope, bound: int) -> Iterator[ScanItem]:
     the del Pezzo class the lemma suite also runs on every direction; on a
     non-generic one, which fixes a boundary sphere, it skips itself with a note.
 
-    A lattice automorphism g of P, a linear g in GL(n, Z) with g(vertices) =
-    vertices, turns the data of xi into those of g^T xi with each vertex w renamed
-    g^-1 w, since <xi, g w> = <g^T xi, w>.  So the first direction of each orbit
-    {g^T xi} is generated and checked, and if its report holds no violation and no
-    inconclusive record, whose text would name ids, each later member gets its own
-    copy of that report and the same sums, and no data are generated for it.  -xi
-    is no orbit member: it gives reversed data, not renamed ones.  The group is
-    found by ``_lattice_automorphisms`` when the first report that may be shared
-    appears.  Every other direction is checked in full.  A representative's images
-    g^T xi come from one comprehension over the stored transposes.
+    An affine lattice automorphism x -> g x + t of P, with g in GL(n, Z), turns the
+    data of xi into those of g^T xi with each vertex w renamed g^-1 (w - t) and every
+    H lowered by <xi, t>, since <g^T xi, w> = <xi, g w + t> - <xi, t>.  A shared item
+    reads absolute H only on relative Fano data, from a reflexive P, whose
+    automorphisms all fix its one interior lattice point, the origin: there t = 0.
+    So the first direction of each orbit {g^T xi} is generated and checked, and if
+    its report holds no violation and no inconclusive record, whose text would name
+    ids, each later member gets its own copy of that report and the same sums, and
+    no data are generated for it.  -xi is no orbit member: it gives reversed data,
+    not renamed ones.  The linear parts g are found by ``_lattice_automorphisms``
+    when the first report that may be shared appears.  Every other direction is
+    checked in full.  A representative's images g^T xi come from one comprehension
+    over the stored transposes.
 
     The Delzant precondition is checked once, after the bound and before the first
     item.  A 3-D direction that fixes an edge is refused by ``_edge_line_refusal``,

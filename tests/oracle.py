@@ -22,9 +22,12 @@ its statement, check by check over the raw points and edges.
 
 The orbit oracles find a polytope's lattice automorphisms, every integral
 unimodular g with g(vertices) = vertices, by brute force over the images of
-n independent vertices, with no edge or facet in sight; the orbits of the
-scanned directions under the transposes g^T; and a dataset's fields with each
-vertex named in an id renamed, by parsing the id, without the package's
+n independent vertices, with no edge or facet in sight; the linear parts of
+its affine lattice automorphisms, as the lattice automorphisms of its
+vertices moved to put their centroid at the origin and scaled to stay
+integral, with the translation of each; the orbits of the scanned directions
+under the transposes g^T; and a dataset's fields with each vertex named in an
+id moved, by parsing the id, and every H shifted, without the package's
 symmetry search or id writers.
 
 The hull oracle finds the facets of a point set by testing every line
@@ -463,6 +466,32 @@ def lattice_automorphisms(vertices) -> List[Tuple[Tuple[int, ...], ...]]:
     return out
 
 
+def _centred(vertices) -> List[Tuple[int, ...]]:
+    """Each vertex w as V w - sum of the vertices, V their number: the vertices with
+    their centroid moved to the origin, scaled by V to stay integral."""
+    points = [tuple(v) for v in vertices]
+    total = [sum(column) for column in zip(*points)]
+    return [tuple(len(points) * x - s for x, s in zip(w, total)) for w in points]
+
+
+def affine_automorphisms(vertices) -> List[Tuple[Tuple[int, ...], ...]]:
+    """The linear part g of every affine lattice automorphism x -> g x + t of the
+    polytope with these vertices, the identity included.  One fixes the centroid c of
+    the vertices, so V w' - V c = g (V w - V c) whenever it takes w to w': the linear
+    parts are the lattice automorphisms of the centred vertices, and each g gives the
+    translation ``affine_translation``, integral since it takes a vertex to a vertex."""
+    return lattice_automorphisms(_centred(vertices))
+
+
+def affine_translation(vertices, g) -> Tuple[int, ...]:
+    """The translation t of the affine automorphism x -> g x + t with linear part g: the
+    image of the first vertex, found among the centred vertices, less g of it."""
+    points = [tuple(v) for v in vertices]
+    centred = _centred(points)
+    w = centred.index(apply_matrix(g, centred[0]))
+    return tuple(a - b for a, b in zip(points[w], apply_matrix(g, points[0])))
+
+
 def direction_orbits(group, dim: int, bound: int) -> Dict[Tuple[int, ...], tuple]:
     """For each primitive direction of max-norm <= bound whose first nonzero
     entry is positive, in lex order: the lex-least such direction of its orbit
@@ -483,12 +512,13 @@ def direction_orbits(group, dim: int, bound: int) -> Dict[Tuple[int, ...], tuple
     return dict(sorted(out.items()))
 
 
-def _renamed_id(cid: str, g) -> str:
-    """A generated id with each vertex v it names renamed g v: a point 'v<v>' or
+def _renamed_id(cid: str, g, t) -> str:
+    """A generated id with each vertex v it names renamed g v + t: a point 'v<v>' or
     a fixed sphere 's<a>__<b>' with its ends in lex order."""
 
     def vertex(text):
-        return apply_matrix(g, tuple(int(x) for x in text.split("_")))
+        moved = apply_matrix(g, tuple(int(x) for x in text.split("_")))
+        return tuple(a + b for a, b in zip(moved, t))
 
     def text(v):
         return "_".join(str(x) for x in v)
@@ -499,10 +529,12 @@ def _renamed_id(cid: str, g) -> str:
     return "s" + text(a) + "__" + text(b)
 
 
-def renamed_fields(data, g) -> tuple:
+def renamed_fields(data, g, t=None, shift=0) -> tuple:
     """The fields of a generated dataset with each vertex v named in an id
-    renamed g v: its other fields in order, its components' fields by id,
-    and its edges' fields, sorted."""
+    renamed g v + t (t zero when not given) and every component's H raised by
+    shift: its other fields in order, its components' fields by id, and its
+    edges' fields, sorted."""
+    t = t or (0,) * len(g)
     top = tuple(
         getattr(data, f.name)
         for f in dataclasses.fields(data)
@@ -511,13 +543,14 @@ def renamed_fields(data, g) -> tuple:
     components = {}
     for c in data.components:
         fields = dataclasses.asdict(c)
-        fields["id"] = _renamed_id(c.id, g)
+        fields["id"] = _renamed_id(c.id, g, t)
+        fields["H"] += shift
         components[fields["id"]] = fields
     edges = []
     for e in data.edges:
         fields = dataclasses.asdict(e)
         for end in ("bottom", "top"):
-            fields[end] = _renamed_id(fields[end], g)
+            fields[end] = _renamed_id(fields[end], g, t)
         edges.append(tuple(fields.items()))
     return top, components, sorted(edges)
 

@@ -1,13 +1,18 @@
 """A direction scan's shared orbit members against their own data.
 
-A lattice automorphism g of P, a linear g in GL(n, Z) with g(P) = P, turns the
-data of (P, xi) into those of (P, g^T xi) with each vertex w renamed g^-1 w, so
-the scan checks the first direction of each orbit and gives each later member
-a copy of its report and the same sums.  These tests stand in for checking every
-member: the symmetries, the orbits and the renaming come from
-``tests/oracle.py``, which shares no code with the scan, and each item is
-compared with ``validate``, the lemma suite and the sums run on the data of
-its own direction.
+An affine lattice automorphism x -> g x + t of P turns the data of (P, xi) into
+those of (P, g^T xi) with each vertex w renamed g^-1 (w - t) and every H lowered
+by <xi, t>, since <g^T xi, w> = <xi, g w + t> - <xi, t>.  What a scan shares, an
+ok report with its notes and the two sums, reads absolute H only on relative
+Fano data, which come from a reflexive P; its one interior lattice point, the
+origin, is fixed by every automorphism, so there t = 0.  So the scan checks the
+first direction of each orbit and gives each later member a copy of its report
+and the same sums.  These tests stand in for checking every member: the
+automorphisms, the orbits and the renaming come from ``tests/oracle.py``, which
+shares no code with the scan, and each item is compared with ``validate``, the
+lemma suite and the sums run on the data of its own direction.  A translated
+polytope must scan as the polytope does, which pins that the shared items read
+no absolute H off relative Fano data.
 """
 
 import functools
@@ -31,6 +36,8 @@ from hamfano.toric import (
 )
 
 from .oracle import (
+    affine_automorphisms,
+    affine_translation,
     apply_matrix,
     direction_orbits,
     lattice_automorphisms,
@@ -41,18 +48,22 @@ from .oracle import (
 from .test_golden import POLYTOPES
 
 HEXAGON = [(-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)]
-# a Delzant hexagon, not reflexive, with no symmetry: its vertex (-1, -3) has the sorted
-# edge lengths (1, 2) and facet levels (3, 4) of its first vertex (-3, -1), but no
+# a Delzant hexagon, not reflexive, with no symmetry, affine or linear: its vertex
+# (-1, -3) has the sorted edge lengths (1, 2) of its first vertex (-3, -1), but no
 # symmetry maps one to the other
 LOPSIDED_HEXAGON = [(-3, -1), (-3, 0), (-1, -3), (0, -3), (1, -2), (1, 0)]
+# a Delzant trapezoid, not reflexive, whose one affine symmetry besides the identity
+# has no linear part fixing the origin
+TRAPEZOID = [(0, 0), (3, 0), (1, 1), (0, 1)]
 
-# name -> (vertices, bound, order of the lattice automorphism group)
+# name -> (vertices, bound, order of the affine lattice automorphism group)
 CASES = {
     "cube": (POLYTOPES["cube"], 3, 48),
     "CP3": (POLYTOPES["cp3"], 3, 24),
     "CP2xCP1": (POLYTOPES["cp2xcp1"], 3, 12),
     "Bl3CP2xCP1": (POLYTOPES["bl3cp2xcp1"], 3, 24),
-    "truncated_cube": (POLYTOPES["truncated_cube"], 3, 6),
+    # [0,3]^3 cut at its corners: 48 affine symmetries, 6 of them linear
+    "truncated_cube": (POLYTOPES["truncated_cube"], 3, 48),
     "CP2": (CATALOG["CP2"][0], 6, 6),
     "CP1xCP1": (CATALOG["CP1xCP1"][0], 6, 8),
     "Bl1CP2": (CATALOG["Bl1CP2"][0], 6, 2),
@@ -98,10 +109,14 @@ def _probe(xi):
 def test_each_orbit_member_is_its_representatives_data_renamed(name, monkeypatch):
     vertices, bound, order = CASES[name]
     p = LatticePolytope([tuple(v) for v in vertices])
-    group = lattice_automorphisms(vertices)
+    group = affine_automorphisms(vertices)
     assert len(group) == order
     found = _lattice_automorphisms(p)
     assert len(found) == order and set(found) == flat_transposes(group)
+    if p.reflexive:
+        # the origin is a reflexive polytope's one interior lattice point, so every
+        # automorphism fixes it: the group is the linear oracle's
+        assert set(found) == flat_transposes(lattice_automorphisms(vertices)), name
     orbits = direction_orbits(group, p.dim, bound)
     identity = tuple(tuple(int(i == j) for j in range(p.dim)) for i in range(p.dim))
 
@@ -128,7 +143,13 @@ def test_each_orbit_member_is_its_representatives_data_renamed(name, monkeypatch
             refused.add(item.xi)
             continue
         if rep != item.xi:
-            assert renamed_fields(fixed_data_from_polytope(p, rep), unimodular_inverse(g)) == (
+            # x -> g x + t takes each vertex w of the member's data to the representative's
+            # vertex of the same name, whose H is <rep, t> higher
+            t = affine_translation(vertices, g)
+            inverse = unimodular_inverse(g)
+            back = tuple(-x for x in apply_matrix(inverse, t))
+            lower = -sum(a * b for a, b in zip(rep, t))
+            assert renamed_fields(fixed_data_from_polytope(p, rep), inverse, back, lower) == (
                 renamed_fields(data, identity)
             ), (name, item.xi, rep)
         report, total, constant = _direct(p, data)
@@ -225,12 +246,12 @@ def _elementary(dim):
     return [tuple(map(tuple, m)) for m in out]
 
 
-COORDINATE_CASES = ["CP2", "CP1xCP1", "Bl1CP2", "Bl2CP2", "Bl3CP2", "CP3", "cube"]
+COORDINATE_CASES = ["CP2", "CP1xCP1", "Bl1CP2", "Bl2CP2", "Bl3CP2", "CP3", "cube", "truncated_cube"]
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle_group(name):
-    return lattice_automorphisms(CASES[name][0])
+    return affine_automorphisms(CASES[name][0])
 
 
 @pytest.mark.parametrize("name", COORDINATE_CASES)
@@ -238,7 +259,7 @@ def _oracle_group(name):
 @given(data=st.data())
 def test_the_search_follows_a_change_of_lattice_basis(name, data):
     # the group of A P is A Aut(P) A^-1 for every unimodular A, so sheared coordinates
-    # such as the catalog's hexagon lose no symmetry
+    # such as the catalog's hexagon lose no symmetry, affine or linear
     vertices = CASES[name][0]
     dim = len(vertices[0])
     steps = data.draw(st.lists(st.sampled_from(_elementary(dim)), min_size=1, max_size=5))
@@ -247,3 +268,53 @@ def test_the_search_follows_a_change_of_lattice_basis(name, data):
     expected = [_product(_product(a, g), unimodular_inverse(a)) for g in _oracle_group(name)]
     found = _lattice_automorphisms(moved)
     assert len(found) == len(expected) and set(found) == flat_transposes(expected), (name, a)
+
+
+# name -> (vertices, bound, affine group order, linear group order) of the Delzant test
+# polytopes that are not reflexive, where an affine symmetry need not fix the origin
+NOT_REFLEXIVE = {
+    "truncated_cube": (POLYTOPES["truncated_cube"], 3, 48, 6),
+    "rectangle": (POLYTOPES["rectangle"], 4, 4, 2),
+    "trapezoid": (TRAPEZOID, 4, 2, 1),
+    "lopsided_hexagon": (LOPSIDED_HEXAGON, 4, 1, 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _unmoved_scan(name):
+    """The scan of the unmoved polytope, once its group orders are checked."""
+    vertices, bound, affine_order, linear_order = NOT_REFLEXIVE[name]
+    assert len(affine_automorphisms(vertices)) == affine_order, name
+    assert len(lattice_automorphisms(vertices)) == linear_order, name
+    return list(scan_directions(LatticePolytope(vertices), bound))
+
+
+def _record_codes(report):
+    return [r.code for r in report.violations], [r.code for r in report.inconclusive]
+
+
+@pytest.mark.parametrize("name", sorted(NOT_REFLEXIVE))
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_a_translate_scans_as_the_polytope_does(name, data):
+    # the data of a translate P + T in the direction xi are those of P renamed and raised
+    # by <xi, T>; a scan of P + T shares over the same linear parts, so each item it
+    # reports, shared or generated, must read as P's: an item that read absolute H off
+    # data that are not relative Fano would differ here.  Record texts name ids, which
+    # move with T, so records are compared by code.
+    vertices, bound, _affine_order, _linear_order = NOT_REFLEXIVE[name]
+    shift = data.draw(st.tuples(*[st.integers(-6, 6)] * len(vertices[0])))
+    moved = [tuple(a + b for a, b in zip(v, shift)) for v in vertices]
+    expected = _unmoved_scan(name)
+    got = list(scan_directions(LatticePolytope(moved), bound))
+    assert [item.xi for item in got] == [item.xi for item in expected]
+    assert any(item.error is None for item in expected), name
+    for a, b in zip(got, expected):
+        assert (a.error is None) == (b.error is None), (name, shift, a.xi)
+        if b.error is None:
+            assert a.report.ok == b.report.ok, (name, shift, a.xi)
+            assert _record_codes(a.report) == _record_codes(b.report), (name, shift, a.xi)
+            assert a.report.notes == b.report.notes, (name, shift, a.xi)
+            assert (a.abbv_sum, a.weight_sum_constant) == (b.abbv_sum, b.weight_sum_constant), (
+                name, shift, a.xi
+            )

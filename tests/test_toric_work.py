@@ -31,9 +31,16 @@ from hamfano.toric import (
     scan_directions,
 )
 
-from .oracle import direction_orbits, hull_faces, hull_vertices, lattice_automorphisms
+from .oracle import (
+    affine_automorphisms,
+    apply_matrix,
+    direction_orbits,
+    hull_faces,
+    hull_vertices,
+    transpose,
+)
 from .test_golden import GOLDEN, POLYTOPES, ROOT
-from .test_toric_orbits import CASES, LOPSIDED_HEXAGON, flat_transposes
+from .test_toric_orbits import CASES, LOPSIDED_HEXAGON, TRAPEZOID, flat_transposes
 
 
 def _counting(monkeypatch, owner, name):
@@ -68,16 +75,16 @@ def _refusals(monkeypatch):
 
 
 def test_scan_generates_each_orbit_once(monkeypatch, tmp_path):
-    # a scan generates the first direction of each orbit {g^T xi} of the polytope's
-    # lattice automorphisms, counted here by brute force, and refuses each unsupported
-    # direction itself, without generating it
+    # a scan generates the first direction of each orbit {g^T xi} over the linear parts g
+    # of the polytope's affine lattice automorphisms, counted here by brute force, and
+    # refuses each unsupported direction itself, without generating it
     calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
     refused = _refusals(monkeypatch)
     path = tmp_path / "p.json"
     for name, (vertices, bound, _order) in CASES.items():
         dim = len(vertices[0])
         _facets, edges = hull_faces([tuple(v) for v in vertices])
-        orbits = direction_orbits(lattice_automorphisms(vertices), dim, bound)
+        orbits = direction_orbits(affine_automorphisms(vertices), dim, bound)
         unsupported = [
             xi for xi in orbits if dim == 3 and any(_dot(xi, d) == 0 for _a, _b, d, _g in edges)
         ]
@@ -92,10 +99,19 @@ def test_scan_generates_each_orbit_once(monkeypatch, tmp_path):
 
 
 def test_a_polytope_with_no_symmetry_generates_every_direction(monkeypatch, tmp_path):
+    # the lopsided hexagon has no symmetry; the trapezoid's one besides the identity,
+    # x -> g x + (3, 0), has g^T = [[-1, 0], [-2, 1]], which fixes (0, 1) and takes every
+    # other listed direction, whose first entry is positive, out of the listed half
+    identity = ((1, 0), (0, 1))
+    assert affine_automorphisms(LOPSIDED_HEXAGON) == [identity]
+    assert affine_automorphisms(TRAPEZOID) == [identity, ((-1, -2), (0, 1))]
+    listed = set(primitive_directions(2, 4))
+    for xi in listed:
+        image = apply_matrix(transpose(((-1, -2), (0, 1))), xi)
+        assert image == xi if xi == (0, 1) else image not in listed, xi
     calls = _counting(monkeypatch, hamfano.toric, "fixed_data_from_polytope")
     path = tmp_path / "p.json"
-    for polygon in ([(0, 0), (3, 0), (1, 1), (0, 1)], LOPSIDED_HEXAGON):
-        assert lattice_automorphisms(polygon) == [((1, 0), (0, 1))]
+    for polygon in (TRAPEZOID, LOPSIDED_HEXAGON):
         path.write_text(json.dumps({"schema_version": "1", "polytope": {"vertices": polygon}}))
         calls.clear()
         code, _out = run(["toric", "scan", str(path), "--bound", "4"])
@@ -120,7 +136,7 @@ def _load_bench_generator():
 REFUSED_PER_CYCLE = {"scan2d": 0, "scan3d": 3220}
 
 
-@pytest.mark.parametrize("workload, generated", [("scan2d", 3288), ("scan3d", 507)])
+@pytest.mark.parametrize("workload, generated", [("scan2d", 3288), ("scan3d", 465)])
 def test_a_benchmark_scan_cycle_generates_the_counted_datasets(
     workload, generated, monkeypatch, tmp_path
 ):
@@ -143,7 +159,7 @@ def test_the_search_finds_the_oracle_group_on_the_benchmark_polytopes():
     gen = _load_bench_generator()
     for q in [gen.polygon(name) for name in gen.POLYGONS] + gen.polytopes_3d():
         found = hamfano.toric._lattice_automorphisms(LatticePolytope(q.vertices))
-        expected = flat_transposes(lattice_automorphisms(q.vertices))
+        expected = flat_transposes(affine_automorphisms(q.vertices))
         assert len(found) == len(expected) and set(found) == expected, q.name
 
 
