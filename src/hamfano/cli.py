@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -30,7 +31,6 @@ from .fixed_data import (
     read_int,
     validate,
 )
-from .localization import WeightSumInconsistency
 from .reports import InconsistencyError, Report, StructuralError
 
 SCHEMA_VERSION = "1"
@@ -238,7 +238,7 @@ def _cmd_normalize(path: str) -> Tuple[int, dict]:
     data = load_fixed_point_data(path)
     try:
         constant, shifted = localization.weight_sum_normalize(data)
-    except WeightSumInconsistency as exc:
+    except localization.WeightSumInconsistency as exc:
         return 1, {
             "error": "weight sum formula has no solution",
             "constant_at_minimum": exc.constant,
@@ -416,7 +416,13 @@ def _dump(payload: dict, pretty: bool) -> str:
 
 def main() -> None:
     code, output = run(sys.argv[1:])
-    print(output)
+    try:
+        print(output, flush=True)
+    except OSError as exc:
+        # what stays buffered goes nowhere, so the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"hamfano: cannot write the output: {exc}", file=sys.stderr)
+        code = 2
     sys.exit(code)
 
 

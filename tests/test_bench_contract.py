@@ -13,13 +13,15 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 
 import pytest
 
-import hamfano.cli  # noqa: F401  (imports every traced module)
+import hamfano.cli
 
 from .test_golden import ROOT
+from .test_lazy_imports import CLI_IMPORT, fresh
 
 BENCH = ROOT / "perfbench"
 
@@ -55,9 +57,49 @@ def _resolve(dotted):
 
 
 def test_traced_modules_import(bench):
+    # install() reads each one from sys.modules, executed or not
     tracer, _run = bench
-    for short in tracer.MODULES:
-        assert f"hamfano.{short}" in sys.modules, short
+    code = f"import sys, hamfano.cli; print([m for m in {tracer.MODULES!r} if 'hamfano.' + m not in sys.modules])"
+    proc = fresh("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# counts the tracer's wrappers bound in every hamfano namespace and class, before
+# the library modules execute, while installed and after uninstall
+WRAPPERS = """
+import importlib.util, json, sys, types
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import hamfano.cli
+
+def package():
+    return [m for n, m in sys.modules.items() if n.partition(".")[0] == "hamfano"]
+
+def wrappers():
+    spaces = package()
+    spaces += [v for m in spaces for v in vars(m).values() if isinstance(v, type)]
+    return sum(
+        getattr(v, "__qualname__", "").startswith("Tracer._wrap.")
+        for space in spaces for v in vars(space).values()
+    )
+
+executed = sorted(m.__name__ for m in package() if type(m) is types.ModuleType)
+t = tracer.Tracer()
+t.install()
+installed = wrappers(), all(type(m) is types.ModuleType for m in package())
+t.uninstall()
+print(json.dumps([executed, *installed, wrappers()]))
+"""
+
+
+def test_tracer_uninstall_leaves_no_wrapper_when_modules_execute_during_install():
+    proc = fresh("-c", WRAPPERS, str(BENCH / "tracer.py"))
+    assert proc.returncode == 0, proc.stderr
+    executed, installed, all_executed, left = json.loads(proc.stdout)
+    assert set(executed) == CLI_IMPORT
+    assert installed > 0 and all_executed
+    assert left == 0
 
 
 def test_class_targets_resolve_as_install_needs(bench):

@@ -265,6 +265,36 @@ def test_fano6_chains_two_cycle_exits_1(tmp_path):
     assert "y->x" in json.loads(proc.stdout)["error"]
 
 
+def _cli_process(argv, **kwargs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hamfano.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, **kwargs.pop("env", {})}
+    return subprocess.Popen(
+        [sys.executable, "-B", "-m", "hamfano.cli", *argv], stderr=subprocess.PIPE, env=env, **kwargs
+    )
+
+
+# the output still buffered at a failed write is what the flush at exit would try again
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_2_without_traceback(unbuffered):
+    doc = os.path.join(os.path.dirname(__file__), "golden", "abc_3_1_1_2.json")
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["chi-y", doc], stdout=full, env={"PYTHONUNBUFFERED": unbuffered})
+        _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 2
+    assert err.decode().splitlines() == ["hamfano: cannot write the output: [Errno 28] No space left on device"]
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    # 1.1 MB of output: far more than a pipe holds, so the write meets the closed end
+    with _cli_process(["toric", "scan", "CP2", "--bound", "60"], stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.read(20) == b'{"polytope":{"dim":2'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=30) == 2
+    assert err.splitlines() == ["hamfano: cannot write the output: [Errno 32] Broken pipe"]
+
+
 DOWNHILL = "edge y->x must increase the Hamiltonian: H(y) = 1 !< H(x) = 0"
 LEVEL = "edge x->y must increase the Hamiltonian: H(x) = 0 !< H(y) = 0"
 
